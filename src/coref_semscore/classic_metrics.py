@@ -2,7 +2,10 @@
 
 Statistics are pooled over documents the way the reference CoNLL-2012
 scorer pools them, with twinless mentions counting only against their own
-side's denominator.  All accumulation is done in exact rational
+side's denominator.  MUC and B-cubed come from each document's sparse
+gold-cluster × predicted-cluster overlap counts (model.contingency) and
+the cluster sizes; no mention is scored one by one.  CEAF aligns clusters
+by phi4 over their span sets.  All accumulation is done in exact rational
 arithmetic and converted to float once at the end, so results are
 reproducible bit-for-bit and the optimal-assignment step can be checked
 against exhaustive search exactly.  Degenerate 0/0 ratios are defined as
@@ -11,14 +14,15 @@ against exhaustive search exactly.  Degenerate 0/0 ratios are defined as
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .model import Cluster, Document, Span, pair_by_doc_id
+from .model import Cluster, Document, Span, contingency, pair_by_doc_id
 
 
 @dataclass(frozen=True)
@@ -54,72 +58,70 @@ def _span_sets(clusters: Sequence[Cluster]) -> list[set[Span]]:
     return [{m.span for m in c.mentions} for c in clusters]
 
 
-def _index_by_span(cluster_sets: Sequence[set[Span]]) -> dict[Span, int]:
-    return {span: i for i, spans in enumerate(cluster_sets) for span in spans}
+class RatioCounts(NamedTuple):
+    """Numerators and denominators of a metric's precision and recall,
+    pooled over documents; pooling two corpora adds them field by field."""
+
+    p_num: Fraction | int
+    p_den: int
+    r_num: Fraction | int
+    r_den: int
 
 
-def _muc_side(own: Sequence[set[Span]], other_index: dict[Span, int]) -> tuple[int, int]:
-    """MUC numerator/denominator for one side.
+def muc_counts(gold_docs: Sequence[Document], pred_docs: Sequence[Document]) -> RatioCounts:
+    """MUC counts from the cluster-overlap tables.
 
-    Each cluster contributes |C| minus the number of cells in the
-    partition induced by the other side; mentions absent from the other
-    side form singleton cells.
+    A cluster contributes |C| minus the number of cells in the partition
+    induced by the other side: its nonzero overlaps n_ij, plus one
+    singleton cell per mention absent from the other side.  That is the
+    sum of n_ij - 1 over its nonzero overlaps, so both sides share one
+    numerator.  Denominators are the sums of |C| - 1.
     """
-    num = den = 0
-    for spans in own:
-        cells = {other_index[s] for s in spans if s in other_index}
-        unmatched = sum(s not in other_index for s in spans)
-        num += len(spans) - (len(cells) + unmatched)
-        den += len(spans) - 1
-    return num, den
+    num = p_den = r_den = 0
+    for gold_doc, pred_doc in pair_by_doc_id(gold_docs, pred_docs):
+        table = contingency(gold_doc, pred_doc)
+        num += sum(table.values()) - len(table)
+        r_den += sum(len(c.mentions) - 1 for c in gold_doc.gold_clusters)
+        p_den += sum(len(c.mentions) - 1 for c in pred_doc.predicted_clusters)
+    return RatioCounts(num, p_den, num, r_den)
 
 
 def muc(gold_docs: Sequence[Document], pred_docs: Sequence[Document]) -> MetricTriple:
     """Link-based metric over cluster partitions."""
-    r_num = r_den = p_num = p_den = 0
-    for gold_doc, pred_doc in pair_by_doc_id(gold_docs, pred_docs):
-        gold_sets = _span_sets(gold_doc.gold_clusters)
-        pred_sets = _span_sets(pred_doc.predicted_clusters)
-        gold_index = _index_by_span(gold_sets)
-        pred_index = _index_by_span(pred_sets)
-        num, den = _muc_side(gold_sets, pred_index)
-        r_num, r_den = r_num + num, r_den + den
-        num, den = _muc_side(pred_sets, gold_index)
-        p_num, p_den = p_num + num, p_den + den
-    return _triple(p_num, p_den, r_num, r_den)
+    return _triple(*muc_counts(gold_docs, pred_docs))
 
 
-def _b_cubed_side(own: Sequence[set[Span]], other: Sequence[set[Span]]) -> tuple[Fraction, int]:
-    """Sum over this side's mentions of |own ∩ other| / |own|.
+def _sum_by_size(squares: Counter[int]) -> Fraction:
+    return sum((Fraction(total, size) for size, total in squares.items()), Fraction(0))
 
-    Mentions missing from the other side contribute 0.
+
+def b_cubed_counts(gold_docs: Sequence[Document], pred_docs: Sequence[Document]) -> RatioCounts:
+    """B-cubed counts from the cluster-overlap tables.
+
+    Each of the n_ij mentions shared by gold cluster i and predicted
+    cluster j scores n_ij / |G_i| for recall and n_ij / |P_j| for
+    precision; mentions missing from the other side score 0.  The squares
+    n_ij^2 are summed as integers per cluster size over the corpus and
+    divided once per distinct size, exactly.  Denominators are mention
+    counts.
     """
-    other_index = _index_by_span(other)
-    total = Fraction(0)
-    count = 0
-    for spans in own:
-        size = len(spans)
-        for span in spans:
-            count += 1
-            j = other_index.get(span)
-            if j is not None:
-                total += Fraction(len(spans & other[j]), size)
-    return total, count
+    p_squares: Counter[int] = Counter()
+    r_squares: Counter[int] = Counter()
+    p_den = r_den = 0
+    for gold_doc, pred_doc in pair_by_doc_id(gold_docs, pred_docs):
+        gold_sizes = [len(c.mentions) for c in gold_doc.gold_clusters]
+        pred_sizes = [len(c.mentions) for c in pred_doc.predicted_clusters]
+        for (i, j), n in contingency(gold_doc, pred_doc).items():
+            r_squares[gold_sizes[i]] += n * n
+            p_squares[pred_sizes[j]] += n * n
+        r_den += sum(gold_sizes)
+        p_den += sum(pred_sizes)
+    return RatioCounts(_sum_by_size(p_squares), p_den, _sum_by_size(r_squares), r_den)
 
 
 def b_cubed(gold_docs: Sequence[Document], pred_docs: Sequence[Document]) -> MetricTriple:
     """Mention-weighted metric averaging per-mention cluster overlap."""
-    p_num = Fraction(0)
-    r_num = Fraction(0)
-    p_den = r_den = 0
-    for gold_doc, pred_doc in pair_by_doc_id(gold_docs, pred_docs):
-        gold_sets = _span_sets(gold_doc.gold_clusters)
-        pred_sets = _span_sets(pred_doc.predicted_clusters)
-        num, den = _b_cubed_side(pred_sets, gold_sets)
-        p_num, p_den = p_num + num, p_den + den
-        num, den = _b_cubed_side(gold_sets, pred_sets)
-        r_num, r_den = r_num + num, r_den + den
-    return _triple(p_num, p_den, r_num, r_den)
+    return _triple(*b_cubed_counts(gold_docs, pred_docs))
 
 
 def phi4(gold: set[Span], pred: set[Span]) -> Fraction:

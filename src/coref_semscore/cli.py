@@ -19,6 +19,7 @@ from .ingest import (
     CorpusFormatError,
     attach_semantic_spans,
     merge_predictions,
+    read_cner_jsonl,
     read_conll2012,
     read_jsonl_corpus,
     write_labeled_jsonl,
@@ -124,8 +125,7 @@ def _load_corpus(args, inventory: CategoryInventory):
             raise CliError(EXIT_INPUT, f"{pred_path}: no predicted_clusters in prediction file")
         docs = merge_predictions(docs, pred_docs)
     if args.cner:
-        cner_docs = read_jsonl_corpus(args.cner, inventory)
-        docs = attach_semantic_spans(docs, cner_docs)
+        docs = attach_semantic_spans(docs, read_cner_jsonl(args.cner, inventory))
     return docs
 
 

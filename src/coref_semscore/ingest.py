@@ -33,8 +33,9 @@ import json
 import re
 from dataclasses import replace
 from pathlib import Path
-from typing import IO, Iterable, Sequence, Union
+from typing import IO, Iterable, Iterator, Mapping, Sequence, Union
 
+from . import model
 from .inventory import CategoryInventory
 from .model import (
     Cluster,
@@ -152,17 +153,10 @@ def _clusters_from_record(
     return tuple(clusters)
 
 
-def document_from_record(record: dict, inventory: CategoryInventory) -> Document:
-    """Build and validate a Document from a parsed JSONL record."""
-    if not isinstance(record, dict):
-        raise CorpusFormatError("expected a JSON object")
-    for required in ("doc_id", "tokens"):
-        if required not in record:
-            raise CorpusFormatError(f"missing required field {required!r}")
-    semantic_spans = []
-    raw_cner = record.get("cner", [])
+def _semantic_spans(raw_cner, inventory: CategoryInventory) -> tuple[SemanticSpan, ...]:
     if not isinstance(raw_cner, list):
         raise CorpusFormatError("cner: expected a list of [start, end, label] triples")
+    semantic_spans = []
     for si, triple in enumerate(raw_cner):
         if not isinstance(triple, (list, tuple)) or len(triple) != 3:
             raise CorpusFormatError(f"cner[{si}]: expected a [start, end, label] triple")
@@ -172,13 +166,23 @@ def document_from_record(record: dict, inventory: CategoryInventory) -> Document
         except ValueError as exc:
             raise CorpusFormatError(f"cner[{si}]: {exc}") from exc
         semantic_spans.append(SemanticSpan(span, label))
+    return tuple(semantic_spans)
+
+
+def document_from_record(record: dict, inventory: CategoryInventory) -> Document:
+    """Build and validate a Document from a parsed JSONL record."""
+    if not isinstance(record, dict):
+        raise CorpusFormatError("expected a JSON object")
+    for required in ("doc_id", "tokens"):
+        if required not in record:
+            raise CorpusFormatError(f"missing required field {required!r}")
     boundaries = record.get("sentence_boundaries")
     doc = Document(
         doc_id=str(record["doc_id"]),
         tokens=tuple(str(t) for t in record["tokens"]),
         gold_clusters=_clusters_from_record(record, "gold", inventory),
         predicted_clusters=_clusters_from_record(record, "predicted", inventory),
-        semantic_spans=tuple(semantic_spans),
+        semantic_spans=_semantic_spans(record.get("cner", []), inventory),
         sentence_boundaries=tuple(int(b) for b in boundaries) if boundaries is not None else None,
         extras={k: v for k, v in record.items() if k not in _MODEL_FIELDS},
     )
@@ -186,6 +190,23 @@ def document_from_record(record: dict, inventory: CategoryInventory) -> Document
     if violations:
         raise CorpusFormatError(f"doc {doc.doc_id!r}: {violations[0]}")
     return doc
+
+
+def _jsonl_records(source: Source) -> Iterator[tuple[int, object]]:
+    """(line number, parsed JSON) for each non-blank line."""
+    handle, owned = _open_read(source)
+    try:
+        for lineno, line in enumerate(handle, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                yield lineno, json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise CorpusFormatError(f"line {lineno}: invalid JSON: {exc}") from exc
+    finally:
+        if owned:
+            handle.close()
 
 
 def read_jsonl_corpus(
@@ -197,30 +218,46 @@ def read_jsonl_corpus(
     label problems, and duplicate doc_ids.
     """
     inventory = inventory or CategoryInventory.default()
-    handle, owned = _open_read(source)
     docs: list[Document] = []
     seen_ids: set[str] = set()
-    try:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"line {lineno}: invalid JSON: {exc}") from exc
-            try:
-                doc = document_from_record(record, inventory)
-            except CorpusFormatError as exc:
-                raise CorpusFormatError(f"line {lineno}: {exc}") from exc
-            if doc.doc_id in seen_ids:
-                raise CorpusFormatError(f"line {lineno}: duplicate doc_id {doc.doc_id!r}")
-            seen_ids.add(doc.doc_id)
-            docs.append(doc)
-    finally:
-        if owned:
-            handle.close()
+    for lineno, record in _jsonl_records(source):
+        try:
+            doc = document_from_record(record, inventory)
+        except CorpusFormatError as exc:
+            raise CorpusFormatError(f"line {lineno}: {exc}") from exc
+        if doc.doc_id in seen_ids:
+            raise CorpusFormatError(f"line {lineno}: duplicate doc_id {doc.doc_id!r}")
+        seen_ids.add(doc.doc_id)
+        docs.append(doc)
     return docs
+
+
+def read_cner_jsonl(
+    source: Source, inventory: CategoryInventory | None = None
+) -> dict[str, tuple[SemanticSpan, ...]]:
+    """Read a JSONL file of {doc_id, cner} records into spans by doc_id.
+
+    Only doc_id and cner are required; other fields are ignored.  Span
+    bounds are checked against the target documents by
+    attach_semantic_spans, not here.
+    """
+    inventory = inventory or CategoryInventory.default()
+    spans_by_id: dict[str, tuple[SemanticSpan, ...]] = {}
+    for lineno, record in _jsonl_records(source):
+        try:
+            if not isinstance(record, dict):
+                raise CorpusFormatError("expected a JSON object")
+            for required in ("doc_id", "cner"):
+                if required not in record:
+                    raise CorpusFormatError(f"missing required field {required!r}")
+            spans = _semantic_spans(record["cner"], inventory)
+        except CorpusFormatError as exc:
+            raise CorpusFormatError(f"line {lineno}: {exc}") from exc
+        doc_id = str(record["doc_id"])
+        if doc_id in spans_by_id:
+            raise CorpusFormatError(f"line {lineno}: duplicate doc_id {doc_id!r}")
+        spans_by_id[doc_id] = spans
+    return spans_by_id
 
 
 def _labels_block(clusters: Sequence[Cluster]):
@@ -395,7 +432,10 @@ def merge_predictions(
     gold_docs: Sequence[Document], pred_docs: Sequence[Document]
 ) -> list[Document]:
     """Attach predicted clusters from a separate corpus, keyed by doc_id."""
-    pairs = pair_by_doc_id_checked(gold_docs, pred_docs)
+    try:
+        pairs = model.pair_by_doc_id(gold_docs, pred_docs)
+    except DocumentPairingError as exc:
+        raise CorpusFormatError(str(exc)) from exc
     merged = []
     for gold, pred in pairs:
         if gold.tokens != pred.tokens:
@@ -404,32 +444,23 @@ def merge_predictions(
     return merged
 
 
-def pair_by_doc_id_checked(gold_docs, pred_docs):
-    from .model import pair_by_doc_id
-
-    try:
-        return pair_by_doc_id(gold_docs, pred_docs)
-    except DocumentPairingError as exc:
-        raise CorpusFormatError(str(exc)) from exc
-
-
 def attach_semantic_spans(
-    docs: Sequence[Document], cner_docs: Sequence[Document]
+    docs: Sequence[Document], spans_by_id: Mapping[str, Sequence[SemanticSpan]]
 ) -> list[Document]:
-    """Replace semantic spans with those from a separate cner corpus.
+    """Replace semantic spans with those read by read_cner_jsonl.
 
-    Every doc_id in the cner corpus must exist in the target corpus;
-    documents without a cner record keep their inline spans.
+    Every doc_id in spans_by_id must exist in the target corpus, and every
+    span must lie within its document; documents without a cner record
+    keep their inline spans.
     """
-    by_id = {d.doc_id: d for d in docs}
-    unknown = sorted(d.doc_id for d in cner_docs if d.doc_id not in by_id)
+    known = {d.doc_id for d in docs}
+    unknown = sorted(doc_id for doc_id in spans_by_id if doc_id not in known)
     if unknown:
         raise CorpusFormatError(f"cner corpus has unknown doc_ids: {', '.join(unknown)}")
-    spans_by_id = {d.doc_id: d.semantic_spans for d in cner_docs}
     out = []
     for doc in docs:
         if doc.doc_id in spans_by_id:
-            doc = replace(doc, semantic_spans=spans_by_id[doc.doc_id])
+            doc = replace(doc, semantic_spans=tuple(spans_by_id[doc.doc_id]))
             violations = validate_document(doc)
             if violations:
                 raise CorpusFormatError(f"doc {doc.doc_id!r}: {violations[0]}")

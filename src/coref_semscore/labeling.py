@@ -33,8 +33,6 @@ DEFAULT_PRONOUNS = frozenset(
     """.split()
 )
 
-TIE_BREAK_AVG_OVERLAP = "avg_overlap_then_lexicographic"
-
 
 @dataclass(frozen=True)
 class LabelingConfig:
@@ -49,13 +47,10 @@ class LabelingConfig:
     tau_inclusive: bool = False
     force_cluster_label: bool = False
     pronoun_lexicon: frozenset[str] = DEFAULT_PRONOUNS
-    tie_break: str = TIE_BREAK_AVG_OVERLAP
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.tau <= 1.0:
             raise ValueError(f"tau must be in [0, 1], got {self.tau}")
-        if self.tie_break != TIE_BREAK_AVG_OVERLAP:
-            raise ValueError(f"unsupported tie_break {self.tie_break!r}")
 
 
 def overlap(a: Span, b: Span) -> float:

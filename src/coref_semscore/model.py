@@ -13,6 +13,7 @@ across workers without locking; pipeline stages return new objects.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Any, Iterable, Mapping, Sequence
@@ -206,3 +207,41 @@ def pair_by_doc_id(
             parts.append(f"missing from gold corpus: {', '.join(extra)}")
         raise DocumentPairingError("; ".join(parts))
     return [(d, pred_by_id[d.doc_id]) for d in gold]
+
+
+def _cluster_index(doc_id: str, side: str, clusters: Sequence[Cluster]) -> dict[Span, int]:
+    """Map each mention span of one side to the index of its cluster.
+
+    Raises ValueError naming the document, the side and the span when a
+    span belongs to two clusters, which validate_document reports and the
+    metrics cannot score.
+    """
+    index = {m.span: i for i, cluster in enumerate(clusters) for m in cluster.mentions}
+    if len(index) != sum(len(cluster.mentions) for cluster in clusters):
+        seen: dict[Span, int] = {}
+        for i, cluster in enumerate(clusters):
+            for m in cluster.mentions:
+                if m.span in seen:
+                    raise ValueError(
+                        f"doc {doc_id!r}: {side} span {_span_str(m.span)} appears "
+                        f"in clusters {seen[m.span]} and {i}"
+                    )
+                seen[m.span] = i
+    return index
+
+
+def contingency(gold_doc: Document, pred_doc: Document) -> Counter[tuple[int, int]]:
+    """Sparse overlap counts between gold and predicted clusters.
+
+    Maps (i, j) to n_ij = |G_i ∩ P_j|, the number of mention spans shared
+    by gold cluster i of gold_doc and predicted cluster j of pred_doc;
+    only nonzero cells are present.  Cluster sizes come from the clusters
+    themselves, so a cluster's unmatched mentions are its size minus its
+    row (or column) sum.  Raises ValueError when a span repeats across
+    the clusters of either side.
+    """
+    gold_index = _cluster_index(gold_doc.doc_id, "gold", gold_doc.gold_clusters)
+    pred_index = _cluster_index(pred_doc.doc_id, "predicted", pred_doc.predicted_clusters)
+    return Counter(
+        (gold_index[span], j) for span, j in pred_index.items() if span in gold_index
+    )

@@ -8,16 +8,21 @@ match with a different gold class counts as a false positive for the
 predicted class and a false negative for the gold class.  Unlabeled
 mentions and links are excluded from the per-class counts and tallied in
 a side channel instead.
+
+Link counts come from each document's sparse gold-cluster × predicted-
+cluster overlap counts (model.contingency) and the cluster sizes; no pair
+is built.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from math import fsum
 from typing import Iterable, Mapping, Sequence
 
-from .model import Cluster, Document, pair_by_doc_id
+from .model import Cluster, Document, contingency, pair_by_doc_id
 
 SpanPair = tuple[tuple[int, int], tuple[int, int]]
 
@@ -106,6 +111,7 @@ def links_of(cluster: Cluster) -> list[tuple[SpanPair, str | None]]:
 
     Pairs are canonicalized by sorting their endpoints, carry the cluster
     label (None when unlabeled), and number k(k-1)/2 for k mentions.
+    Link scoring counts pairs from cluster sizes and never builds them.
     """
     spans = sorted((m.span.start, m.span.end) for m in cluster.mentions)
     return [((a, b), cluster.cluster_label) for a, b in combinations(spans, 2)]
@@ -143,13 +149,12 @@ def _count_matches(
 
 def _report(
     mode: str,
-    counts: dict[str, _Counts],
+    scores: dict[str, ClassScore],
     unlabeled_gold: int,
     unlabeled_pred: int,
     link_mention_source: str | None = None,
     containment_violations: int | None = None,
 ) -> TypedScoreReport:
-    scores = {label: ClassScore(label, c.tp, c.fp, c.fn) for label, c in counts.items()}
     ordered = dict(sorted(scores.items(), key=lambda item: (-item[1].support, item[0])))
     return TypedScoreReport(
         mode=mode,
@@ -187,14 +192,16 @@ def typed_mention_scores(
         )
         unlabeled_gold += ug
         unlabeled_pred += up
-    return _report(MODE_MENTION, counts, unlabeled_gold, unlabeled_pred)
+    scores = {label: ClassScore(label, c.tp, c.fp, c.fn) for label, c in counts.items()}
+    return _report(MODE_MENTION, scores, unlabeled_gold, unlabeled_pred)
 
 
-def _link_labels(clusters: Sequence[Cluster]) -> dict[SpanPair, str | None]:
-    links: dict[SpanPair, str | None] = {}
+def _tally_links(clusters: Sequence[Cluster], links: Counter) -> None:
+    """Add each cluster's k(k-1)/2 links to links[cluster_label]."""
     for cluster in clusters:
-        links.update(links_of(cluster))
-    return links
+        k = len(cluster.mentions)
+        if k > 1:
+            links[cluster.cluster_label] += k * (k - 1) // 2
 
 
 def typed_link_scores(
@@ -204,33 +211,45 @@ def typed_link_scores(
 ) -> TypedScoreReport:
     """Same-cluster mention pairs per class.
 
+    A pair is a link on both sides exactly when both mentions sit in the
+    same cell of the cluster-overlap table, so the true positives of
+    class t are the sum of n_ij(n_ij - 1)/2 over cells whose gold and
+    predicted clusters are both labeled t.  Every other link of a cluster
+    labeled t is a false positive (predicted side) or a false negative
+    (gold side); links of unlabeled clusters are tallied separately.
+
     With link_mention_source="gold" the predicted clusters are expected to
     partition a subset of the gold mention spans; spans violating that
     assumption are counted and reported, not fatal.
     """
     if link_mention_source not in ("predicted", "gold"):
         raise ValueError(f"unknown link_mention_source {link_mention_source!r}")
-    counts: dict[str, _Counts] = {}
-    unlabeled_gold = unlabeled_pred = 0
+    tp: Counter[str] = Counter()
+    gold_links: Counter[str | None] = Counter()
+    pred_links: Counter[str | None] = Counter()
     violations = 0
     for gold_doc, pred_doc in pair_by_doc_id(gold_docs, pred_docs):
+        gold, pred = gold_doc.gold_clusters, pred_doc.predicted_clusters
+        table = contingency(gold_doc, pred_doc)
+        for (i, j), n in table.items():
+            label = gold[i].cluster_label
+            if n > 1 and label is not None and label == pred[j].cluster_label:
+                tp[label] += n * (n - 1) // 2
+        _tally_links(gold, gold_links)
+        _tally_links(pred, pred_links)
         if link_mention_source == "gold":
-            gold_spans = {m.span for c in gold_doc.gold_clusters for m in c.mentions}
-            violations += sum(
-                m.span not in gold_spans
-                for c in pred_doc.predicted_clusters
-                for m in c.mentions
-            )
-        ug, up = _count_matches(
-            _link_labels(gold_doc.gold_clusters),
-            _link_labels(pred_doc.predicted_clusters),
-            counts,
+            violations += sum(len(c.mentions) for c in pred) - sum(table.values())
+    unlabeled_gold = gold_links.pop(None, 0)
+    unlabeled_pred = pred_links.pop(None, 0)
+    scores = {
+        label: ClassScore(
+            label, tp[label], pred_links[label] - tp[label], gold_links[label] - tp[label]
         )
-        unlabeled_gold += ug
-        unlabeled_pred += up
+        for label in gold_links.keys() | pred_links.keys()
+    }
     return _report(
         MODE_LINK,
-        counts,
+        scores,
         unlabeled_gold,
         unlabeled_pred,
         link_mention_source=link_mention_source,

@@ -157,6 +157,32 @@ class TestEvalCommand:
         assert report["classic"]["muc"]["f1"] == 1.0
         assert report["typed_mention"] is None
 
+    def test_cner_file_of_doc_id_and_cner_records(self, tmp_path):
+        record = {"doc_id": "doc1", "tokens": ["Mr.", "Clinton", "is", "overseas", ".", "He"],
+                  "gold_clusters": [[[0, 2], [5, 6]]],
+                  "predicted_clusters": [[[0, 2], [5, 6]]]}
+        gold = write_jsonl(tmp_path / "g.jsonl", [record])
+        cner = write_jsonl(tmp_path / "c.jsonl", [{"doc_id": "doc1", "cner": [[0, 2, "PER"]]}])
+        out = tmp_path / "out"
+        assert main(["eval", "--gold", gold, "--cner", cner, "--typed-link",
+                     "--out", str(out)]) == 0
+        report = json.loads((out / "eval_report.json").read_text())
+        assert report["config"]["cner"] == "c.jsonl"
+        assert report["typed_link"]["per_class"]["PER"]["tp"] == 1
+
+    @pytest.mark.parametrize("cner_record, message", [
+        ({"doc_id": "doc1", "cner": [[0, 9, "PER"]]}, "out of range"),
+        ({"doc_id": "doc1"}, "missing required field 'cner'"),
+        ({"doc_id": "nope", "cner": []}, "unknown doc_ids: nope"),
+    ])
+    def test_bad_cner_record_exits_2(self, tmp_path, capsys, cner_record, message):
+        record = {"doc_id": "doc1", "tokens": ["a", "b"],
+                  "gold_clusters": [[[0, 1]]], "predicted_clusters": [[[0, 1]]]}
+        gold = write_jsonl(tmp_path / "g.jsonl", [record])
+        cner = write_jsonl(tmp_path / "c.jsonl", [cner_record])
+        assert main(["eval", "--gold", gold, "--cner", cner, "--typed-link"]) == 2
+        assert message in capsys.readouterr().err
+
     def test_missing_predictions_exit_3(self, tmp_path, capsys):
         record = {"doc_id": "d0", "tokens": ["a"], "gold_clusters": [[[0, 1]]],
                   "cner": [[0, 1, "PER"]]}

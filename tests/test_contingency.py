@@ -1,0 +1,172 @@
+"""The cluster-overlap table and the metrics derived from it.
+
+Typed link, MUC and B-cubed counts are derived from model.contingency;
+these tests check them against the brute-force oracles on corpora with
+clusters far larger than the acceptance suite's, check that pooling the
+counts of a split corpus gives the counts of the whole, and pin down what
+a span repeated across clusters does.
+"""
+
+import random
+from collections import Counter
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from coref_semscore.classic_metrics import b_cubed, b_cubed_counts, muc, muc_counts
+from coref_semscore.labeling import LabelingConfig, label_documents
+from coref_semscore.model import Cluster, Document, Mention, Span, contingency
+from coref_semscore.typed_metrics import typed_link_scores, typed_mention_scores
+from corpusgen import random_corpus, to_documents
+
+CFG = LabelingConfig()
+
+# Long documents split into at most three clusters, so clusters reach
+# dozens of mentions.
+BIG_CLUSTERS = dict(n_tokens=(160, 240), max_clusters=3, max_total_mentions=80, max_labels=3)
+
+
+def _doc(gold, predicted, doc_id="d0", n_tokens=12):
+    def clusters(spec):
+        return tuple(Cluster(tuple(Mention(span=Span(*s)) for s in group)) for group in spec)
+
+    return Document(
+        doc_id=doc_id,
+        tokens=tuple(f"t{i}" for i in range(n_tokens)),
+        gold_clusters=clusters(gold),
+        predicted_clusters=clusters(predicted),
+    )
+
+
+def _cluster_sets(record, side):
+    return [frozenset(tuple(s) for s in c) for c in record[f"{side}_clusters"]]
+
+
+def _oracle_classic_counts(records):
+    """(MUC, B-cubed) as (p_num, p_den, r_num, r_den), pooled by the oracles."""
+    muc_total = [0, 0, 0, 0]
+    b3_total = [0, 0, 0, 0]
+    for record in records:
+        gold, pred = _cluster_sets(record, "gold"), _cluster_sets(record, "predicted")
+        for total, side in ((muc_total, oracles.muc_side_counts),
+                            (b3_total, oracles.b_cubed_side)):
+            p_num, p_den = side(pred, gold)
+            r_num, r_den = side(gold, pred)
+            for k, value in enumerate((p_num, p_den, r_num, r_den)):
+                total[k] += value
+    return tuple(muc_total), tuple(b3_total)
+
+
+def _link_counts(report):
+    per_class = {label: (s.tp, s.fp, s.fn) for label, s in report.per_class.items()}
+    return per_class, report.unlabeled_gold, report.unlabeled_predicted
+
+
+class TestContingency:
+    def test_sparse_overlap_counts(self):
+        doc = _doc([[(0, 1), (2, 3), (4, 5)], [(6, 7)]],
+                   [[(0, 1), (2, 3)], [(4, 5), (6, 7), (8, 9)]])
+        assert contingency(doc, doc) == {(0, 0): 2, (0, 1): 1, (1, 1): 1}
+
+    def test_twinless_mentions_leave_no_cell(self):
+        doc = _doc([[(0, 1)]], [[(2, 3)]])
+        assert contingency(doc, doc) == {}
+
+    def test_cells_sum_to_shared_spans(self):
+        records = random_corpus(random.Random(5), 20, **BIG_CLUSTERS)
+        for record, doc in zip(records, to_documents(records)):
+            gold = {tuple(s) for c in record["gold_clusters"] for s in c}
+            pred = {tuple(s) for c in record["predicted_clusters"] for s in c}
+            table = contingency(doc, doc)
+            assert sum(table.values()) == len(gold & pred)
+            assert all(n > 0 for n in table.values())
+
+
+class TestRepeatedSpan:
+    """A span in two clusters of one side is rejected, not resolved silently.
+
+    Ingest already rejects such documents through validate_document; these
+    are built through the API.
+    """
+
+    GOLD_REPEAT = ([[(0, 1), (2, 3)], [(2, 3), (4, 5)]], [[(0, 1), (2, 3), (4, 5)]])
+    PRED_REPEAT = ([[(0, 1), (2, 3), (4, 5)]], [[(0, 1), (4, 5)], [(4, 5)]])
+
+    @pytest.mark.parametrize("spec, side, span", [
+        (GOLD_REPEAT, "gold", "[2, 3)"),
+        (PRED_REPEAT, "predicted", "[4, 5)"),
+    ])
+    @pytest.mark.parametrize("metric", [typed_link_scores, muc, b_cubed])
+    def test_metrics_raise_naming_doc_side_and_span(self, metric, spec, side, span):
+        doc = _doc(*spec, doc_id="api7")
+        with pytest.raises(ValueError) as excinfo:
+            metric([doc], [doc])
+        message = str(excinfo.value)
+        assert "'api7'" in message
+        assert f"{side} span {span}" in message
+
+
+class TestLargeClusterOracles:
+    @pytest.mark.parametrize("seed", [11, 12, 13])
+    def test_typed_link_counts_match_pair_enumeration(self, seed):
+        records = random_corpus(random.Random(seed), 8, **BIG_CLUSTERS)
+        docs = label_documents(to_documents(records), CFG)
+        assert max(len(c.mentions) for d in docs for c in d.gold_clusters) >= 30
+        labeled = {r["doc_id"]: oracles.label_record(r) for r in records}
+        expected, ug, up = oracles.corpus_typed_counts(records, labeled, "link")
+        want = {label: (c["tp"], c["fp"], c["fn"]) for label, c in expected.items()}
+        assert _link_counts(typed_link_scores(docs, docs)) == (want, ug, up)
+
+    @pytest.mark.parametrize("seed", [21, 22, 23])
+    def test_gold_source_counts_uncontained_predicted_mentions(self, seed):
+        records = random_corpus(random.Random(seed), 8, **BIG_CLUSTERS)
+        docs = label_documents(to_documents(records), CFG)
+        expected = sum(
+            len({tuple(s) for c in r["predicted_clusters"] for s in c}
+                - {tuple(s) for c in r["gold_clusters"] for s in c})
+            for r in records
+        )
+        report = typed_link_scores(docs, docs, link_mention_source="gold")
+        assert report.containment_violations == expected
+
+    @pytest.mark.parametrize("seed", [31, 32, 33])
+    def test_muc_and_b_cubed_counts_match_oracles(self, seed):
+        records = random_corpus(random.Random(seed), 8, **BIG_CLUSTERS)
+        docs = to_documents(records)
+        want_muc, want_b3 = _oracle_classic_counts(records)
+        assert tuple(muc_counts(docs, docs)) == want_muc
+        assert tuple(b_cubed_counts(docs, docs)) == want_b3
+
+
+def _pooled_typed(reports):
+    per_class: Counter = Counter()
+    unlabeled = Counter()
+    for report in reports:
+        for label, score in report.per_class.items():
+            per_class[label, "tp"] += score.tp
+            per_class[label, "fp"] += score.fp
+            per_class[label, "fn"] += score.fn
+        unlabeled["gold"] += report.unlabeled_gold
+        unlabeled["predicted"] += report.unlabeled_predicted
+    return per_class, unlabeled
+
+
+def _pooled_ratio(counts):
+    return tuple(sum(fields) for fields in zip(*counts))
+
+
+class TestAdditivity:
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 12), st.data())
+    def test_split_corpus_pools_to_whole(self, seed, n_docs, data):
+        records = random_corpus(random.Random(seed), n_docs, n_tokens=(40, 120),
+                                max_clusters=4, max_total_mentions=30, max_labels=3)
+        docs = label_documents(to_documents(records), CFG)
+        cut = data.draw(st.integers(1, n_docs - 1), label="cut")
+        parts = [docs[:cut], docs[cut:]]
+        for score in (typed_mention_scores, typed_link_scores):
+            assert _pooled_typed(score(p, p) for p in parts) == _pooled_typed([score(docs, docs)])
+        for counts in (muc_counts, b_cubed_counts):
+            assert _pooled_ratio(counts(p, p) for p in parts) == tuple(counts(docs, docs))
