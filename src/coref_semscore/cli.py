@@ -129,32 +129,33 @@ def _load_corpus(args, inventory: CategoryInventory):
     return docs
 
 
-def _is_labeled(docs) -> bool:
-    return any(
-        cluster.cluster_label is not None
-        for doc in docs
-        for side in SIDES
-        for cluster in doc.clusters(side)
-    )
+def _unlabeled_sides(docs, sides) -> list[str]:
+    """Those of `sides` that have clusters but not one cluster label."""
+    return [
+        side for side in sides
+        if any(doc.clusters(side) for doc in docs)
+        and all(c.cluster_label is None for doc in docs for c in doc.clusters(side))
+    ]
 
 
-def _ensure_labeled(docs, cfg: LabelingConfig, require: bool):
-    """Label the corpus unless it already carries labels.
+def _ensure_labeled(docs, cfg: LabelingConfig, sides=SIDES):
+    """Label each of `sides` that has clusters but no cluster label.
 
-    With require=True, a corpus that can be neither reused nor labeled
-    (no labels, no semantic spans) is a mode-requirement error.
+    The decision is per side, so a corpus whose gold side was labeled
+    earlier still gets its raw predictions labeled.  A side that needs
+    labels when the corpus has no semantic spans is a mode-requirement
+    error.
     """
-    if _is_labeled(docs):
+    unlabeled = _unlabeled_sides(docs, sides)
+    if not unlabeled:
         return docs
-    if any(doc.semantic_spans for doc in docs):
-        return label_documents(docs, cfg)
-    if require:
+    if not any(doc.semantic_spans for doc in docs):
         raise CliError(
             EXIT_MODE,
             "typed scoring requires semantic spans (--cner or a cner field) "
-            "or an already-labeled corpus",
+            f"or an already-labeled corpus; unlabeled side: {', '.join(unlabeled)}",
         )
-    return docs
+    return label_documents(docs, cfg, unlabeled)
 
 
 def _out_dir(args) -> Path | None:
@@ -213,7 +214,7 @@ def cmd_eval(args) -> int:
                                   "(--pred or a predicted_clusters field)")
     need_typed = args.typed_mention or args.typed_link
     if need_typed:
-        docs = _ensure_labeled(docs, cfg, require=True)
+        docs = _ensure_labeled(docs, cfg)
 
     report: dict = {
         "config": {
@@ -258,7 +259,7 @@ def cmd_eval(args) -> int:
 def cmd_coverage(args) -> int:
     inventory = CategoryInventory.from_env()
     cfg = _labeling_config(args)
-    docs = _ensure_labeled(_load_corpus(args, inventory), cfg, require=True)
+    docs = _ensure_labeled(_load_corpus(args, inventory), cfg)
     blocks = _coverage_blocks(docs, cfg)
     out = _out_dir(args)
     if out is not None:
@@ -273,7 +274,7 @@ def cmd_coverage(args) -> int:
 def cmd_distribution(args) -> int:
     inventory = CategoryInventory.from_env()
     cfg = _labeling_config(args)
-    docs = _ensure_labeled(_load_corpus(args, inventory), cfg, require=True)
+    docs = _ensure_labeled(_load_corpus(args, inventory), cfg, ("gold",))
     report = distribution(docs, inventory, side="gold")
     out = _out_dir(args)
     if out is not None:
@@ -333,7 +334,7 @@ def cmd_diagnose(args) -> int:
 def cmd_validate_labels(args) -> int:
     inventory = CategoryInventory.from_env()
     cfg = _labeling_config(args)
-    docs = _ensure_labeled(_load_corpus(args, inventory), cfg, require=True)
+    docs = _ensure_labeled(_load_corpus(args, inventory), cfg, ("gold",))
     with open(args.reference, encoding="utf-8") as handle:
         raw = json.load(handle)
     reference = {}

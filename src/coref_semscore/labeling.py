@@ -13,14 +13,15 @@ too, since they are all statements about labeled corpora.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
 from math import fsum
 from pathlib import Path
-from typing import IO, Iterable, Mapping, Sequence, Union
+from typing import IO, Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .inventory import CategoryInventory
-from .model import Cluster, Document, LabelSource, Mention, Span
+from .model import Cluster, Document, LabelSource, Mention, SemanticSpan, Span
 
 # Closed-class English pronouns: personal, possessive, reflexive,
 # demonstrative.  Matched case-insensitively on single-token mentions.
@@ -76,17 +77,38 @@ def load_pronoun_lexicon(source: Union[str, Path, IO[str]]) -> frozenset[str]:
     return frozenset(entries)
 
 
-def _best_alignment(mention_span: Span, semantic_spans) -> tuple[float, str] | None:
+class _SpanIndex(NamedTuple):
+    """A document's semantic spans sorted by start, for window lookups."""
+
+    ordered: tuple[SemanticSpan, ...]
+    starts: list[int]
+    longest: int
+
+
+def _span_index(semantic_spans: Iterable[SemanticSpan]) -> _SpanIndex:
+    ordered = tuple(sorted(semantic_spans, key=lambda sem: sem.span.start))
+    starts = [sem.span.start for sem in ordered]
+    longest = max((len(sem.span) for sem in ordered), default=0)
+    return _SpanIndex(ordered, starts, longest)
+
+
+def _best_alignment(mention_span: Span, index: _SpanIndex) -> tuple[float, str] | None:
     """Highest-Jaccard semantic span for a mention.
 
-    Ties on the score prefer the span with the smaller start, then the
-    smaller end, then the lexicographically smaller label, so assignment
-    is deterministic.
+    Only the spans that start in (mention.start - longest, mention.end)
+    are scored: every span that overlaps the mention starts there, since
+    no span is longer than the longest.  Ties on the score prefer the span
+    with the smaller start, then the smaller end, then the
+    lexicographically smaller label.  That order is total, so the result
+    does not depend on the order spans are visited in, and assignment is
+    deterministic.
     """
+    lo = bisect_right(index.starts, mention_span.start - index.longest)
+    hi = bisect_left(index.starts, mention_span.end, lo)
     best_score = 0.0
     best_key: tuple[int, int, str] | None = None
     best_label: str | None = None
-    for sem in semantic_spans:
+    for sem in index.ordered[lo:hi]:
         score = overlap(mention_span, sem.span)
         if score <= 0.0:
             continue
@@ -104,11 +126,12 @@ def assign_mentions(doc: Document, cfg: LabelingConfig, side: str) -> Document:
     Replaces any previous labels on the chosen side; mentions without a
     sufficiently overlapping semantic span are left unlabeled.
     """
+    index = _span_index(doc.semantic_spans)
     new_clusters = []
     for cluster in doc.clusters(side):
         mentions = []
         for mention in cluster.mentions:
-            best = _best_alignment(mention.span, doc.semantic_spans)
+            best = _best_alignment(mention.span, index)
             passed = best is not None and (
                 best[0] >= cfg.tau if cfg.tau_inclusive else best[0] > cfg.tau
             )

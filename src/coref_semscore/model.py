@@ -57,11 +57,6 @@ class Span:
         return self.end - self.start
 
 
-def token_set(span: Span) -> set[int]:
-    """Indices covered by a span: {start, ..., end - 1}."""
-    return set(range(span.start, span.end))
-
-
 @dataclass(frozen=True)
 class Mention:
     """A token span, optionally carrying a semantic label.

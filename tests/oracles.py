@@ -23,6 +23,11 @@ from math import fsum
 # Labeling
 
 
+def token_set(span) -> set[int]:
+    """Indices covered by a span: {start, ..., end - 1}."""
+    return set(range(span.start, span.end))
+
+
 def jaccard(span_a, span_b) -> float:
     sa = set(range(span_a[0], span_a[1]))
     sb = set(range(span_b[0], span_b[1]))

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from coref_semscore import cli
 from coref_semscore.cli import main
 from conftest import COMPOSITE_RECORD, NEWS_RECORD
 from corpusgen import random_corpus
@@ -274,6 +275,51 @@ class TestEvalCommand:
                      "--out", str(out)]) == 0
         report = json.loads((out / "eval_report.json").read_text())
         assert report["typed_mention"]["macro_f1"] == 1.0
+
+    @staticmethod
+    def _labeled_gold_and_raw_pred(tmp_path):
+        gold = {"doc_id": "d0", "tokens": ["Rome", "is", "Rome"],
+                "gold_clusters": [[[0, 1], [2, 3]]],
+                "cner": [[0, 1, "LOC"], [2, 3, "LOC"]]}
+        pred = {"doc_id": "d0", "tokens": ["Rome", "is", "Rome"],
+                "predicted_clusters": [[[0, 1], [2, 3]]]}
+        gold_path = write_jsonl(tmp_path / "gold.jsonl", [gold])
+        pred_path = write_jsonl(tmp_path / "pred.jsonl", [pred])
+        out_label = tmp_path / "labeled"
+        assert main(["label", "--gold", gold_path, "--out", str(out_label)]) == 0
+        return out_label / "labeled.jsonl", pred_path
+
+    def test_labeled_gold_with_raw_predictions_labels_predictions(self, tmp_path):
+        labeled_path, pred_path = self._labeled_gold_and_raw_pred(tmp_path)
+        out = tmp_path / "out"
+        assert main(["eval", "--gold", str(labeled_path), "--pred", pred_path,
+                     "--typed-mention", "--typed-link", "--out", str(out)]) == 0
+        report = json.loads((out / "eval_report.json").read_text())
+        for mode in ("typed_mention", "typed_link"):
+            assert report[mode]["per_class"]["LOC"]["f1"] == 1.0
+            assert report[mode]["micro"]["f1"] == 1.0
+
+    def test_unlabeled_predictions_without_spans_exit_3(self, tmp_path, capsys):
+        labeled_path, pred_path = self._labeled_gold_and_raw_pred(tmp_path)
+        record = json.loads(labeled_path.read_text())
+        record["cner"] = []
+        bare = write_jsonl(tmp_path / "bare.jsonl", [record])
+        assert main(["eval", "--gold", bare, "--pred", pred_path, "--typed-mention"]) == 3
+        err = capsys.readouterr().err
+        assert "semantic spans" in err and "predicted" in err
+        # The gold-only label distribution does not need the predictions labeled.
+        assert main(["distribution", "--gold", bare, "--pred", pred_path]) == 0
+
+    def test_fully_labeled_corpus_is_not_labeled_again(self, tmp_path, corpus_path, monkeypatch):
+        out_label = tmp_path / "labeled"
+        assert main(["label", "--gold", corpus_path, "--out", str(out_label)]) == 0
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a labeled corpus was labeled again")
+
+        monkeypatch.setattr(cli, "label_documents", fail)
+        assert main(["eval", "--gold", str(out_label / "labeled.jsonl"), "--typed-mention",
+                     "--typed-link", "--out", str(tmp_path / "out")]) == 0
 
 
 class TestCoverageAndDistributionCommands:

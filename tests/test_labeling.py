@@ -1,10 +1,11 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from coref_semscore import labeling
 from coref_semscore.ingest import document_from_record
 from coref_semscore.inventory import CategoryInventory
 from coref_semscore.labeling import (
@@ -20,7 +21,7 @@ from coref_semscore.labeling import (
     propagate,
 )
 from coref_semscore.model import Cluster, Document, LabelSource, Mention, SemanticSpan, Span
-from corpusgen import random_corpus, to_documents
+from corpusgen import random_corpus, random_record, to_documents
 
 CFG = LabelingConfig()
 
@@ -40,6 +41,24 @@ def _doc(tokens, clusters, cner, doc_id="d0"):
 
 def _labeled_gold(doc, cfg=CFG):
     return propagate(assign_mentions(doc, cfg, "gold"), cfg, "gold")
+
+
+@st.composite
+def assignment_cases(draw):
+    """A document of n tokens with clusters on both sides and semantic
+    spans of any length up to n, some repeated, some repeated with another
+    label, in any order."""
+    n = draw(st.integers(1, 30))
+    span = st.integers(0, n - 1).flatmap(lambda s: st.tuples(st.just(s), st.integers(s + 1, n)))
+    labels = st.sampled_from(["PER", "LOC", "ORG"])
+    cner = draw(st.lists(st.tuples(span, labels).map(lambda t: (*t[0], t[1])), max_size=12))
+    if cner:
+        cner += draw(st.lists(st.sampled_from(cner), max_size=3))
+        relabeled = draw(st.lists(st.tuples(st.sampled_from(cner), labels), max_size=3))
+        cner += [(s, e, label) for (s, e, _), label in relabeled]
+    cner = draw(st.permutations(cner))
+    clusters = st.lists(st.lists(span, min_size=1, max_size=4, unique=True), max_size=4)
+    return n, draw(clusters), draw(clusters), cner
 
 
 class TestOverlap:
@@ -111,6 +130,61 @@ class TestAssignMentions:
         cfg = LabelingConfig(tau=0.2)
         mention = assign_mentions(doc, cfg, "gold").gold_clusters[0].mentions[0]
         assert mention.assigned_label == "ORG"
+
+    def test_long_span_starting_well_before_a_short_mention(self):
+        # [0, 20) overlaps [12, 18) at 6/20; the nearby [17, 19) at 1/7.
+        doc = _doc(list("abcdefghijklmnopqrst"), [[(12, 18)]],
+                   [(0, 20, "EVENT"), (17, 19, "PER")])
+        cfg = LabelingConfig(tau=0.1)
+        mention = assign_mentions(doc, cfg, "gold").gold_clusters[0].mentions[0]
+        assert mention.assigned_label == "EVENT"
+        assert mention.assignment_overlap == 0.3
+
+    @settings(deadline=None)
+    @given(assignment_cases())
+    def test_matches_brute_force_oracle_on_spans_of_any_length(self, case):
+        n, gold, predicted, cner = case
+        doc = Document(
+            doc_id="h0",
+            tokens=tuple(f"w{i}" for i in range(n)),
+            gold_clusters=tuple(
+                Cluster(tuple(Mention(span=Span(s, e)) for s, e in c)) for c in gold
+            ),
+            predicted_clusters=tuple(
+                Cluster(tuple(Mention(span=Span(s, e)) for s, e in c)) for c in predicted
+            ),
+            semantic_spans=tuple(SemanticSpan(Span(s, e), label) for s, e, label in cner),
+        )
+        for tau in (0.0, 1 / 3, 0.5, 1.0):
+            for inclusive in (False, True):
+                cfg = LabelingConfig(tau=tau, tau_inclusive=inclusive)
+                for side, clusters in (("gold", gold), ("predicted", predicted)):
+                    got = [
+                        [(m.assigned_label, m.assignment_overlap) for m in c.mentions]
+                        for c in assign_mentions(doc, cfg, side).clusters(side)
+                    ]
+                    assert got == oracles.assign_side(clusters, cner, tau, inclusive)
+
+    def test_scores_only_spans_in_each_mentions_window(self, monkeypatch):
+        record = random_record(random.Random(7), "long", n_tokens=(4000, 5000),
+                               max_clusters=60, max_total_mentions=600, cner_noise=400)
+        doc = document_from_record(record, CategoryInventory.default())
+        calls = 0
+        real_overlap = labeling.overlap
+
+        def counted_overlap(a, b):
+            nonlocal calls
+            calls += 1
+            return real_overlap(a, b)
+
+        monkeypatch.setattr(labeling, "overlap", counted_overlap)
+        assign_mentions(doc, CFG, "gold")
+        cner = record["cner"]
+        longest = max(e - s for s, e, _ in cner)
+        mentions = [span for cluster in record["gold_clusters"] for span in cluster]
+        in_window = sum(ms - longest < cs < me for ms, me in mentions for cs, _, _ in cner)
+        assert calls == in_window
+        assert calls * 100 < len(mentions) * len(cner)
 
     def test_raising_tau_never_adds_labels(self):
         rng = random.Random(5)

@@ -10,9 +10,9 @@ from coref_semscore.model import (
     Mention,
     Span,
     normalize_label,
-    token_set,
     validate_document,
 )
+from oracles import token_set
 
 spans = st.tuples(st.integers(0, 60), st.integers(1, 64)).filter(lambda t: t[0] < t[1])
 
