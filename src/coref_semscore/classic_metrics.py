@@ -2,10 +2,11 @@
 
 Statistics are pooled over documents the way the reference CoNLL-2012
 scorer pools them, with twinless mentions counting only against their own
-side's denominator.  MUC and B-cubed come from each document's sparse
+side's denominator.  All three come from each document's sparse
 gold-cluster × predicted-cluster overlap counts (model.contingency) and
 the cluster sizes; no mention is scored one by one.  CEAF aligns clusters
-by phi4 over their span sets.  All accumulation is done in exact rational
+by phi4, solving the assignment exactly on each connected component of
+the nonzero overlaps.  All accumulation is done in exact rational
 arithmetic and converted to float once at the end, so results are
 reproducible bit-for-bit and the optimal-assignment step can be checked
 against exhaustive search exactly.  Degenerate 0/0 ratios are defined as
@@ -17,12 +18,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from math import lcm
+from typing import Collection, Mapping, NamedTuple, Sequence
 
-import numpy as np
-from scipy.optimize import linear_sum_assignment
-
-from .model import Cluster, Document, Span, contingency, pair_by_doc_id
+from .model import Cluster, Document, Mention, Span, contingency, pair_by_doc_id
 
 
 @dataclass(frozen=True)
@@ -54,10 +53,6 @@ def _triple(p_num, p_den, r_num, r_den) -> MetricTriple:
     return MetricTriple(float(p), float(r), float(f1))
 
 
-def _span_sets(clusters: Sequence[Cluster]) -> list[set[Span]]:
-    return [{m.span for m in c.mentions} for c in clusters]
-
-
 class RatioCounts(NamedTuple):
     """Numerators and denominators of a metric's precision and recall,
     pooled over documents; pooling two corpora adds them field by field."""
@@ -66,6 +61,35 @@ class RatioCounts(NamedTuple):
     p_den: int
     r_num: Fraction | int
     r_den: int
+
+
+class _Table(NamedTuple):
+    """One document pair's cluster-overlap counts and cluster sizes."""
+
+    cells: Mapping[tuple[int, int], int]
+    gold_sizes: list[int]
+    pred_sizes: list[int]
+
+
+def _tables(gold_docs: Sequence[Document], pred_docs: Sequence[Document]) -> list[_Table]:
+    """The overlap table of every document pair, which all three metrics read."""
+    return [
+        _Table(
+            contingency(gold_doc, pred_doc),
+            [len(c.mentions) for c in gold_doc.gold_clusters],
+            [len(c.mentions) for c in pred_doc.predicted_clusters],
+        )
+        for gold_doc, pred_doc in pair_by_doc_id(gold_docs, pred_docs)
+    ]
+
+
+def _muc(tables: Sequence[_Table]) -> RatioCounts:
+    num = p_den = r_den = 0
+    for cells, gold_sizes, pred_sizes in tables:
+        num += sum(cells.values()) - len(cells)
+        r_den += sum(gold_sizes) - len(gold_sizes)
+        p_den += sum(pred_sizes) - len(pred_sizes)
+    return RatioCounts(num, p_den, num, r_den)
 
 
 def muc_counts(gold_docs: Sequence[Document], pred_docs: Sequence[Document]) -> RatioCounts:
@@ -77,13 +101,7 @@ def muc_counts(gold_docs: Sequence[Document], pred_docs: Sequence[Document]) -> 
     sum of n_ij - 1 over its nonzero overlaps, so both sides share one
     numerator.  Denominators are the sums of |C| - 1.
     """
-    num = p_den = r_den = 0
-    for gold_doc, pred_doc in pair_by_doc_id(gold_docs, pred_docs):
-        table = contingency(gold_doc, pred_doc)
-        num += sum(table.values()) - len(table)
-        r_den += sum(len(c.mentions) - 1 for c in gold_doc.gold_clusters)
-        p_den += sum(len(c.mentions) - 1 for c in pred_doc.predicted_clusters)
-    return RatioCounts(num, p_den, num, r_den)
+    return _muc(_tables(gold_docs, pred_docs))
 
 
 def muc(gold_docs: Sequence[Document], pred_docs: Sequence[Document]) -> MetricTriple:
@@ -93,6 +111,19 @@ def muc(gold_docs: Sequence[Document], pred_docs: Sequence[Document]) -> MetricT
 
 def _sum_by_size(squares: Counter[int]) -> Fraction:
     return sum((Fraction(total, size) for size, total in squares.items()), Fraction(0))
+
+
+def _b_cubed(tables: Sequence[_Table]) -> RatioCounts:
+    p_squares: Counter[int] = Counter()
+    r_squares: Counter[int] = Counter()
+    p_den = r_den = 0
+    for cells, gold_sizes, pred_sizes in tables:
+        for (i, j), n in cells.items():
+            r_squares[gold_sizes[i]] += n * n
+            p_squares[pred_sizes[j]] += n * n
+        r_den += sum(gold_sizes)
+        p_den += sum(pred_sizes)
+    return RatioCounts(_sum_by_size(p_squares), p_den, _sum_by_size(r_squares), r_den)
 
 
 def b_cubed_counts(gold_docs: Sequence[Document], pred_docs: Sequence[Document]) -> RatioCounts:
@@ -105,18 +136,7 @@ def b_cubed_counts(gold_docs: Sequence[Document], pred_docs: Sequence[Document])
     divided once per distinct size, exactly.  Denominators are mention
     counts.
     """
-    p_squares: Counter[int] = Counter()
-    r_squares: Counter[int] = Counter()
-    p_den = r_den = 0
-    for gold_doc, pred_doc in pair_by_doc_id(gold_docs, pred_docs):
-        gold_sizes = [len(c.mentions) for c in gold_doc.gold_clusters]
-        pred_sizes = [len(c.mentions) for c in pred_doc.predicted_clusters]
-        for (i, j), n in contingency(gold_doc, pred_doc).items():
-            r_squares[gold_sizes[i]] += n * n
-            p_squares[pred_sizes[j]] += n * n
-        r_den += sum(gold_sizes)
-        p_den += sum(pred_sizes)
-    return RatioCounts(_sum_by_size(p_squares), p_den, _sum_by_size(r_squares), r_den)
+    return _b_cubed(_tables(gold_docs, pred_docs))
 
 
 def b_cubed(gold_docs: Sequence[Document], pred_docs: Sequence[Document]) -> MetricTriple:
@@ -124,44 +144,192 @@ def b_cubed(gold_docs: Sequence[Document], pred_docs: Sequence[Document]) -> Met
     return _triple(*b_cubed_counts(gold_docs, pred_docs))
 
 
-def phi4(gold: set[Span], pred: set[Span]) -> Fraction:
-    """Cluster similarity 2|G ∩ P| / (|G| + |P|)."""
-    return Fraction(2 * len(gold & pred), len(gold) + len(pred))
+class Matrix(NamedTuple):
+    """A dense matrix of exact numbers, as a tuple of equal-length rows."""
+
+    rows: tuple[tuple[int, ...], ...]
+
+    @property
+    def size(self) -> int:
+        return len(self.rows) * len(self.rows[0]) if self.rows else 0
+
+
+def linear_sum_assignment(matrix: Matrix) -> tuple[list[int], list[int]]:
+    """One-to-one assignment of rows to columns with the greatest total.
+
+    Pairs min(rows, columns) rows with distinct columns so that the total
+    of the chosen entries is greatest, and returns (rows, cols) sorted by
+    row, as scipy.optimize's function of the same name does with
+    maximize=True.  The arithmetic is exact, so with integer entries no
+    tie is decided by rounding.
+    """
+    rows = matrix.rows
+    if not rows or not rows[0]:
+        return [], []
+    # _assign_rows finds the least total, so it is given negated weights.
+    if len(rows) <= len(rows[0]):
+        return list(range(len(rows))), _assign_rows([[-w for w in row] for row in rows])
+    # More rows than columns: assign the columns of the transpose instead.
+    col_rows = _assign_rows([[-w for w in col] for col in zip(*rows)])
+    pairs = sorted(zip(col_rows, range(len(col_rows))))
+    return [i for i, _ in pairs], [j for _, j in pairs]
+
+
+def _assign_rows(cost: list[list[int]]) -> list[int]:
+    """The column of each row in a least-cost assignment of every row.
+
+    The Hungarian method in its shortest-augmenting-path form (Jonker and
+    Volgenant): rows are added one at a time, each by a Dijkstra search
+    over reduced costs kept non-negative by row and column potentials,
+    and the path found is flipped.  Needs no more rows than columns;
+    O(rows² · columns).
+    """
+    n, m = len(cost), len(cost[0])
+    if n > m:
+        raise ValueError(f"cannot assign {n} rows to {m} columns")
+    inf = float("inf")
+    # 1-based rows and columns; column 0 is the search root, and owner[j]
+    # is the row holding column j, 0 if it is free.
+    u = [0] * (n + 1)
+    v = [0] * (m + 1)
+    owner = [0] * (m + 1)
+    way = [0] * (m + 1)
+    for i in range(1, n + 1):
+        owner[0] = i
+        j0 = 0
+        minv = [inf] * (m + 1)
+        used = [False] * (m + 1)
+        while owner[j0]:
+            used[j0] = True
+            i0 = owner[j0]
+            row, u0 = cost[i0 - 1], u[i0]
+            delta, j1 = inf, 0
+            for j in range(1, m + 1):
+                if not used[j]:
+                    reduced = row[j - 1] - u0 - v[j]
+                    if reduced < minv[j]:
+                        minv[j], way[j] = reduced, j0
+                    if minv[j] < delta:
+                        delta, j1 = minv[j], j
+            for j in range(m + 1):
+                if used[j]:
+                    u[owner[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+        while j0:
+            j1 = way[j0]
+            owner[j0] = owner[j1]
+            j0 = j1
+    cols = [0] * n
+    for j in range(1, m + 1):
+        if owner[j]:
+            cols[owner[j] - 1] = j - 1
+    return cols
+
+
+def _components(cells: Collection[tuple[int, int]]) -> list[list[tuple[int, int]]]:
+    """Cells grouped into connected components, two cells being connected
+    when they share a row or a column (union-find over rows and columns)."""
+    parent: dict[int, int] = {}
+
+    def find(node: int) -> int:
+        parent.setdefault(node, node)
+        while parent[node] != node:
+            parent[node] = parent[parent[node]]
+            node = parent[node]
+        return node
+
+    for i, j in cells:
+        parent[find(i)] = find(~j)  # columns are ~j, so they never meet a row
+    groups: dict[int, list[tuple[int, int]]] = {}
+    for cell in cells:
+        groups.setdefault(find(cell[0]), []).append(cell)
+    return list(groups.values())
+
+
+def _alignment_total(
+    cells: Mapping[tuple[int, int], int], gold_sizes: Sequence[int], pred_sizes: Sequence[int]
+) -> Fraction:
+    """Maximum total phi4 over one-to-one alignments of gold and predicted
+    clusters, given their nonzero overlaps n_ij and their sizes.
+
+    phi4 is 2 n_ij / (|G_i| + |P_j|), and 0 where clusters share nothing,
+    so aligned pairs worth anything lie within one connected component of
+    the cells, and the optimum is the sum of each component's optimum.  A
+    component with one row or one column can align only one of its pairs
+    and adds its largest phi4.  Any other goes to linear_sum_assignment,
+    with its phi4 scaled to integers by the lcm of their denominators.
+    """
+    total = Fraction(0)
+    for component in _components(cells):
+        rows = sorted({i for i, _ in component})
+        cols = sorted({j for _, j in component})
+        if len(rows) == 1 or len(cols) == 1:
+            total += max(Fraction(2 * cells[i, j], gold_sizes[i] + pred_sizes[j])
+                         for i, j in component)
+            continue
+        scale = lcm(*(gold_sizes[i] + pred_sizes[j] for i, j in component))
+        weights = Matrix(tuple(
+            tuple(2 * cells.get((i, j), 0) * scale // (gold_sizes[i] + pred_sizes[j])
+                  for j in cols)
+            for i in rows
+        ))
+        chosen = zip(*linear_sum_assignment(weights))
+        total += Fraction(sum(weights.rows[r][c] for r, c in chosen), scale)
+    return total
 
 
 def best_alignment_total(gold_sets: Sequence[set[Span]], pred_sets: Sequence[set[Span]]) -> Fraction:
-    """Maximum total phi4 over one-to-one cluster alignments.
+    """Maximum total phi4 over one-to-one alignments of clusters given as
+    span sets, exactly.
 
-    The optimum is found on the rectangular similarity matrix with the
-    Hungarian solver; the total of the chosen pairs is recomputed exactly.
+    The sets become the clusters of one document, so their overlaps come
+    from model.contingency as in ceaf_counts.  Like clusters, the sets must
+    be non-empty, and a span may not repeat across the sets of one side.
     """
-    if not gold_sets or not pred_sets:
-        return Fraction(0)
-    sims = [[phi4(g, p) for p in pred_sets] for g in gold_sets]
-    matrix = np.array([[float(v) for v in row] for row in sims], dtype=float)
-    rows, cols = linear_sum_assignment(matrix, maximize=True)
-    return sum((sims[i][j] for i, j in zip(rows, cols)), Fraction(0))
+    def clusters(span_sets):
+        return tuple(Cluster(tuple(Mention(span) for span in spans)) for spans in span_sets)
+
+    doc = Document("span sets", (), clusters(gold_sets), clusters(pred_sets))
+    return _alignment_total(
+        contingency(doc, doc), [len(s) for s in gold_sets], [len(s) for s in pred_sets]
+    )
+
+
+def _ceaf(tables: Sequence[_Table]) -> RatioCounts:
+    total = Fraction(0)
+    n_gold = n_pred = 0
+    for cells, gold_sizes, pred_sizes in tables:
+        total += _alignment_total(cells, gold_sizes, pred_sizes)
+        n_gold += len(gold_sizes)
+        n_pred += len(pred_sizes)
+    return RatioCounts(total, n_pred, total, n_gold)
+
+
+def ceaf_counts(gold_docs: Sequence[Document], pred_docs: Sequence[Document]) -> RatioCounts:
+    """CEAF-phi4 counts from the cluster-overlap tables.
+
+    Both numerators are the corpus total of each document's best
+    alignment (best_alignment_total); denominators are cluster counts.
+    """
+    return _ceaf(_tables(gold_docs, pred_docs))
 
 
 def ceaf_phi4(gold_docs: Sequence[Document], pred_docs: Sequence[Document]) -> MetricTriple:
     """Alignment-based metric using the phi4 cluster similarity."""
-    total = Fraction(0)
-    n_gold = n_pred = 0
-    for gold_doc, pred_doc in pair_by_doc_id(gold_docs, pred_docs):
-        gold_sets = _span_sets(gold_doc.gold_clusters)
-        pred_sets = _span_sets(pred_doc.predicted_clusters)
-        total += best_alignment_total(gold_sets, pred_sets)
-        n_gold += len(gold_sets)
-        n_pred += len(pred_sets)
-    return _triple(total, n_pred, total, n_gold)
+    return _triple(*ceaf_counts(gold_docs, pred_docs))
 
 
 def conll(gold_docs: Sequence[Document], pred_docs: Sequence[Document]) -> ClassicReport:
-    """All three metrics; conll_f1 is the mean of their F1s."""
+    """All three metrics from one overlap table per document pair;
+    conll_f1 is the mean of their F1s."""
+    tables = _tables(gold_docs, pred_docs)
     return ClassicReport(
-        muc=muc(gold_docs, pred_docs),
-        b_cubed=b_cubed(gold_docs, pred_docs),
-        ceaf_phi4=ceaf_phi4(gold_docs, pred_docs),
+        muc=_triple(*_muc(tables)),
+        b_cubed=_triple(*_b_cubed(tables)),
+        ceaf_phi4=_triple(*_ceaf(tables)),
     )
 
 

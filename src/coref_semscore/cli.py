@@ -24,7 +24,7 @@ from .ingest import (
     read_jsonl_corpus,
     write_labeled_jsonl,
 )
-from .inventory import CategoryInventory, UnknownLabelError
+from .inventory import ENV_INVENTORY_VAR, CategoryInventory, UnknownLabelError
 from .labeling import (
     LabelingConfig,
     coverage,
@@ -64,6 +64,15 @@ class CliError(Exception):
         super().__init__(message)
         self.code = code
         self.message = message
+
+
+def _inventory() -> CategoryInventory:
+    """The active category inventory; a malformed inventory file is an input error."""
+    try:
+        return CategoryInventory.from_env()
+    except ValueError as exc:
+        raise CliError(EXIT_INPUT, f"{ENV_INVENTORY_VAR}={os.environ[ENV_INVENTORY_VAR]}: "
+                                   f"{exc}") from exc
 
 
 def _add_io_args(parser: argparse.ArgumentParser, pred: bool = True) -> None:
@@ -179,7 +188,7 @@ def _coverage_blocks(docs, cfg) -> dict:
 
 
 def cmd_label(args) -> int:
-    inventory = CategoryInventory.from_env()
+    inventory = _inventory()
     cfg = _labeling_config(args)
     docs = _load_corpus(args, inventory)
     if not any(doc.semantic_spans for doc in docs) and docs:
@@ -206,7 +215,7 @@ def cmd_eval(args) -> int:
     if not modes:
         raise CliError(EXIT_INPUT, "eval requires at least one of --typed-mention, "
                                    "--typed-link, --classic")
-    inventory = CategoryInventory.from_env()
+    inventory = _inventory()
     cfg = _labeling_config(args)
     docs = _load_corpus(args, inventory)
     if docs and not any(doc.predicted_clusters for doc in docs):
@@ -257,7 +266,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_coverage(args) -> int:
-    inventory = CategoryInventory.from_env()
+    inventory = _inventory()
     cfg = _labeling_config(args)
     docs = _ensure_labeled(_load_corpus(args, inventory), cfg)
     blocks = _coverage_blocks(docs, cfg)
@@ -272,7 +281,7 @@ def cmd_coverage(args) -> int:
 
 
 def cmd_distribution(args) -> int:
-    inventory = CategoryInventory.from_env()
+    inventory = _inventory()
     cfg = _labeling_config(args)
     docs = _ensure_labeled(_load_corpus(args, inventory), cfg, ("gold",))
     report = distribution(docs, inventory, side="gold")
@@ -285,13 +294,54 @@ def cmd_distribution(args) -> int:
     return EXIT_OK
 
 
+_CLASS_ROW_FIELDS = ("tp", "fp", "fn", "f1", "support")
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_typed_block(where: str, block) -> None:
+    """Check the fields of one typed-score block that compare and diagnose read."""
+    if not isinstance(block, dict):
+        raise CliError(EXIT_INPUT, f"{where}: expected a JSON object")
+    if not _is_number(block.get("macro_f1")):
+        raise CliError(EXIT_INPUT, f"{where}: macro_f1 must be a number")
+    per_class = block.get("per_class")
+    if not isinstance(per_class, dict):
+        raise CliError(EXIT_INPUT, f"{where}: per_class must be a JSON object")
+    for label, row in per_class.items():
+        if not isinstance(row, dict) or not all(_is_number(row.get(k)) for k in _CLASS_ROW_FIELDS):
+            raise CliError(EXIT_INPUT, f"{where}: per_class {label!r}: expected an object "
+                                       f"with numbers {', '.join(_CLASS_ROW_FIELDS)}")
+
+
 def _load_report(path: str) -> tuple[dict, str]:
+    """An eval report and its corpus name, with every field that compare
+    and diagnose read checked, so a malformed file is an input error."""
     with open(path, encoding="utf-8") as handle:
         report = json.load(handle)
     if not isinstance(report, dict):
         raise CliError(EXIT_INPUT, f"{path}: expected a JSON object")
-    corpus = (report.get("config") or {}).get("gold") or os.path.basename(path)
+    config = report.get("config") or {}
+    if not isinstance(config, dict):
+        raise CliError(EXIT_INPUT, f"{path}: config must be a JSON object")
+    for mode in ("typed_mention", "typed_link"):
+        if report.get(mode) is not None:
+            _check_typed_block(f"{path}: {mode}", report[mode])
+    corpus = config.get("gold") or os.path.basename(path)
     return report, corpus
+
+
+def _load_distribution(path: str) -> dict:
+    with open(path, encoding="utf-8") as handle:
+        dist = json.load(handle)
+    if not isinstance(dist, dict):
+        raise CliError(EXIT_INPUT, f"{path}: expected a JSON object")
+    absent = dist.get("absent_labels", [])
+    if not isinstance(absent, list) or not all(isinstance(label, str) for label in absent):
+        raise CliError(EXIT_INPUT, f"{path}: absent_labels must be a list of strings")
+    return dist
 
 
 def cmd_compare(args) -> int:
@@ -316,8 +366,7 @@ def cmd_compare(args) -> int:
 
 def cmd_diagnose(args) -> int:
     eval_report, _ = _load_report(args.eval_report)
-    with open(args.distribution_report, encoding="utf-8") as handle:
-        dist = json.load(handle)
+    dist = _load_distribution(args.distribution_report)
     result = diagnose_report(
         eval_report, dist,
         w_mention=args.w_mention, w_link=args.w_link, rarity_cap=args.rarity_cap,
@@ -331,16 +380,37 @@ def cmd_diagnose(args) -> int:
     return EXIT_OK
 
 
-def cmd_validate_labels(args) -> int:
-    inventory = CategoryInventory.from_env()
-    cfg = _labeling_config(args)
-    docs = _ensure_labeled(_load_corpus(args, inventory), cfg, ("gold",))
-    with open(args.reference, encoding="utf-8") as handle:
+def _read_reference(path: str, inventory: CategoryInventory) -> dict[tuple[str, int], str]:
+    """{(doc_id, cluster_index): label} from a {doc_id: {cluster_index: label}}
+    JSON file; a shape error names the file, the doc_id and the key."""
+    with open(path, encoding="utf-8") as handle:
         raw = json.load(handle)
+    if not isinstance(raw, dict):
+        raise CliError(EXIT_INPUT, f"{path}: expected a JSON object "
+                                   "{doc_id: {cluster_index: label}}")
     reference = {}
     for doc_id, clusters in raw.items():
-        for index, label in clusters.items():
-            reference[(doc_id, int(index))] = inventory.resolve(label)
+        if not isinstance(clusters, dict):
+            raise CliError(EXIT_INPUT, f"{path}: doc {doc_id!r}: expected an object "
+                                       "{cluster_index: label}")
+        for key, label in clusters.items():
+            where = f"{path}: doc {doc_id!r}, key {key!r}"
+            if not key.isdecimal():
+                raise CliError(EXIT_INPUT, f"{where}: cluster index must be a non-negative integer")
+            if not isinstance(label, str):
+                raise CliError(EXIT_INPUT, f"{where}: label must be a string, got {label!r}")
+            try:
+                reference[(doc_id, int(key))] = inventory.resolve(label)
+            except ValueError as exc:
+                raise CliError(EXIT_INPUT, f"{where}: {exc}") from exc
+    return reference
+
+
+def cmd_validate_labels(args) -> int:
+    inventory = _inventory()
+    cfg = _labeling_config(args)
+    docs = _ensure_labeled(_load_corpus(args, inventory), cfg, ("gold",))
+    reference = _read_reference(args.reference, inventory)
     try:
         agreement = label_agreement(reference, docs)
     except KeyError as exc:
@@ -438,11 +508,9 @@ def main(argv=None) -> int:
         ReportModeError,
         UnknownLabelError,
         json.JSONDecodeError,
+        UnicodeDecodeError,
         OSError,
     ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -91,6 +91,18 @@ def _span(pair: Sequence[int], where: str) -> Span:
         raise CorpusFormatError(f"{where}: {exc}") from exc
 
 
+def _list(value, where: str, what: str) -> list:
+    if not isinstance(value, list):
+        raise CorpusFormatError(f"{where}: expected a list of {what}, got {type(value).__name__}")
+    return value
+
+
+def _label(raw, where: str, inventory: CategoryInventory) -> str:
+    if not isinstance(raw, str):
+        raise CorpusFormatError(f"{where}: label must be a string or null, got {raw!r}")
+    return inventory.resolve(raw)
+
+
 def _nested(record: dict, key: str, side: str, default=None):
     block = record.get(key)
     if block is None:
@@ -107,8 +119,7 @@ def _clusters_from_record(
     raw = record.get(key)
     if raw is None:
         return ()
-    if not isinstance(raw, list):
-        raise CorpusFormatError(f"{key}: expected a list of clusters")
+    _list(raw, key, "clusters")
     cluster_labels = _nested(record, "cluster_labels", side)
     mention_labels = _nested(record, "mention_labels", side)
     sources = _nested(record, "mention_label_sources", side)
@@ -119,13 +130,26 @@ def _clusters_from_record(
         ("mention_label_sources", sources),
         ("mention_overlaps", overlaps),
     ):
-        if parallel is not None and len(parallel) != len(raw):
-            raise CorpusFormatError(f"{name}[{side}]: length does not match {key}")
+        if parallel is not None and (not isinstance(parallel, list) or len(parallel) != len(raw)):
+            raise CorpusFormatError(f"{name}[{side}]: expected a list as long as {key}")
     clusters = []
     for ci, raw_cluster in enumerate(raw):
+        _list(raw_cluster, f"{key}[{ci}]", "[start, end] pairs")
+        for name, per_mention in (
+            ("mention_labels", mention_labels),
+            ("mention_label_sources", sources),
+            ("mention_overlaps", overlaps),
+        ):
+            if per_mention is not None and (
+                not isinstance(per_mention[ci], list) or len(per_mention[ci]) != len(raw_cluster)
+            ):
+                raise CorpusFormatError(
+                    f"{name}[{side}][{ci}]: expected a list as long as {key}[{ci}]"
+                )
         mentions = []
         for mi, pair in enumerate(raw_cluster):
-            span = _span(pair, f"{key}[{ci}][{mi}]")
+            where = f"{key}[{ci}][{mi}]"
+            span = _span(pair, where)
             label = mention_labels[ci][mi] if mention_labels is not None else None
             source = sources[ci][mi] if sources is not None else "none"
             overlap = overlaps[ci][mi] if overlaps is not None else None
@@ -133,24 +157,37 @@ def _clusters_from_record(
                 mentions.append(
                     Mention(
                         span=span,
-                        assigned_label=inventory.resolve(label) if label is not None else None,
+                        assigned_label=(
+                            _label(label, where, inventory) if label is not None else None
+                        ),
                         label_source=LabelSource(source),
                         assignment_overlap=float(overlap) if overlap is not None else None,
                     )
                 )
-            except ValueError as exc:
-                raise CorpusFormatError(f"{key}[{ci}][{mi}]: {exc}") from exc
+            except (TypeError, ValueError) as exc:
+                raise CorpusFormatError(f"{where}: {exc}") from exc
         label = cluster_labels[ci] if cluster_labels is not None else None
         try:
             clusters.append(
                 Cluster(
                     mentions=tuple(mentions),
-                    cluster_label=inventory.resolve(label) if label is not None else None,
+                    cluster_label=(
+                        _label(label, f"{key}[{ci}]", inventory) if label is not None else None
+                    ),
                 )
             )
         except ValueError as exc:
             raise CorpusFormatError(f"{key}[{ci}]: {exc}") from exc
     return tuple(clusters)
+
+
+def _sentence_boundaries(raw) -> tuple[int, ...] | None:
+    if raw is None:
+        return None
+    try:
+        return tuple(int(b) for b in _list(raw, "sentence_boundaries", "token indices"))
+    except (TypeError, ValueError) as exc:
+        raise CorpusFormatError(f"sentence_boundaries: {exc}") from exc
 
 
 def _semantic_spans(raw_cner, inventory: CategoryInventory) -> tuple[SemanticSpan, ...]:
@@ -176,14 +213,13 @@ def document_from_record(record: dict, inventory: CategoryInventory) -> Document
     for required in ("doc_id", "tokens"):
         if required not in record:
             raise CorpusFormatError(f"missing required field {required!r}")
-    boundaries = record.get("sentence_boundaries")
     doc = Document(
         doc_id=str(record["doc_id"]),
-        tokens=tuple(str(t) for t in record["tokens"]),
+        tokens=tuple(str(t) for t in _list(record["tokens"], "tokens", "token strings")),
         gold_clusters=_clusters_from_record(record, "gold", inventory),
         predicted_clusters=_clusters_from_record(record, "predicted", inventory),
         semantic_spans=_semantic_spans(record.get("cner", []), inventory),
-        sentence_boundaries=tuple(int(b) for b in boundaries) if boundaries is not None else None,
+        sentence_boundaries=_sentence_boundaries(record.get("sentence_boundaries")),
         extras={k: v for k, v in record.items() if k not in _MODEL_FIELDS},
     )
     violations = validate_document(doc)

@@ -85,12 +85,17 @@ class CategoryInventory:
         if not isinstance(entries, list):
             raise ValueError("inventory file must contain a JSON list")
         categories = []
-        for entry in entries:
+        for index, entry in enumerate(entries):
+            if not isinstance(entry, dict) or not isinstance(entry.get("label"), str):
+                raise ValueError(f"inventory entry {index}: expected an object with a string label")
+            aliases = entry.get("aliases", [])
+            if not isinstance(aliases, list) or not all(isinstance(a, str) for a in aliases):
+                raise ValueError(f"inventory entry {index}: aliases must be a list of strings")
             categories.append(
                 Category(
                     label=normalize_label(entry["label"]),
                     description=entry.get("description", ""),
-                    aliases=tuple(normalize_label(a) for a in entry.get("aliases", ())),
+                    aliases=tuple(normalize_label(a) for a in aliases),
                 )
             )
         return cls(tuple(categories))

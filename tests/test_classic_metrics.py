@@ -1,17 +1,21 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from coref_semscore.classic_metrics import (
+    Matrix,
     b_cubed,
     best_alignment_total,
     ceaf_phi4,
     conll,
     drop_singleton_clusters,
+    linear_sum_assignment,
     muc,
-    phi4,
 )
 from coref_semscore.model import Cluster, Document, Mention, Span
 from corpusgen import random_corpus, to_documents
@@ -115,7 +119,7 @@ class TestCeaf:
     def test_phi4_values(self):
         gold = {Span(0, 1), Span(2, 3), Span(4, 5)}
         pred = {Span(0, 1), Span(2, 3)}
-        assert phi4(gold, pred) == Fraction(4, 5)
+        assert oracles.phi4(gold, pred) == Fraction(4, 5)
 
     def test_solver_matches_exhaustive_search(self):
         rng = random.Random(41)
@@ -132,6 +136,56 @@ class TestCeaf:
             )
             exhaustive = oracles.ceaf_exhaustive_total(gold_sets, pred_sets)
             assert solver == exhaustive
+
+
+@st.composite
+def _overlapping_partitions(draw):
+    """Gold and predicted clusters over one pool of at most 14 spans, at
+    most 6 clusters a side, each side dropping some spans; dense enough
+    that most documents have a component with two rows and two columns."""
+    pool = [Span(2 * k, 2 * k + 1) for k in range(draw(st.integers(1, 14)))]
+
+    def side():
+        n_clusters = draw(st.integers(1, 6))
+        # owner n_clusters means the span is missing from this side
+        owners = draw(st.lists(st.integers(0, n_clusters), min_size=len(pool),
+                               max_size=len(pool)))
+        clusters = [set() for _ in range(n_clusters)]
+        for span, owner in zip(pool, owners):
+            if owner < n_clusters:
+                clusters[owner].add(span)
+        return [c for c in clusters if c]
+
+    return side(), side()
+
+
+class TestAlignmentSolver:
+    @settings(max_examples=300, deadline=None)
+    @given(_overlapping_partitions())
+    def test_dense_overlaps_match_exhaustive_search(self, sides):
+        gold, pred = sides
+        # Both orientations: gold rows with predicted columns, and the reverse.
+        assert best_alignment_total(gold, pred) == oracles.ceaf_exhaustive_total(gold, pred)
+        assert best_alignment_total(pred, gold) == oracles.ceaf_exhaustive_total(pred, gold)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 5), st.data())
+    def test_assignment_is_optimal(self, n_rows, n_cols, data):
+        rows = tuple(
+            tuple(data.draw(st.lists(st.integers(-9, 9), min_size=n_cols, max_size=n_cols)))
+            for _ in range(n_rows)
+        )
+        chosen_rows, chosen_cols = linear_sum_assignment(Matrix(rows))
+        assert chosen_rows == sorted(set(chosen_rows))
+        assert len(set(chosen_cols)) == len(chosen_cols) == min(n_rows, n_cols)
+        total = sum(rows[i][j] for i, j in zip(chosen_rows, chosen_cols))
+        if n_rows <= n_cols:
+            totals = [sum(rows[i][j] for i, j in enumerate(perm))
+                      for perm in permutations(range(n_cols), n_rows)]
+        else:
+            totals = [sum(rows[i][j] for j, i in enumerate(perm))
+                      for perm in permutations(range(n_rows), n_cols)]
+        assert total == max(totals)
 
 
 class TestConll:

@@ -1,5 +1,9 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -202,6 +206,26 @@ class TestEvalCommand:
         path = write_jsonl(tmp_path / "invalid.jsonl", [record])
         assert main(["eval", "--gold", str(path), "--classic"]) == 2
         assert "[0, 9)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("sentence_boundaries", ["x"], "line 1: sentence_boundaries: invalid literal for int()"),
+        ("sentence_boundaries", 3, "line 1: sentence_boundaries: expected a list"),
+        ("tokens", 1.5, "line 1: tokens: expected a list of token strings, got float"),
+        ("tokens", None, "line 1: tokens: expected a list"),
+        ("gold_clusters", [7], "line 1: gold_clusters[0]: expected a list of [start, end] pairs"),
+        ("cluster_labels", {"gold": [["PER"]]}, "line 1: gold_clusters[0]: label must be"),
+        ("cluster_labels", {"gold": 1}, "line 1: cluster_labels[gold]: expected a list as long"),
+        ("mention_labels", {"gold": [["PER"]]},
+         "line 1: mention_labels[gold][0]: expected a list as long as gold_clusters[0]"),
+        ("mention_labels", {"gold": [[None, 4]]}, "line 1: gold_clusters[0][1]: label must be"),
+        ("mention_overlaps", {"gold": [[[1.0], None]]}, "line 1: gold_clusters[0][0]: float()"),
+    ])
+    def test_malformed_record_field_exits_2(self, tmp_path, capsys, field, value, message):
+        record = {"doc_id": "d0", "tokens": ["a", "b"], "gold_clusters": [[[0, 1], [1, 2]]],
+                  "predicted_clusters": [[[0, 1], [1, 2]]], field: value}
+        path = write_jsonl(tmp_path / "bad.jsonl", [record])
+        assert main(["eval", "--gold", path, "--classic"]) == 2
+        assert message in capsys.readouterr().err
 
     def test_separate_pred_file(self, tmp_path):
         gold = {"doc_id": "d0", "tokens": ["Rome", "is", "Rome"],
@@ -418,6 +442,117 @@ class TestValidateLabelsCommand:
         assert main(["validate-labels", "--gold", news_path,
                      "--reference", str(ref_path)]) == 2
         assert "nope" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("reference, where", [
+        (["news0", {"0": "PER"}], "ref.json: expected a JSON object"),
+        ({"news0": {"first": "PER"}}, "ref.json: doc 'news0', key 'first'"),
+        ({"news0": ["PER"]}, "ref.json: doc 'news0': expected an object"),
+        ({"news0": {"0": 3}}, "ref.json: doc 'news0', key '0': label must be a string"),
+        ({"news0": {"0": "P3R"}}, "ref.json: doc 'news0', key '0': bad category label"),
+    ])
+    def test_malformed_reference_exits_2_naming_file_doc_and_key(
+        self, tmp_path, news_path, capsys, reference, where
+    ):
+        ref_path = tmp_path / "ref.json"
+        ref_path.write_text(json.dumps(reference), encoding="utf-8")
+        assert main(["validate-labels", "--gold", news_path,
+                     "--reference", str(ref_path)]) == 2
+        assert where in capsys.readouterr().err
+
+
+class TestInputErrors:
+    """Outside input that cannot be read exits 2 with a message, not a traceback."""
+
+    def test_undecodable_corpus_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(b"\xff\xfe\x00")
+        assert main(["eval", "--gold", str(path), "--classic"]) == 2
+        assert "can't decode" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("inventory, message", [
+        ([{"description": "no label"}], "inventory entry 0: expected an object"),
+        ([{"label": "FOO", "aliases": "FOOBAR"}], "inventory entry 0: aliases must be"),
+        ({"label": "FOO"}, "inventory file must contain a JSON list"),
+    ])
+    def test_malformed_inventory_exits_2(self, tmp_path, monkeypatch, news_path, capsys,
+                                         inventory, message):
+        inv_path = tmp_path / "inv.json"
+        inv_path.write_text(json.dumps(inventory), encoding="utf-8")
+        monkeypatch.setenv("COREF_SEMSCORE_INVENTORY", str(inv_path))
+        assert main(["eval", "--gold", news_path, "--classic"]) == 2
+        err = capsys.readouterr().err
+        assert "COREF_SEMSCORE_INVENTORY=" in err and message in err
+
+    @pytest.mark.parametrize("report, message", [
+        ({"typed_mention": {}}, "report.json: typed_mention: macro_f1 must be a number"),
+        ({"typed_link": {"macro_f1": 0.5, "per_class": []}},
+         "report.json: typed_link: per_class must be a JSON object"),
+        ({"typed_mention": {"macro_f1": 0.5, "per_class": {"PER": {"f1": 1.0}}}},
+         "report.json: typed_mention: per_class 'PER': expected an object with numbers"),
+        ({"typed_mention": {"macro_f1": 0.5, "per_class": {
+            "PER": {"tp": 1, "fp": 0, "fn": 0, "f1": "1.0", "support": 1}}}},
+         "per_class 'PER': expected an object with numbers"),
+        ({"typed_link": ["PER"]}, "report.json: typed_link: expected a JSON object"),
+        ({"config": ["gold.jsonl"]}, "report.json: config must be a JSON object"),
+    ])
+    def test_malformed_eval_report_exits_2(self, tmp_path, capsys, report, message):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(report), encoding="utf-8")
+        assert main(["compare", "-a", str(path), "-b", str(path)]) == 2
+        assert message in capsys.readouterr().err
+        dist = tmp_path / "dist.json"
+        dist.write_text("{}", encoding="utf-8")
+        assert main(["diagnose", "--eval-report", str(path),
+                     "--distribution-report", str(dist)]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dist, message", [
+        ([], "dist.json: expected a JSON object"),
+        ({"absent_labels": "PER"}, "dist.json: absent_labels must be a list of strings"),
+    ])
+    def test_malformed_distribution_report_exits_2(self, tmp_path, capsys, dist, message):
+        report = {"typed_mention": {"macro_f1": 1.0, "per_class": {
+            "PER": {"tp": 1, "fp": 0, "fn": 0, "f1": 1.0, "support": 1}}}}
+        report_path = tmp_path / "report.json"
+        report_path.write_text(json.dumps(report), encoding="utf-8")
+        dist_path = tmp_path / "dist.json"
+        dist_path.write_text(json.dumps(dist), encoding="utf-8")
+        assert main(["diagnose", "--eval-report", str(report_path),
+                     "--distribution-report", str(dist_path)]) == 2
+        assert message in capsys.readouterr().err
+        dist_path.write_text(json.dumps({"absent_labels": ["LOC"]}), encoding="utf-8")
+        assert main(["diagnose", "--eval-report", str(report_path),
+                     "--distribution-report", str(dist_path)]) == 0
+
+    def test_internal_error_is_not_an_input_error(self, news_path, monkeypatch):
+        def broken(*args):
+            raise ValueError("internal")
+
+        monkeypatch.setattr(cli, "conll", broken)
+        with pytest.raises(ValueError, match="internal"):
+            main(["eval", "--gold", news_path, "--classic"])
+
+    def test_internal_report_error_is_not_an_input_error(self, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise KeyError("internal")
+
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps({"typed_mention": {"macro_f1": 1.0, "per_class": {}}}),
+                          encoding="utf-8")
+        monkeypatch.setattr(cli, "compare_eval_reports", broken)
+        with pytest.raises(KeyError, match="internal"):
+            main(["compare", "-a", str(report), "-b", str(report)])
+
+
+class TestDependencies:
+    def test_import_loads_neither_numpy_nor_scipy(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = ("import sys, coref_semscore, coref_semscore.cli; "
+                "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))")
+        env = dict(os.environ, PYTHONPATH=str(src))
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "[]"
 
 
 class TestInventoryEnvVar:

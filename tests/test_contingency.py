@@ -1,6 +1,6 @@
 """The cluster-overlap table and the metrics derived from it.
 
-Typed link, MUC and B-cubed counts are derived from model.contingency;
+Typed link, MUC, B-cubed and CEAF counts are derived from model.contingency;
 these tests check them against the brute-force oracles on corpora with
 clusters far larger than the acceptance suite's, check that pooling the
 counts of a split corpus gives the counts of the whole, and pin down what
@@ -15,7 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from coref_semscore.classic_metrics import b_cubed, b_cubed_counts, muc, muc_counts
+from coref_semscore.classic_metrics import (
+    b_cubed,
+    b_cubed_counts,
+    ceaf_counts,
+    ceaf_phi4,
+    conll,
+    muc,
+    muc_counts,
+)
 from coref_semscore.labeling import LabelingConfig, label_documents
 from coref_semscore.model import Cluster, Document, Mention, Span, contingency
 from coref_semscore.typed_metrics import typed_link_scores, typed_mention_scores
@@ -45,9 +53,10 @@ def _cluster_sets(record, side):
 
 
 def _oracle_classic_counts(records):
-    """(MUC, B-cubed) as (p_num, p_den, r_num, r_den), pooled by the oracles."""
+    """(MUC, B-cubed, CEAF) as (p_num, p_den, r_num, r_den), pooled by the oracles."""
     muc_total = [0, 0, 0, 0]
     b3_total = [0, 0, 0, 0]
+    ceaf_total = [0, 0, 0, 0]
     for record in records:
         gold, pred = _cluster_sets(record, "gold"), _cluster_sets(record, "predicted")
         for total, side in ((muc_total, oracles.muc_side_counts),
@@ -56,7 +65,10 @@ def _oracle_classic_counts(records):
             r_num, r_den = side(gold, pred)
             for k, value in enumerate((p_num, p_den, r_num, r_den)):
                 total[k] += value
-    return tuple(muc_total), tuple(b3_total)
+        aligned = oracles.ceaf_exhaustive_total(gold, pred)
+        for k, value in enumerate((aligned, len(pred), aligned, len(gold))):
+            ceaf_total[k] += value
+    return tuple(muc_total), tuple(b3_total), tuple(ceaf_total)
 
 
 def _link_counts(report):
@@ -98,7 +110,7 @@ class TestRepeatedSpan:
         (GOLD_REPEAT, "gold", "[2, 3)"),
         (PRED_REPEAT, "predicted", "[4, 5)"),
     ])
-    @pytest.mark.parametrize("metric", [typed_link_scores, muc, b_cubed])
+    @pytest.mark.parametrize("metric", [typed_link_scores, muc, b_cubed, ceaf_phi4, conll])
     def test_metrics_raise_naming_doc_side_and_span(self, metric, spec, side, span):
         doc = _doc(*spec, doc_id="api7")
         with pytest.raises(ValueError) as excinfo:
@@ -135,9 +147,16 @@ class TestLargeClusterOracles:
     def test_muc_and_b_cubed_counts_match_oracles(self, seed):
         records = random_corpus(random.Random(seed), 8, **BIG_CLUSTERS)
         docs = to_documents(records)
-        want_muc, want_b3 = _oracle_classic_counts(records)
+        want_muc, want_b3, _ = _oracle_classic_counts(records)
         assert tuple(muc_counts(docs, docs)) == want_muc
         assert tuple(b_cubed_counts(docs, docs)) == want_b3
+
+    @pytest.mark.parametrize("seed", [34, 35, 36])
+    def test_ceaf_counts_match_oracles(self, seed):
+        records = random_corpus(random.Random(seed), 8, **BIG_CLUSTERS)
+        docs = to_documents(records)
+        _, _, want_ceaf = _oracle_classic_counts(records)
+        assert tuple(ceaf_counts(docs, docs)) == want_ceaf
 
 
 def _pooled_typed(reports):
@@ -168,5 +187,5 @@ class TestAdditivity:
         parts = [docs[:cut], docs[cut:]]
         for score in (typed_mention_scores, typed_link_scores):
             assert _pooled_typed(score(p, p) for p in parts) == _pooled_typed([score(docs, docs)])
-        for counts in (muc_counts, b_cubed_counts):
+        for counts in (muc_counts, b_cubed_counts, ceaf_counts):
             assert _pooled_ratio(counts(p, p) for p in parts) == tuple(counts(docs, docs))
