@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from .classic_metrics import conll, drop_singleton_clusters
@@ -66,6 +67,15 @@ class CliError(Exception):
         self.message = message
 
 
+@contextmanager
+def _reading(path: str):
+    """Name the file at `path` in an input error raised while reading it."""
+    try:
+        yield
+    except (CorpusFormatError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CliError(EXIT_INPUT, f"{path}: {exc}") from exc
+
+
 def _inventory() -> CategoryInventory:
     """The active category inventory; a malformed inventory file is an input error."""
     try:
@@ -106,7 +116,8 @@ def _labeling_config(args) -> LabelingConfig:
         "force_cluster_label": getattr(args, "force_cluster_label", False),
     }
     if args.pronouns:
-        kwargs["pronoun_lexicon"] = load_pronoun_lexicon(args.pronouns)
+        with _reading(args.pronouns):
+            kwargs["pronoun_lexicon"] = load_pronoun_lexicon(args.pronouns)
     try:
         return LabelingConfig(**kwargs)
     except ValueError as exc:
@@ -114,15 +125,16 @@ def _labeling_config(args) -> LabelingConfig:
 
 
 def _read_corpus(path: str, fmt: str, inventory: CategoryInventory, as_predictions: bool):
-    if fmt == "conll":
+    with _reading(path):
+        if fmt != "conll":
+            return read_jsonl_corpus(path, inventory)
         docs = read_conll2012(path)
-        if as_predictions:
-            docs = [
-                doc.with_clusters("predicted", doc.gold_clusters).with_clusters("gold", ())
-                for doc in docs
-            ]
-        return docs
-    return read_jsonl_corpus(path, inventory)
+    if as_predictions:
+        docs = [
+            doc.with_clusters("predicted", doc.gold_clusters).with_clusters("gold", ())
+            for doc in docs
+        ]
+    return docs
 
 
 def _load_corpus(args, inventory: CategoryInventory):
@@ -134,7 +146,8 @@ def _load_corpus(args, inventory: CategoryInventory):
             raise CliError(EXIT_INPUT, f"{pred_path}: no predicted_clusters in prediction file")
         docs = merge_predictions(docs, pred_docs)
     if args.cner:
-        docs = attach_semantic_spans(docs, read_cner_jsonl(args.cner, inventory))
+        with _reading(args.cner):
+            docs = attach_semantic_spans(docs, read_cner_jsonl(args.cner, inventory))
     return docs
 
 
@@ -383,7 +396,7 @@ def cmd_diagnose(args) -> int:
 def _read_reference(path: str, inventory: CategoryInventory) -> dict[tuple[str, int], str]:
     """{(doc_id, cluster_index): label} from a {doc_id: {cluster_index: label}}
     JSON file; a shape error names the file, the doc_id and the key."""
-    with open(path, encoding="utf-8") as handle:
+    with _reading(path), open(path, encoding="utf-8") as handle:
         raw = json.load(handle)
     if not isinstance(raw, dict):
         raise CliError(EXIT_INPUT, f"{path}: expected a JSON object "

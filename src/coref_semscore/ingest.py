@@ -82,13 +82,24 @@ def _open_write(dest: Source):
     return open(dest, "w", encoding="utf-8"), True
 
 
-def _span(pair: Sequence[int], where: str) -> Span:
-    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-        raise CorpusFormatError(f"{where}: expected a [start, end] pair, got {pair!r}")
-    try:
-        return Span(int(pair[0]), int(pair[1]))
-    except (TypeError, ValueError) as exc:
-        raise CorpusFormatError(f"{where}: {exc}") from exc
+def _span(pair, where: str, *index: int) -> Span:
+    """The Span of a [start, end] pair of JSON integers.
+
+    This runs once per mention and semantic span, so the field name in an
+    error, where.format(*index), is built only when the pair is rejected.
+    """
+    if isinstance(pair, (list, tuple)) and len(pair) == 2:
+        start, end = pair
+        if type(start) is int and type(end) is int:
+            try:
+                return Span(start, end)
+            except ValueError as exc:
+                problem = str(exc)
+        else:
+            problem = f"span bounds must be integers, got {pair!r}"
+    else:
+        problem = f"expected a [start, end] pair, got {pair!r}"
+    raise CorpusFormatError(f"{where.format(*index)}: {problem}")
 
 
 def _list(value, where: str, what: str) -> list:
@@ -97,9 +108,9 @@ def _list(value, where: str, what: str) -> list:
     return value
 
 
-def _label(raw, where: str, inventory: CategoryInventory) -> str:
+def _label(raw, inventory: CategoryInventory) -> str:
     if not isinstance(raw, str):
-        raise CorpusFormatError(f"{where}: label must be a string or null, got {raw!r}")
+        raise TypeError(f"label must be a string or null, got {raw!r}")
     return inventory.resolve(raw)
 
 
@@ -132,51 +143,57 @@ def _clusters_from_record(
     ):
         if parallel is not None and (not isinstance(parallel, list) or len(parallel) != len(raw)):
             raise CorpusFormatError(f"{name}[{side}]: expected a list as long as {key}")
+    per_mention_blocks = (
+        ("mention_labels", mention_labels),
+        ("mention_label_sources", sources),
+        ("mention_overlaps", overlaps),
+    )
+    has_labels = any(block is not None for _, block in per_mention_blocks)
+    where = key + "[{}][{}]"
     clusters = []
     for ci, raw_cluster in enumerate(raw):
-        _list(raw_cluster, f"{key}[{ci}]", "[start, end] pairs")
-        for name, per_mention in (
-            ("mention_labels", mention_labels),
-            ("mention_label_sources", sources),
-            ("mention_overlaps", overlaps),
-        ):
-            if per_mention is not None and (
-                not isinstance(per_mention[ci], list) or len(per_mention[ci]) != len(raw_cluster)
-            ):
-                raise CorpusFormatError(
-                    f"{name}[{side}][{ci}]: expected a list as long as {key}[{ci}]"
-                )
-        mentions = []
-        for mi, pair in enumerate(raw_cluster):
-            where = f"{key}[{ci}][{mi}]"
-            span = _span(pair, where)
-            label = mention_labels[ci][mi] if mention_labels is not None else None
-            source = sources[ci][mi] if sources is not None else "none"
-            overlap = overlaps[ci][mi] if overlaps is not None else None
-            try:
-                mentions.append(
-                    Mention(
-                        span=span,
-                        assigned_label=(
-                            _label(label, where, inventory) if label is not None else None
-                        ),
-                        label_source=LabelSource(source),
-                        assignment_overlap=float(overlap) if overlap is not None else None,
+        if not isinstance(raw_cluster, list):
+            raise CorpusFormatError(f"{key}[{ci}]: expected a list of [start, end] pairs, "
+                                    f"got {type(raw_cluster).__name__}")
+        if not has_labels:
+            mentions = [Mention(_span(pair, where, ci, mi)) for mi, pair in enumerate(raw_cluster)]
+        else:
+            for name, per_mention in per_mention_blocks:
+                if per_mention is not None and (
+                    not isinstance(per_mention[ci], list)
+                    or len(per_mention[ci]) != len(raw_cluster)
+                ):
+                    raise CorpusFormatError(
+                        f"{name}[{side}][{ci}]: expected a list as long as {key}[{ci}]"
                     )
-                )
-            except (TypeError, ValueError) as exc:
-                raise CorpusFormatError(f"{where}: {exc}") from exc
+            mentions = []
+            for mi, pair in enumerate(raw_cluster):
+                span = _span(pair, where, ci, mi)
+                label = mention_labels[ci][mi] if mention_labels is not None else None
+                source = sources[ci][mi] if sources is not None else "none"
+                overlap = overlaps[ci][mi] if overlaps is not None else None
+                try:
+                    mentions.append(
+                        Mention(
+                            span=span,
+                            assigned_label=(
+                                _label(label, inventory) if label is not None else None
+                            ),
+                            label_source=LabelSource(source),
+                            assignment_overlap=float(overlap) if overlap is not None else None,
+                        )
+                    )
+                except (TypeError, ValueError) as exc:
+                    raise CorpusFormatError(f"{where.format(ci, mi)}: {exc}") from exc
         label = cluster_labels[ci] if cluster_labels is not None else None
         try:
             clusters.append(
                 Cluster(
                     mentions=tuple(mentions),
-                    cluster_label=(
-                        _label(label, f"{key}[{ci}]", inventory) if label is not None else None
-                    ),
+                    cluster_label=_label(label, inventory) if label is not None else None,
                 )
             )
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise CorpusFormatError(f"{key}[{ci}]: {exc}") from exc
     return tuple(clusters)
 
@@ -197,9 +214,12 @@ def _semantic_spans(raw_cner, inventory: CategoryInventory) -> tuple[SemanticSpa
     for si, triple in enumerate(raw_cner):
         if not isinstance(triple, (list, tuple)) or len(triple) != 3:
             raise CorpusFormatError(f"cner[{si}]: expected a [start, end, label] triple")
-        span = _span(triple[:2], f"cner[{si}]")
+        span = _span(triple[:2], "cner[{}]", si)
+        label = triple[2]
+        if not isinstance(label, str):
+            raise CorpusFormatError(f"cner[{si}]: label must be a string, got {label!r}")
         try:
-            label = inventory.resolve(str(triple[2]))
+            label = inventory.resolve(label)
         except ValueError as exc:
             raise CorpusFormatError(f"cner[{si}]: {exc}") from exc
         semantic_spans.append(SemanticSpan(span, label))
@@ -215,7 +235,7 @@ def document_from_record(record: dict, inventory: CategoryInventory) -> Document
             raise CorpusFormatError(f"missing required field {required!r}")
     doc = Document(
         doc_id=str(record["doc_id"]),
-        tokens=tuple(str(t) for t in _list(record["tokens"], "tokens", "token strings")),
+        tokens=tuple(map(str, _list(record["tokens"], "tokens", "token strings"))),
         gold_clusters=_clusters_from_record(record, "gold", inventory),
         predicted_clusters=_clusters_from_record(record, "predicted", inventory),
         semantic_spans=_semantic_spans(record.get("cner", []), inventory),

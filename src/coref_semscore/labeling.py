@@ -144,6 +144,8 @@ def assign_mentions(doc: Document, cfg: LabelingConfig, side: str) -> Document:
                         assignment_overlap=best[0],
                     )
                 )
+            elif mention.label_source is LabelSource.NONE:
+                mentions.append(mention)
             else:
                 mentions.append(Mention(span=mention.span))
         new_clusters.append(Cluster(tuple(mentions)))
@@ -179,7 +181,9 @@ def propagate(doc: Document, cfg: LabelingConfig, side: str) -> Document:
     for cluster in doc.clusters(side):
         direct = [m for m in cluster.mentions if m.label_source is LabelSource.DIRECT]
         if not direct:
-            new_clusters.append(replace(cluster, cluster_label=None))
+            new_clusters.append(
+                cluster if cluster.cluster_label is None else replace(cluster, cluster_label=None)
+            )
             continue
         label = _vote(direct)
         mentions = []

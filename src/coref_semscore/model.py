@@ -16,7 +16,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 _LABEL_RE = re.compile(r"[A-Z]+\Z")
 
@@ -42,22 +42,37 @@ def normalize_label(raw: str) -> str:
     return label
 
 
-@dataclass(frozen=True, order=True)
-class Span:
+class _SpanFields(NamedTuple):
     start: int
     end: int
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.start, int) or not isinstance(self.end, int):
-            raise ValueError(f"span bounds must be integers, got [{self.start}, {self.end})")
-        if not 0 <= self.start < self.end:
-            raise ValueError(f"invalid span [{self.start}, {self.end}): need 0 <= start < end")
+
+class Span(_SpanFields):
+    """A half-open token interval [start, end), as an immutable tuple.
+
+    A Span hashes, compares and orders exactly like the plain tuple
+    (start, end), and unpacks to its two bounds.  len() is the token
+    count, end - start, not the tuple's length of 2, so reversed(), which
+    would index by that length, raises TypeError.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, start: int, end: int) -> "Span":
+        if not isinstance(start, int) or not isinstance(end, int):
+            raise ValueError(f"span bounds must be integers, got [{start}, {end})")
+        if not 0 <= start < end:
+            raise ValueError(f"invalid span [{start}, {end}): need 0 <= start < end")
+        return tuple.__new__(cls, (start, end))
 
     def __len__(self) -> int:
         return self.end - self.start
 
+    def __reversed__(self):
+        raise TypeError("reversed() of a Span is not supported; use (span.end, span.start)")
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class Mention:
     """A token span, optionally carrying a semantic label.
 
@@ -77,7 +92,7 @@ class Mention:
             raise ValueError("assignment_overlap must be present iff label_source = direct")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cluster:
     """A non-empty set of coreferential mentions, optionally labeled."""
 
@@ -85,18 +100,15 @@ class Cluster:
     cluster_label: str | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mentions", tuple(self.mentions))
-        if not self.mentions:
+        mentions = tuple(self.mentions)
+        object.__setattr__(self, "mentions", mentions)
+        if not mentions:
             raise ValueError("cluster must contain at least one mention")
-        spans = [m.span for m in self.mentions]
-        if len(set(spans)) != len(spans):
+        if len({m.span for m in mentions}) != len(mentions):
             raise ValueError("duplicate mention span within cluster")
 
-    def spans(self) -> list[Span]:
-        return [m.span for m in self.mentions]
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SemanticSpan:
     """A tagger-produced span with a category label."""
 
@@ -104,7 +116,7 @@ class SemanticSpan:
     label: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Document:
     doc_id: str
     tokens: tuple[str, ...]
@@ -135,9 +147,6 @@ class Document:
         if side == "predicted":
             return replace(self, predicted_clusters=tuple(clusters))
         raise ValueError(f"unknown side {side!r}, expected one of {SIDES}")
-
-    def mention_text(self, mention: Mention) -> str:
-        return " ".join(self.tokens[mention.span.start:mention.span.end])
 
 
 def _span_str(span: Span) -> str:

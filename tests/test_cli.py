@@ -213,6 +213,7 @@ class TestEvalCommand:
         ("tokens", 1.5, "line 1: tokens: expected a list of token strings, got float"),
         ("tokens", None, "line 1: tokens: expected a list"),
         ("gold_clusters", [7], "line 1: gold_clusters[0]: expected a list of [start, end] pairs"),
+        ("gold_clusters", [[[0, 1.5]]], "line 1: gold_clusters[0][0]: span bounds must be integers"),
         ("cluster_labels", {"gold": [["PER"]]}, "line 1: gold_clusters[0]: label must be"),
         ("cluster_labels", {"gold": 1}, "line 1: cluster_labels[gold]: expected a list as long"),
         ("mention_labels", {"gold": [["PER"]]},
@@ -468,6 +469,46 @@ class TestInputErrors:
         path.write_bytes(b"\xff\xfe\x00")
         assert main(["eval", "--gold", str(path), "--classic"]) == 2
         assert "can't decode" in capsys.readouterr().err
+
+    @staticmethod
+    def _run_with_bad_input(tmp_path, news_path, flag, content: bytes) -> tuple[int, str]:
+        """Run a command that reads `flag` from a file holding `content`,
+        and every other input from a good file."""
+        bad = tmp_path / "bad.input"
+        bad.write_bytes(content)
+        if flag == "--reference":
+            return main(["validate-labels", "--gold", news_path, "--reference", str(bad)]), str(bad)
+        cner = write_jsonl(tmp_path / "cner.jsonl", [{"doc_id": "news0", "cner": [[7, 9, "PER"]]}])
+        lexicon = tmp_path / "pronouns.txt"
+        lexicon.write_text("he\n", encoding="utf-8")
+        inputs = {"--gold": news_path, "--pred": news_path, "--cner": cner,
+                  "--pronouns": str(lexicon), flag: str(bad)}
+        argv = ["eval", "--typed-mention"]
+        for name, path in inputs.items():
+            argv += [name, path]
+        return main(argv), str(bad)
+
+    @pytest.mark.parametrize("flag", ["--gold", "--pred", "--cner", "--pronouns", "--reference"])
+    def test_undecodable_input_names_its_file(self, tmp_path, news_path, capsys, flag):
+        code, bad = self._run_with_bad_input(tmp_path, news_path, flag, b"\xff\xfe\x00")
+        assert code == 2
+        assert f"error: {bad}: 'utf-8' codec can't decode" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, content, message", [
+        ("--gold", b'{"doc_id": "news0", "tokens": 5}\n', "line 1: tokens: expected a list"),
+        ("--pred", b'\n{"doc_id": "news0"}\n', "line 2: missing required field 'tokens'"),
+        ("--cner", b'{"doc_id": "news0", "cner": [[7, 9.5, "PER"]]}\n',
+         "line 1: cner[0]: span bounds must be integers"),
+        ("--cner", b'{"doc_id": "news0", "cner": [[7, 99, "PER"]]}\n', "out of range"),
+        ("--reference", b"{oops", "Expecting property name"),
+    ])
+    def test_malformed_input_names_its_file(self, tmp_path, news_path, capsys, flag, content,
+                                            message):
+        code, bad = self._run_with_bad_input(tmp_path, news_path, flag, content)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: {bad}: " in err
+        assert message in err
 
     @pytest.mark.parametrize("inventory, message", [
         ([{"description": "no label"}], "inventory entry 0: expected an object"),

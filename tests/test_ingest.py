@@ -52,6 +52,30 @@ class TestJsonlReader:
         assert "line 2" in str(exc.value)
         assert "[3, 9)" in str(exc.value)
 
+    @pytest.mark.parametrize("bounds", [[2, 3.7], [2, 3.0], [False, True], ["0", "1"]])
+    @pytest.mark.parametrize("field, where", [
+        ("gold_clusters", "gold_clusters[0][1]"),
+        ("predicted_clusters", "predicted_clusters[0][1]"),
+        ("cner", "cner[1]"),
+    ])
+    def test_non_integer_span_bound_rejected(self, field, where, bounds):
+        if field == "cner":
+            value = [[0, 1, "PER"], [*bounds, "PER"]]
+        else:
+            value = [[[3, 4], bounds]]
+        record = {"doc_id": "d0", "tokens": list("abcde"), field: value}
+        with pytest.raises(CorpusFormatError) as exc:
+            _read(["", json.dumps(record)])
+        assert f"line 2: {where}: span bounds must be integers" in str(exc.value)
+
+    @pytest.mark.parametrize("label", [None, 7, ["PER"]])
+    def test_non_string_cner_label_rejected(self, label):
+        record = {"doc_id": "d0", "tokens": ["a", "b"], "cner": [[0, 1, "PER"], [1, 2, label]]}
+        with pytest.raises(CorpusFormatError) as exc:
+            _read([json.dumps(record)])
+        assert "line 1: cner[1]: label must be a string" in str(exc.value)
+        assert "unknown category label" not in str(exc.value)
+
     def test_malformed_json_reports_line(self):
         with pytest.raises(CorpusFormatError) as exc:
             _read(['{"doc_id": "d0", "tokens": ["a"]}', "{oops"])

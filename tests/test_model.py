@@ -1,13 +1,19 @@
+import copy
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from coref_semscore.inventory import CategoryInventory, UnknownLabelError
+from coref_semscore.labeling import LabelingConfig, label_documents
 from coref_semscore.model import (
     Cluster,
     Document,
     LabelSource,
     Mention,
+    SemanticSpan,
     Span,
     normalize_label,
     validate_document,
@@ -35,13 +41,43 @@ class TestSpan:
         assert len(indices) == span.end - span.start == len(span)
         assert all(span.start <= i < span.end for i in indices)
 
-    @pytest.mark.parametrize("start,end", [(3, 3), (5, 2), (-1, 4)])
+    @pytest.mark.parametrize("start,end", [(3, 3), (5, 2), (-1, 4), (0, 1.5), ("0", 1), (None, 2)])
     def test_rejects_degenerate_bounds(self, start, end):
         with pytest.raises(ValueError):
             Span(start, end)
 
+    @given(spans, spans)
+    def test_hash_equality_and_order_are_those_of_the_bounds_tuple(self, a, b):
+        span_a, span_b = Span(*a), Span(*b)
+        assert hash(span_a) == hash(a)
+        assert span_a == a and a == span_a
+        assert (span_a == span_b) == (a == b)
+        assert (span_a < span_b) == (a < b)
+        assert (span_a <= span_b) == (a <= b)
+        assert sorted([span_b, span_a]) == sorted([b, a])
+
+    def test_len_is_token_count_and_unpacking_gives_bounds(self):
+        span = Span(4, 9)
+        assert len(span) == 5
+        start, end = span
+        assert (start, end) == (span.start, span.end) == (4, 9)
+        with pytest.raises(TypeError):
+            reversed(span)
+
 
 class TestMention:
+    def test_replace_runs_checks(self):
+        mention = Mention(span=Span(0, 1), assigned_label="PER",
+                          label_source=LabelSource.DIRECT, assignment_overlap=0.9)
+        with pytest.raises(ValueError):
+            dataclasses.replace(mention, label_source=LabelSource.PROPAGATED)
+        with pytest.raises(ValueError):
+            dataclasses.replace(mention, assigned_label=None)
+        with pytest.raises(ValueError):
+            dataclasses.replace(mention, span=Span(2, 2))
+        relabeled = dataclasses.replace(mention, assigned_label="LOC")
+        assert relabeled.assigned_label == "LOC" and relabeled.span == mention.span
+
     def test_label_requires_source(self):
         with pytest.raises(ValueError):
             Mention(span=Span(0, 1), assigned_label="PER")
@@ -135,3 +171,44 @@ class TestLabels:
 
         with pytest.raises(ValueError):
             CategoryInventory((Category("PER"), Category("PER")))
+
+
+def _labeled_document():
+    doc = Document(
+        doc_id="d0",
+        tokens=("Mr.", "Smith", "said", "he", "left", "Rome"),
+        gold_clusters=(_cluster((0, 2), (3, 4)), _cluster((5, 6),)),
+        predicted_clusters=(_cluster((1, 2), (3, 4)),),
+        semantic_spans=(SemanticSpan(Span(0, 2), "PER"), SemanticSpan(Span(5, 6), "LOC")),
+        sentence_boundaries=(0,),
+        extras={"source": "demo"},
+    )
+    return label_documents([doc], LabelingConfig(tau=0.4))[0]
+
+
+class TestValueSemantics:
+    """The model is made of immutable values that survive copying."""
+
+    @pytest.mark.parametrize("make, fields", [
+        (lambda: Span(0, 1), ("start", "end")),
+        (lambda: Mention(span=Span(0, 1)), ("span", "assigned_label", "label_source",
+                                            "assignment_overlap")),
+        (lambda: _cluster((0, 1)), ("mentions", "cluster_label")),
+        (lambda: SemanticSpan(Span(0, 1), "PER"), ("span", "label")),
+        (_labeled_document, ("doc_id", "tokens", "gold_clusters", "predicted_clusters",
+                             "semantic_spans", "sentence_boundaries", "extras")),
+    ])
+    def test_fields_cannot_be_assigned(self, make, fields):
+        value = make()
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(value, name, getattr(value, name))
+
+    def test_labeled_document_survives_pickle_and_deepcopy(self):
+        doc = _labeled_document()
+        assert doc.gold_clusters[0].cluster_label == "PER"
+        assert doc.gold_clusters[0].mentions[1].label_source is LabelSource.PROPAGATED
+        for copied in (pickle.loads(pickle.dumps(doc)), copy.deepcopy(doc)):
+            assert copied == doc
+            assert type(copied.gold_clusters[0].mentions[0].span) is Span
+            assert copied.gold_clusters[0].mentions[1].label_source is LabelSource.PROPAGATED
