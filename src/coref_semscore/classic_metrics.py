@@ -16,12 +16,12 @@ against exhaustive search exactly.  Degenerate 0/0 ratios are defined as
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
 from typing import Collection, Mapping, NamedTuple, Sequence
 
-from .model import Cluster, Document, Mention, Span, contingency, pair_by_doc_id
+from .model import Cluster, Contingency, Document, contingency, pair_by_doc_id
 
 
 @dataclass(frozen=True)
@@ -63,32 +63,16 @@ class RatioCounts(NamedTuple):
     r_den: int
 
 
-class _Table(NamedTuple):
-    """One document pair's cluster-overlap counts and cluster sizes."""
-
-    cells: Mapping[tuple[int, int], int]
-    gold_sizes: list[int]
-    pred_sizes: list[int]
+def _sizes(clusters: Sequence[Cluster]) -> list[int]:
+    return [len(c.mentions) for c in clusters]
 
 
-def _tables(gold_docs: Sequence[Document], pred_docs: Sequence[Document]) -> list[_Table]:
-    """The overlap table of every document pair, which all three metrics read."""
-    return [
-        _Table(
-            contingency(gold_doc, pred_doc),
-            [len(c.mentions) for c in gold_doc.gold_clusters],
-            [len(c.mentions) for c in pred_doc.predicted_clusters],
-        )
-        for gold_doc, pred_doc in pair_by_doc_id(gold_docs, pred_docs)
-    ]
-
-
-def _muc(tables: Sequence[_Table]) -> RatioCounts:
+def _muc(tables: Sequence[Contingency]) -> RatioCounts:
     num = p_den = r_den = 0
-    for cells, gold_sizes, pred_sizes in tables:
+    for gold, pred, cells, _ in tables:
         num += sum(cells.values()) - len(cells)
-        r_den += sum(gold_sizes) - len(gold_sizes)
-        p_den += sum(pred_sizes) - len(pred_sizes)
+        r_den += sum(_sizes(gold)) - len(gold)
+        p_den += sum(_sizes(pred)) - len(pred)
     return RatioCounts(num, p_den, num, r_den)
 
 
@@ -101,7 +85,7 @@ def muc_counts(gold_docs: Sequence[Document], pred_docs: Sequence[Document]) -> 
     sum of n_ij - 1 over its nonzero overlaps, so both sides share one
     numerator.  Denominators are the sums of |C| - 1.
     """
-    return _muc(_tables(gold_docs, pred_docs))
+    return _muc([contingency(*pair) for pair in pair_by_doc_id(gold_docs, pred_docs)])
 
 
 def muc(gold_docs: Sequence[Document], pred_docs: Sequence[Document]) -> MetricTriple:
@@ -113,11 +97,12 @@ def _sum_by_size(squares: Counter[int]) -> Fraction:
     return sum((Fraction(total, size) for size, total in squares.items()), Fraction(0))
 
 
-def _b_cubed(tables: Sequence[_Table]) -> RatioCounts:
+def _b_cubed(tables: Sequence[Contingency]) -> RatioCounts:
     p_squares: Counter[int] = Counter()
     r_squares: Counter[int] = Counter()
     p_den = r_den = 0
-    for cells, gold_sizes, pred_sizes in tables:
+    for gold, pred, cells, _ in tables:
+        gold_sizes, pred_sizes = _sizes(gold), _sizes(pred)
         for (i, j), n in cells.items():
             r_squares[gold_sizes[i]] += n * n
             p_squares[pred_sizes[j]] += n * n
@@ -136,7 +121,7 @@ def b_cubed_counts(gold_docs: Sequence[Document], pred_docs: Sequence[Document])
     divided once per distinct size, exactly.  Denominators are mention
     counts.
     """
-    return _b_cubed(_tables(gold_docs, pred_docs))
+    return _b_cubed([contingency(*pair) for pair in pair_by_doc_id(gold_docs, pred_docs)])
 
 
 def b_cubed(gold_docs: Sequence[Document], pred_docs: Sequence[Document]) -> MetricTriple:
@@ -281,30 +266,13 @@ def _alignment_total(
     return total
 
 
-def best_alignment_total(gold_sets: Sequence[set[Span]], pred_sets: Sequence[set[Span]]) -> Fraction:
-    """Maximum total phi4 over one-to-one alignments of clusters given as
-    span sets, exactly.
-
-    The sets become the clusters of one document, so their overlaps come
-    from model.contingency as in ceaf_counts.  Like clusters, the sets must
-    be non-empty, and a span may not repeat across the sets of one side.
-    """
-    def clusters(span_sets):
-        return tuple(Cluster(tuple(Mention(span) for span in spans)) for spans in span_sets)
-
-    doc = Document("span sets", (), clusters(gold_sets), clusters(pred_sets))
-    return _alignment_total(
-        contingency(doc, doc), [len(s) for s in gold_sets], [len(s) for s in pred_sets]
-    )
-
-
-def _ceaf(tables: Sequence[_Table]) -> RatioCounts:
+def _ceaf(tables: Sequence[Contingency]) -> RatioCounts:
     total = Fraction(0)
     n_gold = n_pred = 0
-    for cells, gold_sizes, pred_sizes in tables:
-        total += _alignment_total(cells, gold_sizes, pred_sizes)
-        n_gold += len(gold_sizes)
-        n_pred += len(pred_sizes)
+    for gold, pred, cells, _ in tables:
+        total += _alignment_total(cells, _sizes(gold), _sizes(pred))
+        n_gold += len(gold)
+        n_pred += len(pred)
     return RatioCounts(total, n_pred, total, n_gold)
 
 
@@ -312,9 +280,9 @@ def ceaf_counts(gold_docs: Sequence[Document], pred_docs: Sequence[Document]) ->
     """CEAF-phi4 counts from the cluster-overlap tables.
 
     Both numerators are the corpus total of each document's best
-    alignment (best_alignment_total); denominators are cluster counts.
+    alignment (_alignment_total); denominators are cluster counts.
     """
-    return _ceaf(_tables(gold_docs, pred_docs))
+    return _ceaf([contingency(*pair) for pair in pair_by_doc_id(gold_docs, pred_docs)])
 
 
 def ceaf_phi4(gold_docs: Sequence[Document], pred_docs: Sequence[Document]) -> MetricTriple:
@@ -325,7 +293,7 @@ def ceaf_phi4(gold_docs: Sequence[Document], pred_docs: Sequence[Document]) -> M
 def conll(gold_docs: Sequence[Document], pred_docs: Sequence[Document]) -> ClassicReport:
     """All three metrics from one overlap table per document pair;
     conll_f1 is the mean of their F1s."""
-    tables = _tables(gold_docs, pred_docs)
+    tables = [contingency(*pair) for pair in pair_by_doc_id(gold_docs, pred_docs)]
     return ClassicReport(
         muc=_triple(*_muc(tables)),
         b_cubed=_triple(*_b_cubed(tables)),
@@ -333,15 +301,14 @@ def conll(gold_docs: Sequence[Document], pred_docs: Sequence[Document]) -> Class
     )
 
 
-def drop_singleton_clusters(
-    docs: Sequence[Document], sides: Sequence[str] = ("gold", "predicted")
-) -> list[Document]:
-    """Remove size-1 clusters, reproducing OntoNotes-style scoring inputs."""
-    out = []
-    for doc in docs:
-        for side in sides:
-            doc = doc.with_clusters(
-                side, [c for c in doc.clusters(side) if len(c.mentions) > 1]
-            )
-        out.append(doc)
-    return out
+def drop_singleton_clusters(docs: Sequence[Document]) -> list[Document]:
+    """Remove size-1 clusters from both sides, reproducing OntoNotes-style
+    scoring inputs."""
+    return [
+        replace(
+            doc,
+            gold_clusters=[c for c in doc.gold_clusters if len(c.mentions) > 1],
+            predicted_clusters=[c for c in doc.predicted_clusters if len(c.mentions) > 1],
+        )
+        for doc in docs
+    ]

@@ -332,7 +332,7 @@ def _check_typed_block(where: str, block) -> None:
 def _load_report(path: str) -> tuple[dict, str]:
     """An eval report and its corpus name, with every field that compare
     and diagnose read checked, so a malformed file is an input error."""
-    with open(path, encoding="utf-8") as handle:
+    with _reading(path), open(path, encoding="utf-8") as handle:
         report = json.load(handle)
     if not isinstance(report, dict):
         raise CliError(EXIT_INPUT, f"{path}: expected a JSON object")
@@ -347,7 +347,7 @@ def _load_report(path: str) -> tuple[dict, str]:
 
 
 def _load_distribution(path: str) -> dict:
-    with open(path, encoding="utf-8") as handle:
+    with _reading(path), open(path, encoding="utf-8") as handle:
         dist = json.load(handle)
     if not isinstance(dist, dict):
         raise CliError(EXIT_INPUT, f"{path}: expected a JSON object")

@@ -201,10 +201,12 @@ def _clusters_from_record(
 def _sentence_boundaries(raw) -> tuple[int, ...] | None:
     if raw is None:
         return None
-    try:
-        return tuple(int(b) for b in _list(raw, "sentence_boundaries", "token indices"))
-    except (TypeError, ValueError) as exc:
-        raise CorpusFormatError(f"sentence_boundaries: {exc}") from exc
+    boundaries = _list(raw, "sentence_boundaries", "token indices")
+    if not all(type(b) is int for b in boundaries):
+        raise CorpusFormatError(
+            f"sentence_boundaries: token indices must be integers, got {boundaries!r}"
+        )
+    return tuple(boundaries)
 
 
 def _semantic_spans(raw_cner, inventory: CategoryInventory) -> tuple[SemanticSpan, ...]:

@@ -13,7 +13,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Union
+from typing import IO, Union
 
 from .model import normalize_label
 
@@ -147,7 +147,3 @@ DEFAULT_CATEGORIES: tuple[Category, ...] = (
 
 _DEFAULT = CategoryInventory(DEFAULT_CATEGORIES)
 
-
-def iter_descriptions(inventory: CategoryInventory) -> Iterable[tuple[str, str]]:
-    for cat in inventory.categories:
-        yield cat.label, cat.description

@@ -213,14 +213,22 @@ def pair_by_doc_id(
     return [(d, pred_by_id[d.doc_id]) for d in gold]
 
 
-def _cluster_index(doc_id: str, side: str, clusters: Sequence[Cluster]) -> dict[Span, int]:
-    """Map each mention span of one side to the index of its cluster.
+def _cluster_index(
+    doc_id: str, side: str, clusters: Sequence[Cluster]
+) -> dict[Span, tuple[int, str | None]]:
+    """Map each mention span of one side to its cluster's index and the
+    mention's label.
 
-    Raises ValueError naming the document, the side and the span when a
-    span belongs to two clusters, which validate_document reports and the
+    This is the only place a metric indexes mention spans.  Raises
+    ValueError naming the document, the side and the span when a span
+    belongs to two clusters, which validate_document reports and the
     metrics cannot score.
     """
-    index = {m.span: i for i, cluster in enumerate(clusters) for m in cluster.mentions}
+    index = {
+        m.span: (i, m.assigned_label)
+        for i, cluster in enumerate(clusters)
+        for m in cluster.mentions
+    }
     if len(index) != sum(len(cluster.mentions) for cluster in clusters):
         seen: dict[Span, int] = {}
         for i, cluster in enumerate(clusters):
@@ -234,18 +242,38 @@ def _cluster_index(doc_id: str, side: str, clusters: Sequence[Cluster]) -> dict[
     return index
 
 
-def contingency(gold_doc: Document, pred_doc: Document) -> Counter[tuple[int, int]]:
-    """Sparse overlap counts between gold and predicted clusters.
+class Contingency(NamedTuple):
+    """One document pair joined on mention spans, which every metric reads.
 
-    Maps (i, j) to n_ij = |G_i ∩ P_j|, the number of mention spans shared
-    by gold cluster i of gold_doc and predicted cluster j of pred_doc;
-    only nonzero cells are present.  Cluster sizes come from the clusters
-    themselves, so a cluster's unmatched mentions are its size minus its
-    row (or column) sum.  Raises ValueError when a span repeats across
-    the clusters of either side.
+    gold and pred are the clusters of each side.  cells maps (i, j) to
+    n_ij = |G_i ∩ P_j|, the number of mention spans shared by gold
+    cluster i and predicted cluster j; only nonzero cells are present, so
+    a cluster's unmatched mentions are its size minus its row (or column)
+    sum.  agreed maps each label to the number of shared spans whose gold
+    and predicted mentions both carry it, None counting the shared spans
+    unlabeled on both sides.
     """
-    gold_index = _cluster_index(gold_doc.doc_id, "gold", gold_doc.gold_clusters)
-    pred_index = _cluster_index(pred_doc.doc_id, "predicted", pred_doc.predicted_clusters)
-    return Counter(
-        (gold_index[span], j) for span, j in pred_index.items() if span in gold_index
+
+    gold: tuple[Cluster, ...]
+    pred: tuple[Cluster, ...]
+    cells: Counter[tuple[int, int]]
+    agreed: Counter[str | None]
+
+
+def contingency(gold_doc: Document, pred_doc: Document) -> Contingency:
+    """The overlap table of gold_doc's gold clusters and pred_doc's
+    predicted clusters.
+
+    Raises ValueError when a span repeats across the clusters of either
+    side.
+    """
+    gold, pred = gold_doc.gold_clusters, pred_doc.predicted_clusters
+    gold_index = _cluster_index(gold_doc.doc_id, "gold", gold)
+    pred_index = _cluster_index(pred_doc.doc_id, "predicted", pred)
+    shared = [(gold_index[span], p) for span, p in pred_index.items() if span in gold_index]
+    return Contingency(
+        gold,
+        pred,
+        Counter((i, j) for (i, _), (j, _) in shared),
+        Counter(g for (_, g), (_, p) in shared if g == p),
     )

@@ -9,9 +9,10 @@ predicted class and a false negative for the gold class.  Unlabeled
 mentions and links are excluded from the per-class counts and tallied in
 a side channel instead.
 
-Link counts come from each document's sparse gold-cluster × predicted-
-cluster overlap counts (model.contingency) and the cluster sizes; no pair
-is built.
+Both modes read each document's gold-cluster × predicted-cluster overlap
+table (model.contingency): mention true positives are its shared spans
+that agree on a label, link true positives come from its cells, and the
+other counts are item counts per side.  No pair is built.
 """
 
 from __future__ import annotations
@@ -117,61 +118,34 @@ def links_of(cluster: Cluster) -> list[tuple[SpanPair, str | None]]:
     return [((a, b), cluster.cluster_label) for a, b in combinations(spans, 2)]
 
 
-class _Counts:
-    __slots__ = ("tp", "fp", "fn")
-
-    def __init__(self) -> None:
-        self.tp = self.fp = self.fn = 0
-
-
-def _count_matches(
-    gold_items: Mapping, pred_items: Mapping, counts: dict[str, _Counts]
-) -> tuple[int, int]:
-    """Class-matched counting of labeled items keyed by identity.
-
-    Returns (unlabeled_gold, unlabeled_pred) side-channel tallies.
-    """
-    unlabeled_gold = unlabeled_pred = 0
-    for item, label in pred_items.items():
-        if label is None:
-            unlabeled_pred += 1
-        elif gold_items.get(item) == label:
-            counts.setdefault(label, _Counts()).tp += 1
-        else:
-            counts.setdefault(label, _Counts()).fp += 1
-    for item, label in gold_items.items():
-        if label is None:
-            unlabeled_gold += 1
-        elif pred_items.get(item) != label:
-            counts.setdefault(label, _Counts()).fn += 1
-    return unlabeled_gold, unlabeled_pred
-
-
 def _report(
     mode: str,
-    scores: dict[str, ClassScore],
-    unlabeled_gold: int,
-    unlabeled_pred: int,
+    tp: Counter[str | None],
+    gold_items: Counter[str | None],
+    pred_items: Counter[str | None],
     link_mention_source: str | None = None,
     containment_violations: int | None = None,
 ) -> TypedScoreReport:
-    ordered = dict(sorted(scores.items(), key=lambda item: (-item[1].support, item[0])))
+    """Scores from each class's true positives and item counts per side.
+
+    Every predicted item of a class that is not a true positive is a
+    false positive, and every such gold item a false negative; the items
+    counted under None are the unlabeled tallies.
+    """
+    scores = [
+        ClassScore(label, tp[label], pred_items[label] - tp[label], gold_items[label] - tp[label])
+        for label in gold_items.keys() | pred_items.keys()
+        if label is not None
+    ]
+    scores.sort(key=lambda score: (-score.support, score.label))
     return TypedScoreReport(
         mode=mode,
-        per_class=ordered,
-        unlabeled_gold=unlabeled_gold,
-        unlabeled_predicted=unlabeled_pred,
+        per_class={score.label: score for score in scores},
+        unlabeled_gold=gold_items[None],
+        unlabeled_predicted=pred_items[None],
         link_mention_source=link_mention_source,
         containment_violations=containment_violations,
     )
-
-
-def _mention_labels(clusters: Sequence[Cluster]) -> dict[tuple[int, int], str | None]:
-    return {
-        (m.span.start, m.span.end): m.assigned_label
-        for cluster in clusters
-        for m in cluster.mentions
-    }
 
 
 def typed_mention_scores(
@@ -180,20 +154,18 @@ def typed_mention_scores(
     """Exact-span mention detection per class.
 
     A predicted mention labeled t is a true positive when a gold mention
-    with the same span carries label t as well.
+    with the same span carries label t as well; the overlap table counts
+    those spans per label.
     """
-    counts: dict[str, _Counts] = {}
-    unlabeled_gold = unlabeled_pred = 0
+    tp: Counter[str | None] = Counter()
+    gold_mentions: Counter[str | None] = Counter()
+    pred_mentions: Counter[str | None] = Counter()
     for gold_doc, pred_doc in pair_by_doc_id(gold_docs, pred_docs):
-        ug, up = _count_matches(
-            _mention_labels(gold_doc.gold_clusters),
-            _mention_labels(pred_doc.predicted_clusters),
-            counts,
-        )
-        unlabeled_gold += ug
-        unlabeled_pred += up
-    scores = {label: ClassScore(label, c.tp, c.fp, c.fn) for label, c in counts.items()}
-    return _report(MODE_MENTION, scores, unlabeled_gold, unlabeled_pred)
+        table = contingency(gold_doc, pred_doc)
+        tp.update(table.agreed)
+        gold_mentions.update(m.assigned_label for c in table.gold for m in c.mentions)
+        pred_mentions.update(m.assigned_label for c in table.pred for m in c.mentions)
+    return _report(MODE_MENTION, tp, gold_mentions, pred_mentions)
 
 
 def _tally_links(clusters: Sequence[Cluster], links: Counter) -> None:
@@ -229,29 +201,20 @@ def typed_link_scores(
     pred_links: Counter[str | None] = Counter()
     violations = 0
     for gold_doc, pred_doc in pair_by_doc_id(gold_docs, pred_docs):
-        gold, pred = gold_doc.gold_clusters, pred_doc.predicted_clusters
-        table = contingency(gold_doc, pred_doc)
-        for (i, j), n in table.items():
+        gold, pred, cells, _ = contingency(gold_doc, pred_doc)
+        for (i, j), n in cells.items():
             label = gold[i].cluster_label
             if n > 1 and label is not None and label == pred[j].cluster_label:
                 tp[label] += n * (n - 1) // 2
         _tally_links(gold, gold_links)
         _tally_links(pred, pred_links)
         if link_mention_source == "gold":
-            violations += sum(len(c.mentions) for c in pred) - sum(table.values())
-    unlabeled_gold = gold_links.pop(None, 0)
-    unlabeled_pred = pred_links.pop(None, 0)
-    scores = {
-        label: ClassScore(
-            label, tp[label], pred_links[label] - tp[label], gold_links[label] - tp[label]
-        )
-        for label in gold_links.keys() | pred_links.keys()
-    }
+            violations += sum(len(c.mentions) for c in pred) - sum(cells.values())
     return _report(
         MODE_LINK,
-        scores,
-        unlabeled_gold,
-        unlabeled_pred,
+        tp,
+        gold_links,
+        pred_links,
         link_mention_source=link_mention_source,
         containment_violations=violations if link_mention_source == "gold" else None,
     )

@@ -13,10 +13,9 @@ from pathlib import Path
 import pytest
 
 import oracles
-from conftest import COMPOSITE_RECORD, NEWS_RECORD
+from conftest import COMPOSITE_RECORD, NEWS_RECORD, best_alignment_total
 from coref_semscore.classic_metrics import (
     b_cubed,
-    best_alignment_total,
     ceaf_phi4,
     conll,
     muc,

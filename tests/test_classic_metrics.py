@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import best_alignment_total
 from coref_semscore.classic_metrics import (
     Matrix,
     b_cubed,
-    best_alignment_total,
     ceaf_phi4,
     conll,
     drop_singleton_clusters,

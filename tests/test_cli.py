@@ -208,7 +208,8 @@ class TestEvalCommand:
         assert "[0, 9)" in capsys.readouterr().err
 
     @pytest.mark.parametrize("field, value, message", [
-        ("sentence_boundaries", ["x"], "line 1: sentence_boundaries: invalid literal for int()"),
+        ("sentence_boundaries", ["x"],
+         "line 1: sentence_boundaries: token indices must be integers, got ['x']"),
         ("sentence_boundaries", 3, "line 1: sentence_boundaries: expected a list"),
         ("tokens", 1.5, "line 1: tokens: expected a list of token strings, got float"),
         ("tokens", None, "line 1: tokens: expected a list"),
@@ -220,6 +221,10 @@ class TestEvalCommand:
          "line 1: mention_labels[gold][0]: expected a list as long as gold_clusters[0]"),
         ("mention_labels", {"gold": [[None, 4]]}, "line 1: gold_clusters[0][1]: label must be"),
         ("mention_overlaps", {"gold": [[[1.0], None]]}, "line 1: gold_clusters[0][0]: float()"),
+        ("sentence_boundaries", [1.5, True],
+         "line 1: sentence_boundaries: token indices must be integers, got [1.5, True]"),
+        ("sentence_boundaries", [0, True],
+         "line 1: sentence_boundaries: token indices must be integers, got [0, True]"),
     ])
     def test_malformed_record_field_exits_2(self, tmp_path, capsys, field, value, message):
         record = {"doc_id": "d0", "tokens": ["a", "b"], "gold_clusters": [[[0, 1], [1, 2]]],
@@ -509,6 +514,23 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert f"error: {bad}: " in err
         assert message in err
+
+    @pytest.mark.parametrize("content, message", [
+        (b"{oops", "Expecting property name"),
+        (b"\xff\xfe\x00", "'utf-8' codec can't decode"),
+    ])
+    @pytest.mark.parametrize("loader", ["eval-report", "distribution-report"])
+    def test_unreadable_report_names_its_file(self, tmp_path, capsys, loader, content, message):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        if loader == "eval-report":
+            argv = ["compare", "-a", str(bad), "-b", str(bad)]
+        else:
+            report = tmp_path / "report.json"
+            report.write_text("{}", encoding="utf-8")
+            argv = ["diagnose", "--eval-report", str(report), "--distribution-report", str(bad)]
+        assert main(argv) == 2
+        assert f"error: {bad}: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("inventory, message", [
         ([{"description": "no label"}], "inventory entry 0: expected an object"),

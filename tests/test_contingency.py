@@ -1,10 +1,10 @@
 """The cluster-overlap table and the metrics derived from it.
 
-Typed link, MUC, B-cubed and CEAF counts are derived from model.contingency;
-these tests check them against the brute-force oracles on corpora with
-clusters far larger than the acceptance suite's, check that pooling the
-counts of a split corpus gives the counts of the whole, and pin down what
-a span repeated across clusters does.
+Typed mention, typed link, MUC, B-cubed and CEAF counts are derived from
+model.contingency; these tests check them against the brute-force oracles
+on corpora with clusters far larger than the acceptance suite's, check
+that pooling the counts of a split corpus gives the counts of the whole,
+and pin down what a span repeated across clusters does.
 """
 
 import random
@@ -80,18 +80,18 @@ class TestContingency:
     def test_sparse_overlap_counts(self):
         doc = _doc([[(0, 1), (2, 3), (4, 5)], [(6, 7)]],
                    [[(0, 1), (2, 3)], [(4, 5), (6, 7), (8, 9)]])
-        assert contingency(doc, doc) == {(0, 0): 2, (0, 1): 1, (1, 1): 1}
+        assert contingency(doc, doc).cells == {(0, 0): 2, (0, 1): 1, (1, 1): 1}
 
     def test_twinless_mentions_leave_no_cell(self):
         doc = _doc([[(0, 1)]], [[(2, 3)]])
-        assert contingency(doc, doc) == {}
+        assert contingency(doc, doc).cells == {}
 
     def test_cells_sum_to_shared_spans(self):
         records = random_corpus(random.Random(5), 20, **BIG_CLUSTERS)
         for record, doc in zip(records, to_documents(records)):
             gold = {tuple(s) for c in record["gold_clusters"] for s in c}
             pred = {tuple(s) for c in record["predicted_clusters"] for s in c}
-            table = contingency(doc, doc)
+            table = contingency(doc, doc).cells
             assert sum(table.values()) == len(gold & pred)
             assert all(n > 0 for n in table.values())
 
@@ -110,7 +110,8 @@ class TestRepeatedSpan:
         (GOLD_REPEAT, "gold", "[2, 3)"),
         (PRED_REPEAT, "predicted", "[4, 5)"),
     ])
-    @pytest.mark.parametrize("metric", [typed_link_scores, muc, b_cubed, ceaf_phi4, conll])
+    @pytest.mark.parametrize("metric", [typed_mention_scores, typed_link_scores, muc, b_cubed,
+                                        ceaf_phi4, conll])
     def test_metrics_raise_naming_doc_side_and_span(self, metric, spec, side, span):
         doc = _doc(*spec, doc_id="api7")
         with pytest.raises(ValueError) as excinfo:
