@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import replace
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping, Sequence, Union
@@ -82,11 +83,37 @@ def _open_write(dest: Source):
     return open(dest, "w", encoding="utf-8"), True
 
 
+_SOURCES = {source.value: source for source in LabelSource}
+_MENTION_BLOCKS = ("mention_labels", "mention_label_sources", "mention_overlaps")
+_LABEL_BLOCKS = ("cluster_labels", *_MENTION_BLOCKS)
+# Span's own tuple constructor: builds a Span from a pair the caller has
+# already checked against the rule Span.__new__ enforces.
+_new_span = tuple.__new__
+
+
+class _Labels(dict):
+    """Raw label string -> canonical label, for one read.
+
+    inventory.resolve runs once per distinct raw string, on first sight.  A
+    label it rejects is not stored, so it raises again wherever it recurs.
+    """
+
+    __slots__ = ("_resolve",)
+
+    def __init__(self, inventory: CategoryInventory) -> None:
+        self._resolve = inventory.resolve
+
+    def __missing__(self, raw: str) -> str:
+        label = self[raw] = self._resolve(raw)
+        return label
+
+
 def _span(pair, where: str, *index: int) -> Span:
     """The Span of a [start, end] pair of JSON integers.
 
-    This runs once per mention and semantic span, so the field name in an
-    error, where.format(*index), is built only when the pair is rejected.
+    The readers check pairs inline and call this only for a pair they
+    reject, to word the error, so the field name, where.format(*index), is
+    built only then.
     """
     if isinstance(pair, (list, tuple)) and len(pair) == 2:
         start, end = pair
@@ -108,94 +135,91 @@ def _list(value, where: str, what: str) -> list:
     return value
 
 
-def _label(raw, inventory: CategoryInventory) -> str:
+def _label(raw, labels: _Labels) -> str | None:
+    if raw is None:
+        return None
     if not isinstance(raw, str):
         raise TypeError(f"label must be a string or null, got {raw!r}")
-    return inventory.resolve(raw)
+    return labels[raw]
 
 
-def _nested(record: dict, key: str, side: str, default=None):
+def _nested(record: dict, key: str, side: str):
     block = record.get(key)
     if block is None:
-        return default
+        return None
     if not isinstance(block, dict):
         raise CorpusFormatError(f"{key}: expected an object keyed by cluster side")
-    return block.get(side, default)
+    return block.get(side)
 
 
 def _clusters_from_record(
-    record: dict, side: str, inventory: CategoryInventory
-) -> tuple[Cluster, ...]:
+    record: dict, side: str, n: int, labels: _Labels
+) -> tuple[tuple[Cluster, ...], bool]:
+    """One side's clusters, and whether validate_document must word a
+    violation: a span that ends past the n tokens, or one in two clusters.
+    """
     key = f"{side}_clusters"
     raw = record.get(key)
     if raw is None:
-        return ()
+        return (), False
     _list(raw, key, "clusters")
-    cluster_labels = _nested(record, "cluster_labels", side)
-    mention_labels = _nested(record, "mention_labels", side)
-    sources = _nested(record, "mention_label_sources", side)
-    overlaps = _nested(record, "mention_overlaps", side)
-    for name, parallel in (
-        ("cluster_labels", cluster_labels),
-        ("mention_labels", mention_labels),
-        ("mention_label_sources", sources),
-        ("mention_overlaps", overlaps),
-    ):
+    blocks = [_nested(record, name, side) for name in _LABEL_BLOCKS]
+    for name, parallel in zip(_LABEL_BLOCKS, blocks):
         if parallel is not None and (not isinstance(parallel, list) or len(parallel) != len(raw)):
             raise CorpusFormatError(f"{name}[{side}]: expected a list as long as {key}")
-    per_mention_blocks = (
-        ("mention_labels", mention_labels),
-        ("mention_label_sources", sources),
-        ("mention_overlaps", overlaps),
-    )
-    has_labels = any(block is not None for _, block in per_mention_blocks)
+    cluster_labels, *per_mention = blocks
+    has_labels = any(block is not None for block in per_mention)
     where = key + "[{}][{}]"
     clusters = []
+    side_spans: set[Span] = set()
+    mention_count = 0
+    violated = False
     for ci, raw_cluster in enumerate(raw):
         if not isinstance(raw_cluster, list):
             raise CorpusFormatError(f"{key}[{ci}]: expected a list of [start, end] pairs, "
                                     f"got {type(raw_cluster).__name__}")
-        if not has_labels:
-            mentions = [Mention(_span(pair, where, ci, mi)) for mi, pair in enumerate(raw_cluster)]
-        else:
-            for name, per_mention in per_mention_blocks:
-                if per_mention is not None and (
-                    not isinstance(per_mention[ci], list)
-                    or len(per_mention[ci]) != len(raw_cluster)
-                ):
+        if has_labels:
+            rows = []
+            for name, block, default in zip(_MENTION_BLOCKS, per_mention, (None, "none", None)):
+                row = [default] * len(raw_cluster) if block is None else block[ci]
+                if not isinstance(row, list) or len(row) != len(raw_cluster):
                     raise CorpusFormatError(
                         f"{name}[{side}][{ci}]: expected a list as long as {key}[{ci}]"
                     )
-            mentions = []
-            for mi, pair in enumerate(raw_cluster):
+                rows.append(row)
+            label_row, source_row, overlap_row = rows
+        spans, mentions = [], []
+        for mi, pair in enumerate(raw_cluster):
+            start, end = pair if type(pair) is list and len(pair) == 2 else (None, None)
+            if type(start) is int and type(end) is int and 0 <= start < end <= n:
+                span = _new_span(Span, (start, end))
+            else:
+                # _span words a rejected pair; one it accepts ends past the
+                # last token, which validate_document words.
                 span = _span(pair, where, ci, mi)
-                label = mention_labels[ci][mi] if mention_labels is not None else None
-                source = sources[ci][mi] if sources is not None else "none"
-                overlap = overlaps[ci][mi] if overlaps is not None else None
+                violated = True
+            spans.append(span)
+            if has_labels:
+                source, overlap = source_row[mi], overlap_row[mi]
                 try:
-                    mentions.append(
-                        Mention(
-                            span=span,
-                            assigned_label=(
-                                _label(label, inventory) if label is not None else None
-                            ),
-                            label_source=LabelSource(source),
-                            assignment_overlap=float(overlap) if overlap is not None else None,
-                        )
-                    )
+                    mentions.append(Mention(
+                        span,
+                        _label(label_row[mi], labels),
+                        (type(source) is str and _SOURCES.get(source)) or LabelSource(source),
+                        None if overlap is None else float(overlap),
+                    ))
                 except (TypeError, ValueError) as exc:
                     raise CorpusFormatError(f"{where.format(ci, mi)}: {exc}") from exc
-        label = cluster_labels[ci] if cluster_labels is not None else None
         try:
-            clusters.append(
-                Cluster(
-                    mentions=tuple(mentions),
-                    cluster_label=_label(label, inventory) if label is not None else None,
-                )
-            )
+            clusters.append(Cluster(
+                mentions if has_labels else map(Mention, spans),
+                None if cluster_labels is None else _label(cluster_labels[ci], labels),
+            ))
         except (TypeError, ValueError) as exc:
             raise CorpusFormatError(f"{key}[{ci}]: {exc}") from exc
-    return tuple(clusters)
+        side_spans.update(spans)
+        mention_count += len(spans)
+    return tuple(clusters), violated or len(side_spans) != mention_count
 
 
 def _sentence_boundaries(raw) -> tuple[int, ...] | None:
@@ -209,44 +233,84 @@ def _sentence_boundaries(raw) -> tuple[int, ...] | None:
     return tuple(boundaries)
 
 
-def _semantic_spans(raw_cner, inventory: CategoryInventory) -> tuple[SemanticSpan, ...]:
+def _semantic_spans(
+    raw_cner, labels: _Labels, n: int
+) -> tuple[tuple[SemanticSpan, ...], bool]:
+    """The semantic spans of a cner list, and whether one ends past the n
+    tokens."""
     if not isinstance(raw_cner, list):
         raise CorpusFormatError("cner: expected a list of [start, end, label] triples")
     semantic_spans = []
+    violated = False
     for si, triple in enumerate(raw_cner):
         if not isinstance(triple, (list, tuple)) or len(triple) != 3:
             raise CorpusFormatError(f"cner[{si}]: expected a [start, end, label] triple")
-        span = _span(triple[:2], "cner[{}]", si)
-        label = triple[2]
+        start, end, label = triple
+        if type(start) is int and type(end) is int and 0 <= start < end <= n:
+            span = _new_span(Span, (start, end))
+        else:
+            span = _span(triple[:2], "cner[{}]", si)
+            violated = True
         if not isinstance(label, str):
             raise CorpusFormatError(f"cner[{si}]: label must be a string, got {label!r}")
         try:
-            label = inventory.resolve(label)
+            semantic_spans.append(SemanticSpan(span, labels[label]))
         except ValueError as exc:
             raise CorpusFormatError(f"cner[{si}]: {exc}") from exc
-        semantic_spans.append(SemanticSpan(span, label))
-    return tuple(semantic_spans)
+    return tuple(semantic_spans), violated
 
 
 def document_from_record(record: dict, inventory: CategoryInventory) -> Document:
     """Build and validate a Document from a parsed JSONL record."""
+    return _document(record, _Labels(inventory))
+
+
+def _document(record, labels: _Labels) -> Document:
+    """document_from_record in one checked pass over the record.
+
+    The build raises each field's error as it meets it.  The checks of
+    validate_document (span ranges, a span in two clusters of a side, an
+    empty doc_id) are folded into the same pass as one flag, and
+    validate_document runs only on a flagged document, to word its first
+    violation.  The order of sentence_boundaries is checked last.
+    """
     if not isinstance(record, dict):
         raise CorpusFormatError("expected a JSON object")
     for required in ("doc_id", "tokens"):
         if required not in record:
             raise CorpusFormatError(f"missing required field {required!r}")
+    doc_id = str(record["doc_id"])
+    raw_tokens = _list(record["tokens"], "tokens", "token strings")
+    try:
+        "".join(raw_tokens)  # in C, a TypeError unless every token is a string
+        tokens = tuple(raw_tokens)
+    except TypeError:
+        tokens = tuple(map(str, raw_tokens))
+    n = len(tokens)
+    gold, gold_violated = _clusters_from_record(record, "gold", n, labels)
+    predicted, predicted_violated = _clusters_from_record(record, "predicted", n, labels)
+    semantic_spans, spans_violated = _semantic_spans(record.get("cner", []), labels, n)
     doc = Document(
-        doc_id=str(record["doc_id"]),
-        tokens=tuple(map(str, _list(record["tokens"], "tokens", "token strings"))),
-        gold_clusters=_clusters_from_record(record, "gold", inventory),
-        predicted_clusters=_clusters_from_record(record, "predicted", inventory),
-        semantic_spans=_semantic_spans(record.get("cner", []), inventory),
+        doc_id=doc_id,
+        tokens=tokens,
+        gold_clusters=gold,
+        predicted_clusters=predicted,
+        semantic_spans=semantic_spans,
         sentence_boundaries=_sentence_boundaries(record.get("sentence_boundaries")),
         extras={k: v for k, v in record.items() if k not in _MODEL_FIELDS},
     )
-    violations = validate_document(doc)
-    if violations:
-        raise CorpusFormatError(f"doc {doc.doc_id!r}: {violations[0]}")
+    if not doc_id or gold_violated or predicted_violated or spans_violated:
+        violations = validate_document(doc)
+        if violations:
+            raise CorpusFormatError(f"doc {doc.doc_id!r}: {violations[0]}")
+    boundaries = doc.sentence_boundaries
+    if boundaries and (
+        boundaries[0] < 0 or boundaries[-1] >= n or boundaries != tuple(sorted(set(boundaries)))
+    ):
+        raise CorpusFormatError(
+            f"sentence_boundaries: token indices must be strictly increasing "
+            f"and in [0, {n}), got {list(boundaries)!r}"
+        )
     return doc
 
 
@@ -275,12 +339,12 @@ def read_jsonl_corpus(
     Fails with a line-numbered CorpusFormatError on malformed JSON, span or
     label problems, and duplicate doc_ids.
     """
-    inventory = inventory or CategoryInventory.default()
+    labels = _Labels(inventory or CategoryInventory.default())
     docs: list[Document] = []
     seen_ids: set[str] = set()
     for lineno, record in _jsonl_records(source):
         try:
-            doc = document_from_record(record, inventory)
+            doc = _document(record, labels)
         except CorpusFormatError as exc:
             raise CorpusFormatError(f"line {lineno}: {exc}") from exc
         if doc.doc_id in seen_ids:
@@ -299,7 +363,7 @@ def read_cner_jsonl(
     bounds are checked against the target documents by
     attach_semantic_spans, not here.
     """
-    inventory = inventory or CategoryInventory.default()
+    labels = _Labels(inventory or CategoryInventory.default())
     spans_by_id: dict[str, tuple[SemanticSpan, ...]] = {}
     for lineno, record in _jsonl_records(source):
         try:
@@ -308,7 +372,7 @@ def read_cner_jsonl(
             for required in ("doc_id", "cner"):
                 if required not in record:
                     raise CorpusFormatError(f"missing required field {required!r}")
-            spans = _semantic_spans(record["cner"], inventory)
+            spans, _ = _semantic_spans(record["cner"], labels, sys.maxsize)
         except CorpusFormatError as exc:
             raise CorpusFormatError(f"line {lineno}: {exc}") from exc
         doc_id = str(record["doc_id"])
@@ -518,9 +582,14 @@ def attach_semantic_spans(
     out = []
     for doc in docs:
         if doc.doc_id in spans_by_id:
-            doc = replace(doc, semantic_spans=tuple(spans_by_id[doc.doc_id]))
-            violations = validate_document(doc)
-            if violations:
-                raise CorpusFormatError(f"doc {doc.doc_id!r}: {violations[0]}")
+            spans = tuple(spans_by_id[doc.doc_id])
+            n = len(doc.tokens)
+            for si, sem in enumerate(spans):
+                if sem.span.end > n:
+                    raise CorpusFormatError(
+                        f"doc {doc.doc_id!r}: semantic_spans[{si}]: span "
+                        f"[{sem.span.start}, {sem.span.end}) out of range ({n} tokens)"
+                    )
+            doc = replace(doc, semantic_spans=spans)
         out.append(doc)
     return out

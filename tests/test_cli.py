@@ -225,6 +225,12 @@ class TestEvalCommand:
          "line 1: sentence_boundaries: token indices must be integers, got [1.5, True]"),
         ("sentence_boundaries", [0, True],
          "line 1: sentence_boundaries: token indices must be integers, got [0, True]"),
+        ("sentence_boundaries", [5, -1], "line 1: sentence_boundaries: token indices must be "
+         "strictly increasing and in [0, 2), got [5, -1]"),
+        ("sentence_boundaries", [0, 0], "line 1: sentence_boundaries: token indices must be "
+         "strictly increasing and in [0, 2), got [0, 0]"),
+        ("sentence_boundaries", [2], "line 1: sentence_boundaries: token indices must be "
+         "strictly increasing and in [0, 2), got [2]"),
     ])
     def test_malformed_record_field_exits_2(self, tmp_path, capsys, field, value, message):
         record = {"doc_id": "d0", "tokens": ["a", "b"], "gold_clusters": [[[0, 1], [1, 2]]],

@@ -3,6 +3,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coref_semscore.ingest import (
     CorpusFormatError,
@@ -13,8 +15,18 @@ from coref_semscore.ingest import (
     read_jsonl_corpus,
     write_labeled_jsonl,
 )
+from coref_semscore.inventory import CategoryInventory
 from coref_semscore.labeling import LabelingConfig, label_documents
-from corpusgen import random_corpus, to_documents
+from coref_semscore.model import (
+    Cluster,
+    Document,
+    LabelSource,
+    Mention,
+    SemanticSpan,
+    Span,
+    validate_document,
+)
+from corpusgen import random_corpus, random_record, to_documents
 
 
 def _read(lines, inventory=None):
@@ -97,6 +109,108 @@ class TestJsonlReader:
         records = [{"doc_id": f"d{i}", "tokens": ["a"]} for i in range(5)]
         docs = _read([json.dumps(r) for r in records])
         assert [d.doc_id for d in docs] == [f"d{i}" for i in range(5)]
+
+
+def _reference_document(record: dict, inventory: CategoryInventory) -> Document:
+    """A record's Document built field by field through the model's checked
+    constructors, with no reader involved."""
+
+    def clusters(side):
+        raw = record.get(f"{side}_clusters", [])
+
+        def block(key, default):
+            rows = (record.get(key) or {}).get(side)
+            return rows if rows is not None else [[default] * len(c) for c in raw]
+
+        cluster_labels = (record.get("cluster_labels") or {}).get(side) or [None] * len(raw)
+        return tuple(
+            Cluster(
+                tuple(
+                    Mention(
+                        Span(*pair),
+                        None if label is None else inventory.resolve(label),
+                        LabelSource(source),
+                        None if score is None else float(score),
+                    )
+                    for pair, label, source, score in zip(cluster, labels, sources, scores)
+                ),
+                None if cluster_label is None else inventory.resolve(cluster_label),
+            )
+            for cluster, cluster_label, labels, sources, scores in zip(
+                raw, cluster_labels, block("mention_labels", None),
+                block("mention_label_sources", "none"), block("mention_overlaps", None),
+            )
+        )
+
+    return Document(
+        doc_id=str(record["doc_id"]),
+        tokens=tuple(str(t) for t in record["tokens"]),
+        gold_clusters=clusters("gold"),
+        predicted_clusters=clusters("predicted"),
+        semantic_spans=tuple(
+            SemanticSpan(Span(s, e), inventory.resolve(label)) for s, e, label in record["cner"]
+        ),
+    )
+
+
+@st.composite
+def corpus_records(draw):
+    """A corpusgen record, raw or labeled and written, with at most one of:
+    a span repeated in another cluster of its side, or a span that ends past
+    the last token."""
+    record = random_record(random.Random(draw(st.integers(0, 2**32 - 1))), "h0",
+                           n_tokens=(4, 40), max_clusters=4, max_total_mentions=10)
+    if draw(st.booleans()):
+        docs = label_documents(to_documents([record]), LabelingConfig())
+        buffer = io.StringIO()
+        write_labeled_jsonl(docs, buffer)
+        record = json.loads(buffer.getvalue())
+    side = draw(st.sampled_from(["gold", "predicted"]))
+    clusters = record[f"{side}_clusters"]
+    fault = draw(st.sampled_from(["none", "repeat", "out_of_range"]))
+    if fault == "none" or not clusters:
+        return record
+    ci = draw(st.integers(0, len(clusters) - 1))
+    mi = draw(st.integers(0, len(clusters[ci]) - 1))
+    if fault == "out_of_range":
+        clusters[ci][mi] = [clusters[ci][mi][0], len(record["tokens"]) + draw(st.integers(1, 3))]
+    elif len(clusters) > 1:
+        cj = draw(st.integers(0, len(clusters) - 2))
+        cj += cj >= ci
+        for key in ("mention_labels", "mention_label_sources", "mention_overlaps"):
+            if key in record:
+                rows = record[key][side]
+                rows[cj].append(rows[ci][mi])
+        clusters[cj].append(clusters[ci][mi])
+    return record
+
+
+class TestSinglePassReader:
+    @settings(max_examples=200, deadline=None)
+    @given(corpus_records())
+    def test_reads_the_document_built_field_by_field(self, record):
+        inventory = CategoryInventory.default()
+        expected = _reference_document(record, inventory)
+        violations = validate_document(expected)
+        line = json.dumps(record)
+        if violations:
+            with pytest.raises(CorpusFormatError) as exc:
+                _read([line])
+            assert str(exc.value) == f"line 1: doc 'h0': {violations[0]}"
+        else:
+            assert _read([line]) == [expected]
+
+    def test_label_resolved_once_per_read(self, monkeypatch):
+        inventory = CategoryInventory.default()
+        calls = []
+        resolve = inventory.resolve
+        monkeypatch.setattr(CategoryInventory, "resolve",
+                            lambda self, raw: calls.append(raw) or resolve(raw))
+        records = [{"doc_id": f"d{i}", "tokens": ["a", "b"],
+                    "cner": [[0, 1, "PER"], [1, 2, "person"], [0, 2, "PER"]]} for i in range(3)]
+        docs = _read([json.dumps(r) for r in records], inventory)
+        assert sorted(calls) == ["PER", "person"]
+        assert {s.label for d in docs for s in d.semantic_spans} == {"PER"}
 
 
 class TestRoundTrip:

@@ -41,7 +41,8 @@ class TestSpan:
         assert len(indices) == span.end - span.start == len(span)
         assert all(span.start <= i < span.end for i in indices)
 
-    @pytest.mark.parametrize("start,end", [(3, 3), (5, 2), (-1, 4), (0, 1.5), ("0", 1), (None, 2)])
+    @pytest.mark.parametrize("start,end", [(3, 3), (5, 2), (-1, 4), (0, 1.5), ("0", 1), (None, 2),
+                                           (False, True), (0, True)])
     def test_rejects_degenerate_bounds(self, start, end):
         with pytest.raises(ValueError):
             Span(start, end)
