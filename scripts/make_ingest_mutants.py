@@ -103,7 +103,7 @@ def _is_pair(value) -> bool:
 def _replacements(base: dict, path: tuple, value) -> list:
     n = len(base["tokens"])
     if path[0] == "tokens" and len(path) > 1:
-        return [None, 7, ""]  # token entries are converted with str()
+        return [None, 7, ""]  # token entries must be strings
     out = _ANY + _TOP if len(path) == 1 else list(_ANY)
     if type(value) is int:
         out += [value - 1, value + 1, n, n + 1, float(value), str(value), value == 1]

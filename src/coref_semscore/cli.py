@@ -27,6 +27,7 @@ from .ingest import (
 )
 from .inventory import ENV_INVENTORY_VAR, CategoryInventory, UnknownLabelError
 from .labeling import (
+    DEFAULT_PRONOUNS,
     LabelingConfig,
     coverage,
     distribution,
@@ -85,7 +86,8 @@ def _inventory() -> CategoryInventory:
                                    f"{exc}") from exc
 
 
-def _add_io_args(parser: argparse.ArgumentParser, pred: bool = True) -> None:
+def _add_io_args(parser: argparse.ArgumentParser, pred: bool = True,
+                 out_required: bool = False) -> None:
     parser.add_argument("--gold", required=True, help="gold corpus file")
     if pred:
         parser.add_argument("--pred", help="predicted corpus file, keyed by doc_id")
@@ -93,7 +95,7 @@ def _add_io_args(parser: argparse.ArgumentParser, pred: bool = True) -> None:
     parser.add_argument(
         "--format", choices=("jsonl", "conll"), default="jsonl", help="gold/pred file format"
     )
-    parser.add_argument("--out", help="output directory")
+    parser.add_argument("--out", required=out_required, help="output directory")
 
 
 def _add_labeling_args(parser: argparse.ArgumentParser) -> None:
@@ -106,22 +108,21 @@ def _add_labeling_args(parser: argparse.ArgumentParser) -> None:
         "--force-cluster-label", action="store_true",
         help="overwrite direct mention labels that disagree with the cluster label"
     )
-    parser.add_argument("--pronouns", help="pronoun lexicon file, one token per line")
 
 
 def _labeling_config(args) -> LabelingConfig:
-    kwargs = {
-        "tau": args.tau,
-        "tau_inclusive": args.tau_inclusive,
-        "force_cluster_label": getattr(args, "force_cluster_label", False),
-    }
-    if args.pronouns:
-        with _reading(args.pronouns):
-            kwargs["pronoun_lexicon"] = load_pronoun_lexicon(args.pronouns)
     try:
-        return LabelingConfig(**kwargs)
+        return LabelingConfig(args.tau, args.tau_inclusive, args.force_cluster_label)
     except ValueError as exc:
         raise CliError(EXIT_INPUT, str(exc)) from exc
+
+
+def _pronouns(args) -> frozenset[str]:
+    """The --pronouns lexicon, read before the corpus, or the default one."""
+    if not args.pronouns:
+        return DEFAULT_PRONOUNS
+    with _reading(args.pronouns):
+        return load_pronoun_lexicon(args.pronouns)
 
 
 def _read_corpus(path: str, fmt: str, inventory: CategoryInventory, as_predictions: bool):
@@ -188,34 +189,37 @@ def _out_dir(args) -> Path | None:
     return path
 
 
-def _emit(out: Path | None, name: str, text: str) -> None:
+def _publish(args, stem: str, payload, text: str) -> Path | None:
+    """Write `payload` to <stem>.json and `text` to <stem>.txt under --out,
+    when it is given, and print `text`.  Returns the output directory."""
+    out = _out_dir(args)
     if out is not None:
-        (out / name).write_text(text, encoding="utf-8")
+        write_json(out / f"{stem}.json", payload)
+        (out / f"{stem}.txt").write_text(text, encoding="utf-8")
+    sys.stdout.write(text)
+    return out
 
 
-def _coverage_blocks(docs, cfg) -> dict:
-    blocks = {"gold": coverage(docs, cfg, "gold")}
+def _publish_coverage(args, docs, pronouns: frozenset[str]) -> None:
+    blocks = {"gold": coverage(docs, "gold", pronouns)}
     if any(doc.predicted_clusters for doc in docs):
-        blocks["predicted"] = coverage(docs, cfg, "predicted")
-    return blocks
+        blocks["predicted"] = coverage(docs, "predicted", pronouns)
+    _publish(args, "coverage", {side: coverage_report_dict(r) for side, r in blocks.items()},
+             render_coverage_table(blocks))
 
 
 def cmd_label(args) -> int:
+    if not args.out:
+        raise CliError(EXIT_INPUT, "label requires a non-empty --out")
     inventory = _inventory()
     cfg = _labeling_config(args)
+    pronouns = _pronouns(args)
     docs = _load_corpus(args, inventory)
     if not any(doc.semantic_spans for doc in docs) and docs:
         raise CliError(EXIT_MODE, "labeling requires semantic spans (--cner or a cner field)")
     labeled = label_documents(docs, cfg)
-    out = _out_dir(args)
-    if out is None:
-        raise CliError(EXIT_INPUT, "label requires --out")
-    write_labeled_jsonl(labeled, out / "labeled.jsonl")
-    blocks = _coverage_blocks(labeled, cfg)
-    write_json(out / "coverage.json", {side: coverage_report_dict(r) for side, r in blocks.items()})
-    table = render_coverage_table(blocks)
-    _emit(out, "coverage.txt", table)
-    sys.stdout.write(table)
+    write_labeled_jsonl(labeled, _out_dir(args) / "labeled.jsonl")
+    _publish_coverage(args, labeled, pronouns)
     return EXIT_OK
 
 
@@ -269,27 +273,16 @@ def cmd_eval(args) -> int:
         report["classic"] = classic_report_dict(classic)
         tables.append(render_classic_table(classic))
 
-    out = _out_dir(args)
-    if out is not None:
-        write_json(out / "eval_report.json", report)
-    text = "\n".join(tables)
-    _emit(out, "eval_report.txt", text)
-    sys.stdout.write(text)
+    _publish(args, "eval_report", report, "\n".join(tables))
     return EXIT_OK
 
 
 def cmd_coverage(args) -> int:
     inventory = _inventory()
     cfg = _labeling_config(args)
+    pronouns = _pronouns(args)
     docs = _ensure_labeled(_load_corpus(args, inventory), cfg)
-    blocks = _coverage_blocks(docs, cfg)
-    out = _out_dir(args)
-    if out is not None:
-        write_json(out / "coverage.json",
-                   {side: coverage_report_dict(r) for side, r in blocks.items()})
-    table = render_coverage_table(blocks)
-    _emit(out, "coverage.txt", table)
-    sys.stdout.write(table)
+    _publish_coverage(args, docs, pronouns)
     return EXIT_OK
 
 
@@ -298,12 +291,8 @@ def cmd_distribution(args) -> int:
     cfg = _labeling_config(args)
     docs = _ensure_labeled(_load_corpus(args, inventory), cfg, ("gold",))
     report = distribution(docs, inventory, side="gold")
-    out = _out_dir(args)
-    if out is not None:
-        write_json(out / "distribution.json", distribution_report_dict(report))
-    table = render_distribution_table(report)
-    _emit(out, "distribution.txt", table)
-    sys.stdout.write(table)
+    _publish(args, "distribution", distribution_report_dict(report),
+             render_distribution_table(report))
     return EXIT_OK
 
 
@@ -363,17 +352,13 @@ def cmd_compare(args) -> int:
     result = compare_eval_reports(
         reports_a, reports_b, corpora_a, corpora_b, pool_counts=args.pool_counts
     )
-    out = _out_dir(args)
+    out = _publish(args, "compare", result, render_compare_table(result))
     if out is not None:
-        write_json(out / "compare.json", result)
         for mode in ("mention", "link"):
             if result.get(mode) is not None:
                 (out / f"compare_{mode}.csv").write_text(
                     compare_csv(result, mode), encoding="utf-8"
                 )
-    table = render_compare_table(result)
-    _emit(out, "compare.txt", table)
-    sys.stdout.write(table)
     return EXIT_OK
 
 
@@ -384,12 +369,7 @@ def cmd_diagnose(args) -> int:
         eval_report, dist,
         w_mention=args.w_mention, w_link=args.w_link, rarity_cap=args.rarity_cap,
     )
-    out = _out_dir(args)
-    if out is not None:
-        write_json(out / "diagnose.json", result)
-    table = render_diagnose_table(result)
-    _emit(out, "diagnose.txt", table)
-    sys.stdout.write(table)
+    _publish(args, "diagnose", result, render_diagnose_table(result))
     return EXIT_OK
 
 
@@ -451,8 +431,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("label", help="label a corpus and report coverage")
-    _add_io_args(p)
+    _add_io_args(p, out_required=True)
     _add_labeling_args(p)
+    p.add_argument("--pronouns", help="pronoun lexicon for the coverage report, one per line")
     p.set_defaults(func=cmd_label)
 
     p = sub.add_parser("eval", help="typed and classic evaluation")
@@ -472,6 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("coverage", help="labeling coverage report")
     _add_io_args(p)
     _add_labeling_args(p)
+    p.add_argument("--pronouns", help="pronoun lexicon for the coverage report, one per line")
     p.set_defaults(func=cmd_coverage)
 
     p = sub.add_parser("distribution", help="label distribution over gold mentions")

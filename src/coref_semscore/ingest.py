@@ -21,7 +21,8 @@ back transparently):
     mention_labels          per-mention label or null (kept separately from
                             cluster_labels because a directly labeled mention
                             may disagree with its cluster's label)
-    mention_overlaps        per-mention assignment score, null unless direct
+    mention_overlaps        per-mention assignment score in [0, 1], null
+                            unless direct
 
 Unknown fields are preserved on round-trip.  A CoNLL-2012-style reader is
 provided for gold clusters only; there is no CoNLL writer.
@@ -135,6 +136,13 @@ def _list(value, where: str, what: str) -> list:
     return value
 
 
+def _doc_id(record: dict) -> str:
+    doc_id = record["doc_id"]
+    if not isinstance(doc_id, str):
+        raise CorpusFormatError(f"doc_id must be a string, got {doc_id!r}")
+    return doc_id
+
+
 def _label(raw, labels: _Labels) -> str | None:
     if raw is None:
         return None
@@ -208,6 +216,13 @@ def _clusters_from_record(
                         (type(source) is str and _SOURCES.get(source)) or LabelSource(source),
                         None if overlap is None else float(overlap),
                     ))
+                    # After float() and Mention have worded what they reject.
+                    if overlap is not None and (
+                        type(overlap) not in (int, float) or not 0.0 <= overlap <= 1.0
+                    ):
+                        raise ValueError(
+                            f"assignment overlap must be a number in [0, 1], got {overlap!r}"
+                        )
                 except (TypeError, ValueError) as exc:
                     raise CorpusFormatError(f"{where.format(ci, mi)}: {exc}") from exc
         try:
@@ -272,20 +287,16 @@ def _document(record, labels: _Labels) -> Document:
     validate_document (span ranges, a span in two clusters of a side, an
     empty doc_id) are folded into the same pass as one flag, and
     validate_document runs only on a flagged document, to word its first
-    violation.  The order of sentence_boundaries is checked last.
+    violation.  Token types and the order of sentence_boundaries are
+    checked last.
     """
     if not isinstance(record, dict):
         raise CorpusFormatError("expected a JSON object")
     for required in ("doc_id", "tokens"):
         if required not in record:
             raise CorpusFormatError(f"missing required field {required!r}")
-    doc_id = str(record["doc_id"])
-    raw_tokens = _list(record["tokens"], "tokens", "token strings")
-    try:
-        "".join(raw_tokens)  # in C, a TypeError unless every token is a string
-        tokens = tuple(raw_tokens)
-    except TypeError:
-        tokens = tuple(map(str, raw_tokens))
+    doc_id = _doc_id(record)
+    tokens = tuple(_list(record["tokens"], "tokens", "token strings"))
     n = len(tokens)
     gold, gold_violated = _clusters_from_record(record, "gold", n, labels)
     predicted, predicted_violated = _clusters_from_record(record, "predicted", n, labels)
@@ -303,6 +314,11 @@ def _document(record, labels: _Labels) -> Document:
         violations = validate_document(doc)
         if violations:
             raise CorpusFormatError(f"doc {doc.doc_id!r}: {violations[0]}")
+    try:
+        "".join(tokens)  # in C, a TypeError unless every token is a string
+    except TypeError:
+        ti, token = next((i, t) for i, t in enumerate(tokens) if not isinstance(t, str))
+        raise CorpusFormatError(f"tokens[{ti}]: token must be a string, got {token!r}") from None
     boundaries = doc.sentence_boundaries
     if boundaries and (
         boundaries[0] < 0 or boundaries[-1] >= n or boundaries != tuple(sorted(set(boundaries)))
@@ -372,10 +388,10 @@ def read_cner_jsonl(
             for required in ("doc_id", "cner"):
                 if required not in record:
                     raise CorpusFormatError(f"missing required field {required!r}")
+            doc_id = _doc_id(record)
             spans, _ = _semantic_spans(record["cner"], labels, sys.maxsize)
         except CorpusFormatError as exc:
             raise CorpusFormatError(f"line {lineno}: {exc}") from exc
-        doc_id = str(record["doc_id"])
         if doc_id in spans_by_id:
             raise CorpusFormatError(f"line {lineno}: duplicate doc_id {doc_id!r}")
         spans_by_id[doc_id] = spans

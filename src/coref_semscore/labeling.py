@@ -47,7 +47,6 @@ class LabelingConfig:
     tau: float = 0.5
     tau_inclusive: bool = False
     force_cluster_label: bool = False
-    pronoun_lexicon: frozenset[str] = DEFAULT_PRONOUNS
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.tau <= 1.0:
@@ -254,11 +253,13 @@ def _is_pronoun(doc: Document, mention: Mention, lexicon: frozenset[str]) -> boo
     return len(span) == 1 and doc.tokens[span.start].lower() in lexicon
 
 
-def coverage(docs: Iterable[Document], cfg: LabelingConfig, side: str) -> CoverageReport:
+def coverage(
+    docs: Iterable[Document], side: str, pronouns: frozenset[str] = DEFAULT_PRONOUNS
+) -> CoverageReport:
     """Fraction of mentions labeled directly vs. by propagation.
 
     The pronoun block restricts to single-token mentions whose lowercased
-    text is in the configured pronoun lexicon.
+    text is in `pronouns`.
     """
     total = direct = propagated = 0
     p_total = p_direct = p_propagated = 0
@@ -270,7 +271,7 @@ def coverage(docs: Iterable[Document], cfg: LabelingConfig, side: str) -> Covera
                 total += 1
                 direct += is_direct
                 propagated += is_prop
-                if _is_pronoun(doc, mention, cfg.pronoun_lexicon):
+                if _is_pronoun(doc, mention, pronouns):
                     p_total += 1
                     p_direct += is_direct
                     p_propagated += is_prop

@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 from .classic_metrics import ClassicReport, MetricTriple
 from .labeling import CoverageCounts, CoverageReport, DistributionReport
-from .typed_metrics import TypedScoreReport
+from .typed_metrics import ClassScore, TypedScoreReport, macro_f1
 
 
 class ReportModeError(ValueError):
@@ -201,22 +201,15 @@ def render_distribution_table(report: DistributionReport) -> str:
 # System comparison
 
 
-def _pooled_class_stats(mode_reports: Sequence[dict]) -> dict[str, dict]:
-    stats: dict[str, dict] = {}
+def _pooled_class_scores(mode_reports: Sequence[dict]) -> list[ClassScore]:
+    counts: dict[str, list] = {}
     for report in mode_reports:
         for label, row in report["per_class"].items():
-            agg = stats.setdefault(label, {"tp": 0, "fp": 0, "fn": 0})
-            agg["tp"] += row["tp"]
-            agg["fp"] += row["fp"]
-            agg["fn"] += row["fn"]
-    out = {}
-    for label, agg in stats.items():
-        denom = 2 * agg["tp"] + agg["fp"] + agg["fn"]
-        out[label] = {
-            "f1": 2 * agg["tp"] / denom if denom else 0.0,
-            "support": agg["tp"] + agg["fn"],
-        }
-    return out
+            agg = counts.setdefault(label, [0, 0, 0])
+            agg[0] += row["tp"]
+            agg[1] += row["fp"]
+            agg[2] += row["fn"]
+    return [ClassScore(label, *agg) for label, agg in counts.items()]
 
 
 def _averaged_class_stats(mode_reports: Sequence[dict]) -> dict[str, dict]:
@@ -234,9 +227,9 @@ def _averaged_class_stats(mode_reports: Sequence[dict]) -> dict[str, dict]:
 
 def _aggregate_mode(mode_reports: Sequence[dict], pool_counts: bool) -> tuple[dict, float]:
     if pool_counts:
-        stats = _pooled_class_stats(mode_reports)
-        macro_values = [row["f1"] for _, row in sorted(stats.items()) if row["support"] > 0]
-        macro = fsum(macro_values) / len(macro_values) if macro_values else 0.0
+        scores = _pooled_class_scores(mode_reports)
+        stats = {s.label: {"f1": s.f1, "support": s.support} for s in scores}
+        macro = macro_f1(scores)
     else:
         stats = _averaged_class_stats(mode_reports)
         macro = fsum(r["macro_f1"] for r in mode_reports) / len(mode_reports)

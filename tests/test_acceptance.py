@@ -206,7 +206,7 @@ def test_a7_coverage_properties():
     propagated = [propagate(doc, CFG, "gold") for doc in assigned]
 
     # exact bucket arithmetic
-    report = coverage(propagated, CFG, "gold")
+    report = coverage(propagated, "gold")
     counts = report.overall
     assert counts.direct + counts.propagated + counts.unlabeled == counts.total
     assert counts.any_pct == counts.direct_pct + counts.propagated_pct
@@ -217,7 +217,7 @@ def test_a7_coverage_properties():
     assert again == propagated
 
     # propagation only adds labels
-    before = coverage(assigned, CFG, "gold").overall
+    before = coverage(assigned, "gold").overall
     after = counts
     assert after.direct == before.direct
     assert after.direct + after.propagated >= before.direct + before.propagated
@@ -230,7 +230,7 @@ def test_a7_coverage_properties():
     )
     (labeled,) = label_documents([pronoun_doc], CFG, sides=("gold",))
     assert labeled.gold_clusters[0].cluster_label is None
-    solo = coverage([labeled], CFG, "gold").overall
+    solo = coverage([labeled], "gold").overall
     assert solo.direct == solo.propagated == 0
     assert solo.any_pct == 0.0
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import random
@@ -30,6 +31,67 @@ def corpus_path(tmp_path):
     rng = random.Random(99)
     records = random_corpus(rng, 12, ensure_links=True, ensure_direct=True)
     return write_jsonl(tmp_path / "corpus.jsonl", records)
+
+
+def _subparsers() -> dict:
+    (action,) = [a for a in cli.build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+_IO = {"--gold", "--pred", "--cner", "--format", "--out"}
+_LABELING = {"--tau", "--tau-inclusive", "--force-cluster-label"}
+
+
+class TestOptionSets:
+    """Every subcommand takes exactly the options it reads."""
+
+    def test_each_subcommand_has_exactly_its_options(self):
+        expected = {
+            "label": _IO | _LABELING | {"--pronouns"},
+            "eval": _IO | _LABELING | {"--typed-mention", "--typed-link", "--classic",
+                                       "--link-mention-source", "--drop-singletons"},
+            "coverage": _IO | _LABELING | {"--pronouns"},
+            "distribution": _IO | _LABELING,
+            "compare": {"-a", "--report-a", "-b", "--report-b", "--pool-counts", "--out"},
+            "diagnose": {"--eval-report", "--distribution-report", "--w-mention", "--w-link",
+                         "--rarity-cap", "--out"},
+            "validate-labels": _IO - {"--pred"} | _LABELING | {"--reference"},
+        }
+        got = {
+            name: {opt for action in sub._actions for opt in action.option_strings} - {"-h", "--help"}
+            for name, sub in _subparsers().items()
+        }
+        assert got == expected
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--classic"],
+        ["distribution"],
+        ["validate-labels", "--reference", "ref.json"],
+    ])
+    def test_commands_without_coverage_reject_pronouns(self, tmp_path, news_path, capsys, argv):
+        lexicon = tmp_path / "pronouns.txt"
+        lexicon.write_text("he\n", encoding="utf-8")
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--gold", news_path, "--pronouns", str(lexicon)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --pronouns" in capsys.readouterr().err
+
+    def test_label_without_out_exits_2_before_reading_gold(self, tmp_path, capsys):
+        missing = tmp_path / "no-such-corpus.jsonl"
+        with pytest.raises(SystemExit) as exc:
+            main(["label", "--gold", str(missing)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--out" in err
+        assert str(missing) not in err
+
+    def test_label_with_empty_out_exits_2_before_reading_gold(self, tmp_path, capsys):
+        missing = tmp_path / "no-such-corpus.jsonl"
+        assert main(["label", "--gold", str(missing), "--out", ""]) == 2
+        err = capsys.readouterr().err
+        assert "--out" in err
+        assert str(missing) not in err
 
 
 class TestLabelCommand:
@@ -490,11 +552,8 @@ class TestInputErrors:
         if flag == "--reference":
             return main(["validate-labels", "--gold", news_path, "--reference", str(bad)]), str(bad)
         cner = write_jsonl(tmp_path / "cner.jsonl", [{"doc_id": "news0", "cner": [[7, 9, "PER"]]}])
-        lexicon = tmp_path / "pronouns.txt"
-        lexicon.write_text("he\n", encoding="utf-8")
-        inputs = {"--gold": news_path, "--pred": news_path, "--cner": cner,
-                  "--pronouns": str(lexicon), flag: str(bad)}
-        argv = ["eval", "--typed-mention"]
+        inputs = {"--gold": news_path, "--pred": news_path, "--cner": cner, flag: str(bad)}
+        argv = ["coverage"] if flag == "--pronouns" else ["eval", "--typed-mention"]
         for name, path in inputs.items():
             argv += [name, path]
         return main(argv), str(bad)

@@ -1,6 +1,7 @@
 import io
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from coref_semscore.ingest import (
     document_from_record,
     document_to_record,
     merge_predictions,
+    read_cner_jsonl,
     read_conll2012,
     read_jsonl_corpus,
     write_labeled_jsonl,
@@ -87,6 +89,50 @@ class TestJsonlReader:
             _read([json.dumps(record)])
         assert "line 1: cner[1]: label must be a string" in str(exc.value)
         assert "unknown category label" not in str(exc.value)
+
+    @pytest.mark.parametrize("doc_id", [None, True, 2.5, 0, [], {}, [0, 1]])
+    def test_non_string_doc_id_rejected(self, doc_id):
+        record = {"doc_id": doc_id, "tokens": ["a"], "cner": [[0, 1, "PER"]]}
+        message = f"line 2: doc_id must be a string, got {doc_id!r}"
+        with pytest.raises(CorpusFormatError, match=re.escape(message)):
+            _read(["", json.dumps(record)])
+        with pytest.raises(CorpusFormatError, match=re.escape(message)):
+            read_cner_jsonl(io.StringIO("\n" + json.dumps(record)))
+
+    def test_empty_doc_id_keeps_its_wording(self):
+        with pytest.raises(CorpusFormatError, match="doc_id: must be non-empty"):
+            _read([json.dumps({"doc_id": "", "tokens": ["a"]})])
+
+    @pytest.mark.parametrize("token", [None, 7, 2.5, True, ["a"]])
+    def test_non_string_token_rejected(self, token):
+        record = {"doc_id": "d0", "tokens": ["a", token, "c"]}
+        with pytest.raises(CorpusFormatError,
+                           match=re.escape(f"line 1: tokens[1]: token must be a string, "
+                                           f"got {token!r}")):
+            _read([json.dumps(record)])
+
+    @staticmethod
+    def _one_direct_mention(score) -> str:
+        return json.dumps({
+            "doc_id": "d0", "tokens": ["a", "b"], "gold_clusters": [[[0, 1]]],
+            "cluster_labels": {"gold": ["PER"]}, "mention_labels": {"gold": [["PER"]]},
+            "mention_label_sources": {"gold": [["direct"]]},
+            "mention_overlaps": {"gold": [[score]]},
+        })
+
+    @pytest.mark.parametrize("score", [0, 1, 0.0, 0.5, 1.0])
+    def test_overlap_in_unit_interval_read_as_float(self, score):
+        (doc,) = _read([self._one_direct_mention(score)])
+        overlap = doc.gold_clusters[0].mentions[0].assignment_overlap
+        assert type(overlap) is float and overlap == score
+
+    @pytest.mark.parametrize("score", [True, False, 2.5, -1.0, 1.0000001, "0.5", float("nan"),
+                                       float("inf")])
+    def test_overlap_outside_unit_interval_rejected(self, score):
+        with pytest.raises(CorpusFormatError) as exc:
+            _read([self._one_direct_mention(score)])
+        assert str(exc.value) == ("line 1: gold_clusters[0][0]: assignment overlap must be a "
+                                  f"number in [0, 1], got {score!r}")
 
     def test_malformed_json_reports_line(self):
         with pytest.raises(CorpusFormatError) as exc:

@@ -327,14 +327,14 @@ class TestCoverage:
     def test_fully_covered_corpus(self):
         doc = _doc(["a", "b", "he"], [[(0, 1), (2, 3)], [(1, 2)]],
                    [(0, 1, "PER"), (1, 2, "LOC")])
-        report = coverage([_labeled_gold(doc)], CFG, "gold")
+        report = coverage([_labeled_gold(doc)], "gold")
         assert report.overall.any_pct == 100.0
         assert report.overall.direct == 2
         assert report.overall.propagated == 1
 
     def test_pronoun_only_cluster_contributes_nothing(self):
         doc = _doc(["he", "him"], [[(0, 1), (1, 2)]], [])
-        report = coverage([_labeled_gold(doc)], CFG, "gold")
+        report = coverage([_labeled_gold(doc)], "gold")
         assert report.overall.direct == 0
         assert report.overall.propagated == 0
         assert report.overall.any_pct == 0.0
@@ -343,21 +343,21 @@ class TestCoverage:
     def test_buckets_partition_mentions(self):
         rng = random.Random(17)
         docs = label_documents(to_documents(random_corpus(rng, 20)), CFG)
-        report = coverage(docs, CFG, "gold")
+        report = coverage(docs, "gold")
         counts = report.overall
         assert counts.direct + counts.propagated + counts.unlabeled == counts.total
         assert counts.any_pct == counts.direct_pct + counts.propagated_pct
 
     def test_pronoun_rows_restrict_to_lexicon(self):
         doc = _doc(["He", "met", "Ada"], [[(0, 1), (2, 3)]], [(2, 3, "PER")])
-        report = coverage([_labeled_gold(doc)], CFG, "gold")
+        report = coverage([_labeled_gold(doc)], "gold")
         assert report.overall.total == 2
         assert report.pronoun.total == 1
         assert report.pronoun.propagated == 1
         assert report.pronoun.direct == 0
 
     def test_empty_corpus(self):
-        report = coverage([], CFG, "gold")
+        report = coverage([], "gold")
         assert report.overall.total == 0
         assert report.overall.any_pct == 0.0
 
@@ -367,6 +367,15 @@ class TestCoverage:
         lexicon = load_pronoun_lexicon(path)
         assert lexicon == frozenset({"thingy"})
         assert "he" in DEFAULT_PRONOUNS
+
+    def test_custom_lexicon_replaces_default(self):
+        doc = _doc(["thingy", "Rome"], [[(0, 1), (1, 2)]], [(1, 2, "LOC")])
+        docs = [_labeled_gold(doc)]
+        report = coverage(docs, "gold", pronouns=frozenset({"thingy"}))
+        assert report.overall == coverage(docs, "gold").overall
+        assert report.pronoun.total == 1
+        assert report.pronoun.propagated == 1
+        assert coverage(docs, "gold").pronoun.total == 0
 
 
 class TestDistribution:
