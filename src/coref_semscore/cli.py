@@ -98,21 +98,22 @@ def _add_io_args(parser: argparse.ArgumentParser, pred: bool = True,
     parser.add_argument("--out", required=out_required, help="output directory")
 
 
-def _add_labeling_args(parser: argparse.ArgumentParser) -> None:
+def _add_labeling_args(parser: argparse.ArgumentParser, force: bool = True) -> None:
     parser.add_argument("--tau", type=float, default=0.5, help="overlap threshold (default 0.5)")
     parser.add_argument(
         "--tau-inclusive", action="store_true",
         help="accept assignments at exactly tau (default: strictly above)"
     )
-    parser.add_argument(
-        "--force-cluster-label", action="store_true",
-        help="overwrite direct mention labels that disagree with the cluster label"
-    )
+    if force:
+        parser.add_argument(
+            "--force-cluster-label", action="store_true",
+            help="overwrite direct mention labels that disagree with the cluster label"
+        )
 
 
-def _labeling_config(args) -> LabelingConfig:
+def _labeling_config(args, force_cluster_label: bool = False) -> LabelingConfig:
     try:
-        return LabelingConfig(args.tau, args.tau_inclusive, args.force_cluster_label)
+        return LabelingConfig(args.tau, args.tau_inclusive, force_cluster_label)
     except ValueError as exc:
         raise CliError(EXIT_INPUT, str(exc)) from exc
 
@@ -212,7 +213,7 @@ def cmd_label(args) -> int:
     if not args.out:
         raise CliError(EXIT_INPUT, "label requires a non-empty --out")
     inventory = _inventory()
-    cfg = _labeling_config(args)
+    cfg = _labeling_config(args, args.force_cluster_label)
     pronouns = _pronouns(args)
     docs = _load_corpus(args, inventory)
     if not any(doc.semantic_spans for doc in docs) and docs:
@@ -233,7 +234,7 @@ def cmd_eval(args) -> int:
         raise CliError(EXIT_INPUT, "eval requires at least one of --typed-mention, "
                                    "--typed-link, --classic")
     inventory = _inventory()
-    cfg = _labeling_config(args)
+    cfg = _labeling_config(args, args.force_cluster_label)
     docs = _load_corpus(args, inventory)
     if docs and not any(doc.predicted_clusters for doc in docs):
         raise CliError(EXIT_MODE, "evaluation requires predicted clusters "
@@ -288,7 +289,7 @@ def cmd_coverage(args) -> int:
 
 def cmd_distribution(args) -> int:
     inventory = _inventory()
-    cfg = _labeling_config(args)
+    cfg = _labeling_config(args, args.force_cluster_label)
     docs = _ensure_labeled(_load_corpus(args, inventory), cfg, ("gold",))
     report = distribution(docs, inventory, side="gold")
     _publish(args, "distribution", distribution_report_dict(report),
@@ -452,12 +453,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coverage", help="labeling coverage report")
     _add_io_args(p)
-    _add_labeling_args(p)
+    _add_labeling_args(p, force=False)
     p.add_argument("--pronouns", help="pronoun lexicon for the coverage report, one per line")
     p.set_defaults(func=cmd_coverage)
 
     p = sub.add_parser("distribution", help="label distribution over gold mentions")
-    _add_io_args(p)
+    _add_io_args(p, pred=False)
     _add_labeling_args(p)
     p.set_defaults(func=cmd_distribution)
 
@@ -482,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate-labels", help="score cluster labels against a reference")
     _add_io_args(p, pred=False)
-    _add_labeling_args(p)
+    _add_labeling_args(p, force=False)
     p.add_argument("--reference", required=True,
                    help="JSON file {doc_id: {cluster_index: label}}")
     p.set_defaults(func=cmd_validate_labels)

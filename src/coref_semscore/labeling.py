@@ -91,8 +91,8 @@ def _span_index(semantic_spans: Iterable[SemanticSpan]) -> _SpanIndex:
     return _SpanIndex(ordered, starts, longest)
 
 
-def _best_alignment(mention_span: Span, index: _SpanIndex) -> tuple[float, str] | None:
-    """Highest-Jaccard semantic span for a mention.
+def _best_alignment(mention_span: Span, index: _SpanIndex) -> tuple[str, float] | None:
+    """Label and Jaccard score of the best-overlapping semantic span.
 
     Only the spans that start in (mention.start - longest, mention.end)
     are scored: every span that overlaps the mention starts there, since
@@ -116,7 +116,32 @@ def _best_alignment(mention_span: Span, index: _SpanIndex) -> tuple[float, str] 
             best_score, best_key, best_label = score, key, sem.label
     if best_label is None:
         return None
-    return best_score, best_label
+    return best_label, best_score
+
+
+_UNSEEN = object()
+_NONE, _DIRECT, _PROPAGATED = LabelSource.NONE, LabelSource.DIRECT, LabelSource.PROPAGATED
+
+
+def _direct(
+    span: Span, cfg: LabelingConfig, index: _SpanIndex, memo: dict[Span, tuple[str, float] | None]
+) -> tuple[str, float] | None:
+    """The (label, overlap) a mention at `span` is directly assigned, or
+    None when its best overlap does not pass tau.
+
+    The result depends only on the span, the document's semantic spans
+    and cfg, so it is computed once per span and kept in `memo`, which
+    callers share across every mention of one document and one cfg.
+    """
+    aligned = memo.get(span, _UNSEEN)
+    if aligned is _UNSEEN:
+        aligned = _best_alignment(span, index)
+        if aligned is not None and not (
+            aligned[1] >= cfg.tau if cfg.tau_inclusive else aligned[1] > cfg.tau
+        ):
+            aligned = None
+        memo[span] = aligned
+    return aligned
 
 
 def assign_mentions(doc: Document, cfg: LabelingConfig, side: str) -> Document:
@@ -125,22 +150,19 @@ def assign_mentions(doc: Document, cfg: LabelingConfig, side: str) -> Document:
     Replaces any previous labels on the chosen side; mentions without a
     sufficiently overlapping semantic span are left unlabeled.
     """
-    index = _span_index(doc.semantic_spans)
+    index, memo = _span_index(doc.semantic_spans), {}
     new_clusters = []
     for cluster in doc.clusters(side):
         mentions = []
         for mention in cluster.mentions:
-            best = _best_alignment(mention.span, index)
-            passed = best is not None and (
-                best[0] >= cfg.tau if cfg.tau_inclusive else best[0] > cfg.tau
-            )
-            if passed:
+            direct = _direct(mention.span, cfg, index, memo)
+            if direct is not None:
                 mentions.append(
                     Mention(
                         span=mention.span,
-                        assigned_label=best[1],
+                        assigned_label=direct[0],
                         label_source=LabelSource.DIRECT,
-                        assignment_overlap=best[0],
+                        assignment_overlap=direct[1],
                     )
                 )
             elif mention.label_source is LabelSource.NONE:
@@ -151,16 +173,17 @@ def assign_mentions(doc: Document, cfg: LabelingConfig, side: str) -> Document:
     return doc.with_clusters(side, new_clusters)
 
 
-def _vote(direct: Sequence[Mention]) -> str:
-    """Majority label over directly labeled mentions; each mention votes once.
+def _vote(direct: Iterable[tuple[str, float]]) -> str:
+    """Majority label over (label, assignment overlap) pairs, one per
+    directly labeled mention.
 
     Frequency ties fall back to the highest mean assignment overlap among
     each tied label's supporting mentions, then to the lexicographically
     smallest label name.
     """
     overlaps_by_label: dict[str, list[float]] = defaultdict(list)
-    for mention in direct:
-        overlaps_by_label[mention.assigned_label].append(mention.assignment_overlap)
+    for label, score in direct:
+        overlaps_by_label[label].append(score)
     ranked = min(
         (-len(scores), -(fsum(scores) / len(scores)), label)
         for label, scores in overlaps_by_label.items()
@@ -178,7 +201,10 @@ def propagate(doc: Document, cfg: LabelingConfig, side: str) -> Document:
     """
     new_clusters = []
     for cluster in doc.clusters(side):
-        direct = [m for m in cluster.mentions if m.label_source is LabelSource.DIRECT]
+        direct = [
+            (m.assigned_label, m.assignment_overlap)
+            for m in cluster.mentions if m.label_source is LabelSource.DIRECT
+        ]
         if not direct:
             new_clusters.append(
                 cluster if cluster.cluster_label is None else replace(cluster, cluster_label=None)
@@ -200,11 +226,46 @@ def propagate(doc: Document, cfg: LabelingConfig, side: str) -> Document:
     return doc.with_clusters(side, new_clusters)
 
 
+def _label_side(
+    clusters: Sequence[Cluster],
+    cfg: LabelingConfig,
+    index: _SpanIndex,
+    memo: dict[Span, tuple[str, float] | None],
+) -> list[Cluster]:
+    """propagate(assign_mentions(...)) for one side's clusters, building
+    each labeled Mention and Cluster once."""
+    force = cfg.force_cluster_label
+    labeled = []
+    for cluster in clusters:
+        direct = [_direct(m.span, cfg, index, memo) for m in cluster.mentions]
+        votes = [pair for pair in direct if pair is not None]
+        label = _vote(votes) if votes else None
+        # A direct mention keeps its own label unless forced; the others
+        # take the cluster label, or stay unlabeled when there is none.
+        labeled.append(Cluster(tuple([
+            Mention(m.span, label if force else pair[0], _DIRECT, pair[1]) if pair is not None
+            else Mention(m.span, label, _PROPAGATED) if label is not None
+            else m if m.label_source is _NONE
+            else Mention(m.span)
+            for m, pair in zip(cluster.mentions, direct)
+        ]), label))
+    return labeled
+
+
 def label_document(doc: Document, cfg: LabelingConfig, sides: Sequence[str] = ("gold", "predicted")) -> Document:
-    for side in sides:
-        if doc.clusters(side):
-            doc = propagate(assign_mentions(doc, cfg, side), cfg, side)
-    return doc
+    """Assignment then propagation on each of `sides` that has clusters.
+
+    Equal to propagate(assign_mentions(doc, cfg, side), cfg, side) side by
+    side, done in one pass: the semantic spans are indexed once, and a
+    span that is a mention on both sides is aligned once.
+    """
+    index, memo = _span_index(doc.semantic_spans), {}
+    labeled = {
+        f"{side}_clusters": _label_side(clusters, cfg, index, memo)
+        for side in sides
+        if (clusters := doc.clusters(side))
+    }
+    return replace(doc, **labeled) if labeled else doc
 
 
 def label_documents(

@@ -51,12 +51,13 @@ class TestOptionSets:
             "label": _IO | _LABELING | {"--pronouns"},
             "eval": _IO | _LABELING | {"--typed-mention", "--typed-link", "--classic",
                                        "--link-mention-source", "--drop-singletons"},
-            "coverage": _IO | _LABELING | {"--pronouns"},
-            "distribution": _IO | _LABELING,
+            "coverage": _IO | _LABELING - {"--force-cluster-label"} | {"--pronouns"},
+            "distribution": _IO - {"--pred"} | _LABELING,
             "compare": {"-a", "--report-a", "-b", "--report-b", "--pool-counts", "--out"},
             "diagnose": {"--eval-report", "--distribution-report", "--w-mention", "--w-link",
                          "--rarity-cap", "--out"},
-            "validate-labels": _IO - {"--pred"} | _LABELING | {"--reference"},
+            "validate-labels": (_IO - {"--pred"} | _LABELING - {"--force-cluster-label"}
+                                | {"--reference"}),
         }
         got = {
             name: {opt for action in sub._actions for opt in action.option_strings} - {"-h", "--help"}
@@ -76,6 +77,18 @@ class TestOptionSets:
             main([*argv, "--gold", news_path, "--pronouns", str(lexicon)])
         assert exc.value.code == 2
         assert "unrecognized arguments: --pronouns" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, option", [
+        (["coverage", "--force-cluster-label"], "--force-cluster-label"),
+        (["validate-labels", "--reference", "ref.json", "--force-cluster-label"],
+         "--force-cluster-label"),
+        (["distribution", "--pred", "pred.jsonl"], "--pred"),
+    ])
+    def test_options_that_change_no_output_are_rejected(self, news_path, capsys, argv, option):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--gold", news_path])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {option}" in capsys.readouterr().err
 
     def test_label_without_out_exits_2_before_reading_gold(self, tmp_path, capsys):
         missing = tmp_path / "no-such-corpus.jsonl"
@@ -405,8 +418,11 @@ class TestEvalCommand:
         assert main(["eval", "--gold", bare, "--pred", pred_path, "--typed-mention"]) == 3
         err = capsys.readouterr().err
         assert "semantic spans" in err and "predicted" in err
-        # The gold-only label distribution does not need the predictions labeled.
-        assert main(["distribution", "--gold", bare, "--pred", pred_path]) == 0
+        # The gold-only label distribution neither reads nor labels predictions.
+        assert main(["distribution", "--gold", bare]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["distribution", "--gold", bare, "--pred", pred_path])
+        assert exc.value.code == 2
 
     def test_fully_labeled_corpus_is_not_labeled_again(self, tmp_path, corpus_path, monkeypatch):
         out_label = tmp_path / "labeled"

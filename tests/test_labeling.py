@@ -15,6 +15,7 @@ from coref_semscore.labeling import (
     coverage,
     distribution,
     label_agreement,
+    label_document,
     label_documents,
     load_pronoun_lexicon,
     overlap,
@@ -39,8 +40,27 @@ def _doc(tokens, clusters, cner, doc_id="d0"):
     )
 
 
+def _assign_then_propagate(doc, cfg, sides=("gold", "predicted")):
+    for side in sides:
+        doc = propagate(assign_mentions(doc, cfg, side), cfg, side)
+    return doc
+
+
 def _labeled_gold(doc, cfg=CFG):
-    return propagate(assign_mentions(doc, cfg, "gold"), cfg, "gold")
+    return _assign_then_propagate(doc, cfg, ("gold",))
+
+
+def _counting_overlap(monkeypatch):
+    """Count calls to labeling.overlap from here on; returns the counter."""
+    calls = [0]
+    real_overlap = labeling.overlap
+
+    def counted_overlap(a, b):
+        calls[0] += 1
+        return real_overlap(a, b)
+
+    monkeypatch.setattr(labeling, "overlap", counted_overlap)
+    return calls
 
 
 @st.composite
@@ -169,22 +189,14 @@ class TestAssignMentions:
         record = random_record(random.Random(7), "long", n_tokens=(4000, 5000),
                                max_clusters=60, max_total_mentions=600, cner_noise=400)
         doc = document_from_record(record, CategoryInventory.default())
-        calls = 0
-        real_overlap = labeling.overlap
-
-        def counted_overlap(a, b):
-            nonlocal calls
-            calls += 1
-            return real_overlap(a, b)
-
-        monkeypatch.setattr(labeling, "overlap", counted_overlap)
+        calls = _counting_overlap(monkeypatch)
         assign_mentions(doc, CFG, "gold")
         cner = record["cner"]
         longest = max(e - s for s, e, _ in cner)
         mentions = [span for cluster in record["gold_clusters"] for span in cluster]
         in_window = sum(ms - longest < cs < me for ms, me in mentions for cs, _, _ in cner)
-        assert calls == in_window
-        assert calls * 100 < len(mentions) * len(cner)
+        assert calls[0] == in_window
+        assert calls[0] * 100 < len(mentions) * len(cner)
 
     def test_raising_tau_never_adds_labels(self):
         rng = random.Random(5)
@@ -321,6 +333,58 @@ class TestPropagate:
                     for c in labeled.clusters(side)
                 ]
                 assert got_rows == mention_rows
+
+
+class TestLabelDocument:
+    @settings(deadline=None)
+    @given(
+        assignment_cases(),
+        st.sampled_from(["own", "copy", "mixed"]),
+        st.sampled_from([None, (0.0, False), (0.3, True), (0.7, False)]),
+        st.sampled_from([("gold", "predicted"), ("gold",), ("predicted",)]),
+    )
+    def test_equals_assign_then_propagate_side_by_side(self, case, predicted_from,
+                                                        labeled_at, sides):
+        n, gold, predicted, cner = case
+        if predicted_from == "copy":
+            predicted = gold
+        elif predicted_from == "mixed":
+            predicted = gold[:2] + predicted
+
+        def clusters(spans):
+            return tuple(Cluster(tuple(Mention(span=Span(s, e)) for s, e in c)) for c in spans)
+
+        doc = Document(
+            doc_id="h0",
+            tokens=tuple(f"w{i}" for i in range(n)),
+            gold_clusters=clusters(gold),
+            predicted_clusters=clusters(predicted),
+            semantic_spans=tuple(SemanticSpan(Span(s, e), label) for s, e, label in cner),
+        )
+        if labeled_at is not None:
+            tau, force = labeled_at
+            doc = _assign_then_propagate(doc, LabelingConfig(tau=tau, force_cluster_label=force))
+        for tau in (0.0, 0.3, 0.5, 1.0):
+            for inclusive in (False, True):
+                for force in (False, True):
+                    cfg = LabelingConfig(tau=tau, tau_inclusive=inclusive,
+                                         force_cluster_label=force)
+                    assert label_document(doc, cfg, sides) == _assign_then_propagate(
+                        doc, cfg, sides)
+
+    def test_span_on_both_sides_is_aligned_once(self, monkeypatch):
+        record = random_record(random.Random(13), "both", n_tokens=(400, 500),
+                               max_clusters=20, max_total_mentions=80, cner_noise=40)
+        doc = document_from_record(record, CategoryInventory.default())
+        copied = doc.with_clusters("predicted", doc.gold_clusters)
+        gold_only = doc.with_clusters("predicted", ())
+        calls = _counting_overlap(monkeypatch)
+        label_document(gold_only, CFG)
+        gold_calls, calls[0] = calls[0], 0
+        labeled = label_document(copied, CFG)
+        assert gold_calls > 0
+        assert calls[0] == gold_calls
+        assert labeled.predicted_clusters == labeled.gold_clusters
 
 
 class TestCoverage:
