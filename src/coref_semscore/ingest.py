@@ -65,8 +65,6 @@ _MODEL_FIELDS = (
     "mention_overlaps",
 )
 
-_SIDES = ("gold", "predicted")
-
 
 class CorpusFormatError(Exception):
     """A corpus file that cannot be parsed or fails validation."""
@@ -418,11 +416,9 @@ def document_to_record(doc: Document) -> dict:
         [[m.span.start, m.span.end] for m in c.mentions] for c in doc.predicted_clusters
     ]
     record["cner"] = [[s.span.start, s.span.end, s.label] for s in doc.semantic_spans]
-    blocks = {side: _labels_block(doc.clusters(side)) for side in _SIDES}
-    record["cluster_labels"] = {side: blocks[side][0] for side in _SIDES}
-    record["mention_labels"] = {side: blocks[side][1] for side in _SIDES}
-    record["mention_label_sources"] = {side: blocks[side][2] for side in _SIDES}
-    record["mention_overlaps"] = {side: blocks[side][3] for side in _SIDES}
+    blocks = {side: _labels_block(doc.clusters(side)) for side in model.SIDES}
+    for i, name in enumerate(_LABEL_BLOCKS):
+        record[name] = {side: blocks[side][i] for side in model.SIDES}
     for key in sorted(doc.extras):
         record[key] = doc.extras[key]
     return record

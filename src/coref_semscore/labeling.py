@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import IO, Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .inventory import CategoryInventory
-from .model import Cluster, Document, LabelSource, Mention, SemanticSpan, Span
+from .model import SIDES, Cluster, Document, LabelSource, Mention, SemanticSpan, Span
 
 # Closed-class English pronouns: personal, possessive, reflexive,
 # demonstrative.  Matched case-insensitively on single-token mentions.
@@ -144,6 +144,26 @@ def _direct(
     return aligned
 
 
+def _relabel(
+    cluster: Cluster, direct: Sequence[tuple[str, float] | None], label: str | None, force: bool
+) -> Cluster:
+    """The cluster rebuilt with `label` and its mentions' labels: the one
+    place a labeled Mention or Cluster is built.
+
+    `direct` holds the (label, overlap) each mention is directly assigned,
+    or None.  A direct mention keeps its own label, or takes `label` when
+    `force` is set (which needs a `label`); any other mention takes
+    `label` as propagated, or is left unlabeled when `label` is None.
+    """
+    return Cluster(tuple([
+        Mention(m.span, label if force else pair[0], _DIRECT, pair[1]) if pair is not None
+        else Mention(m.span, label, _PROPAGATED) if label is not None
+        else m if m.label_source is _NONE
+        else Mention(m.span)
+        for m, pair in zip(cluster.mentions, direct)
+    ]), label)
+
+
 def assign_mentions(doc: Document, cfg: LabelingConfig, side: str) -> Document:
     """Directly label mentions whose best span overlap beats the threshold.
 
@@ -151,78 +171,49 @@ def assign_mentions(doc: Document, cfg: LabelingConfig, side: str) -> Document:
     sufficiently overlapping semantic span are left unlabeled.
     """
     index, memo = _span_index(doc.semantic_spans), {}
-    new_clusters = []
-    for cluster in doc.clusters(side):
-        mentions = []
-        for mention in cluster.mentions:
-            direct = _direct(mention.span, cfg, index, memo)
-            if direct is not None:
-                mentions.append(
-                    Mention(
-                        span=mention.span,
-                        assigned_label=direct[0],
-                        label_source=LabelSource.DIRECT,
-                        assignment_overlap=direct[1],
-                    )
-                )
-            elif mention.label_source is LabelSource.NONE:
-                mentions.append(mention)
-            else:
-                mentions.append(Mention(span=mention.span))
-        new_clusters.append(Cluster(tuple(mentions)))
-    return doc.with_clusters(side, new_clusters)
+    return doc.with_clusters(side, [
+        _relabel(c, [_direct(m.span, cfg, index, memo) for m in c.mentions], None, False)
+        for c in doc.clusters(side)
+    ])
 
 
-def _vote(direct: Iterable[tuple[str, float]]) -> str:
+def _vote(direct: Iterable[tuple[str, float] | None]) -> str | None:
     """Majority label over (label, assignment overlap) pairs, one per
-    directly labeled mention.
+    directly labeled mention; None entries, for the other mentions, are
+    skipped, and with no pair at all there is no label.
 
     Frequency ties fall back to the highest mean assignment overlap among
     each tied label's supporting mentions, then to the lexicographically
     smallest label name.
     """
     overlaps_by_label: dict[str, list[float]] = defaultdict(list)
-    for label, score in direct:
-        overlaps_by_label[label].append(score)
+    for pair in direct:
+        if pair is not None:
+            overlaps_by_label[pair[0]].append(pair[1])
     ranked = min(
-        (-len(scores), -(fsum(scores) / len(scores)), label)
-        for label, scores in overlaps_by_label.items()
+        ((-len(scores), -(fsum(scores) / len(scores)), label)
+         for label, scores in overlaps_by_label.items()),
+        default=None,
     )
-    return ranked[2]
+    return None if ranked is None else ranked[2]
 
 
 def propagate(doc: Document, cfg: LabelingConfig, side: str) -> Document:
     """Vote a label per cluster and write it onto every member mention.
 
     Directly labeled mentions keep their own label and source even when it
-    disagrees with the cluster label (unless cfg.force_cluster_label);
-    clusters with no directly labeled mention stay unlabeled.  Applying
-    this twice changes nothing.
+    disagrees with the cluster label (unless cfg.force_cluster_label).  A
+    cluster with no directly labeled mention keeps no label: its cluster
+    label and every propagated mention label are cleared.  Applying this
+    twice changes nothing.
     """
     new_clusters = []
     for cluster in doc.clusters(side):
         direct = [
-            (m.assigned_label, m.assignment_overlap)
-            for m in cluster.mentions if m.label_source is LabelSource.DIRECT
+            (m.assigned_label, m.assignment_overlap) if m.label_source is _DIRECT else None
+            for m in cluster.mentions
         ]
-        if not direct:
-            new_clusters.append(
-                cluster if cluster.cluster_label is None else replace(cluster, cluster_label=None)
-            )
-            continue
-        label = _vote(direct)
-        mentions = []
-        for mention in cluster.mentions:
-            if mention.label_source is LabelSource.DIRECT:
-                if cfg.force_cluster_label and mention.assigned_label != label:
-                    mention = replace(mention, assigned_label=label)
-                mentions.append(mention)
-            else:
-                mentions.append(
-                    Mention(span=mention.span, assigned_label=label,
-                            label_source=LabelSource.PROPAGATED)
-                )
-        new_clusters.append(Cluster(tuple(mentions), cluster_label=label))
+        new_clusters.append(_relabel(cluster, direct, _vote(direct), cfg.force_cluster_label))
     return doc.with_clusters(side, new_clusters)
 
 
@@ -234,25 +225,14 @@ def _label_side(
 ) -> list[Cluster]:
     """propagate(assign_mentions(...)) for one side's clusters, building
     each labeled Mention and Cluster once."""
-    force = cfg.force_cluster_label
     labeled = []
     for cluster in clusters:
         direct = [_direct(m.span, cfg, index, memo) for m in cluster.mentions]
-        votes = [pair for pair in direct if pair is not None]
-        label = _vote(votes) if votes else None
-        # A direct mention keeps its own label unless forced; the others
-        # take the cluster label, or stay unlabeled when there is none.
-        labeled.append(Cluster(tuple([
-            Mention(m.span, label if force else pair[0], _DIRECT, pair[1]) if pair is not None
-            else Mention(m.span, label, _PROPAGATED) if label is not None
-            else m if m.label_source is _NONE
-            else Mention(m.span)
-            for m, pair in zip(cluster.mentions, direct)
-        ]), label))
+        labeled.append(_relabel(cluster, direct, _vote(direct), cfg.force_cluster_label))
     return labeled
 
 
-def label_document(doc: Document, cfg: LabelingConfig, sides: Sequence[str] = ("gold", "predicted")) -> Document:
+def label_document(doc: Document, cfg: LabelingConfig, sides: Sequence[str] = SIDES) -> Document:
     """Assignment then propagation on each of `sides` that has clusters.
 
     Equal to propagate(assign_mentions(doc, cfg, side), cfg, side) side by
@@ -271,7 +251,7 @@ def label_document(doc: Document, cfg: LabelingConfig, sides: Sequence[str] = ("
 def label_documents(
     docs: Iterable[Document],
     cfg: LabelingConfig | None = None,
-    sides: Sequence[str] = ("gold", "predicted"),
+    sides: Sequence[str] = SIDES,
 ) -> list[Document]:
     """Run assignment and propagation over a corpus, on both sides by default."""
     cfg = cfg or LabelingConfig()

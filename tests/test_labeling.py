@@ -304,6 +304,17 @@ class TestPropagate:
             twice = propagate(once, CFG, "gold")
             assert twice == once
 
+    def test_cluster_without_direct_mention_clears_propagated_labels(self):
+        stale = Cluster((
+            Mention(Span(0, 1), "PER", LabelSource.PROPAGATED),
+            Mention(Span(2, 3)),
+        ), cluster_label="PER")
+        doc = Document(doc_id="d0", tokens=("he", "saw", "him"), gold_clusters=(stale,))
+        cluster = propagate(doc, CFG, "gold").gold_clusters[0]
+        assert cluster.cluster_label is None
+        assert [(m.assigned_label, m.label_source) for m in cluster.mentions] == [
+            (None, LabelSource.NONE), (None, LabelSource.NONE)]
+
     def test_cluster_label_comes_from_a_direct_member(self):
         rng = random.Random(23)
         for record in random_corpus(rng, 15):
@@ -361,6 +372,7 @@ class TestLabelDocument:
             predicted_clusters=clusters(predicted),
             semantic_spans=tuple(SemanticSpan(Span(s, e), label) for s, e, label in cner),
         )
+        raw = doc
         if labeled_at is not None:
             tau, force = labeled_at
             doc = _assign_then_propagate(doc, LabelingConfig(tau=tau, force_cluster_label=force))
@@ -369,8 +381,15 @@ class TestLabelDocument:
                 for force in (False, True):
                     cfg = LabelingConfig(tau=tau, tau_inclusive=inclusive,
                                          force_cluster_label=force)
-                    assert label_document(doc, cfg, sides) == _assign_then_propagate(
-                        doc, cfg, sides)
+                    labeled = label_document(doc, cfg, sides)
+                    assert labeled == _assign_then_propagate(doc, cfg, sides)
+                    # Labels left by an earlier config leave no trace: the
+                    # result is that of labeling the unlabeled document.
+                    from_raw = label_document(raw, cfg, sides)
+                    for side in sides:
+                        assert labeled.clusters(side) == from_raw.clusters(side)
+                        assert (assign_mentions(doc, cfg, side).clusters(side)
+                                == assign_mentions(raw, cfg, side).clusters(side))
 
     def test_span_on_both_sides_is_aligned_once(self, monkeypatch):
         record = random_record(random.Random(13), "both", n_tokens=(400, 500),
