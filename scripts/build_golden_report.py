@@ -21,18 +21,17 @@ CORPUS_PATH = ROOT / "tests" / "data" / "mini_corpus.jsonl"
 OUT_PATH = ROOT / "tests" / "data" / "golden_eval_report.json"
 
 
-def main() -> int:
-    records = []
+def report_text() -> str:
+    """The golden report's text, computed from the corpus by the oracles."""
     with open(CORPUS_PATH, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
+        records = [json.loads(line) for line in handle if line.strip()]
     report = oracles.eval_report(records, gold_name=CORPUS_PATH.name)
-    OUT_PATH.write_text(
-        json.dumps(report, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
-    )
-    print(f"wrote golden report for {len(records)} documents -> {OUT_PATH}")
+    return json.dumps(report, indent=2, ensure_ascii=False) + "\n"
+
+
+def main() -> int:
+    OUT_PATH.write_text(report_text(), encoding="utf-8")
+    print(f"wrote golden report -> {OUT_PATH}")
     return 0
 
 

@@ -22,7 +22,8 @@ N_DOCS = 48
 OUT_PATH = ROOT / "tests" / "data" / "mini_corpus.jsonl"
 
 
-def main() -> int:
+def corpus_text() -> str:
+    """The fixture's text, one JSON record per line."""
     rng = random.Random(SEED)
     records = random_corpus(
         rng,
@@ -36,11 +37,14 @@ def main() -> int:
     classes = Counter(label for r in records for _, _, label in r["cner"])
     if len(classes) < 6:
         raise SystemExit(f"fixture needs >= 6 classes, got {sorted(classes)}")
+    return "".join(json.dumps(record, ensure_ascii=False) + "\n" for record in records)
+
+
+def main() -> int:
+    text = corpus_text()
     OUT_PATH.parent.mkdir(parents=True, exist_ok=True)
-    with open(OUT_PATH, "w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(json.dumps(record, ensure_ascii=False) + "\n")
-    print(f"wrote {len(records)} documents, {len(classes)} tagger classes -> {OUT_PATH}")
+    OUT_PATH.write_text(text, encoding="utf-8")
+    print(f"wrote {len(text.splitlines())} documents -> {OUT_PATH}")
     return 0
 
 

@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -291,7 +292,7 @@ def cmd_distribution(args) -> int:
     inventory = _inventory()
     cfg = _labeling_config(args, args.force_cluster_label)
     docs = _ensure_labeled(_load_corpus(args, inventory), cfg, ("gold",))
-    report = distribution(docs, inventory, side="gold")
+    report = distribution(docs, inventory)
     _publish(args, "distribution", distribution_report_dict(report),
              render_distribution_table(report))
     return EXIT_OK
@@ -329,11 +330,13 @@ def _load_report(path: str) -> tuple[dict, str]:
     config = report.get("config") or {}
     if not isinstance(config, dict):
         raise CliError(EXIT_INPUT, f"{path}: config must be a JSON object")
+    gold = config.get("gold")
+    if gold is not None and not isinstance(gold, str):
+        raise CliError(EXIT_INPUT, f"{path}: config.gold must be a string")
     for mode in ("typed_mention", "typed_link"):
         if report.get(mode) is not None:
             _check_typed_block(f"{path}: {mode}", report[mode])
-    corpus = config.get("gold") or os.path.basename(path)
-    return report, corpus
+    return report, gold or os.path.basename(path)
 
 
 def _load_distribution(path: str) -> dict:
@@ -347,9 +350,53 @@ def _load_distribution(path: str) -> dict:
     return dist
 
 
+_LABELING_FIELDS = ("tau", "tau_inclusive", "force_cluster_label", "link_mention_source")
+
+
+def _support(reports, mode: str) -> Counter:
+    total: Counter = Counter()
+    for report in reports:
+        for label, row in report[mode]["per_class"].items():
+            total[label] += row["support"]
+    return total
+
+
+def _check_comparable(paths_a, reports_a, paths_b, reports_b) -> None:
+    """Refuse two systems scored on different gold corpora or labeled with
+    different settings: their per-class deltas would not compare the systems.
+    """
+    def refuse(a, b, field, value_a, value_b):
+        raise CliError(EXIT_INPUT, f"cannot compare {a} with {b}: {field} differs "
+                                   f"({value_a!r} vs {value_b!r})")
+
+    def config(report) -> dict:
+        return report.get("config") or {}
+
+    side_a, side_b = ", ".join(paths_a), ", ".join(paths_b)
+    gold_a = [config(report).get("gold") for report in reports_a]
+    gold_b = [config(report).get("gold") for report in reports_b]
+    if Counter(gold_a) != Counter(gold_b):
+        refuse(side_a, side_b, "config.gold", gold_a, gold_b)
+    reports = [*reports_a, *reports_b]
+    first = config(reports_a[0])
+    for path, report in zip([*paths_a, *paths_b], reports):
+        settings = config(report)
+        for field in _LABELING_FIELDS:
+            if settings.get(field) != first.get(field):
+                refuse(paths_a[0], path, f"config.{field}", first.get(field), settings.get(field))
+    for mode in ("typed_mention", "typed_link"):
+        if all(report.get(mode) is not None for report in reports):
+            support_a, support_b = _support(reports_a, mode), _support(reports_b, mode)
+            for label in sorted(support_a.keys() | support_b.keys()):
+                if support_a[label] != support_b[label]:
+                    refuse(side_a, side_b, f"{mode} support of {label}",
+                           support_a[label], support_b[label])
+
+
 def cmd_compare(args) -> int:
     reports_a, corpora_a = zip(*(_load_report(p) for p in args.report_a))
     reports_b, corpora_b = zip(*(_load_report(p) for p in args.report_b))
+    _check_comparable(args.report_a, reports_a, args.report_b, reports_b)
     result = compare_eval_reports(
         reports_a, reports_b, corpora_a, corpora_b, pool_counts=args.pool_counts
     )

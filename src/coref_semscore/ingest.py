@@ -134,7 +134,14 @@ def _list(value, where: str, what: str) -> list:
     return value
 
 
-def _doc_id(record: dict) -> str:
+def _doc_id(record, field: str) -> str:
+    """The doc_id of a record, which must be a JSON object with a doc_id
+    and the field."""
+    if not isinstance(record, dict):
+        raise CorpusFormatError("expected a JSON object")
+    for required in ("doc_id", field):
+        if required not in record:
+            raise CorpusFormatError(f"missing required field {required!r}")
     doc_id = record["doc_id"]
     if not isinstance(doc_id, str):
         raise CorpusFormatError(f"doc_id must be a string, got {doc_id!r}")
@@ -273,6 +280,13 @@ def _semantic_spans(
     return tuple(semantic_spans), violated
 
 
+def _check(doc: Document) -> None:
+    """Raise the first violation validate_document finds, if any."""
+    violations = validate_document(doc)
+    if violations:
+        raise CorpusFormatError(f"doc {doc.doc_id!r}: {violations[0]}")
+
+
 def document_from_record(record: dict, inventory: CategoryInventory) -> Document:
     """Build and validate a Document from a parsed JSONL record."""
     return _document(record, _Labels(inventory))
@@ -288,12 +302,7 @@ def _document(record, labels: _Labels) -> Document:
     violation.  Token types and the order of sentence_boundaries are
     checked last.
     """
-    if not isinstance(record, dict):
-        raise CorpusFormatError("expected a JSON object")
-    for required in ("doc_id", "tokens"):
-        if required not in record:
-            raise CorpusFormatError(f"missing required field {required!r}")
-    doc_id = _doc_id(record)
+    doc_id = _doc_id(record, "tokens")
     tokens = tuple(_list(record["tokens"], "tokens", "token strings"))
     n = len(tokens)
     gold, gold_violated = _clusters_from_record(record, "gold", n, labels)
@@ -309,9 +318,7 @@ def _document(record, labels: _Labels) -> Document:
         extras={k: v for k, v in record.items() if k not in _MODEL_FIELDS},
     )
     if not doc_id or gold_violated or predicted_violated or spans_violated:
-        violations = validate_document(doc)
-        if violations:
-            raise CorpusFormatError(f"doc {doc.doc_id!r}: {violations[0]}")
+        _check(doc)
     try:
         "".join(tokens)  # in C, a TypeError unless every token is a string
     except TypeError:
@@ -345,6 +352,37 @@ def _jsonl_records(source: Source) -> Iterator[tuple[int, object]]:
             handle.close()
 
 
+def _by_doc_id(numbered: Iterable[tuple[int, object]], build) -> dict:
+    """{doc_id: value}, in file order, where build(record) gives the
+    (doc_id, value) of each (line number, record) pair.
+
+    A CorpusFormatError from build, and a doc_id seen before, are reported
+    with the record's line number.
+    """
+    by_id: dict = {}
+    for lineno, record in numbered:
+        try:
+            doc_id, value = build(record)
+        except CorpusFormatError as exc:
+            raise CorpusFormatError(f"line {lineno}: {exc}") from exc
+        if doc_id in by_id:
+            raise CorpusFormatError(f"line {lineno}: duplicate doc_id {doc_id!r}")
+        by_id[doc_id] = value
+    return by_id
+
+
+def _documents(
+    numbered: Iterable[tuple[int, object]], inventory: CategoryInventory | None
+) -> list[Document]:
+    labels = _Labels(inventory or CategoryInventory.default())
+
+    def build(record):
+        doc = _document(record, labels)
+        return doc.doc_id, doc
+
+    return list(_by_doc_id(numbered, build).values())
+
+
 def read_jsonl_corpus(
     source: Source, inventory: CategoryInventory | None = None
 ) -> list[Document]:
@@ -353,19 +391,7 @@ def read_jsonl_corpus(
     Fails with a line-numbered CorpusFormatError on malformed JSON, span or
     label problems, and duplicate doc_ids.
     """
-    labels = _Labels(inventory or CategoryInventory.default())
-    docs: list[Document] = []
-    seen_ids: set[str] = set()
-    for lineno, record in _jsonl_records(source):
-        try:
-            doc = _document(record, labels)
-        except CorpusFormatError as exc:
-            raise CorpusFormatError(f"line {lineno}: {exc}") from exc
-        if doc.doc_id in seen_ids:
-            raise CorpusFormatError(f"line {lineno}: duplicate doc_id {doc.doc_id!r}")
-        seen_ids.add(doc.doc_id)
-        docs.append(doc)
-    return docs
+    return _documents(_jsonl_records(source), inventory)
 
 
 def read_cner_jsonl(
@@ -378,22 +404,11 @@ def read_cner_jsonl(
     attach_semantic_spans, not here.
     """
     labels = _Labels(inventory or CategoryInventory.default())
-    spans_by_id: dict[str, tuple[SemanticSpan, ...]] = {}
-    for lineno, record in _jsonl_records(source):
-        try:
-            if not isinstance(record, dict):
-                raise CorpusFormatError("expected a JSON object")
-            for required in ("doc_id", "cner"):
-                if required not in record:
-                    raise CorpusFormatError(f"missing required field {required!r}")
-            doc_id = _doc_id(record)
-            spans, _ = _semantic_spans(record["cner"], labels, sys.maxsize)
-        except CorpusFormatError as exc:
-            raise CorpusFormatError(f"line {lineno}: {exc}") from exc
-        if doc_id in spans_by_id:
-            raise CorpusFormatError(f"line {lineno}: duplicate doc_id {doc_id!r}")
-        spans_by_id[doc_id] = spans
-    return spans_by_id
+
+    def build(record):
+        return _doc_id(record, "cner"), _semantic_spans(record["cner"], labels, sys.maxsize)[0]
+
+    return _by_doc_id(_jsonl_records(source), build)
 
 
 def _labels_block(clusters: Sequence[Cluster]):
@@ -443,58 +458,24 @@ _COREF_PART_RE = re.compile(r"(\()?(\d+)(\))?\Z")
 def read_conll2012(source: Source) -> list[Document]:
     """Read gold clusters from a CoNLL-2012-style column file.
 
+    Each document is built and checked as its JSONL record would be, and an
+    error names the line of its #end document.  Predicted clusters and
+    semantic spans are left empty.
+    """
+    return _documents(_conll_records(source), None)
+
+
+def _conll_records(source: Source) -> Iterator[tuple[int, dict]]:
+    """(line of "#end document", JSONL record) for each document.
+
     Word forms come from the fourth column and the coreference annotation
     from the last; sentence offsets accumulate into document-level token
-    indices.  Predicted clusters and semantic spans are left empty.
+    indices.  gold_clusters lists the clusters in cluster-id order, each
+    with its spans sorted.
     """
     handle, owned = _open_read(source)
-    docs: list[Document] = []
-    seen_ids: set[str] = set()
-
     doc_id: str | None = None
-    tokens: list[str] = []
-    boundaries: list[int] = []
-    in_sentence = False
-    open_stacks: dict[int, list[int]] = {}
-    cluster_spans: dict[int, list[Span]] = {}
-
-    def finish_document(lineno: int) -> None:
-        nonlocal doc_id, tokens, boundaries, in_sentence, open_stacks, cluster_spans
-        unclosed = sorted(cid for cid, stack in open_stacks.items() if stack)
-        if unclosed:
-            raise CorpusFormatError(
-                f"line {lineno}: unbalanced coreference parentheses in {doc_id!r} "
-                f"(unclosed cluster ids: {', '.join(map(str, unclosed))})"
-            )
-        clusters = []
-        for cid in sorted(cluster_spans):
-            spans = sorted(cluster_spans[cid], key=lambda s: (s.start, s.end))
-            try:
-                clusters.append(Cluster(tuple(Mention(span=s) for s in spans)))
-            except ValueError as exc:
-                raise CorpusFormatError(f"line {lineno}: cluster {cid} in {doc_id!r}: {exc}") from exc
-        doc = Document(
-            doc_id=doc_id or "",
-            tokens=tuple(tokens),
-            gold_clusters=tuple(clusters),
-            sentence_boundaries=tuple(boundaries) if boundaries else None,
-        )
-        violations = validate_document(doc)
-        if violations:
-            raise CorpusFormatError(f"line {lineno}: doc {doc.doc_id!r}: {violations[0]}")
-        if doc.doc_id in seen_ids:
-            raise CorpusFormatError(f"line {lineno}: duplicate doc_id {doc.doc_id!r}")
-        seen_ids.add(doc.doc_id)
-        docs.append(doc)
-        doc_id = None
-        tokens = []
-        boundaries = []
-        in_sentence = False
-        open_stacks = {}
-        cluster_spans = {}
-
     try:
-        lineno = 0
         for lineno, line in enumerate(handle, start=1):
             line = line.rstrip("\n")
             if line.startswith("#begin document"):
@@ -508,11 +489,27 @@ def read_conll2012(source: Source) -> list[Document]:
                 name = match.group("name")
                 part = match.group("part")
                 doc_id = f"{name}_part_{part}" if part is not None else name
+                tokens: list[str] = []
+                boundaries: list[int] = []
+                in_sentence = False
+                open_stacks: dict[int, list[int]] = {}
+                cluster_spans: dict[int, list[list[int]]] = {}
                 continue
             if line.startswith("#end document"):
                 if doc_id is None:
                     raise CorpusFormatError(f"line {lineno}: #end document without a begin")
-                finish_document(lineno)
+                unclosed = sorted(cid for cid, stack in open_stacks.items() if stack)
+                if unclosed:
+                    raise CorpusFormatError(
+                        f"line {lineno}: unbalanced coreference parentheses in {doc_id!r} "
+                        f"(unclosed cluster ids: {', '.join(map(str, unclosed))})"
+                    )
+                record: dict = {"doc_id": doc_id, "tokens": tokens}
+                if boundaries:
+                    record["sentence_boundaries"] = boundaries
+                record["gold_clusters"] = [sorted(s) for _, s in sorted(cluster_spans.items())]
+                yield lineno, record
+                doc_id = None
                 continue
             if line.startswith("#"):
                 continue
@@ -550,8 +547,7 @@ def read_conll2012(source: Source) -> list[Document]:
                             f"line {lineno}: closing bracket for cluster {cid} "
                             "with no matching open"
                         )
-                    start = stack.pop()
-                    cluster_spans.setdefault(cid, []).append(Span(start, index + 1))
+                    cluster_spans.setdefault(cid, []).append([stack.pop(), index + 1])
         if doc_id is not None:
             raise CorpusFormatError(
                 f"line {lineno}: missing #end document marker for {doc_id!r}"
@@ -559,7 +555,6 @@ def read_conll2012(source: Source) -> list[Document]:
     finally:
         if owned:
             handle.close()
-    return docs
 
 
 def merge_predictions(
@@ -594,14 +589,7 @@ def attach_semantic_spans(
     out = []
     for doc in docs:
         if doc.doc_id in spans_by_id:
-            spans = tuple(spans_by_id[doc.doc_id])
-            n = len(doc.tokens)
-            for si, sem in enumerate(spans):
-                if sem.span.end > n:
-                    raise CorpusFormatError(
-                        f"doc {doc.doc_id!r}: semantic_spans[{si}]: span "
-                        f"[{sem.span.start}, {sem.span.end}) out of range ({n} tokens)"
-                    )
-            doc = replace(doc, semantic_spans=spans)
+            doc = replace(doc, semantic_spans=tuple(spans_by_id[doc.doc_id]))
+            _check(doc)
         out.append(doc)
     return out

@@ -339,16 +339,15 @@ class DistributionReport:
 
 
 def distribution(
-    docs: Iterable[Document],
-    inventory: CategoryInventory | None = None,
-    side: str = "gold",
+    docs: Iterable[Document], inventory: CategoryInventory | None = None
 ) -> DistributionReport:
-    """Label distribution over labeled mentions, plus absent inventory labels."""
+    """Label distribution over labeled gold mentions, plus absent inventory
+    labels."""
     inventory = inventory or CategoryInventory.default()
     counter: Counter[str] = Counter()
     unlabeled = 0
     for doc in docs:
-        for cluster in doc.clusters(side):
+        for cluster in doc.gold_clusters:
             for mention in cluster.mentions:
                 if mention.assigned_label is None:
                     unlabeled += 1

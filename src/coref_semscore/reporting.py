@@ -36,7 +36,7 @@ def write_json(path, obj) -> None:
 # JSON shapes
 
 
-def _class_row(label: str, score) -> dict:
+def _class_row(score) -> dict:
     return {
         "tp": score.tp,
         "fp": score.fp,
@@ -53,7 +53,7 @@ def typed_report_dict(report: TypedScoreReport) -> dict:
     out: dict = {
         "mode": report.mode,
         "link_mention_source": report.link_mention_source,
-        "per_class": {label: _class_row(label, s) for label, s in report.per_class.items()},
+        "per_class": {label: _class_row(s) for label, s in report.per_class.items()},
         "micro": {
             "tp": micro.tp,
             "fp": micro.fp,

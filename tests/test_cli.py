@@ -484,6 +484,34 @@ class TestCompareCommand:
                      "-b", str(out_mention / "eval_report.json")]) == 2
         assert "mode mismatch" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, name, seed, flags", [
+        ("config.gold", "other.jsonl", 5, []),
+        ("config.tau", "corpus.jsonl", 5, ["--tau", "0.9"]),
+        ("config.tau_inclusive", "corpus.jsonl", 5, ["--tau-inclusive"]),
+        ("config.force_cluster_label", "corpus.jsonl", 5, ["--force-cluster-label"]),
+        ("config.link_mention_source", "corpus.jsonl", 5, ["--link-mention-source", "gold"]),
+        ("typed_mention support of ", "corpus.jsonl", 6, []),
+    ])
+    def test_compare_refuses_differently_labeled_reports(self, tmp_path, capsys, field, name,
+                                                         seed, flags):
+        def evaluate(system, name, seed, flags):
+            (tmp_path / system).mkdir()
+            records = random_corpus(random.Random(seed), 6, ensure_links=True,
+                                    ensure_direct=True)
+            path = write_jsonl(tmp_path / system / name, records)
+            out = tmp_path / system / "out"
+            assert main(["eval", "--gold", path, "--typed-mention", "--typed-link", *flags,
+                         "--out", str(out)]) == 0
+            return str(out / "eval_report.json")
+
+        report_a = evaluate("a", "corpus.jsonl", 5, [])
+        report_b = evaluate("b", name, seed, flags)
+        capsys.readouterr()
+        assert main(["compare", "-a", report_a, "-b", report_b]) == 2
+        assert f"error: cannot compare {report_a} with {report_b}: {field}" in (
+            capsys.readouterr().err
+        )
+
 
 class TestDiagnoseCommand:
     def test_diagnose_outputs(self, tmp_path, news_path):
@@ -638,6 +666,7 @@ class TestInputErrors:
          "per_class 'PER': expected an object with numbers"),
         ({"typed_link": ["PER"]}, "report.json: typed_link: expected a JSON object"),
         ({"config": ["gold.jsonl"]}, "report.json: config must be a JSON object"),
+        ({"config": {"gold": ["a.jsonl"]}}, "report.json: config.gold must be a string"),
     ])
     def test_malformed_eval_report_exits_2(self, tmp_path, capsys, report, message):
         path = tmp_path / "report.json"

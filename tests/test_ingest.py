@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from coref_semscore.ingest import (
     CorpusFormatError,
+    _conll_records,
     document_from_record,
     document_to_record,
     merge_predictions,
@@ -398,6 +399,50 @@ class TestConllReader:
             assert mentions == pairs
             checked += 1
         assert checked >= 10
+
+    @staticmethod
+    def _error(text: str) -> str:
+        with pytest.raises(CorpusFormatError) as exc:
+            read_conll2012(io.StringIO(text))
+        return str(exc.value)
+
+    def test_span_in_two_clusters_names_both(self):
+        text = "#begin document (x)\nx 0 0 a x -\nx 0 1 b x (4)|(9)\n#end document\n"
+        assert self._error(text) == (
+            "line 4: doc 'x': gold_clusters: span [1, 2) appears in clusters 0 and 1"
+        )
+
+    def test_empty_document_name(self):
+        text = "#begin document ()\nx 0 0 a x (0)\n#end document\n"
+        assert self._error(text) == "line 3: doc '': doc_id: must be non-empty"
+
+    def test_repeated_document(self):
+        assert self._error(CONLL_TWO_SENTENCES * 2) == (
+            "line 16: duplicate doc_id 'wsj/test_part_000'"
+        )
+
+    def test_duplicate_span_within_cluster_names_its_index(self):
+        # Clusters are indexed in cluster-id order: id 7 is gold_clusters[1].
+        text = "#begin document (x)\nx 0 0 a x (5)\nx 0 1 b x (7)|(7)\n#end document\n"
+        assert self._error(text) == (
+            "line 4: gold_clusters[1]: duplicate mention span within cluster"
+        )
+
+    def test_document_is_built_from_its_record(self, inventory):
+        nested = (CONLL_SINGLE_TOKEN.replace("a x -", "a x (3)").replace("d x -", "d x (3")
+                  .replace("e x -", "e x (3)").replace("f x -", "f x (1)")
+                  .replace("g x -", "g x 3)"))
+        numbered = list(_conll_records(io.StringIO(CONLL_TWO_SENTENCES + nested)))
+        assert [lineno for lineno, _ in numbered] == [8, 19]
+        assert numbered[1][1] == {
+            "doc_id": "doc_part_001",
+            "tokens": ["a", "b", "c", "d", "e", "f", "g", "h"],
+            "sentence_boundaries": [0, 3],
+            "gold_clusters": [[[5, 6]], [[0, 1], [3, 7], [4, 5], [7, 8]]],
+        }
+        assert read_conll2012(io.StringIO(CONLL_TWO_SENTENCES + nested)) == [
+            document_from_record(record, inventory) for _, record in numbered
+        ]
 
 
 class TestMergePredictions:
