@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from collections import Counter
@@ -302,7 +303,7 @@ _CLASS_ROW_FIELDS = ("tp", "fp", "fn", "f1", "support")
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def _check_typed_block(where: str, block) -> None:
@@ -337,17 +338,6 @@ def _load_report(path: str) -> tuple[dict, str]:
         if report.get(mode) is not None:
             _check_typed_block(f"{path}: {mode}", report[mode])
     return report, gold or os.path.basename(path)
-
-
-def _load_distribution(path: str) -> dict:
-    with _reading(path), open(path, encoding="utf-8") as handle:
-        dist = json.load(handle)
-    if not isinstance(dist, dict):
-        raise CliError(EXIT_INPUT, f"{path}: expected a JSON object")
-    absent = dist.get("absent_labels", [])
-    if not isinstance(absent, list) or not all(isinstance(label, str) for label in absent):
-        raise CliError(EXIT_INPUT, f"{path}: absent_labels must be a list of strings")
-    return dist
 
 
 _LABELING_FIELDS = ("tau", "tau_inclusive", "force_cluster_label", "link_mention_source")
@@ -411,10 +401,10 @@ def cmd_compare(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
+    labels = _inventory().labels
     eval_report, _ = _load_report(args.eval_report)
-    dist = _load_distribution(args.distribution_report)
     result = diagnose_report(
-        eval_report, dist,
+        eval_report, labels,
         w_mention=args.w_mention, w_link=args.w_link, rarity_cap=args.rarity_cap,
     )
     _publish(args, "diagnose", result, render_diagnose_table(result))
@@ -438,10 +428,14 @@ def _read_reference(path: str, inventory: CategoryInventory) -> dict[tuple[str, 
             where = f"{path}: doc {doc_id!r}, key {key!r}"
             if not key.isdecimal():
                 raise CliError(EXIT_INPUT, f"{where}: cluster index must be a non-negative integer")
+            cluster = (doc_id, int(key))
+            if cluster in reference:
+                raise CliError(EXIT_INPUT, f"{where}: cluster {int(key)} already has a label "
+                                           "from another key")
             if not isinstance(label, str):
                 raise CliError(EXIT_INPUT, f"{where}: label must be a string, got {label!r}")
             try:
-                reference[(doc_id, int(key))] = inventory.resolve(label)
+                reference[cluster] = inventory.resolve(label)
             except ValueError as exc:
                 raise CliError(EXIT_INPUT, f"{where}: {exc}") from exc
     return reference
@@ -464,11 +458,19 @@ def cmd_validate_labels(args) -> int:
         "system_labeled": agreement.system_labeled,
         "reference_entries": agreement.reference_total,
     }
-    out = _out_dir(args)
-    if out is not None:
-        write_json(out / "agreement.json", result)
-    sys.stdout.write(json_text(result))
+    _publish(args, "agreement", result, json_text(result))
     return EXIT_OK
+
+
+def _weight(text: str) -> float:
+    """A diagnose weight: a finite number >= 0."""
+    try:
+        value = float(text)
+        if math.isfinite(value) and value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -521,10 +523,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("diagnose", help="rank classes by deficiency")
     p.add_argument("--eval-report", required=True, help="eval report JSON")
-    p.add_argument("--distribution-report", required=True, help="distribution report JSON")
-    p.add_argument("--w-mention", type=float, default=0.5, help="mention term weight")
-    p.add_argument("--w-link", type=float, default=0.5, help="link term weight")
-    p.add_argument("--rarity-cap", type=float, default=0.2, help="cap on the rarity term")
+    p.add_argument("--w-mention", type=_weight, default=0.5, help="mention term weight")
+    p.add_argument("--w-link", type=_weight, default=0.5, help="link term weight")
+    p.add_argument("--rarity-cap", type=_weight, default=0.2, help="cap on the rarity term")
     p.add_argument("--out", help="output directory")
     p.set_defaults(func=cmd_diagnose)
 

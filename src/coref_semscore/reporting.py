@@ -12,7 +12,7 @@ import csv
 import io
 import json
 from math import fsum
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .classic_metrics import ClassicReport, MetricTriple
 from .labeling import CoverageCounts, CoverageReport, DistributionReport
@@ -24,12 +24,15 @@ class ReportModeError(ValueError):
 
 
 def json_text(obj) -> str:
-    return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+    """`obj` as indented JSON; NaN or an infinity raises ValueError, since
+    neither is a JSON number."""
+    return json.dumps(obj, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
 
 
 def write_json(path, obj) -> None:
+    text = json_text(obj)
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(json_text(obj))
+        handle.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +348,7 @@ def render_compare_table(compare: dict) -> str:
 
 def diagnose_report(
     eval_report: dict,
-    distribution: dict,
+    labels: Iterable[str],
     w_mention: float = 0.5,
     w_link: float = 0.5,
     rarity_cap: float = 0.2,
@@ -355,48 +358,35 @@ def diagnose_report(
     composite = w_mention*(1 - mention F1) + w_link*(1 - link F1) + rarity,
     where rarity = min(rarity_cap, 1/support) and support-0 classes take
     the full cap.  A term is dropped when its mode is absent from the eval
-    report; a class missing from a present mode scores 0 F1 there.  The
-    ranked list is ascending by composite, then support, then name;
-    inventory classes with zero gold support are listed separately.
+    report; a class missing from a present mode scores 0 F1 there.  Gold
+    support is read from typed mention when the report has it, else from
+    typed link.  The ranked list is ascending by composite, then support,
+    then name; those of the inventory `labels` with zero gold support are
+    listed separately.
     """
-    mention = eval_report.get("typed_mention")
-    link = eval_report.get("typed_link")
-    if mention is None and link is None:
+    modes = [
+        (eval_report[key]["per_class"], weight, field)
+        for key, weight, field in (("typed_mention", w_mention, "mention_f1"),
+                                   ("typed_link", w_link, "link_f1"))
+        if eval_report.get(key) is not None
+    ]
+    if not modes:
         raise ReportModeError("diagnosis needs at least one typed mode in the eval report")
-    labels: set[str] = set()
-    for block in (mention, link):
-        if block is not None:
-            labels.update(block["per_class"])
+    support = {label: row["support"] for label, row in modes[0][0].items()}
     rows = []
-    for label in labels:
-        mention_row = mention["per_class"].get(label) if mention is not None else None
-        link_row = link["per_class"].get(label) if link is not None else None
-        if mention is not None:
-            support = mention_row["support"] if mention_row else 0
-        else:
-            support = link_row["support"] if link_row else 0
-        composite = 0.0
-        f1_mention = f1_link = None
-        if mention is not None:
-            f1_mention = mention_row["f1"] if mention_row else 0.0
-            composite += w_mention * (1.0 - f1_mention)
-        if link is not None:
-            f1_link = link_row["f1"] if link_row else 0.0
-            composite += w_link * (1.0 - f1_link)
-        composite += rarity_cap if support <= 0 else min(rarity_cap, 1.0 / support)
-        rows.append(
-            {
-                "label": label,
-                "support": support,
-                "mention_f1": f1_mention,
-                "link_f1": f1_link,
-                "composite": composite,
-            }
-        )
+    for label in {label for per_class, _, _ in modes for label in per_class}:
+        row = {"label": label, "support": support.get(label, 0), "mention_f1": None,
+               "link_f1": None, "composite": 0.0}
+        for per_class, weight, field in modes:
+            row[field] = per_class[label]["f1"] if label in per_class else 0.0
+            row["composite"] += weight * (1.0 - row[field])
+        row["composite"] += (rarity_cap if row["support"] <= 0
+                             else min(rarity_cap, 1.0 / row["support"]))
+        rows.append(row)
     rows.sort(key=lambda row: (row["composite"], row["support"], row["label"]))
     return {
         "weights": {"mention": w_mention, "link": w_link, "rarity_cap": rarity_cap},
-        "absent_classes": list(distribution.get("absent_labels", [])),
+        "absent_classes": sorted(label for label in labels if support.get(label, 0) <= 0),
         "ranked": rows,
     }
 

@@ -10,6 +10,7 @@ import pytest
 
 from coref_semscore import cli
 from coref_semscore.cli import main
+from coref_semscore.inventory import CategoryInventory
 from conftest import COMPOSITE_RECORD, NEWS_RECORD
 from corpusgen import random_corpus
 
@@ -54,8 +55,7 @@ class TestOptionSets:
             "coverage": _IO | _LABELING - {"--force-cluster-label"} | {"--pronouns"},
             "distribution": _IO - {"--pred"} | _LABELING,
             "compare": {"-a", "--report-a", "-b", "--report-b", "--pool-counts", "--out"},
-            "diagnose": {"--eval-report", "--distribution-report", "--w-mention", "--w-link",
-                         "--rarity-cap", "--out"},
+            "diagnose": {"--eval-report", "--w-mention", "--w-link", "--rarity-cap", "--out"},
             "validate-labels": (_IO - {"--pred"} | _LABELING - {"--force-cluster-label"}
                                 | {"--reference"}),
         }
@@ -514,21 +514,80 @@ class TestCompareCommand:
 
 
 class TestDiagnoseCommand:
-    def test_diagnose_outputs(self, tmp_path, news_path):
-        out_eval = tmp_path / "eval"
-        assert main(["eval", "--gold", news_path, "--typed-mention", "--typed-link",
-                     "--out", str(out_eval)]) == 0
-        out_dist = tmp_path / "dist"
-        assert main(["distribution", "--gold", news_path, "--out", str(out_dist)]) == 0
-        out = tmp_path / "diag"
+    # PER labels a two-mention cluster, LOC only a singleton: LOC has gold
+    # mention support but no gold link support.
+    SINGLETON_RECORD = {
+        "doc_id": "s0", "tokens": ["a", "b", "c"],
+        "gold_clusters": [[[0, 1], [1, 2]], [[2, 3]]],
+        "predicted_clusters": [[[0, 1], [1, 2]], [[2, 3]]],
+        "cner": [[0, 1, "PER"], [1, 2, "PER"], [2, 3, "LOC"]],
+    }
+
+    @staticmethod
+    def _diagnose(tmp_path, corpus, modes, *flags):
+        out_eval, out = tmp_path / "eval", tmp_path / "diag"
+        assert main(["eval", "--gold", corpus, *modes, "--out", str(out_eval)]) == 0
         assert main(["diagnose", "--eval-report", str(out_eval / "eval_report.json"),
-                     "--distribution-report", str(out_dist / "distribution.json"),
-                     "--out", str(out)]) == 0
-        data = json.loads((out / "diagnose.json").read_text())
+                     *flags, "--out", str(out)]) == 0
+        return json.loads((out / "diagnose.json").read_text())
+
+    def test_diagnose_outputs(self, tmp_path, news_path):
+        data = self._diagnose(tmp_path, news_path, ["--typed-mention", "--typed-link"])
         assert "MONEY" in data["absent_classes"]
         composites = [row["composite"] for row in data["ranked"]]
         assert composites == sorted(composites)
         assert data["weights"] == {"mention": 0.5, "link": 0.5, "rarity_cap": 0.2}
+
+    @pytest.mark.parametrize("modes, supported", [
+        (["--typed-mention", "--typed-link"], {"PER", "LOC"}),
+        (["--typed-link"], {"PER"}),
+    ])
+    def test_absent_classes_are_inventory_labels_without_gold_support(
+        self, tmp_path, modes, supported
+    ):
+        corpus = write_jsonl(tmp_path / "s.jsonl", [self.SINGLETON_RECORD])
+        data = self._diagnose(tmp_path, corpus, modes)
+        assert data["absent_classes"] == sorted(set(CategoryInventory.default().labels)
+                                                - supported)
+        assert {row["label"] for row in data["ranked"]} == {"PER"} | supported
+
+    def test_absent_classes_match_distribution_in_mention_mode(self, tmp_path, corpus_path):
+        data = self._diagnose(tmp_path, corpus_path, ["--typed-mention"])
+        out = tmp_path / "dist"
+        assert main(["distribution", "--gold", corpus_path, "--out", str(out)]) == 0
+        dist = json.loads((out / "distribution.json").read_text())
+        assert data["absent_classes"] == dist["absent_labels"]
+
+    def test_absent_classes_come_from_the_active_inventory(self, tmp_path, monkeypatch):
+        inv_path = tmp_path / "inv.json"
+        inv_path.write_text(json.dumps([{"label": "FOO"}, {"label": "BAR"}, {"label": "BAZ"}]),
+                            encoding="utf-8")
+        monkeypatch.setenv("COREF_SEMSCORE_INVENTORY", str(inv_path))
+        record = {"doc_id": "d0", "tokens": ["x", "y"], "gold_clusters": [[[0, 1], [1, 2]]],
+                  "predicted_clusters": [[[0, 1], [1, 2]]], "cner": [[0, 1, "FOO"]]}
+        corpus = write_jsonl(tmp_path / "c.jsonl", [record])
+        data = self._diagnose(tmp_path, corpus, ["--typed-mention"])
+        assert data["absent_classes"] == ["BAR", "BAZ"]
+
+    def test_distribution_report_option_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["diagnose", "--eval-report", "r.json", "--distribution-report", "d.json"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --distribution-report" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option, value", [
+        ("--w-mention", "nan"),
+        ("--w-link", "inf"),
+        ("--w-link", "-0.5"),
+        ("--rarity-cap", "-5"),
+        ("--rarity-cap", "abc"),
+    ])
+    def test_weight_must_be_finite_and_not_negative(self, capsys, option, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["diagnose", "--eval-report", "r.json", option, value])
+        assert exc.value.code == 2
+        assert (f"argument {option}: must be a finite number >= 0, got {value!r}"
+                in capsys.readouterr().err)
 
 
 class TestValidateLabelsCommand:
@@ -567,6 +626,8 @@ class TestValidateLabelsCommand:
         ({"news0": ["PER"]}, "ref.json: doc 'news0': expected an object"),
         ({"news0": {"0": 3}}, "ref.json: doc 'news0', key '0': label must be a string"),
         ({"news0": {"0": "P3R"}}, "ref.json: doc 'news0', key '0': bad category label"),
+        ({"news0": {"0": "PER", "00": "LOC"}},
+         "ref.json: doc 'news0', key '00': cluster 0 already has a label from another key"),
     ])
     def test_malformed_reference_exits_2_naming_file_doc_and_key(
         self, tmp_path, news_path, capsys, reference, where
@@ -576,6 +637,43 @@ class TestValidateLabelsCommand:
         assert main(["validate-labels", "--gold", news_path,
                      "--reference", str(ref_path)]) == 2
         assert where in capsys.readouterr().err
+
+
+def _reject_constant(token: str):
+    raise ValueError(f"{token} is not a JSON number")
+
+
+class TestOutputFiles:
+    """Every command that takes --out writes the text it prints to its .txt
+    file and only strict JSON to its .json and .jsonl files."""
+
+    @pytest.mark.parametrize("argv", [
+        ["label", "--gold", "{corpus}"],
+        ["eval", "--gold", "{corpus}", "--typed-mention", "--typed-link", "--classic"],
+        ["coverage", "--gold", "{corpus}"],
+        ["distribution", "--gold", "{corpus}"],
+        ["compare", "-a", "{report}", "-b", "{report}"],
+        ["diagnose", "--eval-report", "{report}"],
+        ["validate-labels", "--gold", "{corpus}", "--reference", "{reference}"],
+    ], ids=lambda argv: argv[0])
+    def test_text_equals_stdout_and_json_is_strict(self, tmp_path, news_path, capsys, argv):
+        reference = tmp_path / "ref.json"
+        reference.write_text(json.dumps({"news0": {"0": "PER", "1": "LOC"}}), encoding="utf-8")
+        assert main(["eval", "--gold", news_path, "--typed-mention", "--typed-link",
+                     "--out", str(tmp_path / "pre")]) == 0
+        inputs = {"corpus": news_path, "report": str(tmp_path / "pre" / "eval_report.json"),
+                  "reference": str(reference)}
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main([arg.format(**inputs) for arg in argv] + ["--out", str(out)]) == 0
+        (text,) = out.glob("*.txt")
+        assert text.read_bytes() == capsys.readouterr().out.encode("utf-8")
+        written = sorted(out.glob("*.json")) + sorted(out.glob("*.jsonl"))
+        assert written
+        for path in written:
+            content = path.read_text(encoding="utf-8")
+            for line in content.splitlines() if path.suffix == ".jsonl" else [content]:
+                json.loads(line, parse_constant=_reject_constant)
 
 
 class TestInputErrors:
@@ -628,16 +726,14 @@ class TestInputErrors:
         (b"{oops", "Expecting property name"),
         (b"\xff\xfe\x00", "'utf-8' codec can't decode"),
     ])
-    @pytest.mark.parametrize("loader", ["eval-report", "distribution-report"])
+    @pytest.mark.parametrize("loader", ["eval-report", "diagnose"])
     def test_unreadable_report_names_its_file(self, tmp_path, capsys, loader, content, message):
         bad = tmp_path / "bad.json"
         bad.write_bytes(content)
         if loader == "eval-report":
             argv = ["compare", "-a", str(bad), "-b", str(bad)]
         else:
-            report = tmp_path / "report.json"
-            report.write_text("{}", encoding="utf-8")
-            argv = ["diagnose", "--eval-report", str(report), "--distribution-report", str(bad)]
+            argv = ["diagnose", "--eval-report", str(bad)]
         assert main(argv) == 2
         assert f"error: {bad}: {message}" in capsys.readouterr().err
 
@@ -667,35 +763,19 @@ class TestInputErrors:
         ({"typed_link": ["PER"]}, "report.json: typed_link: expected a JSON object"),
         ({"config": ["gold.jsonl"]}, "report.json: config must be a JSON object"),
         ({"config": {"gold": ["a.jsonl"]}}, "report.json: config.gold must be a string"),
+        ({"typed_mention": {"macro_f1": float("nan"), "per_class": {}}},
+         "report.json: typed_mention: macro_f1 must be a number"),
+        ({"typed_mention": {"macro_f1": 0.5, "per_class": {
+            "PER": {"tp": 1, "fp": 0, "fn": 0, "f1": float("inf"), "support": 1}}}},
+         "report.json: typed_mention: per_class 'PER': expected an object with numbers"),
     ])
     def test_malformed_eval_report_exits_2(self, tmp_path, capsys, report, message):
         path = tmp_path / "report.json"
         path.write_text(json.dumps(report), encoding="utf-8")
         assert main(["compare", "-a", str(path), "-b", str(path)]) == 2
         assert message in capsys.readouterr().err
-        dist = tmp_path / "dist.json"
-        dist.write_text("{}", encoding="utf-8")
-        assert main(["diagnose", "--eval-report", str(path),
-                     "--distribution-report", str(dist)]) == 2
+        assert main(["diagnose", "--eval-report", str(path)]) == 2
         assert message in capsys.readouterr().err
-
-    @pytest.mark.parametrize("dist, message", [
-        ([], "dist.json: expected a JSON object"),
-        ({"absent_labels": "PER"}, "dist.json: absent_labels must be a list of strings"),
-    ])
-    def test_malformed_distribution_report_exits_2(self, tmp_path, capsys, dist, message):
-        report = {"typed_mention": {"macro_f1": 1.0, "per_class": {
-            "PER": {"tp": 1, "fp": 0, "fn": 0, "f1": 1.0, "support": 1}}}}
-        report_path = tmp_path / "report.json"
-        report_path.write_text(json.dumps(report), encoding="utf-8")
-        dist_path = tmp_path / "dist.json"
-        dist_path.write_text(json.dumps(dist), encoding="utf-8")
-        assert main(["diagnose", "--eval-report", str(report_path),
-                     "--distribution-report", str(dist_path)]) == 2
-        assert message in capsys.readouterr().err
-        dist_path.write_text(json.dumps({"absent_labels": ["LOC"]}), encoding="utf-8")
-        assert main(["diagnose", "--eval-report", str(report_path),
-                     "--distribution-report", str(dist_path)]) == 0
 
     def test_internal_error_is_not_an_input_error(self, news_path, monkeypatch):
         def broken(*args):

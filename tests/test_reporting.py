@@ -8,6 +8,7 @@ from coref_semscore.reporting import (
     compare_eval_reports,
     coverage_report_dict,
     diagnose_report,
+    json_text,
     render_classic_table,
     render_coverage_table,
     render_diagnose_table,
@@ -143,21 +144,35 @@ class TestCompare:
         assert len(lines) == 3
 
 
-class TestDiagnose:
-    def _dist(self, absent):
-        return {"absent_labels": absent}
+class TestJsonText:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_number_is_refused(self, value):
+        with pytest.raises(ValueError):
+            json_text({"f1": value})
 
+
+class TestDiagnose:
     def test_absent_classes_listed(self):
         report = _eval_report(mention={"PER": (1, 0, 0)}, link={"PER": (1, 0, 0)})
-        result = diagnose_report(report, self._dist(["MONEY", "PLANT"]))
+        result = diagnose_report(report, ["PLANT", "PER", "MONEY"])
         assert result["absent_classes"] == ["MONEY", "PLANT"]
+
+    @pytest.mark.parametrize("mention, absent", [
+        ({"PER": (2, 0, 0), "LOC": (1, 0, 0)}, ["ORG"]),
+        (None, ["LOC", "ORG"]),
+    ])
+    def test_absent_classes_read_support_from_mention_else_link(self, mention, absent):
+        # LOC has gold mentions but no gold link, and ORG is predicted only.
+        report = _eval_report(mention=mention, link={"PER": (1, 0, 0), "ORG": (0, 1, 0)})
+        result = diagnose_report(report, ["PER", "LOC", "ORG"])
+        assert result["absent_classes"] == absent
 
     def test_rarer_class_is_more_deficient_at_equal_f1(self):
         report = _eval_report(
             mention={"A": (5, 5, 0), "B": (500, 500, 0)},
             link={"A": (5, 5, 0), "B": (500, 500, 0)},
         )
-        result = diagnose_report(report, self._dist([]))
+        result = diagnose_report(report, ())
         rows = {row["label"]: row for row in result["ranked"]}
         assert rows["A"]["mention_f1"] == rows["B"]["mention_f1"]
         assert rows["A"]["composite"] > rows["B"]["composite"]
@@ -169,7 +184,7 @@ class TestDiagnose:
             mention={"A": (1000, 0, 0), "B": (50, 0, 0)},
             link={"A": (1000, 0, 0), "B": (50, 0, 0)},
         )
-        result = diagnose_report(report, self._dist([]))
+        result = diagnose_report(report, ())
         rows = {row["label"]: row for row in result["ranked"]}
         assert rows["A"]["composite"] == pytest.approx(1 / 1000)
         assert rows["B"]["composite"] == pytest.approx(1 / 50)
@@ -177,19 +192,19 @@ class TestDiagnose:
 
     def test_rarity_is_capped(self):
         report = _eval_report(mention={"A": (2, 0, 0)}, link={"A": (2, 0, 0)})
-        result = diagnose_report(report, self._dist([]))
+        result = diagnose_report(report, ())
         assert result["ranked"][0]["composite"] == pytest.approx(0.2)
 
     def test_missing_mode_drops_term(self):
         report = _eval_report(mention={"A": (1, 1, 1)})
-        result = diagnose_report(report, self._dist([]))
+        result = diagnose_report(report, ())
         row = result["ranked"][0]
         assert row["link_f1"] is None
         assert row["composite"] == pytest.approx(0.5 * 0.5 + 0.2)
 
     def test_render(self):
         report = _eval_report(mention={"A": (1, 1, 1)}, link={"A": (1, 0, 0)})
-        result = diagnose_report(report, self._dist(["LAW"]))
+        result = diagnose_report(report, ["A", "LAW"])
         text = render_diagnose_table(result)
         assert "LAW" in text
         assert "composite" in text
