@@ -9,6 +9,7 @@ inputs (e.g. typed scoring without semantic spans).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -27,7 +28,13 @@ from .ingest import (
     read_jsonl_corpus,
     write_labeled_jsonl,
 )
-from .inventory import ENV_INVENTORY_VAR, CategoryInventory, UnknownLabelError
+from .inventory import (
+    ENV_INVENTORY_VAR,
+    CategoryInventory,
+    RepeatedKeyError,
+    UnknownLabelError,
+    unique_keys,
+)
 from .labeling import (
     DEFAULT_PRONOUNS,
     LabelingConfig,
@@ -75,7 +82,7 @@ def _reading(path: str):
     """Name the file at `path` in an input error raised while reading it."""
     try:
         yield
-    except (CorpusFormatError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (CorpusFormatError, UnicodeDecodeError, json.JSONDecodeError, RepeatedKeyError) as exc:
         raise CliError(EXIT_INPUT, f"{path}: {exc}") from exc
 
 
@@ -306,12 +313,16 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
+def _is_score(value) -> bool:
+    return _is_number(value) and 0 <= value <= 1
+
+
 def _check_typed_block(where: str, block) -> None:
     """Check the fields of one typed-score block that compare and diagnose read."""
     if not isinstance(block, dict):
         raise CliError(EXIT_INPUT, f"{where}: expected a JSON object")
-    if not _is_number(block.get("macro_f1")):
-        raise CliError(EXIT_INPUT, f"{where}: macro_f1 must be a number")
+    if not _is_score(block.get("macro_f1")):
+        raise CliError(EXIT_INPUT, f"{where}: macro_f1 must be a number in [0, 1]")
     per_class = block.get("per_class")
     if not isinstance(per_class, dict):
         raise CliError(EXIT_INPUT, f"{where}: per_class must be a JSON object")
@@ -319,13 +330,17 @@ def _check_typed_block(where: str, block) -> None:
         if not isinstance(row, dict) or not all(_is_number(row.get(k)) for k in _CLASS_ROW_FIELDS):
             raise CliError(EXIT_INPUT, f"{where}: per_class {label!r}: expected an object "
                                        f"with numbers {', '.join(_CLASS_ROW_FIELDS)}")
+        if not _is_score(row["f1"]) or row["support"] < 0:
+            raise CliError(EXIT_INPUT, f"{where}: per_class {label!r}: f1 must be in [0, 1] "
+                                       f"and support >= 0, got f1 {row['f1']!r}, "
+                                       f"support {row['support']!r}")
 
 
 def _load_report(path: str) -> tuple[dict, str]:
     """An eval report and its corpus name, with every field that compare
     and diagnose read checked, so a malformed file is an input error."""
     with _reading(path), open(path, encoding="utf-8") as handle:
-        report = json.load(handle)
+        report = json.load(handle, object_pairs_hook=unique_keys)
     if not isinstance(report, dict):
         raise CliError(EXIT_INPUT, f"{path}: expected a JSON object")
     config = report.get("config") or {}
@@ -407,6 +422,12 @@ def cmd_diagnose(args) -> int:
         eval_report, labels,
         w_mention=args.w_mention, w_link=args.w_link, rarity_cap=args.rarity_cap,
     )
+    for row in result["ranked"]:
+        if not math.isfinite(row["composite"]):
+            raise CliError(EXIT_INPUT, f"composite of {row['label']} is not a finite number "
+                                       f"with --w-mention {args.w_mention!r}, --w-link "
+                                       f"{args.w_link!r} and --rarity-cap {args.rarity_cap!r}; "
+                                       "use smaller weights")
     _publish(args, "diagnose", result, render_diagnose_table(result))
     return EXIT_OK
 
@@ -415,7 +436,7 @@ def _read_reference(path: str, inventory: CategoryInventory) -> dict[tuple[str, 
     """{(doc_id, cluster_index): label} from a {doc_id: {cluster_index: label}}
     JSON file; a shape error names the file, the doc_id and the key."""
     with _reading(path), open(path, encoding="utf-8") as handle:
-        raw = json.load(handle)
+        raw = json.load(handle, object_pairs_hook=unique_keys)
     if not isinstance(raw, dict):
         raise CliError(EXIT_INPUT, f"{path}: expected a JSON object "
                                    "{doc_id: {cluster_index: label}}")
@@ -540,8 +561,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one subcommand with the cyclic garbage collector paused.
+
+    The model holds no reference cycles, so reference counting frees the
+    corpus and everything built from it, and a collection while a corpus
+    is read or labeled only walks the live objects again.  The cycles that
+    argparse and the indenting JSON encoder leave are few and do not grow
+    with the corpus.  The collector's previous state is restored however
+    the command ends.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc.message}", file=sys.stderr)
@@ -557,6 +589,9 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

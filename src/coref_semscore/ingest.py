@@ -47,6 +47,7 @@ from .model import (
     Mention,
     SemanticSpan,
     Span,
+    _trusted_cluster,
     validate_document,
 )
 
@@ -230,15 +231,19 @@ def _clusters_from_record(
                         )
                 except (TypeError, ValueError) as exc:
                     raise CorpusFormatError(f"{where.format(ci, mi)}: {exc}") from exc
-        try:
-            clusters.append(Cluster(
-                mentions if has_labels else map(Mention, spans),
-                None if cluster_labels is None else _label(cluster_labels[ci], labels),
-            ))
-        except (TypeError, ValueError) as exc:
-            raise CorpusFormatError(f"{key}[{ci}]: {exc}") from exc
+        mentions = tuple(mentions) if has_labels else tuple(map(Mention, spans))
         side_spans.update(spans)
         mention_count += len(spans)
+        try:
+            label = None if cluster_labels is None else _label(cluster_labels[ci], labels)
+            # The running counts part once a span repeats, in this cluster
+            # or across clusters.  Only an empty cluster or a repeat within
+            # this one is the constructor's to reject, and word.
+            if not spans or (len(side_spans) != mention_count and len(set(spans)) != len(spans)):
+                Cluster(mentions, label)
+        except (TypeError, ValueError) as exc:
+            raise CorpusFormatError(f"{key}[{ci}]: {exc}") from exc
+        clusters.append(_trusted_cluster(mentions, label))
     return tuple(clusters), violated or len(side_spans) != mention_count
 
 

@@ -24,6 +24,21 @@ class UnknownLabelError(ValueError):
     """A category label that the active inventory cannot resolve."""
 
 
+class RepeatedKeyError(ValueError):
+    """A JSON object that names one key twice."""
+
+
+def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A json object_pairs_hook that refuses a repeated key, which json
+    would otherwise resolve silently to its last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise RepeatedKeyError(f"repeated JSON key {key!r}")
+        obj[key] = value
+    return obj
+
+
 @dataclass(frozen=True)
 class Category:
     label: str
@@ -78,10 +93,10 @@ class CategoryInventory:
     def from_json(cls, source: Union[str, Path, IO[str]]) -> "CategoryInventory":
         """Load an inventory from a JSON list of {label, description, aliases}."""
         if hasattr(source, "read"):
-            entries = json.load(source)
+            entries = json.load(source, object_pairs_hook=unique_keys)
         else:
             with open(source, encoding="utf-8") as handle:
-                entries = json.load(handle)
+                entries = json.load(handle, object_pairs_hook=unique_keys)
         if not isinstance(entries, list):
             raise ValueError("inventory file must contain a JSON list")
         categories = []

@@ -21,7 +21,16 @@ from pathlib import Path
 from typing import IO, Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .inventory import CategoryInventory
-from .model import SIDES, Cluster, Document, LabelSource, Mention, SemanticSpan, Span
+from .model import (
+    SIDES,
+    Cluster,
+    Document,
+    LabelSource,
+    Mention,
+    SemanticSpan,
+    Span,
+    _trusted_cluster,
+)
 
 # Closed-class English pronouns: personal, possessive, reflexive,
 # demonstrative.  Matched case-insensitively on single-token mentions.
@@ -154,8 +163,9 @@ def _relabel(
     or None.  A direct mention keeps its own label, or takes `label` when
     `force` is set (which needs a `label`); any other mention takes
     `label` as propagated, or is left unlabeled when `label` is None.
+    The spans are those of `cluster`, already checked when it was built.
     """
-    return Cluster(tuple([
+    return _trusted_cluster(tuple([
         Mention(m.span, label if force else pair[0], _DIRECT, pair[1]) if pair is not None
         else Mention(m.span, label, _PROPAGATED) if label is not None
         else m if m.label_source is _NONE

@@ -112,20 +112,40 @@ _set_span, _set_assigned_label, _set_label_source, _set_assignment_overlap = (
 )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Cluster:
-    """A non-empty set of coreferential mentions, optionally labeled."""
+    """A non-empty set of coreferential mentions, optionally labeled.
+
+    The constructor, and so dataclasses.replace, checks that there is at
+    least one mention and that no span repeats.  Two callers build through
+    the unchecked _trusted_cluster instead: ingest._clusters_from_record,
+    which has already counted each cluster's spans against the rule, and
+    labeling._relabel, which copies the spans of a checked cluster.
+    """
 
     mentions: tuple[Mention, ...]
     cluster_label: str | None = None
 
-    def __post_init__(self) -> None:
-        mentions = tuple(self.mentions)
-        object.__setattr__(self, "mentions", mentions)
+    def __init__(self, mentions: Iterable[Mention], cluster_label: str | None = None) -> None:
+        mentions = tuple(mentions)
         if not mentions:
             raise ValueError("cluster must contain at least one mention")
         if len({m.span for m in mentions}) != len(mentions):
             raise ValueError("duplicate mention span within cluster")
+        _set_mentions(self, mentions)
+        _set_cluster_label(self, cluster_label)
+
+
+_set_mentions, _set_cluster_label = (getattr(Cluster, f.name).__set__ for f in fields(Cluster))
+
+
+def _trusted_cluster(mentions: tuple[Mention, ...], cluster_label: str | None) -> Cluster:
+    """A Cluster built without the constructor's checks, for mentions that
+    are known to be a non-empty tuple with distinct spans."""
+    cluster = object.__new__(Cluster)
+    _set_mentions(cluster, mentions)
+    _set_cluster_label(cluster, cluster_label)
+    return cluster
 
 
 @dataclass(frozen=True, slots=True)

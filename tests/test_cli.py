@@ -1,9 +1,11 @@
 import argparse
+import gc
 import json
 import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -13,6 +15,9 @@ from coref_semscore.cli import main
 from coref_semscore.inventory import CategoryInventory
 from conftest import COMPOSITE_RECORD, NEWS_RECORD
 from corpusgen import random_corpus
+
+
+MINI_CORPUS = Path(__file__).resolve().parent / "data" / "mini_corpus.jsonl"
 
 
 def write_jsonl(path, records):
@@ -575,6 +580,48 @@ class TestDiagnoseCommand:
         assert exc.value.code == 2
         assert "unrecognized arguments: --distribution-report" in capsys.readouterr().err
 
+    @staticmethod
+    def _report(tmp_path, f1: float, support: int = 3) -> str:
+        row = {"tp": 0, "fp": 1, "fn": 1, "f1": f1, "support": support}
+        block = {"macro_f1": 0.0, "per_class": {"PER": row}}
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps({"typed_mention": block, "typed_link": block}),
+                        encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize("f1, support, problem", [
+        (2.5, 3, "got f1 2.5, support 3"),
+        (-0.5, 3, "got f1 -0.5, support 3"),
+        (0.5, -1, "got f1 0.5, support -1"),
+    ])
+    def test_scores_outside_their_range_exit_2(self, tmp_path, capsys, f1, support, problem):
+        report = self._report(tmp_path, f1, support)
+        assert main(["diagnose", "--eval-report", report]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {report}: typed_mention: per_class 'PER': f1 must be in [0, 1] "
+            f"and support >= 0, {problem}\n"
+        )
+
+    def test_macro_f1_outside_0_1_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps({"typed_mention": {"macro_f1": 1.5, "per_class": {}}}),
+                        encoding="utf-8")
+        assert main(["diagnose", "--eval-report", str(path)]) == 2
+        assert "typed_mention: macro_f1 must be a number in [0, 1]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("out", [False, True])
+    def test_composite_that_overflows_exits_2(self, tmp_path, capsys, out):
+        out_args = ["--out", str(tmp_path / "o")] if out else []
+        assert main(["diagnose", "--eval-report", self._report(tmp_path, 0.0),
+                     "--w-mention", "1.7e308", "--w-link", "1.7e308", *out_args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: composite of PER is not a finite number with --w-mention 1.7e+308, "
+            "--w-link 1.7e+308 and --rarity-cap 0.2; use smaller weights\n"
+        )
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("option, value", [
         ("--w-mention", "nan"),
         ("--w-link", "inf"),
@@ -628,12 +675,15 @@ class TestValidateLabelsCommand:
         ({"news0": {"0": "P3R"}}, "ref.json: doc 'news0', key '0': bad category label"),
         ({"news0": {"0": "PER", "00": "LOC"}},
          "ref.json: doc 'news0', key '00': cluster 0 already has a label from another key"),
+        ('{"news0": {"0": "PER", "0": "LOC"}}', "ref.json: repeated JSON key '0'"),
+        ('{"news0": {"0": "PER"}, "news0": {"1": "LOC"}}', "ref.json: repeated JSON key 'news0'"),
     ])
     def test_malformed_reference_exits_2_naming_file_doc_and_key(
         self, tmp_path, news_path, capsys, reference, where
     ):
         ref_path = tmp_path / "ref.json"
-        ref_path.write_text(json.dumps(reference), encoding="utf-8")
+        ref_path.write_text(reference if isinstance(reference, str) else json.dumps(reference),
+                            encoding="utf-8")
         assert main(["validate-labels", "--gold", news_path,
                      "--reference", str(ref_path)]) == 2
         assert where in capsys.readouterr().err
@@ -855,3 +905,176 @@ class TestForceClusterLabel:
         hard = json.loads((out_hard / "labeled.jsonl").read_text())
         assert hard["mention_labels"]["gold"][0] == ["PER", "PER", "PER"]
         assert hard["mention_label_sources"]["gold"][0] == ["direct", "direct", "direct"]
+
+
+class TestRepeatedJsonKeys:
+    """A JSON input that repeats a key is refused, naming the file and the key."""
+
+    @pytest.mark.parametrize("command", ["compare", "diagnose"])
+    def test_report(self, tmp_path, news_path, capsys, command):
+        assert main(["eval", "--gold", news_path, "--typed-mention", "--typed-link",
+                     "--out", str(tmp_path / "ev")]) == 0
+        text = (tmp_path / "ev" / "eval_report.json").read_text(encoding="utf-8")
+        report = tmp_path / "report.json"
+        report.write_text(text.replace('"macro_f1":', '"macro_f1": 0.0, "macro_f1":', 1),
+                          encoding="utf-8")
+        argv = (["compare", "-a", str(report), "-b", str(report)] if command == "compare"
+                else ["diagnose", "--eval-report", str(report)])
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {report}: repeated JSON key 'macro_f1'\n"
+
+    def test_inventory(self, tmp_path, news_path, monkeypatch, capsys):
+        inv_path = tmp_path / "inv.json"
+        inv_path.write_text('[{"label": "FOO", "label": "PER"}]', encoding="utf-8")
+        monkeypatch.setenv("COREF_SEMSCORE_INVENTORY", str(inv_path))
+        assert main(["coverage", "--gold", news_path]) == 2
+        assert capsys.readouterr().err == (
+            f"error: COREF_SEMSCORE_INVENTORY={inv_path}: repeated JSON key 'label'\n"
+        )
+
+
+def _conll_text(records) -> str:
+    """The gold clusters of JSONL records as a CoNLL-2012 file."""
+    lines = []
+    for record in records:
+        marks = [[] for _ in record["tokens"]]
+        for cid, cluster in enumerate(record["gold_clusters"]):
+            for start, end in cluster:
+                if end - start == 1:
+                    marks[start].append(f"({cid})")
+                else:
+                    marks[start].append(f"({cid}")
+                    marks[end - 1].append(f"{cid})")
+        lines.append(f"#begin document ({record['doc_id']}); part 000")
+        lines += [f"{record['doc_id']} 0 {i} {token} X {'|'.join(mark) or '-'}"
+                  for i, (token, mark) in enumerate(zip(record["tokens"], marks))]
+        lines.append("#end document")
+    return "\n".join(lines) + "\n"
+
+
+def _collector_inputs(root: Path, copies: int) -> dict:
+    """Inputs made from the mini corpus repeated `copies` times under new
+    doc_ids: the corpus, its CoNLL form, a copy with no semantic spans, a
+    prediction file that misses a document, an eval report and a reference."""
+    root.mkdir()
+    records = [json.loads(line) for line in MINI_CORPUS.read_text(encoding="utf-8").splitlines()]
+    records = [dict(r, doc_id=f"{r['doc_id']}_{c}") for c in range(copies) for r in records]
+    inputs = {
+        "corpus": write_jsonl(root / "corpus.jsonl", records),
+        "no_spans": write_jsonl(root / "no_spans.jsonl",
+                                [{k: v for k, v in r.items() if k != "cner"} for r in records]),
+        "short_pred": write_jsonl(root / "short_pred.jsonl", records[1:]),
+        "reference": str(root / "ref.json"),
+        "report": str(root / "ev" / "eval_report.json"),
+        "out": str(root / "out"),
+    }
+    (root / "corpus.conll").write_text(_conll_text(records), encoding="utf-8")
+    inputs["conll"] = str(root / "corpus.conll")
+    Path(inputs["reference"]).write_text(
+        json.dumps({records[0]["doc_id"]: {"0": "PER", "1": "LOC"}}), encoding="utf-8")
+    assert main(["eval", "--gold", inputs["corpus"], "--typed-mention", "--typed-link",
+                 "--out", str(root / "ev")]) == 0
+    return inputs
+
+
+def _cyclic_garbage(argv) -> tuple[int, Counter]:
+    """main(argv)'s exit code, and the types of what a collection finds
+    right after it.  The collector is held off throughout, so that nothing
+    is collected unseen."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        code = main(argv)
+        gc.collect()
+        return code, Counter(f"{type(o).__module__}.{type(o).__qualname__}"
+                             for o in gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+
+
+class TestCollectorPaused:
+    """main runs a command with the cyclic collector paused.  That is safe
+    because the model holds no reference cycles: what a command leaves for
+    the collector is argparse's and the indenting JSON encoder's few cycles,
+    none of them a model object, and no more of them for a larger corpus."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["label", "--gold", "{corpus}", "--out", "{out}"], 0),
+        (["eval", "--gold", "{corpus}", "--typed-mention", "--typed-link", "--classic",
+          "--out", "{out}"], 0),
+        (["eval", "--gold", "{corpus}", "--typed-mention", "--typed-link", "--classic",
+          "--drop-singletons"], 0),
+        (["eval", "--gold", "{conll}", "--pred", "{conll}", "--format", "conll",
+          "--classic"], 0),
+        (["coverage", "--gold", "{corpus}", "--out", "{out}"], 0),
+        (["distribution", "--gold", "{corpus}", "--out", "{out}"], 0),
+        (["compare", "-a", "{report}", "-b", "{report}", "--out", "{out}"], 0),
+        (["diagnose", "--eval-report", "{report}", "--out", "{out}"], 0),
+        (["validate-labels", "--gold", "{corpus}", "--reference", "{reference}"], 0),
+        (["eval", "--gold", "{corpus}", "--pred", "{short_pred}", "--classic"], 2),
+        (["eval", "--gold", "{no_spans}", "--typed-mention"], 3),
+    ], ids=["label", "eval", "eval-drop-singletons", "eval-conll", "coverage", "distribution",
+            "compare", "diagnose", "validate-labels", "exit-2", "exit-3"])
+    def test_command_leaves_no_model_cycles(self, tmp_path, capsys, argv, code):
+        found = []
+        for copies in (1, 2):
+            inputs = _collector_inputs(tmp_path / f"x{copies}", copies)
+            got, garbage = _cyclic_garbage([arg.format(**inputs) for arg in argv])
+            assert got == code, capsys.readouterr().err
+            found.append(garbage)
+        assert not [name for name in found[0] if name.startswith("coref_semscore.")]
+        assert found[0] == found[1]
+
+    @pytest.fixture(params=[True, False], ids=["on", "off"])
+    def collector(self, request):
+        """The collector switched on or off for the test, and restored after."""
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    @pytest.mark.parametrize("argv, code", [
+        (["coverage", "--gold", str(MINI_CORPUS)], 0),
+        (["coverage", "--gold", "missing.jsonl"], 2),
+    ], ids=["exit-0", "exit-2"])
+    def test_collector_state_is_restored(self, capsys, collector, argv, code):
+        assert main(argv) == code
+        assert gc.isenabled() is collector
+
+    def test_collector_state_is_restored_after_a_usage_error(self, capsys, collector):
+        with pytest.raises(SystemExit):
+            main(["coverage", "--no-such-option"])
+        assert gc.isenabled() is collector
+
+    def test_collector_state_is_restored_when_an_exception_escapes(self, monkeypatch, collector):
+        def broken(*args, **kwargs):
+            raise RuntimeError("scorer failed")
+
+        monkeypatch.setattr(cli, "read_jsonl_corpus", broken)
+        with pytest.raises(RuntimeError, match="scorer failed"):
+            main(["coverage", "--gold", str(MINI_CORPUS)])
+        assert gc.isenabled() is collector
+
+    @pytest.mark.parametrize("collector", [True], indirect=True, ids=["on"])
+    def test_no_collection_runs_during_a_command(self, capsys, collector):
+        phases = []
+
+        def record(phase, info):
+            phases.append(phase)
+
+        gc.callbacks.append(record)
+        try:
+            assert main(["eval", "--gold", str(MINI_CORPUS), "--typed-mention",
+                         "--typed-link", "--classic"]) == 0
+            during = len(phases)
+            gc.collect()
+            assert phases, "the hook sees a collection"
+        finally:
+            gc.callbacks.remove(record)
+        assert during == 0

@@ -247,6 +247,31 @@ class TestSinglePassReader:
         else:
             assert _read([line]) == [expected]
 
+    @pytest.mark.parametrize("gold, cluster_labels, error", [
+        # cluster 0 repeats a span, cluster 2 holds a bad pair
+        ([[[0, 1], [0, 1]], [[2, 3]], [[1, 0]]], None,
+         "gold_clusters[0]: duplicate mention span within cluster"),
+        ([[[0, 1]], [], [[1, 0]]], None,
+         "gold_clusters[1]: cluster must contain at least one mention"),
+        # a span in two clusters, then a span repeated within cluster 2
+        ([[[0, 1]], [[0, 1], [2, 3]], [[2, 3], [2, 3]]], None,
+         "gold_clusters[2]: duplicate mention span within cluster"),
+        ([[[0, 1]], [[1, 2], [0, 1]]], None,
+         "doc 'd0': gold_clusters: span [0, 1) appears in clusters 0 and 1"),
+        ([[[0, 1], [0, 1]]], ["P3R"],
+         "gold_clusters[0]: bad category label 'P3R': expected letters only"),
+        ([[[0, 1], [0, 1]]], ["PER"],
+         "gold_clusters[0]: duplicate mention span within cluster"),
+    ], ids=["repeat-then-bad-pair", "empty", "across-then-within", "across", "label-first",
+            "labeled-repeat"])
+    def test_first_cluster_error_is_reported(self, gold, cluster_labels, error):
+        record = {"doc_id": "d0", "tokens": ["a", "b", "c", "d"], "gold_clusters": gold}
+        if cluster_labels is not None:
+            record["cluster_labels"] = {"gold": cluster_labels}
+        with pytest.raises(CorpusFormatError) as exc:
+            _read([json.dumps(record)])
+        assert str(exc.value) == f"line 1: {error}"
+
     def test_label_resolved_once_per_read(self, monkeypatch):
         inventory = CategoryInventory.default()
         calls = []

@@ -15,6 +15,7 @@ from coref_semscore.model import (
     Mention,
     SemanticSpan,
     Span,
+    _trusted_cluster,
     normalize_label,
     validate_document,
 )
@@ -99,12 +100,28 @@ class TestMention:
 
 class TestCluster:
     def test_rejects_empty(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at least one mention"):
             Cluster(())
+        with pytest.raises(ValueError, match="at least one mention"):
+            dataclasses.replace(_cluster((0, 2)), mentions=())
 
     def test_rejects_duplicate_spans(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="duplicate mention span"):
             _cluster((0, 2), (0, 2))
+        labeled = Mention(Span(0, 2), "PER", LabelSource.PROPAGATED)
+        with pytest.raises(ValueError, match="duplicate mention span"):
+            Cluster([Mention(Span(0, 2)), labeled])
+        with pytest.raises(ValueError, match="duplicate mention span"):
+            dataclasses.replace(_cluster((0, 2), (3, 4)),
+                                mentions=(Mention(Span(0, 2)), labeled))
+
+    def test_trusted_builder_builds_the_checked_value(self):
+        mentions = (Mention(Span(0, 2)), Mention(Span(3, 4), "PER", LabelSource.PROPAGATED))
+        checked = Cluster(iter(mentions), "PER")
+        trusted = _trusted_cluster(mentions, "PER")
+        assert checked.mentions == mentions
+        assert trusted == checked and hash(trusted) == hash(checked)
+        assert repr(trusted) == repr(checked)
 
 
 class TestValidateDocument:
