@@ -2,9 +2,11 @@
 
 Statistics are pooled over documents the way the reference CoNLL-2012
 scorer pools them, with twinless mentions counting only against their own
-side's denominator.  All three come from each document's sparse
-gold-cluster × predicted-cluster overlap counts (model.contingency) and
-the cluster sizes; no mention is scored one by one.  CEAF aligns clusters
+side's denominator.  Each metric takes a corpus's overlap tables, one
+model.contingency per document, and folds over their sparse gold-cluster
+× predicted-cluster overlap counts and cluster sizes, so no mention is
+scored one by one and the tables a caller builds once serve every
+metric, the typed ones included.  CEAF aligns clusters
 by phi4, solving the assignment exactly on each connected component of
 the nonzero overlaps.  All accumulation is done in exact rational
 arithmetic and converted to float once at the end, so results are
@@ -21,7 +23,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Collection, Mapping, NamedTuple, Sequence
 
-from .model import Cluster, Contingency, Document, contingency, pair_by_doc_id
+from .model import Cluster, Contingency, Document
+from .model import pair_by_doc_id  # noqa: F401 (perfbench/child.py wraps it by name)
 
 
 @dataclass(frozen=True)
@@ -67,16 +70,7 @@ def _sizes(clusters: Sequence[Cluster]) -> list[int]:
     return [len(c.mentions) for c in clusters]
 
 
-def _muc(tables: Sequence[Contingency]) -> RatioCounts:
-    num = p_den = r_den = 0
-    for gold, pred, cells, _ in tables:
-        num += sum(cells.values()) - len(cells)
-        r_den += sum(_sizes(gold)) - len(gold)
-        p_den += sum(_sizes(pred)) - len(pred)
-    return RatioCounts(num, p_den, num, r_den)
-
-
-def muc_counts(gold_docs: Sequence[Document], pred_docs: Sequence[Document]) -> RatioCounts:
+def muc_counts(tables: Sequence[Contingency]) -> RatioCounts:
     """MUC counts from the cluster-overlap tables.
 
     A cluster contributes |C| minus the number of cells in the partition
@@ -85,19 +79,33 @@ def muc_counts(gold_docs: Sequence[Document], pred_docs: Sequence[Document]) -> 
     sum of n_ij - 1 over its nonzero overlaps, so both sides share one
     numerator.  Denominators are the sums of |C| - 1.
     """
-    return _muc([contingency(*pair) for pair in pair_by_doc_id(gold_docs, pred_docs)])
+    num = p_den = r_den = 0
+    for gold, pred, cells, _ in tables:
+        num += sum(cells.values()) - len(cells)
+        r_den += sum(_sizes(gold)) - len(gold)
+        p_den += sum(_sizes(pred)) - len(pred)
+    return RatioCounts(num, p_den, num, r_den)
 
 
-def muc(gold_docs: Sequence[Document], pred_docs: Sequence[Document]) -> MetricTriple:
+def muc(tables: Sequence[Contingency]) -> MetricTriple:
     """Link-based metric over cluster partitions."""
-    return _triple(*muc_counts(gold_docs, pred_docs))
+    return _triple(*muc_counts(tables))
 
 
 def _sum_by_size(squares: Counter[int]) -> Fraction:
     return sum((Fraction(total, size) for size, total in squares.items()), Fraction(0))
 
 
-def _b_cubed(tables: Sequence[Contingency]) -> RatioCounts:
+def b_cubed_counts(tables: Sequence[Contingency]) -> RatioCounts:
+    """B-cubed counts from the cluster-overlap tables.
+
+    Each of the n_ij mentions shared by gold cluster i and predicted
+    cluster j scores n_ij / |G_i| for recall and n_ij / |P_j| for
+    precision; mentions missing from the other side score 0.  The squares
+    n_ij^2 are summed as integers per cluster size over the corpus and
+    divided once per distinct size, exactly.  Denominators are mention
+    counts.
+    """
     p_squares: Counter[int] = Counter()
     r_squares: Counter[int] = Counter()
     p_den = r_den = 0
@@ -111,22 +119,9 @@ def _b_cubed(tables: Sequence[Contingency]) -> RatioCounts:
     return RatioCounts(_sum_by_size(p_squares), p_den, _sum_by_size(r_squares), r_den)
 
 
-def b_cubed_counts(gold_docs: Sequence[Document], pred_docs: Sequence[Document]) -> RatioCounts:
-    """B-cubed counts from the cluster-overlap tables.
-
-    Each of the n_ij mentions shared by gold cluster i and predicted
-    cluster j scores n_ij / |G_i| for recall and n_ij / |P_j| for
-    precision; mentions missing from the other side score 0.  The squares
-    n_ij^2 are summed as integers per cluster size over the corpus and
-    divided once per distinct size, exactly.  Denominators are mention
-    counts.
-    """
-    return _b_cubed([contingency(*pair) for pair in pair_by_doc_id(gold_docs, pred_docs)])
-
-
-def b_cubed(gold_docs: Sequence[Document], pred_docs: Sequence[Document]) -> MetricTriple:
+def b_cubed(tables: Sequence[Contingency]) -> MetricTriple:
     """Mention-weighted metric averaging per-mention cluster overlap."""
-    return _triple(*b_cubed_counts(gold_docs, pred_docs))
+    return _triple(*b_cubed_counts(tables))
 
 
 class Matrix(NamedTuple):
@@ -266,7 +261,12 @@ def _alignment_total(
     return total
 
 
-def _ceaf(tables: Sequence[Contingency]) -> RatioCounts:
+def ceaf_counts(tables: Sequence[Contingency]) -> RatioCounts:
+    """CEAF-phi4 counts from the cluster-overlap tables.
+
+    Both numerators are the corpus total of each document's best
+    alignment (_alignment_total); denominators are cluster counts.
+    """
     total = Fraction(0)
     n_gold = n_pred = 0
     for gold, pred, cells, _ in tables:
@@ -276,29 +276,15 @@ def _ceaf(tables: Sequence[Contingency]) -> RatioCounts:
     return RatioCounts(total, n_pred, total, n_gold)
 
 
-def ceaf_counts(gold_docs: Sequence[Document], pred_docs: Sequence[Document]) -> RatioCounts:
-    """CEAF-phi4 counts from the cluster-overlap tables.
-
-    Both numerators are the corpus total of each document's best
-    alignment (_alignment_total); denominators are cluster counts.
-    """
-    return _ceaf([contingency(*pair) for pair in pair_by_doc_id(gold_docs, pred_docs)])
-
-
-def ceaf_phi4(gold_docs: Sequence[Document], pred_docs: Sequence[Document]) -> MetricTriple:
+def ceaf_phi4(tables: Sequence[Contingency]) -> MetricTriple:
     """Alignment-based metric using the phi4 cluster similarity."""
-    return _triple(*ceaf_counts(gold_docs, pred_docs))
+    return _triple(*ceaf_counts(tables))
 
 
-def conll(gold_docs: Sequence[Document], pred_docs: Sequence[Document]) -> ClassicReport:
-    """All three metrics from one overlap table per document pair;
-    conll_f1 is the mean of their F1s."""
-    tables = [contingency(*pair) for pair in pair_by_doc_id(gold_docs, pred_docs)]
-    return ClassicReport(
-        muc=_triple(*_muc(tables)),
-        b_cubed=_triple(*_b_cubed(tables)),
-        ceaf_phi4=_triple(*_ceaf(tables)),
-    )
+def conll(tables: Sequence[Contingency]) -> ClassicReport:
+    """All three metrics from the same overlap tables; conll_f1 is the
+    mean of their F1s."""
+    return ClassicReport(muc=muc(tables), b_cubed=b_cubed(tables), ceaf_phi4=ceaf_phi4(tables))
 
 
 def drop_singleton_clusters(docs: Sequence[Document]) -> list[Document]:

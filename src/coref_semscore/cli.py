@@ -18,6 +18,7 @@ from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
 
+from . import model
 from .classic_metrics import conll, drop_singleton_clusters
 from .ingest import (
     CorpusFormatError,
@@ -268,22 +269,27 @@ def cmd_eval(args) -> int:
         "typed_link": None,
         "classic": None,
     }
-    tables = []
+    # Every mode folds over the same overlap tables, one per document;
+    # classic scoring without singletons needs tables of its own.
+    tables = ([model.contingency(doc) for doc in docs]
+              if need_typed or not args.drop_singletons else [])
+    texts = []
     if args.typed_mention:
-        mention_report = typed_mention_scores(docs, docs)
+        mention_report = typed_mention_scores(tables)
         report["typed_mention"] = typed_report_dict(mention_report)
-        tables.append(render_typed_table(mention_report))
+        texts.append(render_typed_table(mention_report))
     if args.typed_link:
-        link_report = typed_link_scores(docs, docs, args.link_mention_source)
+        link_report = typed_link_scores(tables, args.link_mention_source)
         report["typed_link"] = typed_report_dict(link_report)
-        tables.append(render_typed_table(link_report))
+        texts.append(render_typed_table(link_report))
     if args.classic:
-        classic_docs = drop_singleton_clusters(docs) if args.drop_singletons else docs
-        classic = conll(classic_docs, classic_docs)
+        if args.drop_singletons:
+            tables = [model.contingency(doc) for doc in drop_singleton_clusters(docs)]
+        classic = conll(tables)
         report["classic"] = classic_report_dict(classic)
-        tables.append(render_classic_table(classic))
+        texts.append(render_classic_table(classic))
 
-    _publish(args, "eval_report", report, "\n".join(tables))
+    _publish(args, "eval_report", report, "\n".join(texts))
     return EXIT_OK
 
 
@@ -307,6 +313,7 @@ def cmd_distribution(args) -> int:
 
 
 _CLASS_ROW_FIELDS = ("tp", "fp", "fn", "f1", "support")
+_COUNT_FIELDS = ("tp", "fp", "fn", "support")
 
 
 def _is_number(value) -> bool:
@@ -334,6 +341,12 @@ def _check_typed_block(where: str, block) -> None:
             raise CliError(EXIT_INPUT, f"{where}: per_class {label!r}: f1 must be in [0, 1] "
                                        f"and support >= 0, got f1 {row['f1']!r}, "
                                        f"support {row['support']!r}")
+        counts = {k: row[k] for k in _COUNT_FIELDS}
+        if (not all(type(n) is int and n >= 0 for n in counts.values())
+                or counts["support"] != counts["tp"] + counts["fn"]):
+            raise CliError(EXIT_INPUT, f"{where}: per_class {label!r}: tp, fp, fn and support "
+                                       "must be integers >= 0 with support = tp + fn, got "
+                                       + ", ".join(f"{k} {n!r}" for k, n in counts.items()))
 
 
 def _load_report(path: str) -> tuple[dict, str]:

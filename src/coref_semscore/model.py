@@ -283,7 +283,8 @@ def _cluster_index(
 
 
 class Contingency(NamedTuple):
-    """One document pair joined on mention spans, which every metric reads.
+    """One document's two sides joined on mention spans, which every
+    metric reads.
 
     gold and pred are the clusters of each side.  cells maps (i, j) to
     n_ij = |G_i ∩ P_j|, the number of mention spans shared by gold
@@ -300,16 +301,17 @@ class Contingency(NamedTuple):
     agreed: Counter[str | None]
 
 
-def contingency(gold_doc: Document, pred_doc: Document) -> Contingency:
-    """The overlap table of gold_doc's gold clusters and pred_doc's
-    predicted clusters.
+def contingency(doc: Document) -> Contingency:
+    """The overlap table of doc's gold clusters and its predicted clusters.
 
+    A corpus whose predictions came in a separate file is merged first
+    (ingest.merge_predictions), so each document holds both sides.
     Raises ValueError when a span repeats across the clusters of either
     side.
     """
-    gold, pred = gold_doc.gold_clusters, pred_doc.predicted_clusters
-    gold_index = _cluster_index(gold_doc.doc_id, "gold", gold)
-    pred_index = _cluster_index(pred_doc.doc_id, "predicted", pred)
+    gold, pred = doc.gold_clusters, doc.predicted_clusters
+    gold_index = _cluster_index(doc.doc_id, "gold", gold)
+    pred_index = _cluster_index(doc.doc_id, "predicted", pred)
     shared = [(gold_index[span], p) for span, p in pred_index.items() if span in gold_index]
     return Contingency(
         gold,

@@ -9,10 +9,12 @@ predicted class and a false negative for the gold class.  Unlabeled
 mentions and links are excluded from the per-class counts and tallied in
 a side channel instead.
 
-Both modes read each document's gold-cluster × predicted-cluster overlap
-table (model.contingency): mention true positives are its shared spans
-that agree on a label, link true positives come from its cells, and the
-other counts are item counts per side.  No pair is built.
+Both scorers take a corpus's overlap tables, one model.contingency per
+document, and fold over them, so the tables a caller builds once serve
+both modes and the classic metrics too: mention true positives are each
+table's shared spans that agree on a label, link true positives come from
+its cells, and the other counts are item counts per side.  No pair is
+built.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from itertools import combinations
 from math import fsum
 from typing import Iterable, Mapping, Sequence
 
-from .model import Cluster, Document, contingency, pair_by_doc_id
+from .model import Cluster, Contingency
+from .model import pair_by_doc_id  # noqa: F401 (perfbench/child.py wraps it by name)
 
 SpanPair = tuple[tuple[int, int], tuple[int, int]]
 
@@ -148,9 +151,7 @@ def _report(
     )
 
 
-def typed_mention_scores(
-    gold_docs: Sequence[Document], pred_docs: Sequence[Document]
-) -> TypedScoreReport:
+def typed_mention_scores(tables: Sequence[Contingency]) -> TypedScoreReport:
     """Exact-span mention detection per class.
 
     A predicted mention labeled t is a true positive when a gold mention
@@ -160,8 +161,7 @@ def typed_mention_scores(
     tp: Counter[str | None] = Counter()
     gold_mentions: Counter[str | None] = Counter()
     pred_mentions: Counter[str | None] = Counter()
-    for gold_doc, pred_doc in pair_by_doc_id(gold_docs, pred_docs):
-        table = contingency(gold_doc, pred_doc)
+    for table in tables:
         tp.update(table.agreed)
         gold_mentions.update(m.assigned_label for c in table.gold for m in c.mentions)
         pred_mentions.update(m.assigned_label for c in table.pred for m in c.mentions)
@@ -177,9 +177,7 @@ def _tally_links(clusters: Sequence[Cluster], links: Counter) -> None:
 
 
 def typed_link_scores(
-    gold_docs: Sequence[Document],
-    pred_docs: Sequence[Document],
-    link_mention_source: str = "predicted",
+    tables: Sequence[Contingency], link_mention_source: str = "predicted"
 ) -> TypedScoreReport:
     """Same-cluster mention pairs per class.
 
@@ -200,8 +198,7 @@ def typed_link_scores(
     gold_links: Counter[str | None] = Counter()
     pred_links: Counter[str | None] = Counter()
     violations = 0
-    for gold_doc, pred_doc in pair_by_doc_id(gold_docs, pred_docs):
-        gold, pred, cells, _ = contingency(gold_doc, pred_doc)
+    for gold, pred, cells, _ in tables:
         for (i, j), n in cells.items():
             label = gold[i].cluster_label
             if n > 1 and label is not None and label == pred[j].cluster_label:

@@ -5,7 +5,7 @@ import pytest
 from coref_semscore.classic_metrics import ceaf_counts
 from coref_semscore.ingest import document_from_record
 from coref_semscore.inventory import CategoryInventory
-from coref_semscore.model import Cluster, Document, Mention
+from coref_semscore.model import Cluster, Document, Mention, contingency
 
 # News-wire fixture: one person entity referenced by name and pronoun, one
 # place entity referenced twice.  The two "Mr. <name>" mentions are exactly
@@ -72,6 +72,11 @@ COMPOSITE_RECORD = {
 }
 
 
+def tables_of(docs):
+    """One overlap table per document, the scorers' input."""
+    return [contingency(doc) for doc in docs]
+
+
 def best_alignment_total(gold_sets, pred_sets):
     """Maximum total phi4 over one-to-one alignments of clusters given as
     span sets: the CEAF numerator of a one-document corpus whose gold and
@@ -80,7 +85,7 @@ def best_alignment_total(gold_sets, pred_sets):
         return tuple(Cluster(tuple(Mention(span) for span in spans)) for spans in span_sets)
 
     doc = Document("span sets", (), clusters(gold_sets), clusters(pred_sets))
-    return ceaf_counts([doc], [doc]).p_num
+    return ceaf_counts(tables_of([doc])).p_num
 
 
 @pytest.fixture

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import oracles
-from conftest import COMPOSITE_RECORD, NEWS_RECORD, best_alignment_total
+from conftest import COMPOSITE_RECORD, NEWS_RECORD, best_alignment_total, tables_of
 from coref_semscore.classic_metrics import (
     b_cubed,
     ceaf_phi4,
@@ -113,7 +113,7 @@ def test_a4_typed_link_oracle():
         )[0]
         doc = document_from_record(record, inventory)
         (labeled,) = label_documents([doc], CFG)
-        report = typed_link_scores([labeled], [labeled])
+        report = typed_link_scores(tables_of([labeled]))
         oracle_labels = {record["doc_id"]: oracles.label_record(record)}
         expected, ug, up = oracles.corpus_typed_counts([record], oracle_labels, "link")
         got = {label: (s.tp, s.fp, s.fn) for label, s in report.per_class.items()}
@@ -128,29 +128,29 @@ def test_a4_typed_link_oracle():
 def test_a5_classic_metric_oracles():
     # hand-derived worked examples
     split = _doc_from_spans([[(0, 1), (2, 3), (4, 5)]], [[(0, 1), (2, 3)], [(4, 5)]])
-    triple = muc([split], [split])
+    triple = muc(tables_of([split]))
     assert triple.recall == pytest.approx(0.5, abs=1e-9)
     assert triple.precision == pytest.approx(1.0, abs=1e-9)
     assert triple.f1 == pytest.approx(2 / 3, abs=1e-9)
 
     merged = _doc_from_spans([[(0, 1)], [(2, 3)]], [[(0, 1), (2, 3)]])
-    triple = muc([merged], [merged])
+    triple = muc(tables_of([merged]))
     assert triple.recall == pytest.approx(0.0, abs=1e-9)
     assert triple.precision == pytest.approx(0.0, abs=1e-9)
 
     b3_doc = _doc_from_spans([[(0, 1), (2, 3)], [(4, 5)]], [[(0, 1), (2, 3), (4, 5)]])
-    triple = b_cubed([b3_doc], [b3_doc])
+    triple = b_cubed(tables_of([b3_doc]))
     assert triple.precision == pytest.approx(5 / 9, abs=1e-9)
     assert triple.recall == pytest.approx(1.0, abs=1e-9)
 
     even = _doc_from_spans([[(0, 1), (2, 3)], [(4, 5), (6, 7)]],
                            [[(0, 1), (4, 5)], [(2, 3), (6, 7)]])
-    triple = ceaf_phi4([even], [even])
+    triple = ceaf_phi4(tables_of([even]))
     assert triple.precision == pytest.approx(0.5, abs=1e-9)
     assert triple.recall == pytest.approx(0.5, abs=1e-9)
 
     uneven = _doc_from_spans([[(0, 1), (2, 3), (4, 5)]], [[(0, 1), (2, 3)], [(4, 5)]])
-    triple = ceaf_phi4([uneven], [uneven])
+    triple = ceaf_phi4(tables_of([uneven]))
     assert triple.recall == pytest.approx(0.8, abs=1e-9)
     assert triple.precision == pytest.approx(0.4, abs=1e-9)
 
@@ -171,7 +171,7 @@ def test_a5_classic_metric_oracles():
     # conll_f1 is the mean of the three F1s
     rng = random.Random(506)
     docs = to_documents(random_corpus(rng, 15))
-    report = conll(docs, docs)
+    report = conll(tables_of(docs))
     mean = (report.muc.f1 + report.b_cubed.f1 + report.ceaf_phi4.f1) / 3
     assert abs(report.conll_f1 - mean) < 1e-12
 
@@ -184,14 +184,15 @@ def test_a6_identity_suite():
             identity=True, ensure_links=True, ensure_direct=True,
         )
         docs = label_documents(to_documents(records), CFG)
-        mention = typed_mention_scores(docs, docs)
-        link = typed_link_scores(docs, docs)
+        tables = tables_of(docs)
+        mention = typed_mention_scores(tables)
+        link = typed_link_scores(tables)
         for report in (mention, link):
             assert report.per_class, "identity corpus must have labeled items"
             assert all(s.f1 == 1.0 for s in report.per_class.values())
             assert report.macro_f1 == 1.0
             assert report.micro.f1 == 1.0
-        classic = conll(docs, docs)
+        classic = conll(tables)
         for triple in (classic.muc, classic.b_cubed, classic.ceaf_phi4):
             assert (triple.precision, triple.recall, triple.f1) == (1.0, 1.0, 1.0)
         assert classic.conll_f1 == 1.0
@@ -277,9 +278,10 @@ def test_a10_throughput():
     docs = to_documents(records)
     started = time.perf_counter()
     labeled = label_documents(docs, CFG)
-    typed_mention_scores(labeled, labeled)
-    typed_link_scores(labeled, labeled)
-    conll(labeled, labeled)
+    tables = tables_of(labeled)
+    typed_mention_scores(tables)
+    typed_link_scores(tables)
+    conll(tables)
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0, f"pipeline took {elapsed:.2f}s for 1000 documents"
 
@@ -327,8 +329,8 @@ def test_a11_label_renaming_invariance():
 
         renamed = [rename(doc) for doc in docs]
         for scorer in (typed_mention_scores, typed_link_scores):
-            base = scorer(docs, docs)
-            after = scorer(renamed, renamed)
+            base = scorer(tables_of(docs))
+            after = scorer(tables_of(renamed))
             assert set(after.per_class) == {mapping[l] for l in base.per_class}
             for label, score in base.per_class.items():
                 moved = after.per_class[mapping[label]]

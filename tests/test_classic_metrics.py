@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import best_alignment_total
+from conftest import best_alignment_total, tables_of
 from coref_semscore.classic_metrics import (
     Matrix,
     b_cubed,
@@ -48,19 +48,19 @@ def _identity_docs(seed=3, n_docs=10):
 class TestMuc:
     def test_identity(self):
         docs = _identity_docs()
-        triple = muc(docs, docs)
+        triple = muc(tables_of(docs))
         assert (triple.precision, triple.recall, triple.f1) == (1.0, 1.0, 1.0)
 
     def test_split_cluster(self):
         doc = _doc([("a", "b", "c")], [("a", "b"), ("c",)])
-        triple = muc([doc], [doc])
+        triple = muc(tables_of([doc]))
         assert triple.recall == 0.5
         assert triple.precision == 1.0
         assert triple.f1 == pytest.approx(2 / 3, abs=1e-9)
 
     def test_merged_singletons_degenerate(self):
         doc = _doc([("a",), ("b",)], [("a", "b")])
-        triple = muc([doc], [doc])
+        triple = muc(tables_of([doc]))
         assert triple.recall == 0.0  # 0/0 convention
         assert triple.precision == 0.0
         assert triple.f1 == 0.0
@@ -68,12 +68,12 @@ class TestMuc:
     def test_pure_function_of_partitions(self):
         doc_a = _doc([("a", "b"), ("c", "d")], [("a", "b", "c", "d")])
         doc_b = _doc([("c", "d"), ("a", "b")], [("a", "b", "c", "d")])
-        assert muc([doc_a], [doc_a]) == muc([doc_b], [doc_b])
+        assert muc(tables_of([doc_a])) == muc(tables_of([doc_b]))
 
     def test_twinless_mentions_partition_alone(self):
         # predicted cluster contains a mention absent from gold
         doc = _doc([("a", "b")], [("a", "b", "e")])
-        triple = muc([doc], [doc])
+        triple = muc(tables_of([doc]))
         # precision: |{a,b,e}| - cells(a,b -> gold 0; e unmatched) = 3 - 2 = 1, den 2
         assert triple.precision == 0.5
         assert triple.recall == 1.0
@@ -82,18 +82,18 @@ class TestMuc:
 class TestBCubed:
     def test_identity(self):
         docs = _identity_docs(seed=5)
-        triple = b_cubed(docs, docs)
+        triple = b_cubed(tables_of(docs))
         assert (triple.precision, triple.recall, triple.f1) == (1.0, 1.0, 1.0)
 
     def test_merge_example(self):
         doc = _doc([("a", "b"), ("c",)], [("a", "b", "c")])
-        triple = b_cubed([doc], [doc])
+        triple = b_cubed(tables_of([doc]))
         assert triple.precision == pytest.approx(5 / 9, abs=1e-12)
         assert triple.recall == 1.0
 
     def test_twinless_predicted_singleton_scores_zero_precision(self):
         doc = _doc([("a", "b")], [("a", "b"), ("e",)])
-        triple = b_cubed([doc], [doc])
+        triple = b_cubed(tables_of([doc]))
         assert triple.precision == pytest.approx(2 / 3, abs=1e-12)
         assert triple.recall == 1.0
 
@@ -101,18 +101,18 @@ class TestBCubed:
 class TestCeaf:
     def test_identity(self):
         docs = _identity_docs(seed=7)
-        triple = ceaf_phi4(docs, docs)
+        triple = ceaf_phi4(tables_of(docs))
         assert (triple.precision, triple.recall, triple.f1) == (1.0, 1.0, 1.0)
 
     def test_symmetric_even_split(self):
         doc = _doc([("a", "b"), ("c", "d")], [("a", "c"), ("b", "d")])
-        triple = ceaf_phi4([doc], [doc])
+        triple = ceaf_phi4(tables_of([doc]))
         assert triple.precision == 0.5
         assert triple.recall == 0.5
 
     def test_one_gold_two_predicted(self):
         doc = _doc([("a", "b", "c")], [("a", "b"), ("c",)])
-        triple = ceaf_phi4([doc], [doc])
+        triple = ceaf_phi4(tables_of([doc]))
         assert triple.recall == pytest.approx(0.8, abs=1e-9)
         assert triple.precision == pytest.approx(0.4, abs=1e-9)
 
@@ -191,13 +191,13 @@ class TestAlignmentSolver:
 class TestConll:
     def test_identity(self):
         docs = _identity_docs(seed=9)
-        report = conll(docs, docs)
+        report = conll(tables_of(docs))
         assert report.conll_f1 == 1.0
 
     def test_mean_of_f1s(self):
         rng = random.Random(43)
         docs = to_documents(random_corpus(rng, 10))
-        report = conll(docs, docs)
+        report = conll(tables_of(docs))
         mean = (report.muc.f1 + report.b_cubed.f1 + report.ceaf_phi4.f1) / 3
         assert abs(report.conll_f1 - mean) < 1e-12
         for triple in (report.muc, report.b_cubed, report.ceaf_phi4):
@@ -209,7 +209,7 @@ class TestConll:
         rng = random.Random(47)
         records = random_corpus(rng, 20, max_clusters=5, max_total_mentions=12)
         docs = to_documents(records)
-        report = conll(docs, docs)
+        report = conll(tables_of(docs))
         expected = oracles.classic_scores(records)
         assert (report.muc.precision, report.muc.recall, report.muc.f1) == expected["muc"]
         assert (report.b_cubed.precision, report.b_cubed.recall, report.b_cubed.f1) \
@@ -222,14 +222,14 @@ class TestConll:
 class TestSingletons:
     def test_identical_singleton_corpora(self):
         doc = _doc([("a",), ("b",)], [("a",), ("b",)])
-        assert b_cubed([doc], [doc]).f1 == 1.0
-        assert ceaf_phi4([doc], [doc]).f1 == 1.0
-        assert muc([doc], [doc]).f1 == 0.0  # 0/0 convention
+        assert b_cubed(tables_of([doc])).f1 == 1.0
+        assert ceaf_phi4(tables_of([doc])).f1 == 1.0
+        assert muc(tables_of([doc])).f1 == 0.0  # 0/0 convention
 
     def test_drop_singletons(self):
         doc = _doc([("a", "b"), ("c",)], [("a", "b"), ("d",)])
         (stripped,) = drop_singleton_clusters([doc])
         assert len(stripped.gold_clusters) == 1
         assert len(stripped.predicted_clusters) == 1
-        triple = muc([stripped], [stripped])
+        triple = muc(tables_of([stripped]))
         assert triple.f1 == 1.0

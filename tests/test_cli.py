@@ -6,11 +6,12 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
-from coref_semscore import cli
+from coref_semscore import cli, model
 from coref_semscore.cli import main
 from coref_semscore.inventory import CategoryInventory
 from conftest import COMPOSITE_RECORD, NEWS_RECORD
@@ -441,6 +442,52 @@ class TestEvalCommand:
                      "--typed-link", "--out", str(tmp_path / "out")]) == 0
 
 
+class TestEvalSharesTables:
+    """eval builds each document's overlap table once and scores every mode from it."""
+
+    MODES = {"typed_mention": "--typed-mention", "typed_link": "--typed-link",
+             "classic": "--classic"}
+
+    @pytest.mark.parametrize("drop, per_doc", [([], 1), (["--drop-singletons"], 2)])
+    def test_one_table_per_document(self, tmp_path, monkeypatch, drop, per_doc):
+        built: Counter = Counter()
+        build = model.contingency
+
+        def counted(doc):
+            built[doc.doc_id] += 1
+            return build(doc)
+
+        monkeypatch.setattr(model, "contingency", counted)
+        assert main(["eval", "--gold", str(MINI_CORPUS), *self.MODES.values(), *drop,
+                     "--out", str(tmp_path)]) == 0
+        doc_ids = [json.loads(line)["doc_id"] for line in MINI_CORPUS.read_text().splitlines()]
+        assert built == {doc_id: per_doc for doc_id in doc_ids}
+
+    def test_each_block_equals_its_mode_alone(self, tmp_path):
+        """Any set of modes, with or without --drop-singletons, gives each
+        block the bytes of that mode run alone; dropping singletons changes
+        the classic block only."""
+        def blocks(modes, drop):
+            out = tmp_path / "_".join((*modes, *drop))
+            flags = [self.MODES[mode] for mode in modes]
+            assert main(["eval", "--gold", str(MINI_CORPUS), *flags, *drop,
+                         "--out", str(out)]) == 0
+            report = json.loads((out / "eval_report.json").read_text(encoding="utf-8"))
+            return {mode: report[mode] for mode in self.MODES}
+
+        subsets = [modes for size in (1, 2, 3) for modes in combinations(self.MODES, size)]
+        runs = {(modes, drop): blocks(modes, drop)
+                for modes in subsets for drop in ((), ("--drop-singletons",))}
+        alone = {(mode, drop): runs[(mode,), drop][mode]
+                 for mode in self.MODES for drop in ((), ("--drop-singletons",))}
+        assert alone["classic", ()] != alone["classic", ("--drop-singletons",)]
+        for (modes, drop), got in runs.items():
+            assert got == {
+                mode: alone[mode, drop if mode == "classic" else ()] if mode in modes else None
+                for mode in self.MODES
+            }
+
+
 class TestCoverageAndDistributionCommands:
     def test_coverage_command(self, tmp_path, news_path):
         out = tmp_path / "out"
@@ -465,6 +512,42 @@ class TestCompareCommand:
         assert main(["eval", "--gold", path, "--typed-mention", "--typed-link",
                      "--out", str(out)]) == 0
         return str(out / "eval_report.json")
+
+    @pytest.mark.parametrize("counts", [
+        {"tp": -5, "fp": 1, "fn": 1, "support": 1},
+        {"tp": 2.5, "fp": 1, "fn": 1, "support": 3},
+        {"tp": 1, "fp": 0, "fn": 1, "support": 3},
+        {"tp": 1, "fp": 0, "fn": 0, "support": 1.0},
+    ], ids=["negative", "fractional", "support-not-tp-plus-fn", "float-support"])
+    def test_row_counts_must_be_counts(self, tmp_path, capsys, counts):
+        path = self._one_row_report(tmp_path, counts)
+        got = ", ".join(f"{k} {v!r}" for k, v in counts.items())
+        message = (f"error: {path}: typed_mention: per_class 'PER': tp, fp, fn and support "
+                   f"must be integers >= 0 with support = tp + fn, got {got}\n")
+        for argv in self._readers(path):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == message
+
+    def test_bool_count_is_not_a_count(self, tmp_path, capsys):
+        path = self._one_row_report(tmp_path, {"tp": True, "fp": 0, "fn": 0, "support": 1})
+        for argv in self._readers(path):
+            assert main(argv) == 2
+            assert (f"{path}: typed_mention: per_class 'PER': expected an object with numbers"
+                    in capsys.readouterr().err)
+
+    @staticmethod
+    def _one_row_report(tmp_path, counts) -> Path:
+        block = {"macro_f1": 0.5, "per_class": {"PER": {**counts, "f1": 0.5}}}
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps({"typed_mention": block}), encoding="utf-8")
+        return path
+
+    @staticmethod
+    def _readers(path) -> list[list[str]]:
+        return [["compare", "-a", str(path), "-b", str(path), "--pool-counts"],
+                ["diagnose", "--eval-report", str(path)]]
 
     def test_compare_identity_and_csv(self, tmp_path):
         rng = random.Random(5)
@@ -581,7 +664,7 @@ class TestDiagnoseCommand:
         assert "unrecognized arguments: --distribution-report" in capsys.readouterr().err
 
     @staticmethod
-    def _report(tmp_path, f1: float, support: int = 3) -> str:
+    def _report(tmp_path, f1: float, support: int = 1) -> str:
         row = {"tp": 0, "fp": 1, "fn": 1, "f1": f1, "support": support}
         block = {"macro_f1": 0.0, "per_class": {"PER": row}}
         path = tmp_path / "report.json"

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import tables_of
 from coref_semscore.classic_metrics import (
     b_cubed,
     b_cubed_counts,
@@ -80,18 +81,18 @@ class TestContingency:
     def test_sparse_overlap_counts(self):
         doc = _doc([[(0, 1), (2, 3), (4, 5)], [(6, 7)]],
                    [[(0, 1), (2, 3)], [(4, 5), (6, 7), (8, 9)]])
-        assert contingency(doc, doc).cells == {(0, 0): 2, (0, 1): 1, (1, 1): 1}
+        assert contingency(doc).cells == {(0, 0): 2, (0, 1): 1, (1, 1): 1}
 
     def test_twinless_mentions_leave_no_cell(self):
         doc = _doc([[(0, 1)]], [[(2, 3)]])
-        assert contingency(doc, doc).cells == {}
+        assert contingency(doc).cells == {}
 
     def test_cells_sum_to_shared_spans(self):
         records = random_corpus(random.Random(5), 20, **BIG_CLUSTERS)
         for record, doc in zip(records, to_documents(records)):
             gold = {tuple(s) for c in record["gold_clusters"] for s in c}
             pred = {tuple(s) for c in record["predicted_clusters"] for s in c}
-            table = contingency(doc, doc).cells
+            table = contingency(doc).cells
             assert sum(table.values()) == len(gold & pred)
             assert all(n > 0 for n in table.values())
 
@@ -115,7 +116,7 @@ class TestRepeatedSpan:
     def test_metrics_raise_naming_doc_side_and_span(self, metric, spec, side, span):
         doc = _doc(*spec, doc_id="api7")
         with pytest.raises(ValueError) as excinfo:
-            metric([doc], [doc])
+            metric(tables_of([doc]))
         message = str(excinfo.value)
         assert "'api7'" in message
         assert f"{side} span {span}" in message
@@ -130,7 +131,7 @@ class TestLargeClusterOracles:
         labeled = {r["doc_id"]: oracles.label_record(r) for r in records}
         expected, ug, up = oracles.corpus_typed_counts(records, labeled, "link")
         want = {label: (c["tp"], c["fp"], c["fn"]) for label, c in expected.items()}
-        assert _link_counts(typed_link_scores(docs, docs)) == (want, ug, up)
+        assert _link_counts(typed_link_scores(tables_of(docs))) == (want, ug, up)
 
     @pytest.mark.parametrize("seed", [21, 22, 23])
     def test_gold_source_counts_uncontained_predicted_mentions(self, seed):
@@ -141,7 +142,7 @@ class TestLargeClusterOracles:
                 - {tuple(s) for c in r["gold_clusters"] for s in c})
             for r in records
         )
-        report = typed_link_scores(docs, docs, link_mention_source="gold")
+        report = typed_link_scores(tables_of(docs), link_mention_source="gold")
         assert report.containment_violations == expected
 
     @pytest.mark.parametrize("seed", [31, 32, 33])
@@ -149,15 +150,15 @@ class TestLargeClusterOracles:
         records = random_corpus(random.Random(seed), 8, **BIG_CLUSTERS)
         docs = to_documents(records)
         want_muc, want_b3, _ = _oracle_classic_counts(records)
-        assert tuple(muc_counts(docs, docs)) == want_muc
-        assert tuple(b_cubed_counts(docs, docs)) == want_b3
+        assert tuple(muc_counts(tables_of(docs))) == want_muc
+        assert tuple(b_cubed_counts(tables_of(docs))) == want_b3
 
     @pytest.mark.parametrize("seed", [34, 35, 36])
     def test_ceaf_counts_match_oracles(self, seed):
         records = random_corpus(random.Random(seed), 8, **BIG_CLUSTERS)
         docs = to_documents(records)
         _, _, want_ceaf = _oracle_classic_counts(records)
-        assert tuple(ceaf_counts(docs, docs)) == want_ceaf
+        assert tuple(ceaf_counts(tables_of(docs))) == want_ceaf
 
 
 def _pooled_typed(reports):
@@ -183,10 +184,10 @@ class TestAdditivity:
     def test_split_corpus_pools_to_whole(self, seed, n_docs, data):
         records = random_corpus(random.Random(seed), n_docs, n_tokens=(40, 120),
                                 max_clusters=4, max_total_mentions=30, max_labels=3)
-        docs = label_documents(to_documents(records), CFG)
+        tables = tables_of(label_documents(to_documents(records), CFG))
         cut = data.draw(st.integers(1, n_docs - 1), label="cut")
-        parts = [docs[:cut], docs[cut:]]
+        parts = [tables[:cut], tables[cut:]]
         for score in (typed_mention_scores, typed_link_scores):
-            assert _pooled_typed(score(p, p) for p in parts) == _pooled_typed([score(docs, docs)])
+            assert _pooled_typed(score(p) for p in parts) == _pooled_typed([score(tables)])
         for counts in (muc_counts, b_cubed_counts, ceaf_counts):
-            assert _pooled_ratio(counts(p, p) for p in parts) == tuple(counts(docs, docs))
+            assert _pooled_ratio(counts(p) for p in parts) == tuple(counts(tables))

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from conftest import tables_of
 from coref_semscore.labeling import LabelingConfig, label_documents
 from coref_semscore.model import (
     Cluster,
@@ -14,6 +15,7 @@ from coref_semscore.model import (
     LabelSource,
     Mention,
     Span,
+    pair_by_doc_id,
 )
 from coref_semscore.typed_metrics import (
     ClassScore,
@@ -99,7 +101,7 @@ class TestTypedMentionScores:
     def test_identity_is_perfect(self):
         _, docs = _labeled_random_docs(7, 10, identity=True, ensure_links=True,
                                        ensure_direct=True)
-        report = typed_mention_scores(docs, docs)
+        report = typed_mention_scores(tables_of(docs))
         assert report.per_class
         assert all(s.f1 == 1.0 for s in report.per_class.values())
         assert report.macro_f1 == 1.0
@@ -109,7 +111,7 @@ class TestTypedMentionScores:
         gold = [_cluster([(0, 1), (2, 3)], "PER")]
         pred = [_cluster([(0, 1), (5, 6)], "PER")]
         doc = _doc("d0", 8, gold, pred)
-        report = typed_mention_scores([doc], [doc])
+        report = typed_mention_scores(tables_of([doc]))
         score = report.per_class["PER"]
         assert (score.tp, score.fp, score.fn) == (1, 1, 1)
         assert score.precision == score.recall == score.f1 == 0.5
@@ -118,7 +120,7 @@ class TestTypedMentionScores:
         gold = [_cluster([(0, 1)], "PER")]
         pred = [_cluster([(0, 1)], "LOC")]
         doc = _doc("d0", 4, gold, pred)
-        report = typed_mention_scores([doc], [doc])
+        report = typed_mention_scores(tables_of([doc]))
         assert report.per_class["LOC"].fp == 1
         assert report.per_class["PER"].fn == 1
         assert report.micro.tp == 0
@@ -127,7 +129,7 @@ class TestTypedMentionScores:
         gold = [_cluster([(0, 1)], "PER"), _cluster([(2, 3)])]
         pred = [_cluster([(0, 1)], "PER"), _cluster([(4, 5)])]
         doc = _doc("d0", 8, gold, pred)
-        report = typed_mention_scores([doc], [doc])
+        report = typed_mention_scores(tables_of([doc]))
         assert report.unlabeled_gold == 1
         assert report.unlabeled_predicted == 1
         assert set(report.per_class) == {"PER"}
@@ -136,8 +138,8 @@ class TestTypedMentionScores:
         gold = [_cluster([(2, 4)], "PER")]
         doc_match = _doc("d0", 8, gold, [_cluster([(2, 4)], "PER")])
         doc_shift = _doc("d0", 8, gold, [_cluster([(3, 5)], "PER")])
-        matched = typed_mention_scores([doc_match], [doc_match]).per_class["PER"]
-        shifted = typed_mention_scores([doc_shift], [doc_shift]).per_class["PER"]
+        matched = typed_mention_scores(tables_of([doc_match])).per_class["PER"]
+        shifted = typed_mention_scores(tables_of([doc_shift])).per_class["PER"]
         assert (matched.tp, matched.fp, matched.fn) == (1, 0, 0)
         assert (shifted.tp, shifted.fp, shifted.fn) == (0, 1, 1)
 
@@ -145,7 +147,7 @@ class TestTypedMentionScores:
         doc_a = _doc("a", 4, [], [])
         doc_b = _doc("b", 4, [], [])
         with pytest.raises(DocumentPairingError):
-            typed_mention_scores([doc_a], [doc_b])
+            pair_by_doc_id([doc_a], [doc_b])
 
 
 class TestTypedLinkScores:
@@ -153,7 +155,7 @@ class TestTypedLinkScores:
         gold = [_cluster([(0, 1), (2, 3), (4, 5)], "PER")]
         pred = [_cluster([(0, 1), (2, 3)], "PER")]
         doc = _doc("d0", 8, gold, pred)
-        score = typed_link_scores([doc], [doc]).per_class["PER"]
+        score = typed_link_scores(tables_of([doc])).per_class["PER"]
         assert (score.tp, score.fp, score.fn) == (1, 0, 2)
         assert score.precision == 1.0
         assert score.recall == pytest.approx(1 / 3)
@@ -162,7 +164,7 @@ class TestTypedLinkScores:
     def test_identity_is_perfect(self):
         _, docs = _labeled_random_docs(11, 10, identity=True, ensure_links=True,
                                        ensure_direct=True)
-        report = typed_link_scores(docs, docs)
+        report = typed_link_scores(tables_of(docs))
         assert report.per_class
         assert all(s.f1 == 1.0 for s in report.per_class.values())
         assert report.macro_f1 == report.micro.f1 == 1.0
@@ -171,14 +173,14 @@ class TestTypedLinkScores:
         gold = [_cluster([(0, 1)], "PER"), _cluster([(2, 3)], "PER")]
         pred = [_cluster([(0, 1), (2, 3)], "PER")]
         doc = _doc("d0", 4, gold, pred)
-        score = typed_link_scores([doc], [doc]).per_class["PER"]
+        score = typed_link_scores(tables_of([doc])).per_class["PER"]
         assert (score.tp, score.fp, score.fn) == (0, 1, 0)
         assert score.f1 == 0.0
 
     def test_singletons_contribute_no_links(self):
         gold = [_cluster([(0, 1)], "PER")]
         doc = _doc("d0", 4, gold, gold)
-        report = typed_link_scores([doc], [doc])
+        report = typed_link_scores(tables_of([doc]))
         assert report.per_class == {}
         assert report.micro.tp == 0
 
@@ -186,16 +188,16 @@ class TestTypedLinkScores:
         gold = [_cluster([(0, 1), (2, 3)], "PER")]
         pred = [_cluster([(0, 1), (4, 5)], "PER")]
         doc = _doc("d0", 8, gold, pred)
-        report = typed_link_scores([doc], [doc], link_mention_source="gold")
+        report = typed_link_scores(tables_of([doc]), link_mention_source="gold")
         assert report.link_mention_source == "gold"
         assert report.containment_violations == 1
-        clean = typed_link_scores([doc], [doc])
+        clean = typed_link_scores(tables_of([doc]))
         assert clean.containment_violations is None
 
     def test_unlabeled_cluster_changes_no_typed_count(self):
         records, docs = _labeled_random_docs(13, 8)
-        base = typed_link_scores(docs, docs)
-        base_mention = typed_mention_scores(docs, docs)
+        base = typed_link_scores(tables_of(docs))
+        base_mention = typed_mention_scores(tables_of(docs))
         spiked = []
         for doc in docs:
             extra = Cluster((
@@ -208,8 +210,8 @@ class TestTypedLinkScores:
                 continue
             spiked.append(doc.with_clusters("predicted",
                                             list(doc.predicted_clusters) + [extra]))
-        after = typed_link_scores(spiked, spiked)
-        after_mention = typed_mention_scores(spiked, spiked)
+        after = typed_link_scores(tables_of(spiked))
+        after_mention = typed_mention_scores(tables_of(spiked))
         for label, score in base.per_class.items():
             got = after.per_class[label]
             assert (got.tp, got.fp, got.fn) == (score.tp, score.fp, score.fn)
@@ -222,7 +224,7 @@ class TestTypedLinkScores:
                                              max_total_mentions=8, max_labels=3)
         labeled = {r["doc_id"]: oracles.label_record(r) for r in records}
         expected, ug, up = oracles.corpus_typed_counts(records, labeled, "link")
-        report = typed_link_scores(docs, docs)
+        report = typed_link_scores(tables_of(docs))
         assert {l: (s.tp, s.fp, s.fn) for l, s in report.per_class.items()} == {
             l: (c["tp"], c["fp"], c["fn"]) for l, c in expected.items()
         }
@@ -247,14 +249,14 @@ class TestAggregates:
         gold = [_cluster([(0, 1), (2, 3)], "PER")]
         pred = [_cluster([(0, 1)], "PER")]
         doc = _doc("d0", 4, gold, pred)
-        report = typed_mention_scores([doc], [doc])
+        report = typed_mention_scores(tables_of([doc]))
         assert report.macro_f1 == report.micro.f1 == report.per_class["PER"].f1
 
     def test_predicted_only_classes_excluded_from_macro(self):
         gold = [_cluster([(0, 1)], "PER")]
         pred = [_cluster([(0, 1)], "PER"), _cluster([(2, 3)], "LOC")]
         doc = _doc("d0", 4, gold, pred)
-        report = typed_mention_scores([doc], [doc])
+        report = typed_mention_scores(tables_of([doc]))
         assert report.predicted_only_classes == ["LOC"]
         assert report.macro_classes == ["PER"]
         assert report.macro_f1 == 1.0
@@ -262,7 +264,7 @@ class TestAggregates:
 
     def test_report_rows_sorted_by_support_then_name(self):
         _, docs = _labeled_random_docs(19, 20)
-        report = typed_mention_scores(docs, docs)
+        report = typed_mention_scores(tables_of(docs))
         keys = list(report.per_class)
         sort = sorted(keys, key=lambda l: (-report.per_class[l].support, l))
         assert keys == sort
@@ -295,10 +297,9 @@ class TestRenamingInvariance:
             return doc
 
         renamed = [rename(doc) for doc in docs]
-        for scorer in (typed_mention_scores,
-                       lambda g, p: typed_link_scores(g, p)):
-            base = scorer(docs, docs)
-            after = scorer(renamed, renamed)
+        for scorer in (typed_mention_scores, typed_link_scores):
+            base = scorer(tables_of(docs))
+            after = scorer(tables_of(renamed))
             assert set(after.per_class) == {mapping[l] for l in base.per_class}
             for label, score in base.per_class.items():
                 got = after.per_class[mapping[label]]
