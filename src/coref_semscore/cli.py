@@ -45,7 +45,7 @@ from .labeling import (
     label_documents,
     load_pronoun_lexicon,
 )
-from .model import DocumentPairingError, SIDES
+from .model import SIDES
 from .reporting import (
     ReportModeError,
     classic_report_dict,
@@ -62,6 +62,7 @@ from .reporting import (
     render_distribution_table,
     render_typed_table,
     typed_report_dict,
+    typed_report_from_dict,
     write_json,
 )
 from .typed_metrics import typed_link_scores, typed_mention_scores
@@ -312,51 +313,15 @@ def cmd_distribution(args) -> int:
     return EXIT_OK
 
 
-_CLASS_ROW_FIELDS = ("tp", "fp", "fn", "f1", "support")
-_COUNT_FIELDS = ("tp", "fp", "fn", "support")
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
-
-
-def _is_score(value) -> bool:
-    return _is_number(value) and 0 <= value <= 1
-
-
-def _check_typed_block(where: str, block) -> None:
-    """Check the fields of one typed-score block that compare and diagnose read."""
-    if not isinstance(block, dict):
-        raise CliError(EXIT_INPUT, f"{where}: expected a JSON object")
-    if not _is_score(block.get("macro_f1")):
-        raise CliError(EXIT_INPUT, f"{where}: macro_f1 must be a number in [0, 1]")
-    per_class = block.get("per_class")
-    if not isinstance(per_class, dict):
-        raise CliError(EXIT_INPUT, f"{where}: per_class must be a JSON object")
-    for label, row in per_class.items():
-        if not isinstance(row, dict) or not all(_is_number(row.get(k)) for k in _CLASS_ROW_FIELDS):
-            raise CliError(EXIT_INPUT, f"{where}: per_class {label!r}: expected an object "
-                                       f"with numbers {', '.join(_CLASS_ROW_FIELDS)}")
-        if not _is_score(row["f1"]) or row["support"] < 0:
-            raise CliError(EXIT_INPUT, f"{where}: per_class {label!r}: f1 must be in [0, 1] "
-                                       f"and support >= 0, got f1 {row['f1']!r}, "
-                                       f"support {row['support']!r}")
-        counts = {k: row[k] for k in _COUNT_FIELDS}
-        if (not all(type(n) is int and n >= 0 for n in counts.values())
-                or counts["support"] != counts["tp"] + counts["fn"]):
-            raise CliError(EXIT_INPUT, f"{where}: per_class {label!r}: tp, fp, fn and support "
-                                       "must be integers >= 0 with support = tp + fn, got "
-                                       + ", ".join(f"{k} {n!r}" for k, n in counts.items()))
-
-
 def _load_report(path: str) -> tuple[dict, str]:
-    """An eval report and its corpus name, with every field that compare
-    and diagnose read checked, so a malformed file is an input error."""
+    """An eval report and its corpus name, with config an object and each
+    typed block read back into a TypedScoreReport, so a malformed file is
+    an input error."""
     with _reading(path), open(path, encoding="utf-8") as handle:
         report = json.load(handle, object_pairs_hook=unique_keys)
     if not isinstance(report, dict):
         raise CliError(EXIT_INPUT, f"{path}: expected a JSON object")
-    config = report.get("config") or {}
+    config = report["config"] = report.get("config") or {}
     if not isinstance(config, dict):
         raise CliError(EXIT_INPUT, f"{path}: config must be a JSON object")
     gold = config.get("gold")
@@ -364,7 +329,10 @@ def _load_report(path: str) -> tuple[dict, str]:
         raise CliError(EXIT_INPUT, f"{path}: config.gold must be a string")
     for mode in ("typed_mention", "typed_link"):
         if report.get(mode) is not None:
-            _check_typed_block(f"{path}: {mode}", report[mode])
+            try:
+                report[mode] = typed_report_from_dict(report[mode])
+            except ValueError as exc:
+                raise CliError(EXIT_INPUT, f"{path}: {mode}: {exc}") from exc
     return report, gold or os.path.basename(path)
 
 
@@ -374,8 +342,7 @@ _LABELING_FIELDS = ("tau", "tau_inclusive", "force_cluster_label", "link_mention
 def _support(reports, mode: str) -> Counter:
     total: Counter = Counter()
     for report in reports:
-        for label, row in report[mode]["per_class"].items():
-            total[label] += row["support"]
+        total.update({label: s.support for label, s in report[mode].per_class.items()})
     return total
 
 
@@ -387,18 +354,15 @@ def _check_comparable(paths_a, reports_a, paths_b, reports_b) -> None:
         raise CliError(EXIT_INPUT, f"cannot compare {a} with {b}: {field} differs "
                                    f"({value_a!r} vs {value_b!r})")
 
-    def config(report) -> dict:
-        return report.get("config") or {}
-
     side_a, side_b = ", ".join(paths_a), ", ".join(paths_b)
-    gold_a = [config(report).get("gold") for report in reports_a]
-    gold_b = [config(report).get("gold") for report in reports_b]
+    gold_a = [report["config"].get("gold") for report in reports_a]
+    gold_b = [report["config"].get("gold") for report in reports_b]
     if Counter(gold_a) != Counter(gold_b):
         refuse(side_a, side_b, "config.gold", gold_a, gold_b)
     reports = [*reports_a, *reports_b]
-    first = config(reports_a[0])
+    first = reports_a[0]["config"]
     for path, report in zip([*paths_a, *paths_b], reports):
-        settings = config(report)
+        settings = report["config"]
         for field in _LABELING_FIELDS:
             if settings.get(field) != first.get(field):
                 refuse(paths_a[0], path, f"config.{field}", first.get(field), settings.get(field))
@@ -593,7 +557,6 @@ def main(argv=None) -> int:
         return exc.code
     except (
         CorpusFormatError,
-        DocumentPairingError,
         ReportModeError,
         UnknownLabelError,
         json.JSONDecodeError,

@@ -38,7 +38,7 @@ from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping, Sequence, Union
 
 from . import model
-from .inventory import CategoryInventory
+from .inventory import CategoryInventory, RepeatedKeyError, unique_keys
 from .model import (
     Cluster,
     Document,
@@ -349,9 +349,11 @@ def _jsonl_records(source: Source) -> Iterator[tuple[int, object]]:
             if not line:
                 continue
             try:
-                yield lineno, json.loads(line)
+                yield lineno, json.loads(line, object_pairs_hook=unique_keys)
             except json.JSONDecodeError as exc:
                 raise CorpusFormatError(f"line {lineno}: invalid JSON: {exc}") from exc
+            except RepeatedKeyError as exc:
+                raise CorpusFormatError(f"line {lineno}: {exc}") from exc
     finally:
         if owned:
             handle.close()

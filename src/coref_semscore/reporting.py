@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .classic_metrics import ClassicReport, MetricTriple
 from .labeling import CoverageCounts, CoverageReport, DistributionReport
-from .typed_metrics import ClassScore, TypedScoreReport, macro_f1
+from .typed_metrics import ClassScore, TypedScoreReport, macro_f1, micro_score
 
 
 class ReportModeError(ValueError):
@@ -74,6 +74,55 @@ def typed_report_dict(report: TypedScoreReport) -> dict:
     if report.containment_violations is not None:
         out["containment_violations"] = report.containment_violations
     return out
+
+
+def _count(fields: dict, path: str, key: str, default=0):
+    """fields[key], which must be an integer >= 0 when present, else
+    `default`, so that the round trip names the field as missing."""
+    if key in fields and not (type(fields[key]) is int and fields[key] >= 0):
+        raise ValueError(f"{path}{key} must be an integer >= 0, got {fields[key]!r}")
+    return fields.get(key, default)
+
+
+def _check_same(path: str, written, given) -> None:
+    """Raise ValueError naming the first field where `given` differs from
+    `written`; the comparison is type-strict, so 1, 1.0 and true differ."""
+    if isinstance(written, dict) and isinstance(given, dict):
+        for key in dict.fromkeys([*written, *given]):
+            if key not in written:
+                raise ValueError(f"{path}{key} is not a field of a typed report")
+            if key not in given:
+                raise ValueError(f"{path}{key} is missing")
+            _check_same(f"{path}{key}.", written[key], given[key])
+    elif type(written) is not type(given) or written != given:
+        raise ValueError(f"{path.rstrip('.')} is {given!r}, but its counts give {written!r}")
+
+
+def typed_report_from_dict(block) -> TypedScoreReport:
+    """The TypedScoreReport that typed_report_dict wrote as `block`.
+
+    Only the rows' tp, fp and fn and the block's mode, unlabeled tallies,
+    link_mention_source and containment_violations are read, and the block
+    is accepted only if writing that report gives it back field for field;
+    a ValueError names the first field that differs."""
+    if not isinstance(block, dict):
+        raise ValueError("expected a JSON object")
+    rows = block.get("per_class", {})
+    if not isinstance(rows, dict):
+        raise ValueError(f"per_class must be a JSON object, got {rows!r}")
+    per_class = {}
+    for label, row in rows.items():
+        if not isinstance(row, dict):
+            raise ValueError(f"per_class.{label} must be a JSON object, got {row!r}")
+        counts = [_count(row, f"per_class.{label}.", key) for key in ("tp", "fp", "fn")]
+        per_class[label] = ClassScore(label, *counts)
+    report = TypedScoreReport(
+        block.get("mode"), per_class, _count(block, "", "unlabeled_gold"),
+        _count(block, "", "unlabeled_predicted"), block.get("link_mention_source"),
+        _count(block, "", "containment_violations", None),
+    )
+    _check_same("", typed_report_dict(report), block)
+    return report
 
 
 def _metric_triple_dict(triple: MetricTriple) -> dict:
@@ -204,52 +253,37 @@ def render_distribution_table(report: DistributionReport) -> str:
 # System comparison
 
 
-def _pooled_class_scores(mode_reports: Sequence[dict]) -> list[ClassScore]:
-    counts: dict[str, list] = {}
+def _aggregate_mode(mode_reports: Sequence[TypedScoreReport], pool_counts: bool):
+    """{label: (F1, gold support)} and the macro F1 of one system's reports
+    of one mode: pooled counts, or the mean of the per-report figures."""
+    by_label: dict[str, list[ClassScore]] = {}
     for report in mode_reports:
-        for label, row in report["per_class"].items():
-            agg = counts.setdefault(label, [0, 0, 0])
-            agg[0] += row["tp"]
-            agg[1] += row["fp"]
-            agg[2] += row["fn"]
-    return [ClassScore(label, *agg) for label, agg in counts.items()]
-
-
-def _averaged_class_stats(mode_reports: Sequence[dict]) -> dict[str, dict]:
-    f1s: dict[str, list[float]] = {}
-    supports: dict[str, int] = {}
-    for report in mode_reports:
-        for label, row in report["per_class"].items():
-            f1s.setdefault(label, []).append(row["f1"])
-            supports[label] = supports.get(label, 0) + row["support"]
-    return {
-        label: {"f1": fsum(values) / len(values), "support": supports[label]}
-        for label, values in f1s.items()
-    }
-
-
-def _aggregate_mode(mode_reports: Sequence[dict], pool_counts: bool) -> tuple[dict, float]:
+        for label, score in report.per_class.items():
+            by_label.setdefault(label, []).append(score)
     if pool_counts:
-        scores = _pooled_class_scores(mode_reports)
-        stats = {s.label: {"f1": s.f1, "support": s.support} for s in scores}
-        macro = macro_f1(scores)
-    else:
-        stats = _averaged_class_stats(mode_reports)
-        macro = fsum(r["macro_f1"] for r in mode_reports) / len(mode_reports)
-    return stats, macro
+        pooled = [micro_score(scores) for scores in by_label.values()]
+        stats = {label: (s.f1, s.support) for label, s in zip(by_label, pooled)}
+        return stats, macro_f1(pooled)
+    stats = {
+        label: (fsum(s.f1 for s in scores) / len(scores), sum(s.support for s in scores))
+        for label, scores in by_label.items()
+    }
+    return stats, fsum(r.macro_f1 for r in mode_reports) / len(mode_reports)
 
 
 def compare_eval_reports(
-    reports_a: Sequence[dict],
-    reports_b: Sequence[dict],
+    reports_a: Sequence[Mapping],
+    reports_b: Sequence[Mapping],
     corpora_a: Sequence[str],
     corpora_b: Sequence[str],
     pool_counts: bool = False,
 ) -> dict:
     """Per-class F1 deltas (system B minus system A) per scoring mode.
 
-    Multi-corpus inputs are averaged per system before subtraction
-    (mean of per-corpus F1 values, or pooled counts with pool_counts).
+    Each report is an eval report whose typed_mention and typed_link
+    entries are TypedScoreReports or None.  Multi-corpus inputs are
+    averaged per system before subtraction (mean of per-corpus F1 values,
+    or pooled counts with pool_counts).
     """
     out: dict = {
         "corpora_a": list(corpora_a),
@@ -273,25 +307,22 @@ def compare_eval_reports(
             continue
         stats_a, macro_a = _aggregate_mode(in_a, pool_counts)
         stats_b, macro_b = _aggregate_mode(in_b, pool_counts)
-        labels = set(stats_a) | set(stats_b)
+        absent = (0.0, 0)
 
         def sort_key(label: str):
-            support = max(
-                stats_a.get(label, {}).get("support", 0),
-                stats_b.get(label, {}).get("support", 0),
-            )
+            support = max(stats_a.get(label, absent)[1], stats_b.get(label, absent)[1])
             return (-support, label)
 
         per_class = {}
-        for label in sorted(labels, key=sort_key):
-            f1_a = stats_a.get(label, {}).get("f1", 0.0)
-            f1_b = stats_b.get(label, {}).get("f1", 0.0)
+        for label in sorted(stats_a.keys() | stats_b.keys(), key=sort_key):
+            f1_a, support_a = stats_a.get(label, absent)
+            f1_b, support_b = stats_b.get(label, absent)
             per_class[label] = {
                 "f1_a": f1_a,
                 "f1_b": f1_b,
                 "delta": f1_b - f1_a,
-                "support_a": stats_a.get(label, {}).get("support", 0),
-                "support_b": stats_b.get(label, {}).get("support", 0),
+                "support_a": support_a,
+                "support_b": support_b,
             }
         out[out_key] = {
             "per_class": per_class,
@@ -347,7 +378,7 @@ def render_compare_table(compare: dict) -> str:
 
 
 def diagnose_report(
-    eval_report: dict,
+    eval_report: Mapping,
     labels: Iterable[str],
     w_mention: float = 0.5,
     w_link: float = 0.5,
@@ -362,23 +393,24 @@ def diagnose_report(
     support is read from typed mention when the report has it, else from
     typed link.  The ranked list is ascending by composite, then support,
     then name; those of the inventory `labels` with zero gold support are
-    listed separately.
+    listed separately.  The typed_mention and typed_link entries of
+    `eval_report` are TypedScoreReports or None.
     """
     modes = [
-        (eval_report[key]["per_class"], weight, field)
+        (eval_report[key].per_class, weight, field)
         for key, weight, field in (("typed_mention", w_mention, "mention_f1"),
                                    ("typed_link", w_link, "link_f1"))
         if eval_report.get(key) is not None
     ]
     if not modes:
         raise ReportModeError("diagnosis needs at least one typed mode in the eval report")
-    support = {label: row["support"] for label, row in modes[0][0].items()}
+    support = {label: score.support for label, score in modes[0][0].items()}
     rows = []
     for label in {label for per_class, _, _ in modes for label in per_class}:
         row = {"label": label, "support": support.get(label, 0), "mention_f1": None,
                "link_f1": None, "composite": 0.0}
         for per_class, weight, field in modes:
-            row[field] = per_class[label]["f1"] if label in per_class else 0.0
+            row[field] = per_class[label].f1 if label in per_class else 0.0
             row["composite"] += weight * (1.0 - row[field])
         row["composite"] += (rarity_cap if row["support"] <= 0
                              else min(rarity_cap, 1.0 / row["support"]))

@@ -5,15 +5,20 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 from collections import Counter
 from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coref_semscore import cli, model
 from coref_semscore.cli import main
 from coref_semscore.inventory import CategoryInventory
+from coref_semscore.reporting import json_text, typed_report_dict, typed_report_from_dict
+from coref_semscore.typed_metrics import ClassScore, TypedScoreReport
 from conftest import COMPOSITE_RECORD, NEWS_RECORD
 from corpusgen import random_corpus
 
@@ -38,6 +43,17 @@ def corpus_path(tmp_path):
     rng = random.Random(99)
     records = random_corpus(rng, 12, ensure_links=True, ensure_direct=True)
     return write_jsonl(tmp_path / "corpus.jsonl", records)
+
+
+def _typed_block(counts=(1, 0, 0), mode="mention", **row) -> dict:
+    """A typed block as eval writes it, with one PER row of (tp, fp, fn)
+    `counts`, and the fields in `row` put over that row."""
+    source = "predicted" if mode == "link" else None
+    scores = {"PER": ClassScore("PER", *counts)} if counts else {}
+    block = typed_report_dict(TypedScoreReport(mode, scores, 0, 0, source))
+    if counts:
+        block["per_class"]["PER"].update(row)
+    return block
 
 
 def _subparsers() -> dict:
@@ -488,6 +504,21 @@ class TestEvalSharesTables:
             }
 
 
+class TestTypedBlockRoundTrip:
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["predicted", "gold"]))
+    def test_eval_written_blocks_read_back_exactly(self, seed, source):
+        records = random_corpus(random.Random(seed), 3, ensure_links=True, ensure_direct=True)
+        with tempfile.TemporaryDirectory() as tmp:
+            corpus = write_jsonl(Path(tmp) / "c.jsonl", records)
+            assert main(["eval", "--gold", corpus, "--typed-mention", "--typed-link",
+                         "--link-mention-source", source, "--out", tmp]) == 0
+            report = json.loads((Path(tmp) / "eval_report.json").read_text(encoding="utf-8"))
+        for mode in ("typed_mention", "typed_link"):
+            block = report[mode]
+            assert json_text(typed_report_dict(typed_report_from_dict(block))) == json_text(block)
+
+
 class TestCoverageAndDistributionCommands:
     def test_coverage_command(self, tmp_path, news_path):
         out = tmp_path / "out"
@@ -513,34 +544,66 @@ class TestCompareCommand:
                      "--out", str(out)]) == 0
         return str(out / "eval_report.json")
 
-    @pytest.mark.parametrize("counts", [
-        {"tp": -5, "fp": 1, "fn": 1, "support": 1},
-        {"tp": 2.5, "fp": 1, "fn": 1, "support": 3},
-        {"tp": 1, "fp": 0, "fn": 1, "support": 3},
-        {"tp": 1, "fp": 0, "fn": 0, "support": 1.0},
+    @pytest.mark.parametrize("counts, row, problem", [
+        ((1, 1, 1), {"tp": -5}, "per_class.PER.tp must be an integer >= 0, got -5"),
+        ((1, 1, 1), {"tp": 2.5}, "per_class.PER.tp must be an integer >= 0, got 2.5"),
+        ((1, 0, 1), {"support": 3}, "per_class.PER.support is 3, but its counts give 2"),
+        ((1, 0, 0), {"support": 1.0}, "per_class.PER.support is 1.0, but its counts give 1"),
     ], ids=["negative", "fractional", "support-not-tp-plus-fn", "float-support"])
-    def test_row_counts_must_be_counts(self, tmp_path, capsys, counts):
-        path = self._one_row_report(tmp_path, counts)
-        got = ", ".join(f"{k} {v!r}" for k, v in counts.items())
-        message = (f"error: {path}: typed_mention: per_class 'PER': tp, fp, fn and support "
-                   f"must be integers >= 0 with support = tp + fn, got {got}\n")
+    def test_row_counts_must_be_counts(self, tmp_path, capsys, counts, row, problem):
+        path = self._one_row_report(tmp_path, _typed_block(counts, **row))
         for argv in self._readers(path):
             assert main(argv) == 2
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert captured.err == message
+            assert captured.err == f"error: {path}: typed_mention: {problem}\n"
 
     def test_bool_count_is_not_a_count(self, tmp_path, capsys):
-        path = self._one_row_report(tmp_path, {"tp": True, "fp": 0, "fn": 0, "support": 1})
+        path = self._one_row_report(tmp_path, _typed_block(tp=True))
         for argv in self._readers(path):
             assert main(argv) == 2
-            assert (f"{path}: typed_mention: per_class 'PER': expected an object with numbers"
-                    in capsys.readouterr().err)
+            assert capsys.readouterr().err == (
+                f"error: {path}: typed_mention: per_class.PER.tp must be an integer >= 0, "
+                "got True\n"
+            )
+
+    def test_f1_its_counts_do_not_give_is_refused(self, tmp_path, capsys):
+        # The same counts with two F1s: read as written, the two compare
+        # modes disagreed on the delta (+0.75 against +0.0).
+        path_a = str(self._one_row_report(tmp_path, _typed_block(f1=0.25), "a.json"))
+        path_b = str(self._one_row_report(tmp_path, _typed_block(f1=1.0), "b.json"))
+        for argv in (["compare", "-a", path_a, "-b", path_b],
+                     ["compare", "-a", path_a, "-b", path_b, "--pool-counts"],
+                     ["diagnose", "--eval-report", path_a]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (f"error: {path_a}: typed_mention: per_class.PER.f1 is 0.25, "
+                                    "but its counts give 1.0\n")
+        assert main(["compare", "-a", path_b, "-b", path_b]) == 0
+
+    @pytest.mark.parametrize("seed", [5, 17])
+    def test_one_report_per_system_gives_one_figure_in_both_modes(self, tmp_path, seed):
+        records = random_corpus(random.Random(seed), 6, ensure_links=True, ensure_direct=True)
+        # System B predicts the gold clusters; its corpus file has A's name,
+        # so the two reports name the same gold corpus.
+        (tmp_path / "b").mkdir()
+        report_a = self._eval(tmp_path, "a", records)
+        report_b = self._eval(tmp_path / "b", "a", [dict(r, predicted_clusters=r["gold_clusters"])
+                                                     for r in records])
+        results = []
+        for flags in ([], ["--pool-counts"]):
+            out = tmp_path / f"cmp{len(flags)}"
+            assert main(["compare", "-a", report_a, "-b", report_b, *flags,
+                         "--out", str(out)]) == 0
+            result = json.loads((out / "compare.json").read_text(encoding="utf-8"))
+            results.append({k: v for k, v in result.items() if k != "averaging"})
+        assert results[0] == results[1]
+        assert results[0]["mention"]["per_class"] and results[0]["link"]["per_class"]
 
     @staticmethod
-    def _one_row_report(tmp_path, counts) -> Path:
-        block = {"macro_f1": 0.5, "per_class": {"PER": {**counts, "f1": 0.5}}}
-        path = tmp_path / "report.json"
+    def _one_row_report(tmp_path, block, name="report.json") -> Path:
+        path = tmp_path / name
         path.write_text(json.dumps({"typed_mention": block}), encoding="utf-8")
         return path
 
@@ -664,38 +727,41 @@ class TestDiagnoseCommand:
         assert "unrecognized arguments: --distribution-report" in capsys.readouterr().err
 
     @staticmethod
-    def _report(tmp_path, f1: float, support: int = 1) -> str:
-        row = {"tp": 0, "fp": 1, "fn": 1, "f1": f1, "support": support}
-        block = {"macro_f1": 0.0, "per_class": {"PER": row}}
+    def _report(tmp_path, **row) -> str:
+        """Both typed blocks with one PER row of counts tp 0, fp 1, fn 1,
+        and the fields in `row` put over the mention row."""
+        report = {"typed_mention": _typed_block((0, 1, 1), **row),
+                  "typed_link": _typed_block((0, 1, 1), mode="link")}
         path = tmp_path / "report.json"
-        path.write_text(json.dumps({"typed_mention": block, "typed_link": block}),
-                        encoding="utf-8")
+        path.write_text(json.dumps(report), encoding="utf-8")
         return str(path)
 
     @pytest.mark.parametrize("f1, support, problem", [
-        (2.5, 3, "got f1 2.5, support 3"),
-        (-0.5, 3, "got f1 -0.5, support 3"),
-        (0.5, -1, "got f1 0.5, support -1"),
+        (2.5, 3, "f1 is 2.5, but its counts give 0.0"),
+        (-0.5, 3, "f1 is -0.5, but its counts give 0.0"),
+        (0.5, -1, "f1 is 0.5, but its counts give 0.0"),
+        (0.0, -1, "support is -1, but its counts give 1"),
     ])
     def test_scores_outside_their_range_exit_2(self, tmp_path, capsys, f1, support, problem):
-        report = self._report(tmp_path, f1, support)
+        report = self._report(tmp_path, f1=f1, support=support)
         assert main(["diagnose", "--eval-report", report]) == 2
         assert capsys.readouterr().err == (
-            f"error: {report}: typed_mention: per_class 'PER': f1 must be in [0, 1] "
-            f"and support >= 0, {problem}\n"
+            f"error: {report}: typed_mention: per_class.PER.{problem}\n"
         )
 
     def test_macro_f1_outside_0_1_exits_2(self, tmp_path, capsys):
         path = tmp_path / "report.json"
-        path.write_text(json.dumps({"typed_mention": {"macro_f1": 1.5, "per_class": {}}}),
+        path.write_text(json.dumps({"typed_mention": {**_typed_block(None), "macro_f1": 1.5}}),
                         encoding="utf-8")
         assert main(["diagnose", "--eval-report", str(path)]) == 2
-        assert "typed_mention: macro_f1 must be a number in [0, 1]" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: {path}: typed_mention: macro_f1 is 1.5, but its counts give 0.0\n"
+        )
 
     @pytest.mark.parametrize("out", [False, True])
     def test_composite_that_overflows_exits_2(self, tmp_path, capsys, out):
         out_args = ["--out", str(tmp_path / "o")] if out else []
-        assert main(["diagnose", "--eval-report", self._report(tmp_path, 0.0),
+        assert main(["diagnose", "--eval-report", self._report(tmp_path),
                      "--w-mention", "1.7e308", "--w-link", "1.7e308", *out_args]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -885,30 +951,28 @@ class TestInputErrors:
         assert "COREF_SEMSCORE_INVENTORY=" in err and message in err
 
     @pytest.mark.parametrize("report, message", [
-        ({"typed_mention": {}}, "report.json: typed_mention: macro_f1 must be a number"),
-        ({"typed_link": {"macro_f1": 0.5, "per_class": []}},
-         "report.json: typed_link: per_class must be a JSON object"),
-        ({"typed_mention": {"macro_f1": 0.5, "per_class": {"PER": {"f1": 1.0}}}},
-         "report.json: typed_mention: per_class 'PER': expected an object with numbers"),
-        ({"typed_mention": {"macro_f1": 0.5, "per_class": {
-            "PER": {"tp": 1, "fp": 0, "fn": 0, "f1": "1.0", "support": 1}}}},
-         "per_class 'PER': expected an object with numbers"),
-        ({"typed_link": ["PER"]}, "report.json: typed_link: expected a JSON object"),
-        ({"config": ["gold.jsonl"]}, "report.json: config must be a JSON object"),
-        ({"config": {"gold": ["a.jsonl"]}}, "report.json: config.gold must be a string"),
-        ({"typed_mention": {"macro_f1": float("nan"), "per_class": {}}},
-         "report.json: typed_mention: macro_f1 must be a number"),
-        ({"typed_mention": {"macro_f1": 0.5, "per_class": {
-            "PER": {"tp": 1, "fp": 0, "fn": 0, "f1": float("inf"), "support": 1}}}},
-         "report.json: typed_mention: per_class 'PER': expected an object with numbers"),
+        ({"typed_mention": {}}, "typed_mention: mode is missing"),
+        ({"typed_link": {**_typed_block(mode="link"), "per_class": []}},
+         "typed_link: per_class must be a JSON object, got []"),
+        ({"typed_mention": {**_typed_block(), "per_class": {"PER": {"f1": 1.0}}}},
+         "typed_mention: per_class.PER.tp is missing"),
+        ({"typed_mention": _typed_block(f1="1.0")},
+         "typed_mention: per_class.PER.f1 is '1.0', but its counts give 1.0"),
+        ({"typed_link": ["PER"]}, "typed_link: expected a JSON object"),
+        ({"config": ["gold.jsonl"]}, "config must be a JSON object"),
+        ({"config": {"gold": ["a.jsonl"]}}, "config.gold must be a string"),
+        ({"typed_mention": {**_typed_block(), "macro_f1": float("nan")}},
+         "typed_mention: macro_f1 is nan, but its counts give 1.0"),
+        ({"typed_mention": _typed_block(f1=float("inf"))},
+         "typed_mention: per_class.PER.f1 is inf, but its counts give 1.0"),
     ])
     def test_malformed_eval_report_exits_2(self, tmp_path, capsys, report, message):
         path = tmp_path / "report.json"
         path.write_text(json.dumps(report), encoding="utf-8")
         assert main(["compare", "-a", str(path), "-b", str(path)]) == 2
-        assert message in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
         assert main(["diagnose", "--eval-report", str(path)]) == 2
-        assert message in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
     def test_internal_error_is_not_an_input_error(self, news_path, monkeypatch):
         def broken(*args):
@@ -923,8 +987,7 @@ class TestInputErrors:
             raise KeyError("internal")
 
         report = tmp_path / "report.json"
-        report.write_text(json.dumps({"typed_mention": {"macro_f1": 1.0, "per_class": {}}}),
-                          encoding="utf-8")
+        report.write_text(json.dumps({"typed_mention": _typed_block()}), encoding="utf-8")
         monkeypatch.setattr(cli, "compare_eval_reports", broken)
         with pytest.raises(KeyError, match="internal"):
             main(["compare", "-a", str(report), "-b", str(report)])
@@ -1006,6 +1069,21 @@ class TestRepeatedJsonKeys:
         capsys.readouterr()
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {report}: repeated JSON key 'macro_f1'\n"
+
+    @pytest.mark.parametrize("flag, content, line, key", [
+        ("--gold", '{"doc_id": "d", "tokens": ["a"], "gold_clusters": [[[0, 1]]], '
+                   '"gold_clusters": []}', 1, "gold_clusters"),
+        ("--pred", '\n{"doc_id": "news0", "tokens": [], "predicted_clusters": [[[7, 9]]], '
+                   '"tokens": []}', 2, "tokens"),
+        ("--cner", '{"doc_id": "news0", "cner": [[7, 9, "PER"]], "cner": []}', 1, "cner"),
+    ], ids=["gold", "pred", "cner"])
+    def test_corpus_record(self, tmp_path, news_path, capsys, flag, content, line, key):
+        code, bad = TestInputErrors._run_with_bad_input(tmp_path, news_path, flag,
+                                                        content.encode("utf-8"))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}: line {line}: repeated JSON key {key!r}\n"
+        )
 
     def test_inventory(self, tmp_path, news_path, monkeypatch, capsys):
         inv_path = tmp_path / "inv.json"

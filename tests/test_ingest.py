@@ -59,6 +59,13 @@ class TestJsonlReader:
         })])
         assert docs[0].semantic_spans[0].label == "PER"
 
+    @pytest.mark.parametrize("read", [read_jsonl_corpus, read_cner_jsonl])
+    def test_repeated_key_names_line_and_key(self, read):
+        line = '{"doc_id": "d", "tokens": ["a"], "gold_clusters": [[[0, 1]]], "gold_clusters": []}'
+        with pytest.raises(CorpusFormatError) as exc:
+            read(io.StringIO("\n" + line))
+        assert str(exc.value) == "line 2: repeated JSON key 'gold_clusters'"
+
     def test_out_of_range_span_names_line_and_span(self):
         record = {"doc_id": "d0", "tokens": ["a", "b", "c", "d", "e"],
                   "gold_clusters": [[[3, 9]]]}

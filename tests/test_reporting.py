@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from coref_semscore.classic_metrics import ClassicReport, MetricTriple
@@ -14,6 +16,7 @@ from coref_semscore.reporting import (
     render_diagnose_table,
     render_typed_table,
     typed_report_dict,
+    typed_report_from_dict,
 )
 from coref_semscore.typed_metrics import ClassScore, TypedScoreReport
 
@@ -28,13 +31,14 @@ def _typed(per_class, mode="mention", **kwargs):
 
 
 def _eval_report(mention=None, link=None):
+    """An eval report as compare and diagnose take it: each typed block
+    read back into a TypedScoreReport."""
     report = {"config": {"gold": "x.jsonl"}, "typed_mention": None, "typed_link": None,
               "classic": None}
     if mention is not None:
-        report["typed_mention"] = typed_report_dict(_typed(mention))
+        report["typed_mention"] = _typed(mention)
     if link is not None:
-        report["typed_link"] = typed_report_dict(_typed(link, mode="link",
-                                                        link_mention_source="predicted"))
+        report["typed_link"] = _typed(link, mode="link", link_mention_source="predicted")
     return report
 
 
@@ -62,6 +66,66 @@ class TestTypedReportDict:
         report = _typed({"A": (1, 2, 3), "B": (4, 5, 6), "C": (1, 0, 0)})
         values = [s.f1 for s in report.per_class.values()]
         assert min(values) <= report.macro_f1 <= max(values)
+
+
+DELETE = object()
+
+
+def _corrupt(block: dict, path: str, value) -> dict:
+    """A deep copy of `block` with the field at dotted `path` set to
+    `value`, or deleted when `value` is DELETE."""
+    block = json.loads(json.dumps(block))
+    *parents, key = path.split(".")
+    target = block
+    for parent in parents:
+        target = target[parent]
+    if value is DELETE:
+        del target[key]
+    else:
+        target[key] = value
+    return block
+
+
+class TestTypedReportFromDict:
+    @pytest.mark.parametrize("report", [
+        _typed({}),
+        _typed({"PER": (4, 1, 1), "LOC": (9, 0, 0), "ORG": (0, 3, 0)}),
+        _typed({"PER": (2, 0, 1)}, mode="link", link_mention_source="predicted"),
+        _typed({"PER": (2, 0, 1)}, mode="link", link_mention_source="gold",
+               containment_violations=3),
+    ])
+    def test_inverse_of_typed_report_dict(self, report):
+        block = json.loads(json_text(typed_report_dict(report)))
+        assert typed_report_from_dict(block) == report
+
+    @pytest.mark.parametrize("path, value, message", [
+        ("per_class.PER.f1", 0.25, "per_class.PER.f1 is 0.25, but its counts give 0.8"),
+        ("per_class.PER.support", 5.0, "per_class.PER.support is 5.0, but its counts give 5"),
+        ("micro.tp", True, "micro.tp is True, but its counts give 4"),
+        ("macro_classes", ["LOC"], "macro_classes is ['LOC'], but its counts give ['PER']"),
+        ("per_class.PER.tp", 4.0, "per_class.PER.tp must be an integer >= 0, got 4.0"),
+        ("per_class.PER.fp", False, "per_class.PER.fp must be an integer >= 0, got False"),
+        ("per_class.PER.fn", -1, "per_class.PER.fn must be an integer >= 0, got -1"),
+        ("unlabeled_gold", 1.0, "unlabeled_gold must be an integer >= 0, got 1.0"),
+        ("containment_violations", None,
+         "containment_violations must be an integer >= 0, got None"),
+        ("per_class.PER.fp", DELETE, "per_class.PER.fp is missing"),
+        ("per_class.PER.recall", DELETE, "per_class.PER.recall is missing"),
+        ("micro", DELETE, "micro is missing"),
+        ("unlabeled_predicted", DELETE, "unlabeled_predicted is missing"),
+        ("micro.support", 5, "micro.support is not a field of a typed report"),
+        ("per_class", [], "per_class must be a JSON object, got []"),
+        ("per_class.PER", 0.8, "per_class.PER must be a JSON object, got 0.8"),
+    ])
+    def test_first_field_its_counts_do_not_give_is_named(self, path, value, message):
+        block = typed_report_dict(_typed({"PER": (4, 1, 1)}))
+        with pytest.raises(ValueError) as exc:
+            typed_report_from_dict(_corrupt(block, path, value))
+        assert str(exc.value) == message
+
+    def test_block_must_be_an_object(self):
+        with pytest.raises(ValueError, match="^expected a JSON object$"):
+            typed_report_from_dict(["PER"])
 
 
 class TestRendering:
