@@ -8,11 +8,12 @@ model.contingency per document, and folds over their sparse gold-cluster
 scored one by one and the tables a caller builds once serve every
 metric, the typed ones included.  CEAF aligns clusters
 by phi4, solving the assignment exactly on each connected component of
-the nonzero overlaps.  All accumulation is done in exact rational
-arithmetic and converted to float once at the end, so results are
-reproducible bit-for-bit and the optimal-assignment step can be checked
-against exhaustive search exactly.  Degenerate 0/0 ratios are defined as
-0 (MUC on all-singleton corpora included).
+the nonzero overlaps.  Numerators are summed as integers per distinct
+denominator, divided once per denominator and converted to float once
+at the end, so results are reproducible bit-for-bit and the
+optimal-assignment step can be checked against exhaustive search
+exactly.  Degenerate 0/0 ratios are defined as 0 (MUC on all-singleton
+corpora included).
 """
 
 from __future__ import annotations
@@ -92,8 +93,9 @@ def muc(tables: Sequence[Contingency]) -> MetricTriple:
     return _triple(*muc_counts(tables))
 
 
-def _sum_by_size(squares: Counter[int]) -> Fraction:
-    return sum((Fraction(total, size) for size, total in squares.items()), Fraction(0))
+def _sum_over_denominators(numerators: Counter[int]) -> Fraction:
+    """Exact sum of total / den over a Counter of den -> integer total."""
+    return sum((Fraction(total, den) for den, total in numerators.items()), Fraction(0))
 
 
 def b_cubed_counts(tables: Sequence[Contingency]) -> RatioCounts:
@@ -116,7 +118,8 @@ def b_cubed_counts(tables: Sequence[Contingency]) -> RatioCounts:
             p_squares[pred_sizes[j]] += n * n
         r_den += sum(gold_sizes)
         p_den += sum(pred_sizes)
-    return RatioCounts(_sum_by_size(p_squares), p_den, _sum_by_size(r_squares), r_den)
+    return RatioCounts(_sum_over_denominators(p_squares), p_den,
+                       _sum_over_denominators(r_squares), r_den)
 
 
 def b_cubed(tables: Sequence[Contingency]) -> MetricTriple:
@@ -229,50 +232,51 @@ def _components(cells: Collection[tuple[int, int]]) -> list[list[tuple[int, int]
     return list(groups.values())
 
 
-def _alignment_total(
-    cells: Mapping[tuple[int, int], int], gold_sizes: Sequence[int], pred_sizes: Sequence[int]
-) -> Fraction:
-    """Maximum total phi4 over one-to-one alignments of gold and predicted
-    clusters, given their nonzero overlaps n_ij and their sizes.
+def _add_alignment_totals(
+    totals: Counter[int], cells: Mapping[tuple[int, int], int],
+    gold_sizes: Sequence[int], pred_sizes: Sequence[int],
+) -> None:
+    """Add to totals, keyed by denominator, the maximum total phi4 over
+    one-to-one alignments of gold and predicted clusters, given their
+    nonzero overlaps n_ij and their sizes.
 
     phi4 is 2 n_ij / (|G_i| + |P_j|), and 0 where clusters share nothing,
     so aligned pairs worth anything lie within one connected component of
-    the cells, and the optimum is the sum of each component's optimum.  A
-    component with one row or one column can align only one of its pairs
-    and adds its largest phi4.  Any other goes to linear_sum_assignment,
-    with its phi4 scaled to integers by the lcm of their denominators.
+    the cells, and the optimum is the sum of each component's optimum.
+    Each component's phi4 are scaled to integer weights by the lcm of
+    their denominators.  A component with one row or one column can align
+    only one of its pairs and adds its largest weight; any other adds the
+    total that linear_sum_assignment chooses.  Either total goes to
+    totals[lcm].
     """
-    total = Fraction(0)
     for component in _components(cells):
+        scale = lcm(*(gold_sizes[i] + pred_sizes[j] for i, j in component))
+        weight = {(i, j): 2 * cells[i, j] * scale // (gold_sizes[i] + pred_sizes[j])
+                  for i, j in component}
         rows = sorted({i for i, _ in component})
         cols = sorted({j for _, j in component})
         if len(rows) == 1 or len(cols) == 1:
-            total += max(Fraction(2 * cells[i, j], gold_sizes[i] + pred_sizes[j])
-                         for i, j in component)
+            totals[scale] += max(weight.values())
             continue
-        scale = lcm(*(gold_sizes[i] + pred_sizes[j] for i, j in component))
-        weights = Matrix(tuple(
-            tuple(2 * cells.get((i, j), 0) * scale // (gold_sizes[i] + pred_sizes[j])
-                  for j in cols)
-            for i in rows
-        ))
+        weights = Matrix(tuple(tuple(weight.get((i, j), 0) for j in cols) for i in rows))
         chosen = zip(*linear_sum_assignment(weights))
-        total += Fraction(sum(weights.rows[r][c] for r, c in chosen), scale)
-    return total
+        totals[scale] += sum(weights.rows[r][c] for r, c in chosen)
 
 
 def ceaf_counts(tables: Sequence[Contingency]) -> RatioCounts:
     """CEAF-phi4 counts from the cluster-overlap tables.
 
     Both numerators are the corpus total of each document's best
-    alignment (_alignment_total); denominators are cluster counts.
+    alignment, summed per denominator (_add_alignment_totals) and divided
+    once per denominator; denominators are cluster counts.
     """
-    total = Fraction(0)
+    totals: Counter[int] = Counter()
     n_gold = n_pred = 0
     for gold, pred, cells, _ in tables:
-        total += _alignment_total(cells, _sizes(gold), _sizes(pred))
+        _add_alignment_totals(totals, cells, _sizes(gold), _sizes(pred))
         n_gold += len(gold)
         n_pred += len(pred)
+    total = _sum_over_denominators(totals)
     return RatioCounts(total, n_pred, total, n_gold)
 
 

@@ -33,7 +33,6 @@ from .inventory import (
     ENV_INVENTORY_VAR,
     CategoryInventory,
     RepeatedKeyError,
-    UnknownLabelError,
     unique_keys,
 )
 from .labeling import (
@@ -555,14 +554,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc.message}", file=sys.stderr)
         return exc.code
-    except (
-        CorpusFormatError,
-        ReportModeError,
-        UnknownLabelError,
-        json.JSONDecodeError,
-        UnicodeDecodeError,
-        OSError,
-    ) as exc:
+    except (CorpusFormatError, ReportModeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     finally:

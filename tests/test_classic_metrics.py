@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import best_alignment_total, tables_of
+from coref_semscore import classic_metrics
 from coref_semscore.classic_metrics import (
     Matrix,
     b_cubed,
@@ -167,6 +168,48 @@ class TestAlignmentSolver:
         # Both orientations: gold rows with predicted columns, and the reverse.
         assert best_alignment_total(gold, pred) == oracles.ceaf_exhaustive_total(gold, pred)
         assert best_alignment_total(pred, gold) == oracles.ceaf_exhaustive_total(pred, gold)
+
+    def test_only_components_with_two_rows_and_two_columns_reach_the_solver(
+        self, monkeypatch
+    ):
+        def spans(*ks):
+            return {Span(2 * k, 2 * k + 1) for k in ks}
+
+        gold = [
+            spans(0, 1),                            # 1x1 with the first predicted cluster
+            spans(*range(2, 9)),                    # 1x3: one row, three predicted columns
+            spans(9, 10, 11, 12, *range(30, 38)),   # 3x1: these three gold rows share
+            spans(13, 14),                          # the predicted cluster of 9..15
+            spans(15),
+            spans(40, 41, 42),                      # 2x2, with one empty cell
+            spans(43),
+        ]
+        pred = [
+            spans(0, 1),
+            spans(2, 3, 4, 5, *range(20, 28)),
+            spans(6, 7),
+            spans(8),
+            spans(*range(9, 16)),
+            spans(40, 41),
+            spans(42, 43),
+        ]
+        # In each star the largest overlap (4 mentions) has phi4 8/19, less
+        # than the 4/9 of the 2-mention overlap, so a star must be decided
+        # by phi4, not by overlap count.
+        assert oracles.phi4(gold[1], pred[1]) < oracles.phi4(gold[1], pred[2])
+        assert oracles.phi4(gold[2], pred[4]) < oracles.phi4(gold[3], pred[4])
+        solve = classic_metrics.linear_sum_assignment
+        sizes = []
+
+        def counted_solve(matrix):
+            sizes.append(matrix.size)
+            return solve(matrix)
+
+        monkeypatch.setattr(classic_metrics, "linear_sum_assignment", counted_solve)
+        total = best_alignment_total(gold, pred)
+        assert sizes == [4]
+        assert total == oracles.ceaf_exhaustive_total(gold, pred)
+        assert total == 1 + Fraction(4, 9) + Fraction(4, 9) + Fraction(4, 5) + Fraction(2, 3)
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 5), st.integers(1, 5), st.data())

@@ -1004,6 +1004,52 @@ class TestDependencies:
         assert result.stdout.strip() == "[]"
 
 
+class TestHashSeedDeterminism:
+    """The same inputs and flags give the same bytes, on stdout and in every
+    output file, whatever the interpreter's string-hash seed."""
+
+    COMMANDS = (
+        ("label", "--gold", str(MINI_CORPUS), "--out", "label"),
+        ("eval", "--gold", str(MINI_CORPUS), "--typed-mention", "--typed-link", "--classic",
+         "--out", "eval"),
+        ("eval", "--gold", str(MINI_CORPUS), "--typed-mention", "--typed-link", "--classic",
+         "--drop-singletons", "--out", "eval_drop"),
+        ("distribution", "--gold", str(MINI_CORPUS), "--out", "distribution"),
+        ("diagnose", "--eval-report", "eval/eval_report.json", "--out", "diagnose"),
+        ("compare", "-a", "eval/eval_report.json", "-b", "eval_drop/eval_report.json",
+         "--out", "compare"),
+    )
+    FILES = {
+        "label/labeled.jsonl", "label/coverage.json", "label/coverage.txt",
+        "eval/eval_report.json", "eval/eval_report.txt",
+        "eval_drop/eval_report.json", "eval_drop/eval_report.txt",
+        "distribution/distribution.json", "distribution/distribution.txt",
+        "diagnose/diagnose.json", "diagnose/diagnose.txt",
+        "compare/compare.json", "compare/compare.txt",
+        "compare/compare_mention.csv", "compare/compare_link.csv",
+    }
+
+    def _outputs(self, workdir: Path, hash_seed: str) -> dict:
+        """{command or file: bytes} after running every command in workdir."""
+        workdir.mkdir()
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=hash_seed)
+        outputs = {}
+        for argv in self.COMMANDS:
+            run = subprocess.run([sys.executable, "-m", "coref_semscore", *argv], cwd=workdir,
+                                 env=env, capture_output=True, check=True)
+            outputs[" ".join(argv)] = run.stdout
+        for path in workdir.rglob("*"):
+            if path.is_file():
+                outputs[path.relative_to(workdir).as_posix()] = path.read_bytes()
+        return outputs
+
+    def test_outputs_do_not_depend_on_the_hash_seed(self, tmp_path):
+        first = self._outputs(tmp_path / "seed0", "0")
+        assert first.keys() - {" ".join(argv) for argv in self.COMMANDS} == self.FILES
+        assert self._outputs(tmp_path / "seed1", "1") == first
+
+
 class TestInventoryEnvVar:
     def test_alternate_inventory(self, tmp_path, monkeypatch):
         inventory = [
