@@ -19,7 +19,6 @@ corpora included).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
 from typing import Collection, Mapping, NamedTuple, Sequence
@@ -28,15 +27,13 @@ from .model import Cluster, Contingency, Document
 from .model import pair_by_doc_id  # noqa: F401 (perfbench/child.py wraps it by name)
 
 
-@dataclass(frozen=True)
-class MetricTriple:
+class MetricTriple(NamedTuple):
     precision: float
     recall: float
     f1: float
 
 
-@dataclass(frozen=True)
-class ClassicReport:
+class ClassicReport(NamedTuple):
     muc: MetricTriple
     b_cubed: MetricTriple
     ceaf_phi4: MetricTriple
@@ -295,8 +292,7 @@ def drop_singleton_clusters(docs: Sequence[Document]) -> list[Document]:
     """Remove size-1 clusters from both sides, reproducing OntoNotes-style
     scoring inputs."""
     return [
-        replace(
-            doc,
+        doc._replace(
             gold_clusters=[c for c in doc.gold_clusters if len(c.mentions) > 1],
             predicted_clusters=[c for c in doc.predicted_clusters if len(c.mentions) > 1],
         )

@@ -33,7 +33,6 @@ from __future__ import annotations
 import json
 import re
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping, Sequence, Union
 
@@ -576,7 +575,7 @@ def merge_predictions(
     for gold, pred in pairs:
         if gold.tokens != pred.tokens:
             raise CorpusFormatError(f"doc {gold.doc_id!r}: token sequences differ between files")
-        merged.append(replace(gold, predicted_clusters=pred.predicted_clusters))
+        merged.append(gold._replace(predicted_clusters=pred.predicted_clusters))
     return merged
 
 
@@ -596,7 +595,7 @@ def attach_semantic_spans(
     out = []
     for doc in docs:
         if doc.doc_id in spans_by_id:
-            doc = replace(doc, semantic_spans=tuple(spans_by_id[doc.doc_id]))
+            doc = doc._replace(semantic_spans=spans_by_id[doc.doc_id])
             _check(doc)
         out.append(doc)
     return out

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Union
+from typing import IO, Iterable, NamedTuple, Union
 
-from .model import normalize_label
+from .model import _Value, normalize_label
 
 ENV_INVENTORY_VAR = "COREF_SEMSCORE_INVENTORY"
 
@@ -39,30 +38,31 @@ def unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
-@dataclass(frozen=True)
-class Category:
+class Category(NamedTuple):
     label: str
     description: str = ""
     aliases: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class CategoryInventory:
-    categories: tuple[Category, ...]
-    _canonical: frozenset[str] = field(init=False, repr=False)
-    _alias_map: dict = field(init=False, repr=False)
+class CategoryInventory(_Value):
+    """Categories plus the lookup tables derived from them; equal, and
+    rebuilt by pickle, copy and _replace, by the categories alone."""
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "categories", tuple(self.categories))
-        canonical = [c.label for c in self.categories]
+    __slots__ = ("categories", "_canonical", "_alias_map")
+    _fields = ("categories",)
+
+    def __init__(self, categories: Iterable[Category]) -> None:
+        categories = tuple(categories)
+        canonical = [c.label for c in categories]
         if len(set(canonical)) != len(canonical):
             raise ValueError("duplicate labels in category inventory")
         alias_map: dict[str, str] = {}
-        for cat in self.categories:
+        for cat in categories:
             for alias in cat.aliases:
                 target = alias_map.setdefault(alias, cat.label)
                 if target != cat.label:
                     raise ValueError(f"alias {alias!r} maps to both {target} and {cat.label}")
+        object.__setattr__(self, "categories", categories)
         object.__setattr__(self, "_canonical", frozenset(canonical))
         object.__setattr__(self, "_alias_map", alias_map)
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
-from dataclasses import dataclass, replace
 from math import fsum
 from pathlib import Path
 from typing import IO, Iterable, Mapping, NamedTuple, Sequence, Union
@@ -29,6 +28,7 @@ from .model import (
     Mention,
     SemanticSpan,
     Span,
+    _checked_replace,
     _trusted_cluster,
 )
 
@@ -44,22 +44,32 @@ DEFAULT_PRONOUNS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class LabelingConfig:
-    """Knobs for assignment and propagation.
-
-    tau is compared strictly (score > tau) unless tau_inclusive is set.
-    force_cluster_label overwrites directly assigned labels that disagree
-    with the voted cluster label, for pure cluster-level typing.
-    """
-
+class _LabelingFields(NamedTuple):
     tau: float = 0.5
     tau_inclusive: bool = False
     force_cluster_label: bool = False
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.tau <= 1.0:
-            raise ValueError(f"tau must be in [0, 1], got {self.tau}")
+
+class LabelingConfig(_LabelingFields):
+    """Knobs for assignment and propagation.
+
+    tau is compared strictly (score > tau) unless tau_inclusive is set.
+    force_cluster_label overwrites directly assigned labels that disagree
+    with the voted cluster label, for pure cluster-level typing.  tau is
+    stored as tau + 0.0, so -0.0, which labels as 0.0 does, is stored and
+    reported as 0.0.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, tau: float = 0.5, tau_inclusive: bool = False, force_cluster_label: bool = False
+    ) -> "LabelingConfig":
+        if not 0.0 <= tau <= 1.0:
+            raise ValueError(f"tau must be in [0, 1], got {tau}")
+        return tuple.__new__(cls, (tau + 0.0, tau_inclusive, force_cluster_label))
+
+    _replace = __replace__ = _checked_replace
 
 
 def overlap(a: Span, b: Span) -> float:
@@ -255,7 +265,7 @@ def label_document(doc: Document, cfg: LabelingConfig, sides: Sequence[str] = SI
         for side in sides
         if (clusters := doc.clusters(side))
     }
-    return replace(doc, **labeled) if labeled else doc
+    return doc._replace(**labeled) if labeled else doc
 
 
 def label_documents(
@@ -268,8 +278,7 @@ def label_documents(
     return [label_document(doc, cfg, sides) for doc in docs]
 
 
-@dataclass(frozen=True)
-class CoverageCounts:
+class CoverageCounts(NamedTuple):
     total: int
     direct: int
     propagated: int
@@ -293,8 +302,7 @@ class CoverageCounts:
         return self.direct_pct + self.propagated_pct
 
 
-@dataclass(frozen=True)
-class CoverageReport:
+class CoverageReport(NamedTuple):
     overall: CoverageCounts
     pronoun: CoverageCounts
 
@@ -332,8 +340,7 @@ def coverage(
     )
 
 
-@dataclass(frozen=True)
-class DistributionReport:
+class DistributionReport(NamedTuple):
     """Counts and shares of mention labels over a corpus side."""
 
     counts: Mapping[str, int]
@@ -373,8 +380,7 @@ def distribution(
     )
 
 
-@dataclass(frozen=True)
-class AgreementReport:
+class AgreementReport(NamedTuple):
     true_positives: int
     system_labeled: int
     reference_total: int

@@ -8,13 +8,16 @@ labels are plain uppercase strings validated against a CategoryInventory
 
 Everything here is frozen after construction, so documents can be shared
 across workers without locking; pipeline stages return new objects.
+Span and Contingency are NamedTuples.  Mention, Cluster, SemanticSpan
+and Document are slotted classes on one small base, _Value, which makes
+them immutable values (equal by class and fields, hashable, picklable)
+whose _replace builds the changed copy through the checked constructor.
 """
 
 from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
@@ -40,6 +43,62 @@ def normalize_label(raw: str) -> str:
     if not _LABEL_RE.fullmatch(label):
         raise ValueError(f"bad category label {raw!r}: expected letters only")
     return label
+
+
+def _checked_replace(self, **changes):
+    """A copy of a checked NamedTuple with `changes`, built through its
+    constructor: NamedTuple's own _replace skips the constructor's checks."""
+    return type(self)(**self._asdict() | changes)
+
+
+class _Value:
+    """An immutable value over __slots__, as a frozen dataclass would be.
+
+    A subclass names its fields in _fields, in constructor order.  Since
+    assignment and deletion raise AttributeError, its __init__ stores its
+    slots with object.__setattr__ or, faster, through their descriptors'
+    __set__ (_slot_setters).  Instances equal those of the same class
+    with equal fields, hash and print by their fields, and pickle, copy
+    and _replace through __init__, so its checks run on every copy.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def _replace(self, **changes: Any):
+        return type(self)(**{name: getattr(self, name) for name in self._fields} | changes)
+
+    __replace__ = _replace
+
+
+def _slot_setters(cls: type) -> tuple:
+    """The __set__ of each slot of cls, which stores a field past the
+    AttributeError of _Value.__setattr__."""
+    return tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
 
 class _SpanFields(NamedTuple):
@@ -71,19 +130,17 @@ class Span(_SpanFields):
     def __reversed__(self):
         raise TypeError("reversed() of a Span is not supported; use (span.end, span.start)")
 
+    _replace = __replace__ = _checked_replace
 
-@dataclass(frozen=True, slots=True, init=False)
-class Mention:
+
+class Mention(_Value):
     """A token span, optionally carrying a semantic label.
 
     `assignment_overlap` is only present for directly assigned labels and
     records the winning Jaccard score at assignment time.
     """
 
-    span: Span
-    assigned_label: str | None = None
-    label_source: LabelSource = LabelSource.NONE
-    assignment_overlap: float | None = None
+    __slots__ = _fields = ("span", "assigned_label", "label_source", "assignment_overlap")
 
     def __init__(
         self,
@@ -102,29 +159,23 @@ class Mention:
         _set_assignment_overlap(self, assignment_overlap)
 
 
-# A Mention is built for every mention read or labeled.  Its __init__
-# stores the fields through their slot descriptors, which takes less than
-# half the time of the dataclass-generated __init__ (object.__setattr__ per
-# field, then a __post_init__ call).
 _NONE, _DIRECT = LabelSource.NONE, LabelSource.DIRECT
 _set_span, _set_assigned_label, _set_label_source, _set_assignment_overlap = (
-    getattr(Mention, f.name).__set__ for f in fields(Mention)
+    _slot_setters(Mention)
 )
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Cluster:
+class Cluster(_Value):
     """A non-empty set of coreferential mentions, optionally labeled.
 
-    The constructor, and so dataclasses.replace, checks that there is at
-    least one mention and that no span repeats.  Two callers build through
-    the unchecked _trusted_cluster instead: ingest._clusters_from_record,
+    The constructor, and so _replace, checks that there is at least one
+    mention and that no span repeats.  Two callers build through the
+    unchecked _trusted_cluster instead: ingest._clusters_from_record,
     which has already counted each cluster's spans against the rule, and
     labeling._relabel, which copies the spans of a checked cluster.
     """
 
-    mentions: tuple[Mention, ...]
-    cluster_label: str | None = None
+    __slots__ = _fields = ("mentions", "cluster_label")
 
     def __init__(self, mentions: Iterable[Mention], cluster_label: str | None = None) -> None:
         mentions = tuple(mentions)
@@ -136,7 +187,7 @@ class Cluster:
         _set_cluster_label(self, cluster_label)
 
 
-_set_mentions, _set_cluster_label = (getattr(Cluster, f.name).__set__ for f in fields(Cluster))
+_set_mentions, _set_cluster_label = _slot_setters(Cluster)
 
 
 def _trusted_cluster(mentions: tuple[Mention, ...], cluster_label: str | None) -> Cluster:
@@ -148,31 +199,48 @@ def _trusted_cluster(mentions: tuple[Mention, ...], cluster_label: str | None) -
     return cluster
 
 
-@dataclass(frozen=True, slots=True)
-class SemanticSpan:
+class SemanticSpan(_Value):
     """A tagger-produced span with a category label."""
 
-    span: Span
-    label: str
+    __slots__ = _fields = ("span", "label")
+
+    def __init__(self, span: Span, label: str) -> None:
+        _set_semantic_span(self, span)
+        _set_semantic_label(self, label)
 
 
-@dataclass(frozen=True, slots=True)
-class Document:
-    doc_id: str
-    tokens: tuple[str, ...]
-    gold_clusters: tuple[Cluster, ...] = ()
-    predicted_clusters: tuple[Cluster, ...] = ()
-    semantic_spans: tuple[SemanticSpan, ...] = ()
-    sentence_boundaries: tuple[int, ...] | None = None
-    extras: Mapping[str, Any] = field(default_factory=dict)
+_set_semantic_span, _set_semantic_label = _slot_setters(SemanticSpan)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "tokens", tuple(self.tokens))
-        object.__setattr__(self, "gold_clusters", tuple(self.gold_clusters))
-        object.__setattr__(self, "predicted_clusters", tuple(self.predicted_clusters))
-        object.__setattr__(self, "semantic_spans", tuple(self.semantic_spans))
-        if self.sentence_boundaries is not None:
-            object.__setattr__(self, "sentence_boundaries", tuple(self.sentence_boundaries))
+
+class Document(_Value):
+    """One document: its tokens, both sides' clusters and its semantic
+    spans.  The sequences are stored as tuples, and a document built
+    without `extras` gets its own empty dict."""
+
+    __slots__ = _fields = (
+        "doc_id", "tokens", "gold_clusters", "predicted_clusters", "semantic_spans",
+        "sentence_boundaries", "extras",
+    )
+
+    def __init__(
+        self,
+        doc_id: str,
+        tokens: Iterable[str],
+        gold_clusters: Iterable[Cluster] = (),
+        predicted_clusters: Iterable[Cluster] = (),
+        semantic_spans: Iterable[SemanticSpan] = (),
+        sentence_boundaries: Iterable[int] | None = None,
+        extras: Mapping[str, Any] | None = None,
+    ) -> None:
+        if sentence_boundaries is not None:
+            sentence_boundaries = tuple(sentence_boundaries)
+        _set_doc_id(self, doc_id)
+        _set_tokens(self, tuple(tokens))
+        _set_gold_clusters(self, tuple(gold_clusters))
+        _set_predicted_clusters(self, tuple(predicted_clusters))
+        _set_semantic_spans(self, tuple(semantic_spans))
+        _set_sentence_boundaries(self, sentence_boundaries)
+        _set_extras(self, {} if extras is None else extras)
 
     def clusters(self, side: str) -> tuple[Cluster, ...]:
         if side == "gold":
@@ -183,10 +251,14 @@ class Document:
 
     def with_clusters(self, side: str, clusters: Sequence[Cluster]) -> "Document":
         if side == "gold":
-            return replace(self, gold_clusters=tuple(clusters))
+            return self._replace(gold_clusters=clusters)
         if side == "predicted":
-            return replace(self, predicted_clusters=tuple(clusters))
+            return self._replace(predicted_clusters=clusters)
         raise ValueError(f"unknown side {side!r}, expected one of {SIDES}")
+
+
+(_set_doc_id, _set_tokens, _set_gold_clusters, _set_predicted_clusters, _set_semantic_spans,
+ _set_sentence_boundaries, _set_extras) = _slot_setters(Document)
 
 
 def _span_str(span: Span) -> str:

@@ -20,10 +20,9 @@ built.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations
 from math import fsum
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .model import Cluster, Contingency
 from .model import pair_by_doc_id  # noqa: F401 (perfbench/child.py wraps it by name)
@@ -34,8 +33,7 @@ MODE_MENTION = "mention"
 MODE_LINK = "link"
 
 
-@dataclass(frozen=True)
-class ClassScore:
+class ClassScore(NamedTuple):
     label: str
     tp: int
     fp: int
@@ -76,8 +74,7 @@ def macro_f1(scores: Iterable[ClassScore]) -> float:
     return fsum(values) / len(values) if values else 0.0
 
 
-@dataclass(frozen=True)
-class TypedScoreReport:
+class TypedScoreReport(NamedTuple):
     """Per-class scores plus pooled and averaged aggregates.
 
     per_class is ordered by descending gold support, then label.  The

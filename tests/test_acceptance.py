@@ -7,7 +7,6 @@ from the code under test.
 import json
 import random
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -316,7 +315,7 @@ def test_a11_label_renaming_invariance():
                 new = []
                 for cluster in doc.clusters(side):
                     mentions = tuple(
-                        replace(m, assigned_label=mapping[m.assigned_label])
+                        m._replace(assigned_label=mapping[m.assigned_label])
                         if m.assigned_label else m
                         for m in cluster.mentions
                     )

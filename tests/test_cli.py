@@ -237,6 +237,20 @@ class TestEvalCommand:
         assert (out_a / "eval_report.txt").read_bytes() == \
             (out_b / "eval_report.txt").read_bytes()
 
+    def test_negative_zero_tau_writes_the_report_of_zero_tau(self, tmp_path):
+        # score > -0.0 is score > 0.0, so both runs label alike and must
+        # write the same bytes, "tau": 0.0 included.
+        outputs = []
+        for tau in ("-0.0", "0"):
+            out = tmp_path / tau
+            assert main(["eval", "--gold", str(MINI_CORPUS), "--tau", tau, "--typed-mention",
+                         "--typed-link", "--classic", "--out", str(out)]) == 0
+            outputs.append([(out / name).read_bytes()
+                            for name in ("eval_report.json", "eval_report.txt")])
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0][0])["config"]["tau"] == 0.0
+        assert b'"tau": 0.0' in outputs[0][0]
+
     def test_requires_a_mode_flag(self, news_path, capsys):
         assert main(["eval", "--gold", news_path]) == 2
         assert "requires at least one" in capsys.readouterr().err
@@ -1002,6 +1016,17 @@ class TestDependencies:
         result = subprocess.run([sys.executable, "-c", code], env=env,
                                 capture_output=True, text=True, check=True)
         assert result.stdout.strip() == "[]"
+
+    def test_import_loads_no_dataclasses(self):
+        # Every command pays for what importing the package loads, and
+        # dataclasses brings inspect, ast and dis with it.
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = ("import sys, coref_semscore, coref_semscore.cli; "
+                "print('dataclasses' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=str(src))
+        result = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "False"
 
 
 class TestHashSeedDeterminism:

@@ -1,13 +1,21 @@
 import copy
-import dataclasses
 import pickle
+import sys
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from coref_semscore.inventory import CategoryInventory, UnknownLabelError
-from coref_semscore.labeling import LabelingConfig, label_documents
+from coref_semscore.classic_metrics import ClassicReport, MetricTriple
+from coref_semscore.inventory import Category, CategoryInventory, UnknownLabelError
+from coref_semscore.labeling import (
+    AgreementReport,
+    CoverageCounts,
+    CoverageReport,
+    DistributionReport,
+    LabelingConfig,
+    label_documents,
+)
 from coref_semscore.model import (
     Cluster,
     Document,
@@ -19,6 +27,7 @@ from coref_semscore.model import (
     normalize_label,
     validate_document,
 )
+from coref_semscore.typed_metrics import ClassScore, TypedScoreReport
 from oracles import token_set
 
 spans = st.tuples(st.integers(0, 60), st.integers(1, 64)).filter(lambda t: t[0] < t[1])
@@ -72,12 +81,12 @@ class TestMention:
         mention = Mention(span=Span(0, 1), assigned_label="PER",
                           label_source=LabelSource.DIRECT, assignment_overlap=0.9)
         with pytest.raises(ValueError):
-            dataclasses.replace(mention, label_source=LabelSource.PROPAGATED)
+            mention._replace(label_source=LabelSource.PROPAGATED)
         with pytest.raises(ValueError):
-            dataclasses.replace(mention, assigned_label=None)
+            mention._replace(assigned_label=None)
         with pytest.raises(ValueError):
-            dataclasses.replace(mention, span=Span(2, 2))
-        relabeled = dataclasses.replace(mention, assigned_label="LOC")
+            mention._replace(span=Span(2, 2))
+        relabeled = mention._replace(assigned_label="LOC")
         assert relabeled.assigned_label == "LOC" and relabeled.span == mention.span
 
     def test_label_requires_source(self):
@@ -103,7 +112,7 @@ class TestCluster:
         with pytest.raises(ValueError, match="at least one mention"):
             Cluster(())
         with pytest.raises(ValueError, match="at least one mention"):
-            dataclasses.replace(_cluster((0, 2)), mentions=())
+            _cluster((0, 2))._replace(mentions=())
 
     def test_rejects_duplicate_spans(self):
         with pytest.raises(ValueError, match="duplicate mention span"):
@@ -112,8 +121,7 @@ class TestCluster:
         with pytest.raises(ValueError, match="duplicate mention span"):
             Cluster([Mention(Span(0, 2)), labeled])
         with pytest.raises(ValueError, match="duplicate mention span"):
-            dataclasses.replace(_cluster((0, 2), (3, 4)),
-                                mentions=(Mention(Span(0, 2)), labeled))
+            _cluster((0, 2), (3, 4))._replace(mentions=(Mention(Span(0, 2)), labeled))
 
     def test_trusted_builder_builds_the_checked_value(self):
         mentions = (Mention(Span(0, 2)), Mention(Span(3, 4), "PER", LabelSource.PROPAGATED))
@@ -204,23 +212,145 @@ def _labeled_document():
     return label_documents([doc], LabelingConfig(tau=0.4))[0]
 
 
+def _triple():
+    return MetricTriple(0.5, 0.25, 1 / 3)
+
+
+def _coverage_counts():
+    return CoverageCounts(10, 4, 3)
+
+
+# Every value type of the package with the names of its fields.
+VALUES = [
+    (lambda: Span(0, 1), ("start", "end")),
+    (lambda: Mention(span=Span(0, 1)), ("span", "assigned_label", "label_source",
+                                        "assignment_overlap")),
+    (lambda: _cluster((0, 1)), ("mentions", "cluster_label")),
+    (lambda: SemanticSpan(Span(0, 1), "PER"), ("span", "label")),
+    (_labeled_document, ("doc_id", "tokens", "gold_clusters", "predicted_clusters",
+                         "semantic_spans", "sentence_boundaries", "extras")),
+    (_triple, ("precision", "recall", "f1")),
+    (lambda: ClassicReport(_triple(), _triple(), _triple()), ("muc", "b_cubed", "ceaf_phi4")),
+    (lambda: ClassScore("PER", 3, 1, 2), ("label", "tp", "fp", "fn")),
+    (lambda: TypedScoreReport("link", {"PER": ClassScore("PER", 3, 1, 2)}, 4, 5, "gold", 0),
+     ("mode", "per_class", "unlabeled_gold", "unlabeled_predicted", "link_mention_source",
+      "containment_violations")),
+    (_coverage_counts, ("total", "direct", "propagated")),
+    (lambda: CoverageReport(_coverage_counts(), CoverageCounts(2, 0, 1)),
+     ("overall", "pronoun")),
+    (lambda: DistributionReport({"PER": 3}, 3, 1, ("LOC",)),
+     ("counts", "total_labeled", "unlabeled", "absent_labels")),
+    (lambda: AgreementReport(2, 3, 4), ("true_positives", "system_labeled", "reference_total")),
+    (lambda: LabelingConfig(0.4, True, True), ("tau", "tau_inclusive", "force_cluster_label")),
+    (lambda: Category("LOC", "places", ("LOCATION",)), ("label", "description", "aliases")),
+    (CategoryInventory.default, ("categories", "_canonical", "_alias_map")),
+]
+
+
 class TestValueSemantics:
     """The model is made of immutable values that survive copying."""
 
-    @pytest.mark.parametrize("make, fields", [
-        (lambda: Span(0, 1), ("start", "end")),
-        (lambda: Mention(span=Span(0, 1)), ("span", "assigned_label", "label_source",
-                                            "assignment_overlap")),
-        (lambda: _cluster((0, 1)), ("mentions", "cluster_label")),
-        (lambda: SemanticSpan(Span(0, 1), "PER"), ("span", "label")),
-        (_labeled_document, ("doc_id", "tokens", "gold_clusters", "predicted_clusters",
-                             "semantic_spans", "sentence_boundaries", "extras")),
-    ])
+    @pytest.mark.parametrize("make, fields", VALUES)
     def test_fields_cannot_be_assigned(self, make, fields):
         value = make()
         for name in fields:
             with pytest.raises(AttributeError):
                 setattr(value, name, getattr(value, name))
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+
+    @pytest.mark.parametrize("make, fields", VALUES)
+    def test_pickle_and_deepcopy_give_an_equal_value(self, make, fields):
+        value = make()
+        for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+            assert type(copied) is type(value)
+            assert copied == value
+            for name in fields:
+                assert getattr(copied, name) == getattr(value, name)
+
+    def test_model_values_are_not_tuples(self):
+        for make in (lambda: Mention(Span(0, 1)), lambda: _cluster((0, 1)),
+                     lambda: SemanticSpan(Span(0, 1), "PER"), _labeled_document):
+            assert not isinstance(make(), tuple)
+
+    def test_model_values_equal_by_class_and_fields(self):
+        mention = Mention(Span(0, 1))
+        assert mention == Mention(Span(0, 1)) and hash(mention) == hash(Mention(Span(0, 1)))
+        assert mention != Mention(Span(0, 2))
+        assert mention != (Span(0, 1), None, LabelSource.NONE, None)
+        assert SemanticSpan(Span(0, 1), "PER") != SemanticSpan(Span(0, 1), "LOC")
+        assert len({_cluster((0, 1)), _cluster((0, 1)), _cluster((0, 2))}) == 2
+
+    def test_records_are_named_tuples(self):
+        assert LabelingConfig() == (0.5, False, False)
+        assert tuple(_triple()) == (0.5, 0.25, 1 / 3)
+        precision, recall, f1 = _triple()
+        assert (precision, recall, f1) == (0.5, 0.25, 1 / 3)
+
+    def test_inventory_equals_by_its_categories(self):
+        rebuilt = CategoryInventory(list(CategoryInventory.default().categories))
+        assert rebuilt == CategoryInventory.default()
+        assert hash(rebuilt) == hash(CategoryInventory.default())
+        assert rebuilt != CategoryInventory(rebuilt.categories[:-1])
+        assert rebuilt.resolve("person") == "PER"
+        assert repr(CategoryInventory((Category("PER"),))) == (
+            "CategoryInventory(categories=(Category(label='PER', description='', aliases=()),))"
+        )
+
+    def test_repr_names_every_field(self):
+        assert repr(Mention(Span(0, 1))) == (
+            "Mention(span=Span(start=0, end=1), assigned_label=None, "
+            "label_source=<LabelSource.NONE: 'none'>, assignment_overlap=None)"
+        )
+        assert repr(Document("d", ["a"])) == (
+            "Document(doc_id='d', tokens=('a',), gold_clusters=(), predicted_clusters=(), "
+            "semantic_spans=(), sentence_boundaries=None, extras={})"
+        )
+        assert repr(LabelingConfig()) == (
+            "LabelingConfig(tau=0.5, tau_inclusive=False, force_cluster_label=False)"
+        )
+
+    def test_replace_runs_the_checks_of_each_checked_value(self):
+        with pytest.raises(ValueError):
+            LabelingConfig()._replace(tau=1.5)
+        assert LabelingConfig()._replace(tau=-0.0) == LabelingConfig(0.0)
+        with pytest.raises(ValueError):
+            Span(0, 2)._replace(end=0)
+        assert Span(0, 2)._replace(end=3) == Span(0, 3)
+        with pytest.raises(ValueError, match="duplicate labels"):
+            CategoryInventory.default()._replace(categories=(Category("PER"), Category("PER")))
+        with pytest.raises(TypeError):
+            Mention(Span(0, 1))._replace(label="PER")
+
+    def test_document_replace_stores_tuples(self):
+        doc = _labeled_document()
+        cluster = _cluster((0, 1))
+        changed = doc._replace(gold_clusters=[cluster], semantic_spans=iter([]))
+        assert changed.gold_clusters == (cluster,)
+        assert changed.semantic_spans == ()
+        assert changed.predicted_clusters is doc.predicted_clusters
+        assert changed.extras is doc.extras
+        assert doc.gold_clusters != changed.gold_clusters
+
+    def test_each_document_gets_its_own_extras(self):
+        first, second = Document("a", ["x"]), Document("b", ["y"])
+        assert first.extras == {} and first.extras is not second.extras
+
+    def test_tau_is_stored_without_its_sign_of_zero(self):
+        assert str(LabelingConfig(-0.0).tau) == "0.0"
+        assert str(LabelingConfig(0).tau) == "0.0"
+        with pytest.raises(ValueError):
+            LabelingConfig(float("nan"))
+
+    @pytest.mark.skipif(sys.version_info < (3, 13), reason="copy.replace is new in 3.13")
+    def test_copy_replace_runs_the_checks(self):
+        with pytest.raises(ValueError):
+            copy.replace(LabelingConfig(), tau=2.0)
+        with pytest.raises(ValueError):
+            copy.replace(Mention(Span(0, 1)), label_source=LabelSource.DIRECT)
+        with pytest.raises(ValueError):
+            copy.replace(Span(0, 1), end=0)
+        assert copy.replace(LabelingConfig(), tau=-0.0) == LabelingConfig(0.0)
 
     def test_labeled_document_survives_pickle_and_deepcopy(self):
         doc = _labeled_document()

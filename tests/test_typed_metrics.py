@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -288,7 +287,7 @@ class TestRenamingInvariance:
                 new = []
                 for cluster in doc.clusters(side):
                     mentions = tuple(
-                        replace(m, assigned_label=mapping.get(m.assigned_label))
+                        m._replace(assigned_label=mapping.get(m.assigned_label))
                         if m.assigned_label else m
                         for m in cluster.mentions
                     )
