@@ -109,7 +109,8 @@ def _add_io_args(parser: argparse.ArgumentParser, pred: bool = True,
 
 
 def _add_labeling_args(parser: argparse.ArgumentParser, force: bool = True) -> None:
-    parser.add_argument("--tau", type=float, default=0.5, help="overlap threshold (default 0.5)")
+    parser.add_argument("--tau", type=float, default=LabelingConfig().tau,
+                        help="overlap threshold (default %(default)s)")
     parser.add_argument(
         "--tau-inclusive", action="store_true",
         help="accept assignments at exactly tau (default: strictly above)"
@@ -142,10 +143,7 @@ def _read_corpus(path: str, fmt: str, inventory: CategoryInventory, as_predictio
             return read_jsonl_corpus(path, inventory)
         docs = read_conll2012(path)
     if as_predictions:
-        docs = [
-            doc.with_clusters("predicted", doc.gold_clusters).with_clusters("gold", ())
-            for doc in docs
-        ]
+        docs = [doc.with_clusters("predicted", doc.gold_clusters) for doc in docs]
     return docs
 
 
@@ -235,12 +233,7 @@ def cmd_label(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    modes = [m for m, on in (
-        ("typed-mention", args.typed_mention),
-        ("typed-link", args.typed_link),
-        ("classic", args.classic),
-    ) if on]
-    if not modes:
+    if not (args.typed_mention or args.typed_link or args.classic):
         raise CliError(EXIT_INPUT, "eval requires at least one of --typed-mention, "
                                    "--typed-link, --classic")
     inventory = _inventory()
@@ -259,9 +252,7 @@ def cmd_eval(args) -> int:
             "pred": os.path.basename(args.pred) if args.pred else None,
             "cner": os.path.basename(args.cner) if args.cner else None,
             "format": args.format,
-            "tau": cfg.tau,
-            "tau_inclusive": cfg.tau_inclusive,
-            "force_cluster_label": cfg.force_cluster_label,
+            **cfg._asdict(),
             "link_mention_source": args.link_mention_source,
             "drop_singletons": args.drop_singletons,
         },
@@ -320,7 +311,9 @@ def _load_report(path: str) -> tuple[dict, str]:
         report = json.load(handle, object_pairs_hook=unique_keys)
     if not isinstance(report, dict):
         raise CliError(EXIT_INPUT, f"{path}: expected a JSON object")
-    config = report["config"] = report.get("config") or {}
+    config = report.get("config")
+    if config is None:
+        config = report["config"] = {}
     if not isinstance(config, dict):
         raise CliError(EXIT_INPUT, f"{path}: config must be a JSON object")
     gold = config.get("gold")
@@ -335,7 +328,7 @@ def _load_report(path: str) -> tuple[dict, str]:
     return report, gold or os.path.basename(path)
 
 
-_LABELING_FIELDS = ("tau", "tau_inclusive", "force_cluster_label", "link_mention_source")
+_LABELING_FIELDS = (*LabelingConfig._fields, "link_mention_source")
 
 
 def _support(reports, mode: str) -> Counter:

@@ -37,7 +37,7 @@ from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping, Sequence, Union
 
 from . import model
-from .inventory import CategoryInventory, RepeatedKeyError, unique_keys
+from .inventory import CategoryInventory, RepeatedKeyError, opened, unique_keys
 from .model import (
     Cluster,
     Document,
@@ -68,18 +68,6 @@ _MODEL_FIELDS = (
 
 class CorpusFormatError(Exception):
     """A corpus file that cannot be parsed or fails validation."""
-
-
-def _open_read(source: Source):
-    if hasattr(source, "read"):
-        return source, False
-    return open(source, encoding="utf-8"), True
-
-
-def _open_write(dest: Source):
-    if hasattr(dest, "write"):
-        return dest, False
-    return open(dest, "w", encoding="utf-8"), True
 
 
 _SOURCES = {source.value: source for source in LabelSource}
@@ -341,8 +329,7 @@ def _document(record, labels: _Labels) -> Document:
 
 def _jsonl_records(source: Source) -> Iterator[tuple[int, object]]:
     """(line number, parsed JSON) for each non-blank line."""
-    handle, owned = _open_read(source)
-    try:
+    with opened(source) as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
@@ -353,9 +340,6 @@ def _jsonl_records(source: Source) -> Iterator[tuple[int, object]]:
                 raise CorpusFormatError(f"line {lineno}: invalid JSON: {exc}") from exc
             except RepeatedKeyError as exc:
                 raise CorpusFormatError(f"line {lineno}: {exc}") from exc
-    finally:
-        if owned:
-            handle.close()
 
 
 def _by_doc_id(numbered: Iterable[tuple[int, object]], build) -> dict:
@@ -447,14 +431,10 @@ def document_to_record(doc: Document) -> dict:
 
 def write_labeled_jsonl(docs: Iterable[Document], dest: Source) -> None:
     """Write one record per document, including labels and label sources."""
-    handle, owned = _open_write(dest)
-    try:
+    with opened(dest, "w") as handle:
         for doc in docs:
             handle.write(json.dumps(document_to_record(doc), ensure_ascii=False))
             handle.write("\n")
-    finally:
-        if owned:
-            handle.close()
 
 
 _BEGIN_RE = re.compile(r"#begin document \((?P<name>[^)]*)\)(?:; part (?P<part>\S+))?\s*$")
@@ -479,9 +459,8 @@ def _conll_records(source: Source) -> Iterator[tuple[int, dict]]:
     indices.  gold_clusters lists the clusters in cluster-id order, each
     with its spans sorted.
     """
-    handle, owned = _open_read(source)
     doc_id: str | None = None
-    try:
+    with opened(source) as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.rstrip("\n")
             if line.startswith("#begin document"):
@@ -558,9 +537,6 @@ def _conll_records(source: Source) -> Iterator[tuple[int, dict]]:
             raise CorpusFormatError(
                 f"line {lineno}: missing #end document marker for {doc_id!r}"
             )
-    finally:
-        if owned:
-            handle.close()
 
 
 def merge_predictions(

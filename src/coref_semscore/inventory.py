@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from pathlib import Path
-from typing import IO, Iterable, NamedTuple, Union
+from typing import IO, Iterable, Iterator, NamedTuple, Union
 
 from .model import _Value, normalize_label
 
@@ -38,6 +39,17 @@ def unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
+@contextmanager
+def opened(source: Union[str, Path, IO[str]], mode: str = "r") -> Iterator[IO[str]]:
+    """`source` itself when it is an open text handle for `mode`, else the
+    file at that path opened in `mode` as UTF-8 and closed on exit."""
+    if hasattr(source, "read" if mode == "r" else "write"):
+        yield source
+    else:
+        with open(source, mode, encoding="utf-8") as handle:
+            yield handle
+
+
 class Category(NamedTuple):
     label: str
     description: str = ""
@@ -53,8 +65,8 @@ class CategoryInventory(_Value):
 
     def __init__(self, categories: Iterable[Category]) -> None:
         categories = tuple(categories)
-        canonical = [c.label for c in categories]
-        if len(set(canonical)) != len(canonical):
+        canonical = frozenset(c.label for c in categories)
+        if len(canonical) != len(categories):
             raise ValueError("duplicate labels in category inventory")
         alias_map: dict[str, str] = {}
         for cat in categories:
@@ -62,8 +74,11 @@ class CategoryInventory(_Value):
                 target = alias_map.setdefault(alias, cat.label)
                 if target != cat.label:
                     raise ValueError(f"alias {alias!r} maps to both {target} and {cat.label}")
+                if alias in canonical and alias != cat.label:
+                    raise ValueError(f"alias {alias!r} of {cat.label} is the label of "
+                                     f"category {alias}, so it would never apply")
         object.__setattr__(self, "categories", categories)
-        object.__setattr__(self, "_canonical", frozenset(canonical))
+        object.__setattr__(self, "_canonical", canonical)
         object.__setattr__(self, "_alias_map", alias_map)
 
     def __len__(self) -> int:
@@ -92,11 +107,8 @@ class CategoryInventory(_Value):
     @classmethod
     def from_json(cls, source: Union[str, Path, IO[str]]) -> "CategoryInventory":
         """Load an inventory from a JSON list of {label, description, aliases}."""
-        if hasattr(source, "read"):
-            entries = json.load(source, object_pairs_hook=unique_keys)
-        else:
-            with open(source, encoding="utf-8") as handle:
-                entries = json.load(handle, object_pairs_hook=unique_keys)
+        with opened(source) as handle:
+            entries = json.load(handle, object_pairs_hook=unique_keys)
         if not isinstance(entries, list):
             raise ValueError("inventory file must contain a JSON list")
         categories = []

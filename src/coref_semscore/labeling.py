@@ -19,7 +19,7 @@ from math import fsum
 from pathlib import Path
 from typing import IO, Iterable, Mapping, NamedTuple, Sequence, Union
 
-from .inventory import CategoryInventory
+from .inventory import CategoryInventory, opened
 from .model import (
     SIDES,
     Cluster,
@@ -83,10 +83,8 @@ def overlap(a: Span, b: Span) -> float:
 
 def load_pronoun_lexicon(source: Union[str, Path, IO[str]]) -> frozenset[str]:
     """One token per line; blank lines and # comments are skipped."""
-    if hasattr(source, "read"):
-        lines = source.read().splitlines()
-    else:
-        lines = Path(source).read_text(encoding="utf-8").splitlines()
+    with opened(source) as handle:
+        lines = handle.read().splitlines()
     entries = set()
     for line in lines:
         word = line.strip().lower()

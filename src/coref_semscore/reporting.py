@@ -1,9 +1,9 @@
 """Report assembly: JSON-ready dicts, aligned text tables, comparisons.
 
-JSON dicts keep full float precision and a fixed key order; text tables
-format floats at 4 decimals and sort class rows by descending gold
-support, then name.  Identical inputs therefore produce byte-identical
-outputs.
+JSON dicts keep full float precision and a fixed key order; a text table
+shows the JSON rows with their keys as its columns, floats at 4 decimals
+and null as -, and sorts class rows by descending gold support, then
+name.  Identical inputs therefore produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from math import fsum
 from typing import Iterable, Mapping, Sequence
 
 from .classic_metrics import ClassicReport, MetricTriple
-from .labeling import CoverageCounts, CoverageReport, DistributionReport
+from .labeling import CoverageReport, DistributionReport
 from .typed_metrics import ClassScore, TypedScoreReport, macro_f1, micro_score
 
 
@@ -39,7 +39,9 @@ def write_json(path, obj) -> None:
 # JSON shapes
 
 
-def _class_row(score) -> dict:
+def _class_row(score: ClassScore) -> dict:
+    """A class's JSON row.  The JSON micro row drops its support; the text
+    table keeps it."""
     return {
         "tp": score.tp,
         "fp": score.fp,
@@ -52,19 +54,13 @@ def _class_row(score) -> dict:
 
 
 def typed_report_dict(report: TypedScoreReport) -> dict:
-    micro = report.micro
+    micro = _class_row(report.micro)
+    del micro["support"]
     out: dict = {
         "mode": report.mode,
         "link_mention_source": report.link_mention_source,
         "per_class": {label: _class_row(s) for label, s in report.per_class.items()},
-        "micro": {
-            "tp": micro.tp,
-            "fp": micro.fp,
-            "fn": micro.fn,
-            "precision": micro.precision,
-            "recall": micro.recall,
-            "f1": micro.f1,
-        },
+        "micro": micro,
         "macro_f1": report.macro_f1,
         "macro_classes": report.macro_classes,
         "predicted_only_classes": report.predicted_only_classes,
@@ -125,36 +121,21 @@ def typed_report_from_dict(block) -> TypedScoreReport:
     return report
 
 
-def _metric_triple_dict(triple: MetricTriple) -> dict:
-    return {"precision": triple.precision, "recall": triple.recall, "f1": triple.f1}
+def _classic_rows(report: ClassicReport) -> dict:
+    return {name: triple._asdict() for name, triple in report._asdict().items()}
 
 
 def classic_report_dict(report: ClassicReport) -> dict:
-    return {
-        "muc": _metric_triple_dict(report.muc),
-        "b_cubed": _metric_triple_dict(report.b_cubed),
-        "ceaf_phi4": _metric_triple_dict(report.ceaf_phi4),
-        "conll_f1": report.conll_f1,
-    }
+    return {**_classic_rows(report), "conll_f1": report.conll_f1}
 
 
-def _coverage_counts_dict(counts: CoverageCounts) -> dict:
-    return {
-        "total": counts.total,
-        "direct": counts.direct,
-        "propagated": counts.propagated,
-        "unlabeled": counts.unlabeled,
-        "direct_pct": counts.direct_pct,
-        "propagated_pct": counts.propagated_pct,
-        "any_pct": counts.any_pct,
-    }
+_COVERAGE_COLUMNS = ("total", "direct", "propagated", "unlabeled",
+                     "direct_pct", "propagated_pct", "any_pct")
 
 
 def coverage_report_dict(report: CoverageReport) -> dict:
-    return {
-        "overall": _coverage_counts_dict(report.overall),
-        "pronoun": _coverage_counts_dict(report.pronoun),
-    }
+    return {scope: {key: getattr(counts, key) for key in _COVERAGE_COLUMNS}
+            for scope, counts in report._asdict().items()}
 
 
 def distribution_report_dict(report: DistributionReport) -> dict:
@@ -182,26 +163,33 @@ def _table(rows: Sequence[Sequence[str]], right_align_from: int = 1) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _f(value: float) -> str:
-    return f"{value:.4f}"
+def _cell(value) -> str:
+    """A JSON value as a table cell: an int as it is, a float at 4 decimals,
+    null as -."""
+    if value is None:
+        return "-"
+    return f"{value:.4f}" if isinstance(value, float) else str(value)
+
+
+def _grid(head: Sequence[str], keys: Iterable[str],
+          rows: Iterable[tuple[Sequence[str], Mapping]]) -> str:
+    """An aligned table of JSON rows.  The header is `head` plus `keys`; a
+    line is its leading cells, then the row's value at each key."""
+    keys = list(keys)
+    lines = [[*head, *keys]]
+    lines += [[*lead, *(_cell(row[key]) for key in keys)] for lead, row in rows]
+    return _table(lines, right_align_from=len(head))
 
 
 def render_typed_table(report: TypedScoreReport) -> str:
     title = f"typed {report.mode} scores"
     if report.link_mention_source is not None:
         title += f" (link mentions: {report.link_mention_source})"
-    rows = [["class", "tp", "fp", "fn", "precision", "recall", "f1", "support"]]
-    for label, score in report.per_class.items():
-        rows.append(
-            [label, str(score.tp), str(score.fp), str(score.fn),
-             _f(score.precision), _f(score.recall), _f(score.f1), str(score.support)]
-        )
-    micro = report.micro
-    rows.append(
-        ["micro", str(micro.tp), str(micro.fp), str(micro.fn),
-         _f(micro.precision), _f(micro.recall), _f(micro.f1), str(micro.support)]
-    )
-    lines = [title, _table(rows).rstrip("\n"), f"macro_f1 {_f(report.macro_f1)}"]
+    rows = [((label,), _class_row(score)) for label, score in report.per_class.items()]
+    micro = _class_row(report.micro)
+    rows.append((("micro",), micro))
+    lines = [title, _grid(("class",), micro, rows).rstrip("\n"),
+             f"macro_f1 {_cell(report.macro_f1)}"]
     if report.predicted_only_classes:
         lines.append("predicted-only classes: " + ", ".join(report.predicted_only_classes))
     lines.append(
@@ -214,34 +202,22 @@ def render_typed_table(report: TypedScoreReport) -> str:
 
 
 def render_classic_table(report: ClassicReport) -> str:
-    rows = [["metric", "precision", "recall", "f1"]]
-    for name, triple in (
-        ("muc", report.muc),
-        ("b_cubed", report.b_cubed),
-        ("ceaf_phi4", report.ceaf_phi4),
-    ):
-        rows.append([name, _f(triple.precision), _f(triple.recall), _f(triple.f1)])
-    return "classic scores\n" + _table(rows) + f"conll_f1 {_f(report.conll_f1)}\n"
+    rows = [((name,), row) for name, row in _classic_rows(report).items()]
+    return ("classic scores\n" + _grid(("metric",), MetricTriple._fields, rows)
+            + f"conll_f1 {_cell(report.conll_f1)}\n")
 
 
 def render_coverage_table(reports: Mapping[str, CoverageReport]) -> str:
-    rows = [["side", "mentions", "total", "direct", "propagated", "unlabeled",
-             "direct_pct", "propagated_pct", "any_pct"]]
-    for side, report in reports.items():
-        for scope, counts in (("overall", report.overall), ("pronoun", report.pronoun)):
-            rows.append(
-                [side, scope, str(counts.total), str(counts.direct), str(counts.propagated),
-                 str(counts.unlabeled), _f(counts.direct_pct), _f(counts.propagated_pct),
-                 _f(counts.any_pct)]
-            )
-    return "labeling coverage\n" + _table(rows, right_align_from=2)
+    rows = [((side, scope), row) for side, report in reports.items()
+            for scope, row in coverage_report_dict(report).items()]
+    return "labeling coverage\n" + _grid(("side", "mentions"), _COVERAGE_COLUMNS, rows)
 
 
 def render_distribution_table(report: DistributionReport) -> str:
     rows = [["class", "count", "share"]]
     shares = report.shares
     for label, count in report.counts.items():
-        rows.append([label, str(count), _f(shares[label])])
+        rows.append([label, str(count), _cell(shares[label])])
     lines = ["label distribution", _table(rows).rstrip("\n")]
     lines.append(f"labeled mentions: {report.total_labeled}, unlabeled: {report.unlabeled}")
     absent = ", ".join(report.absent_labels) if report.absent_labels else "(none)"
@@ -361,13 +337,13 @@ def render_compare_table(compare: dict) -> str:
         rows = [["class", "f1_a", "f1_b", "delta", "support_a", "support_b"]]
         for label, row in block["per_class"].items():
             rows.append(
-                [label, _f(row["f1_a"]), _f(row["f1_b"]), f"{row['delta']:+.4f}",
+                [label, _cell(row["f1_a"]), _cell(row["f1_b"]), f"{row['delta']:+.4f}",
                  str(row["support_a"]), str(row["support_b"])]
             )
         lines.append(f"{mode} mode")
         lines.append(_table(rows).rstrip("\n"))
         lines.append(
-            f"macro_f1 A {_f(block['macro_f1_a'])}  B {_f(block['macro_f1_b'])}"
+            f"macro_f1 A {_cell(block['macro_f1_a'])}  B {_cell(block['macro_f1_b'])}"
             f"  delta {block['macro_delta']:+.4f}"
         )
     return "\n".join(lines) + "\n"
@@ -375,6 +351,11 @@ def render_compare_table(compare: dict) -> str:
 
 # ---------------------------------------------------------------------------
 # Deficiency diagnosis
+
+# A class's ranked row before the terms of its modes are added; the table
+# shows its label as the leading cell.
+_DEFICIENCY_ROW = {"label": "", "support": 0, "mention_f1": None, "link_f1": None,
+                   "composite": 0.0}
 
 
 def diagnose_report(
@@ -407,8 +388,7 @@ def diagnose_report(
     support = {label: score.support for label, score in modes[0][0].items()}
     rows = []
     for label in {label for per_class, _, _ in modes for label in per_class}:
-        row = {"label": label, "support": support.get(label, 0), "mention_f1": None,
-               "link_f1": None, "composite": 0.0}
+        row = {**_DEFICIENCY_ROW, "label": label, "support": support.get(label, 0)}
         for per_class, weight, field in modes:
             row[field] = per_class[label].f1 if label in per_class else 0.0
             row["composite"] += weight * (1.0 - row[field])
@@ -427,18 +407,11 @@ def render_diagnose_table(report: dict) -> str:
     lines = ["class deficiency diagnosis"]
     absent = report["absent_classes"]
     lines.append("absent classes (support 0): " + (", ".join(absent) if absent else "(none)"))
-    rows = [["class", "support", "mention_f1", "link_f1", "composite"]]
-    for row in report["ranked"]:
-        rows.append(
-            [row["label"], str(row["support"]),
-             _f(row["mention_f1"]) if row["mention_f1"] is not None else "-",
-             _f(row["link_f1"]) if row["link_f1"] is not None else "-",
-             _f(row["composite"])]
-        )
-    lines.append(_table(rows).rstrip("\n"))
+    rows = [((row["label"],), row) for row in report["ranked"]]
+    lines.append(_grid(("class",), list(_DEFICIENCY_ROW)[1:], rows).rstrip("\n"))
     weights = report["weights"]
     lines.append(
-        f"weights: mention {_f(weights['mention'])}, link {_f(weights['link'])}, "
-        f"rarity cap {_f(weights['rarity_cap'])}"
+        f"weights: mention {_cell(weights['mention'])}, link {_cell(weights['link'])}, "
+        f"rarity cap {_cell(weights['rarity_cap'])}"
     )
     return "\n".join(lines) + "\n"

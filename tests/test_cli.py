@@ -889,6 +889,105 @@ class TestOutputFiles:
                 json.loads(line, parse_constant=_reject_constant)
 
 
+def _json_cell(value) -> str:
+    """A JSON value as its table cell: an int as it is, a float at 4
+    decimals, null as -."""
+    if value is None:
+        return "-"
+    if type(value) is float:
+        return f"{value:.4f}"
+    assert type(value) is int
+    return str(value)
+
+
+def _parse_table(text: str, head) -> tuple[list[str], list[list[str]]]:
+    """The header and rows of the first aligned table below the title line
+    of `text` whose header starts with `head`: the lines after the header
+    with as many cells."""
+    lines = [line.split() for line in text.splitlines()]
+    start = next(i for i, cells in enumerate(lines) if i and cells[:len(head)] == list(head))
+    header = lines[start]
+    rows = []
+    for cells in lines[start + 1:]:
+        if len(cells) != len(header):
+            break
+        rows.append(cells)
+    return header, rows
+
+
+class TestTablesShowJson:
+    """Each text table is a view of the JSON rows its command writes: the
+    header is the leading cells' names plus a row's keys, and each cell is
+    the row's value at that key."""
+
+    @staticmethod
+    def _written(tmp_path, name, argv, stem):
+        out = tmp_path / name
+        assert main([*argv, "--out", str(out)]) == 0
+        return ((out / f"{stem}.txt").read_text(encoding="utf-8"),
+                json.loads((out / f"{stem}.json").read_text(encoding="utf-8")))
+
+    @staticmethod
+    def _assert_view(text, head, rows):
+        """`rows` are (leading cells, JSON row) pairs, in table order."""
+        header, lines = _parse_table(text, head)
+        assert header == [*head, *rows[0][1]]
+        assert lines == [[*lead, *map(_json_cell, row.values())] for lead, row in rows]
+
+    def _assert_typed(self, text, block):
+        per_class = block["per_class"]
+        assert per_class
+        micro = {**block["micro"], "support": block["micro"]["tp"] + block["micro"]["fn"]}
+        assert list(micro) == list(next(iter(per_class.values())))
+        rows = [((label,), row) for label, row in per_class.items()]
+        self._assert_view(text, ["class"], [*rows, (("micro",), micro)])
+
+    def _assert_coverage(self, text, data):
+        rows = [((side, scope), row) for side, scopes in data.items()
+                for scope, row in scopes.items()]
+        assert len(rows) == 4
+        self._assert_view(text, ["side", "mentions"], rows)
+
+    def _assert_diagnose(self, text, data):
+        rows = [((row["label"],), {k: v for k, v in row.items() if k != "label"})
+                for row in data["ranked"]]
+        assert rows
+        self._assert_view(text, ["class"], rows)
+
+    @pytest.mark.parametrize("source", ["predicted", "gold"])
+    def test_eval_and_diagnose(self, tmp_path, source):
+        modes = ["--typed-mention", "--typed-link", "--classic"]
+        text, report = self._written(
+            tmp_path, "eval",
+            ["eval", "--gold", str(MINI_CORPUS), *modes, "--link-mention-source", source],
+            "eval_report",
+        )
+        mention, link, classic = text.split("\n\n")
+        self._assert_typed(mention, report["typed_mention"])
+        self._assert_typed(link, report["typed_link"])
+        rows = [((name,), row) for name, row in report["classic"].items() if name != "conll_f1"]
+        assert len(rows) == 3
+        self._assert_view(classic, ["metric"], rows)
+
+        eval_report = str(tmp_path / "eval" / "eval_report.json")
+        self._assert_diagnose(*self._written(
+            tmp_path, "diagnose", ["diagnose", "--eval-report", eval_report], "diagnose"))
+
+    def test_diagnose_shows_an_absent_mode_as_null(self, tmp_path):
+        _, report = self._written(tmp_path, "eval", ["eval", "--gold", str(MINI_CORPUS),
+                                                     "--typed-link"], "eval_report")
+        text, data = self._written(tmp_path, "diagnose", [
+            "diagnose", "--eval-report", str(tmp_path / "eval" / "eval_report.json")],
+            "diagnose")
+        assert all(row["mention_f1"] is None for row in data["ranked"])
+        self._assert_diagnose(text, data)
+
+    @pytest.mark.parametrize("command", ["label", "coverage"])
+    def test_coverage(self, tmp_path, command):
+        self._assert_coverage(*self._written(
+            tmp_path, command, [command, "--gold", str(MINI_CORPUS)], "coverage"))
+
+
 class TestInputErrors:
     """Outside input that cannot be read exits 2 with a message, not a traceback."""
 
@@ -979,6 +1078,10 @@ class TestInputErrors:
          "typed_mention: macro_f1 is nan, but its counts give 1.0"),
         ({"typed_mention": _typed_block(f1=float("inf"))},
          "typed_mention: per_class.PER.f1 is inf, but its counts give 1.0"),
+        ({"config": []}, "config must be a JSON object"),
+        ({"config": 0}, "config must be a JSON object"),
+        ({"config": False}, "config must be a JSON object"),
+        ({"config": ""}, "config must be a JSON object"),
     ])
     def test_malformed_eval_report_exits_2(self, tmp_path, capsys, report, message):
         path = tmp_path / "report.json"
@@ -987,6 +1090,16 @@ class TestInputErrors:
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
         assert main(["diagnose", "--eval-report", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+    @pytest.mark.parametrize("report", [
+        {"typed_mention": _typed_block()},
+        {"config": None, "typed_mention": _typed_block()},
+    ])
+    def test_absent_or_null_config_reads_as_empty(self, tmp_path, report):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(report), encoding="utf-8")
+        assert main(["compare", "-a", str(path), "-b", str(path)]) == 0
+        assert main(["diagnose", "--eval-report", str(path)]) == 0
 
     def test_internal_error_is_not_an_input_error(self, news_path, monkeypatch):
         def broken(*args):
@@ -1092,6 +1205,18 @@ class TestInventoryEnvVar:
         assert main(["label", "--gold", path, "--out", str(out)]) == 0
         data = json.loads((out / "labeled.jsonl").read_text())
         assert data["cluster_labels"]["gold"] == ["FOO"]
+
+    def test_alias_that_is_another_label_exits_2(self, tmp_path, monkeypatch, news_path,
+                                                 capsys):
+        inv_path = tmp_path / "inv.json"
+        inv_path.write_text(json.dumps([{"label": "LOC", "aliases": ["org"]}, {"label": "ORG"}]),
+                            encoding="utf-8")
+        monkeypatch.setenv("COREF_SEMSCORE_INVENTORY", str(inv_path))
+        assert main(["eval", "--gold", news_path, "--classic"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: COREF_SEMSCORE_INVENTORY={inv_path}: alias 'ORG' of LOC is the label "
+            "of category ORG, so it would never apply\n"
+        )
 
     def test_default_labels_rejected_under_alternate_inventory(
         self, tmp_path, monkeypatch, capsys

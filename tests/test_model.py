@@ -198,6 +198,18 @@ class TestLabels:
         with pytest.raises(ValueError):
             CategoryInventory((Category("PER"), Category("PER")))
 
+    @pytest.mark.parametrize("categories", [
+        (Category("LOC", "", ("ORG",)), Category("ORG")),
+        (Category("ORG"), Category("LOC", "", ("ORG",))),
+    ])
+    def test_alias_that_is_another_label_rejected(self, categories):
+        with pytest.raises(ValueError, match="alias 'ORG' of LOC is the label of category ORG"):
+            CategoryInventory(categories)
+
+    def test_alias_that_is_its_own_label_accepted(self):
+        inv = CategoryInventory((Category("LOC", "", ("LOC", "PLACE")), Category("ORG")))
+        assert inv.resolve("PLACE") == inv.resolve("LOC") == "LOC"
+
 
 def _labeled_document():
     doc = Document(

@@ -1,0 +1,41 @@
+"""Every import in a package module is used by that module.
+
+An import whose line says `# noqa: F401` is kept on purpose and skipped.
+__init__.py re-exports what it imports, so it is not checked.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "coref_semscore"
+MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    """`line: name` for each name a module imports but never reads."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if "# noqa: F401" not in lines[alias.lineno - 1]:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = alias.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{line}: {name}" for name, line in imported.items() if name not in used]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_module_uses_every_import(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_checker_sees_an_unused_import_and_honours_noqa():
+    source = ("import os\nimport sys  # noqa: F401\nfrom typing import (\n"
+              "    IO,\n    Union,  # noqa: F401\n)\nfrom a.b import c as d\nx: IO = d\n")
+    assert unused_imports(source) == ["1: os"]
