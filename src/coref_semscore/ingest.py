@@ -25,7 +25,8 @@ back transparently):
                             unless direct
 
 Unknown fields are preserved on round-trip.  A CoNLL-2012-style reader is
-provided for gold clusters only; there is no CoNLL writer.
+provided for gold clusters only; there is no CoNLL writer.  One read builds
+each distinct label and unlabeled Mention once (_Shared).
 """
 
 from __future__ import annotations
@@ -78,11 +79,15 @@ _LABEL_BLOCKS = ("cluster_labels", *_MENTION_BLOCKS)
 _new_span = tuple.__new__
 
 
-class _Labels(dict):
-    """Raw label string -> canonical label, for one read.
+class _Shared(dict):
+    """The labels and unlabeled mentions of one read, each built once, on
+    first sight.
 
-    inventory.resolve runs once per distinct raw string, on first sight.  A
-    label it rejects is not stored, so it raises again wherever it recurs.
+    A raw label string keys its canonical label, which inventory.resolve
+    gives on the first lookup; a label it rejects is not stored, so it
+    raises again wherever it recurs.  A (start, end) keys its unlabeled
+    Mention, which the reader stores for a pair only once it has passed
+    its document's checks.
     """
 
     __slots__ = ("_resolve",)
@@ -136,12 +141,12 @@ def _doc_id(record, field: str) -> str:
     return doc_id
 
 
-def _label(raw, labels: _Labels) -> str | None:
+def _label(raw, shared: _Shared) -> str | None:
     if raw is None:
         return None
     if not isinstance(raw, str):
         raise TypeError(f"label must be a string or null, got {raw!r}")
-    return labels[raw]
+    return shared[raw]
 
 
 def _nested(record: dict, key: str, side: str):
@@ -154,7 +159,7 @@ def _nested(record: dict, key: str, side: str):
 
 
 def _clusters_from_record(
-    record: dict, side: str, n: int, labels: _Labels
+    record: dict, side: str, n: int, shared: _Shared
 ) -> tuple[tuple[Cluster, ...], bool]:
     """One side's clusters, and whether validate_document must word a
     violation: a span that ends past the n tokens, or one in two clusters.
@@ -193,6 +198,13 @@ def _clusters_from_record(
         for mi, pair in enumerate(raw_cluster):
             start, end = pair if type(pair) is list and len(pair) == 2 else (None, None)
             if type(start) is int and type(end) is int and 0 <= start < end <= n:
+                if not has_labels:
+                    mention = shared.get((start, end))
+                    if mention is None:
+                        mention = shared[start, end] = Mention(_new_span(Span, (start, end)))
+                    mentions.append(mention)
+                    spans.append(mention.span)
+                    continue
                 span = _new_span(Span, (start, end))
             else:
                 # _span words a rejected pair; one it accepts ends past the
@@ -205,7 +217,7 @@ def _clusters_from_record(
                 try:
                     mentions.append(Mention(
                         span,
-                        _label(label_row[mi], labels),
+                        _label(label_row[mi], shared),
                         (type(source) is str and _SOURCES.get(source)) or LabelSource(source),
                         None if overlap is None else float(overlap),
                     ))
@@ -218,11 +230,13 @@ def _clusters_from_record(
                         )
                 except (TypeError, ValueError) as exc:
                     raise CorpusFormatError(f"{where.format(ci, mi)}: {exc}") from exc
-        mentions = tuple(mentions) if has_labels else tuple(map(Mention, spans))
+            else:
+                mentions.append(Mention(span))
+        mentions = tuple(mentions)
         side_spans.update(spans)
         mention_count += len(spans)
         try:
-            label = None if cluster_labels is None else _label(cluster_labels[ci], labels)
+            label = None if cluster_labels is None else _label(cluster_labels[ci], shared)
             # The running counts part once a span repeats, in this cluster
             # or across clusters.  Only an empty cluster or a repeat within
             # this one is the constructor's to reject, and word.
@@ -246,7 +260,7 @@ def _sentence_boundaries(raw) -> tuple[int, ...] | None:
 
 
 def _semantic_spans(
-    raw_cner, labels: _Labels, n: int
+    raw_cner, shared: _Shared, n: int
 ) -> tuple[tuple[SemanticSpan, ...], bool]:
     """The semantic spans of a cner list, and whether one ends past the n
     tokens."""
@@ -266,7 +280,7 @@ def _semantic_spans(
         if not isinstance(label, str):
             raise CorpusFormatError(f"cner[{si}]: label must be a string, got {label!r}")
         try:
-            semantic_spans.append(SemanticSpan(span, labels[label]))
+            semantic_spans.append(SemanticSpan(span, shared[label]))
         except ValueError as exc:
             raise CorpusFormatError(f"cner[{si}]: {exc}") from exc
     return tuple(semantic_spans), violated
@@ -281,10 +295,10 @@ def _check(doc: Document) -> None:
 
 def document_from_record(record: dict, inventory: CategoryInventory) -> Document:
     """Build and validate a Document from a parsed JSONL record."""
-    return _document(record, _Labels(inventory))
+    return _document(record, _Shared(inventory))
 
 
-def _document(record, labels: _Labels) -> Document:
+def _document(record, shared: _Shared) -> Document:
     """document_from_record in one checked pass over the record.
 
     The build raises each field's error as it meets it.  The checks of
@@ -297,9 +311,9 @@ def _document(record, labels: _Labels) -> Document:
     doc_id = _doc_id(record, "tokens")
     tokens = tuple(_list(record["tokens"], "tokens", "token strings"))
     n = len(tokens)
-    gold, gold_violated = _clusters_from_record(record, "gold", n, labels)
-    predicted, predicted_violated = _clusters_from_record(record, "predicted", n, labels)
-    semantic_spans, spans_violated = _semantic_spans(record.get("cner", []), labels, n)
+    gold, gold_violated = _clusters_from_record(record, "gold", n, shared)
+    predicted, predicted_violated = _clusters_from_record(record, "predicted", n, shared)
+    semantic_spans, spans_violated = _semantic_spans(record.get("cner", []), shared, n)
     doc = Document(
         doc_id=doc_id,
         tokens=tokens,
@@ -328,14 +342,17 @@ def _document(record, labels: _Labels) -> Document:
 
 
 def _jsonl_records(source: Source) -> Iterator[tuple[int, object]]:
-    """(line number, parsed JSON) for each non-blank line."""
+    """(line number, parsed JSON) for each non-blank line, through one
+    decoder (json.loads given a hook builds one per call)."""
+    decode = json.JSONDecoder(object_pairs_hook=unique_keys).decode
     with opened(source) as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                yield lineno, json.loads(line, object_pairs_hook=unique_keys)
+                # json.loads words a leading byte order mark; decode does not.
+                yield lineno, json.loads(line) if line[0] == "\ufeff" else decode(line)
             except json.JSONDecodeError as exc:
                 raise CorpusFormatError(f"line {lineno}: invalid JSON: {exc}") from exc
             except RepeatedKeyError as exc:
@@ -364,10 +381,10 @@ def _by_doc_id(numbered: Iterable[tuple[int, object]], build) -> dict:
 def _documents(
     numbered: Iterable[tuple[int, object]], inventory: CategoryInventory | None
 ) -> list[Document]:
-    labels = _Labels(inventory or CategoryInventory.default())
+    shared = _Shared(inventory or CategoryInventory.default())
 
     def build(record):
-        doc = _document(record, labels)
+        doc = _document(record, shared)
         return doc.doc_id, doc
 
     return list(_by_doc_id(numbered, build).values())
@@ -393,10 +410,10 @@ def read_cner_jsonl(
     bounds are checked against the target documents by
     attach_semantic_spans, not here.
     """
-    labels = _Labels(inventory or CategoryInventory.default())
+    shared = _Shared(inventory or CategoryInventory.default())
 
     def build(record):
-        return _doc_id(record, "cner"), _semantic_spans(record["cner"], labels, sys.maxsize)[0]
+        return _doc_id(record, "cner"), _semantic_spans(record["cner"], shared, sys.maxsize)[0]
 
     return _by_doc_id(_jsonl_records(source), build)
 

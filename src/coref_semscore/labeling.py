@@ -5,7 +5,8 @@ semantic span by token-level Jaccard similarity and keeps that span's
 label when the score beats the threshold.  Step two (propagation) votes a
 label per cluster over its directly labeled mentions and writes it onto
 every member, pronouns included; clusters with no directly labeled
-mention stay unlabeled.
+mention stay unlabeled.  One label_documents pass builds each distinct
+labeled Mention once (_Labeled) and aligns a span once per document.
 
 Coverage, label-distribution, and reference-agreement reports live here
 too, since they are all statements about labeled corpora.
@@ -16,6 +17,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from math import fsum
+from operator import attrgetter
 from pathlib import Path
 from typing import IO, Iterable, Mapping, NamedTuple, Sequence, Union
 
@@ -45,9 +47,9 @@ DEFAULT_PRONOUNS = frozenset(
 
 
 class _LabelingFields(NamedTuple):
-    tau: float = 0.5
-    tau_inclusive: bool = False
-    force_cluster_label: bool = False
+    tau: float
+    tau_inclusive: bool
+    force_cluster_label: bool
 
 
 class LabelingConfig(_LabelingFields):
@@ -74,11 +76,12 @@ class LabelingConfig(_LabelingFields):
 
 def overlap(a: Span, b: Span) -> float:
     """Token-level Jaccard similarity of two spans."""
-    inter = min(a.end, b.end) - max(a.start, b.start)
+    a_start, a_end = a
+    b_start, b_end = b
+    inter = (a_end if a_end < b_end else b_end) - (a_start if a_start > b_start else b_start)
     if inter <= 0:
         return 0.0
-    union = (a.end - a.start) + (b.end - b.start) - inter
-    return inter / union
+    return inter / (a_end - a_start + b_end - b_start - inter)
 
 
 def load_pronoun_lexicon(source: Union[str, Path, IO[str]]) -> frozenset[str]:
@@ -93,92 +96,101 @@ def load_pronoun_lexicon(source: Union[str, Path, IO[str]]) -> frozenset[str]:
     return frozenset(entries)
 
 
-class _SpanIndex(NamedTuple):
-    """A document's semantic spans sorted by start, for window lookups."""
-
-    ordered: tuple[SemanticSpan, ...]
-    starts: list[int]
-    longest: int
-
-
-def _span_index(semantic_spans: Iterable[SemanticSpan]) -> _SpanIndex:
-    ordered = tuple(sorted(semantic_spans, key=lambda sem: sem.span.start))
-    starts = [sem.span.start for sem in ordered]
-    longest = max((len(sem.span) for sem in ordered), default=0)
-    return _SpanIndex(ordered, starts, longest)
-
-
-def _best_alignment(mention_span: Span, index: _SpanIndex) -> tuple[str, float] | None:
-    """Label and Jaccard score of the best-overlapping semantic span.
-
-    Only the spans that start in (mention.start - longest, mention.end)
-    are scored: every span that overlaps the mention starts there, since
-    no span is longer than the longest.  Ties on the score prefer the span
-    with the smaller start, then the smaller end, then the
-    lexicographically smaller label.  That order is total, so the result
-    does not depend on the order spans are visited in, and assignment is
-    deterministic.
-    """
-    lo = bisect_right(index.starts, mention_span.start - index.longest)
-    hi = bisect_left(index.starts, mention_span.end, lo)
-    best_score = 0.0
-    best_key: tuple[int, int, str] | None = None
-    best_label: str | None = None
-    for sem in index.ordered[lo:hi]:
-        score = overlap(mention_span, sem.span)
-        if score <= 0.0:
-            continue
-        key = (sem.span.start, sem.span.end, sem.label)
-        if best_label is None or score > best_score or (score == best_score and key < best_key):
-            best_score, best_key, best_label = score, key, sem.label
-    if best_label is None:
-        return None
-    return best_label, best_score
-
-
-_UNSEEN = object()
 _NONE, _DIRECT, _PROPAGATED = LabelSource.NONE, LabelSource.DIRECT, LabelSource.PROPAGATED
+# A mention's direct assignment: its label, its overlap and the direct
+# Mention that carries them.
+_Direct = tuple[str, float, Mention]
 
 
-def _direct(
-    span: Span, cfg: LabelingConfig, index: _SpanIndex, memo: dict[Span, tuple[str, float] | None]
-) -> tuple[str, float] | None:
-    """The (label, overlap) a mention at `span` is directly assigned, or
-    None when its best overlap does not pass tau.
+class _Labeled(dict):
+    """The labeled Mentions of one labeling pass, each built once per
+    distinct value: (span, label, overlap) keys a direct Mention and
+    (span, label) a propagated one."""
 
-    The result depends only on the span, the document's semantic spans
-    and cfg, so it is computed once per span and kept in `memo`, which
-    callers share across every mention of one document and one cfg.
+    __slots__ = ()
+
+    def __missing__(self, key: tuple) -> Mention:
+        mention = self[key] = (
+            Mention(key[0], key[1], _DIRECT, key[2]) if len(key) == 3
+            else Mention(key[0], key[1], _PROPAGATED)
+        )
+        return mention
+
+
+class _Alignments(dict):
+    """Span -> the direct assignment of a mention at that span in one
+    document, or None when its best overlap does not pass tau.
+
+    The assignment depends only on the span, the document's semantic
+    spans and cfg, so a span is aligned on its first lookup and kept: one
+    table serves every mention of one document, on both sides.
     """
-    aligned = memo.get(span, _UNSEEN)
-    if aligned is _UNSEEN:
-        aligned = _best_alignment(span, index)
-        if aligned is not None and not (
-            aligned[1] >= cfg.tau if cfg.tau_inclusive else aligned[1] > cfg.tau
+
+    __slots__ = ("_ordered", "_starts", "_longest", "_cfg", "_made")
+
+    def __init__(
+        self, semantic_spans: Iterable[SemanticSpan], cfg: LabelingConfig, made: _Labeled
+    ) -> None:
+        self._ordered = sorted(semantic_spans, key=attrgetter("span"))
+        spans = [sem.span for sem in self._ordered]
+        self._starts = [start for start, _ in spans]
+        self._longest = max([end - start for start, end in spans], default=0)
+        self._cfg, self._made = cfg, made
+
+    def __missing__(self, span: Span) -> _Direct | None:
+        """The label and Jaccard score of the best-overlapping semantic
+        span, with the direct Mention that carries them.
+
+        Only the spans that start in (mention.start - longest, mention.end)
+        are scored: every span that overlaps the mention starts there,
+        since no span is longer than the longest.  Ties on the score
+        prefer the span with the smaller start, then the smaller end, then
+        the lexicographically smaller label.  That order is total, so the
+        result does not depend on the order spans are visited in, and
+        assignment is deterministic.
+        """
+        start, end = span
+        lo = bisect_right(self._starts, start - self._longest)
+        hi = bisect_left(self._starts, end, lo)
+        best_score = 0.0
+        best_key: tuple[int, int, str] | None = None
+        for sem in self._ordered[lo:hi]:
+            score = overlap(span, sem.span)
+            if score > 0.0 and score >= best_score:
+                sem_start, sem_end = sem.span
+                key = (sem_start, sem_end, sem.label)
+                if score > best_score or key < best_key:
+                    best_score, best_key = score, key
+        cfg, aligned = self._cfg, None
+        if best_key is not None and (
+            best_score >= cfg.tau if cfg.tau_inclusive else best_score > cfg.tau
         ):
-            aligned = None
-        memo[span] = aligned
-    return aligned
+            label = best_key[2]
+            aligned = label, best_score, self._made[span, label, best_score]
+        self[span] = aligned
+        return aligned
 
 
 def _relabel(
-    cluster: Cluster, direct: Sequence[tuple[str, float] | None], label: str | None, force: bool
+    cluster: Cluster, direct: Sequence[_Direct | None], label: str | None, force: bool,
+    made: _Labeled,
 ) -> Cluster:
     """The cluster rebuilt with `label` and its mentions' labels: the one
-    place a labeled Mention or Cluster is built.
+    place a labeled Cluster is built.
 
-    `direct` holds the (label, overlap) each mention is directly assigned,
-    or None.  A direct mention keeps its own label, or takes `label` when
-    `force` is set (which needs a `label`); any other mention takes
-    `label` as propagated, or is left unlabeled when `label` is None.
-    The spans are those of `cluster`, already checked when it was built.
+    `direct` holds each mention's direct assignment, or None.  A direct
+    mention keeps its own label and Mention, or takes `label` when `force`
+    is set (which needs a `label`); any other mention takes `label` as
+    propagated, or is left unlabeled when `label` is None.  A labeled
+    Mention that is not kept comes from `made`.  The spans are those of
+    `cluster`, already checked when it was built.
     """
     return _trusted_cluster(tuple([
-        Mention(m.span, label if force else pair[0], _DIRECT, pair[1]) if pair is not None
-        else Mention(m.span, label, _PROPAGATED) if label is not None
+        (made[m.span, label, entry[1]] if force else entry[2]) if entry is not None
+        else made[m.span, label] if label is not None
         else m if m.label_source is _NONE
         else Mention(m.span)
-        for m, pair in zip(cluster.mentions, direct)
+        for m, entry in zip(cluster.mentions, direct)
     ]), label)
 
 
@@ -188,26 +200,27 @@ def assign_mentions(doc: Document, cfg: LabelingConfig, side: str) -> Document:
     Replaces any previous labels on the chosen side; mentions without a
     sufficiently overlapping semantic span are left unlabeled.
     """
-    index, memo = _span_index(doc.semantic_spans), {}
+    made = _Labeled()
+    aligned = _Alignments(doc.semantic_spans, cfg, made)
     return doc.with_clusters(side, [
-        _relabel(c, [_direct(m.span, cfg, index, memo) for m in c.mentions], None, False)
+        _relabel(c, [aligned[m.span] for m in c.mentions], None, False, made)
         for c in doc.clusters(side)
     ])
 
 
-def _vote(direct: Iterable[tuple[str, float] | None]) -> str | None:
-    """Majority label over (label, assignment overlap) pairs, one per
-    directly labeled mention; None entries, for the other mentions, are
-    skipped, and with no pair at all there is no label.
+def _vote(direct: Iterable[_Direct | None]) -> str | None:
+    """Majority label over the direct assignments, one per directly
+    labeled mention; None entries, for the other mentions, are skipped,
+    and with no assignment at all there is no label.
 
     Frequency ties fall back to the highest mean assignment overlap among
     each tied label's supporting mentions, then to the lexicographically
     smallest label name.
     """
     overlaps_by_label: dict[str, list[float]] = defaultdict(list)
-    for pair in direct:
-        if pair is not None:
-            overlaps_by_label[pair[0]].append(pair[1])
+    for entry in direct:
+        if entry is not None:
+            overlaps_by_label[entry[0]].append(entry[1])
     ranked = min(
         ((-len(scores), -(fsum(scores) / len(scores)), label)
          for label, scores in overlaps_by_label.items()),
@@ -225,29 +238,34 @@ def propagate(doc: Document, cfg: LabelingConfig, side: str) -> Document:
     label and every propagated mention label are cleared.  Applying this
     twice changes nothing.
     """
-    new_clusters = []
+    new_clusters, made = [], _Labeled()
     for cluster in doc.clusters(side):
         direct = [
-            (m.assigned_label, m.assignment_overlap) if m.label_source is _DIRECT else None
+            (m.assigned_label, m.assignment_overlap, m) if m.label_source is _DIRECT else None
             for m in cluster.mentions
         ]
-        new_clusters.append(_relabel(cluster, direct, _vote(direct), cfg.force_cluster_label))
+        new_clusters.append(_relabel(cluster, direct, _vote(direct), cfg.force_cluster_label, made))
     return doc.with_clusters(side, new_clusters)
 
 
-def _label_side(
-    clusters: Sequence[Cluster],
-    cfg: LabelingConfig,
-    index: _SpanIndex,
-    memo: dict[Span, tuple[str, float] | None],
-) -> list[Cluster]:
-    """propagate(assign_mentions(...)) for one side's clusters, building
-    each labeled Mention and Cluster once."""
-    labeled = []
-    for cluster in clusters:
-        direct = [_direct(m.span, cfg, index, memo) for m in cluster.mentions]
-        labeled.append(_relabel(cluster, direct, _vote(direct), cfg.force_cluster_label))
-    return labeled
+def _label_document(
+    doc: Document, cfg: LabelingConfig, sides: Sequence[str], made: _Labeled
+) -> Document:
+    """label_document taking labeled Mentions from `made`: one loop per
+    side, in which each mention span of the document is aligned once and
+    a cluster is voted on only when its direct labels disagree."""
+    aligned = _Alignments(doc.semantic_spans, cfg, made)
+    labeled = {}
+    for side in sides:
+        clusters = []
+        for cluster in doc.clusters(side):
+            direct = [aligned[m.span] for m in cluster.mentions]
+            labels = {entry[0] for entry in direct if entry is not None}
+            label = _vote(direct) if len(labels) > 1 else labels.pop() if labels else None
+            clusters.append(_relabel(cluster, direct, label, cfg.force_cluster_label, made))
+        if clusters:
+            labeled[f"{side}_clusters"] = clusters
+    return doc._replace(**labeled) if labeled else doc
 
 
 def label_document(doc: Document, cfg: LabelingConfig, sides: Sequence[str] = SIDES) -> Document:
@@ -257,13 +275,7 @@ def label_document(doc: Document, cfg: LabelingConfig, sides: Sequence[str] = SI
     side, done in one pass: the semantic spans are indexed once, and a
     span that is a mention on both sides is aligned once.
     """
-    index, memo = _span_index(doc.semantic_spans), {}
-    labeled = {
-        f"{side}_clusters": _label_side(clusters, cfg, index, memo)
-        for side in sides
-        if (clusters := doc.clusters(side))
-    }
-    return doc._replace(**labeled) if labeled else doc
+    return _label_document(doc, cfg, sides, _Labeled())
 
 
 def label_documents(
@@ -272,8 +284,8 @@ def label_documents(
     sides: Sequence[str] = SIDES,
 ) -> list[Document]:
     """Run assignment and propagation over a corpus, on both sides by default."""
-    cfg = cfg or LabelingConfig()
-    return [label_document(doc, cfg, sides) for doc in docs]
+    cfg, made = cfg or LabelingConfig(), _Labeled()
+    return [_label_document(doc, cfg, sides, made) for doc in docs]
 
 
 class CoverageCounts(NamedTuple):
@@ -305,11 +317,6 @@ class CoverageReport(NamedTuple):
     pronoun: CoverageCounts
 
 
-def _is_pronoun(doc: Document, mention: Mention, lexicon: frozenset[str]) -> bool:
-    span = mention.span
-    return len(span) == 1 and doc.tokens[span.start].lower() in lexicon
-
-
 def coverage(
     docs: Iterable[Document], side: str, pronouns: frozenset[str] = DEFAULT_PRONOUNS
 ) -> CoverageReport:
@@ -328,7 +335,8 @@ def coverage(
                 total += 1
                 direct += is_direct
                 propagated += is_prop
-                if _is_pronoun(doc, mention, pronouns):
+                start, end = mention.span
+                if end - start == 1 and doc.tokens[start].lower() in pronouns:
                     p_total += 1
                     p_direct += is_direct
                     p_propagated += is_prop

@@ -214,15 +214,16 @@ def render_coverage_table(reports: Mapping[str, CoverageReport]) -> str:
 
 
 def render_distribution_table(report: DistributionReport) -> str:
-    rows = [["class", "count", "share"]]
-    shares = report.shares
-    for label, count in report.counts.items():
-        rows.append([label, str(count), _cell(shares[label])])
-    lines = ["label distribution", _table(rows).rstrip("\n")]
-    lines.append(f"labeled mentions: {report.total_labeled}, unlabeled: {report.unlabeled}")
-    absent = ", ".join(report.absent_labels) if report.absent_labels else "(none)"
-    lines.append(f"absent classes: {absent}")
-    return "\n".join(lines) + "\n"
+    block = distribution_report_dict(report)
+    columns = {"count": block["counts"], "share": block["shares"]}
+    rows = [((label,), {name: column[label] for name, column in columns.items()})
+            for label in block["counts"]]
+    return "\n".join([
+        "label distribution",
+        _grid(("class",), columns, rows).rstrip("\n"),
+        f"labeled mentions: {block['total_labeled']}, unlabeled: {block['unlabeled']}",
+        f"absent classes: {', '.join(block['absent_labels']) or '(none)'}",
+    ]) + "\n"
 
 
 # ---------------------------------------------------------------------------

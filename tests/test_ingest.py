@@ -291,6 +291,29 @@ class TestSinglePassReader:
         assert sorted(calls) == ["PER", "person"]
         assert {s.label for d in docs for s in d.semantic_spans} == {"PER"}
 
+    def test_equal_unlabeled_mentions_are_built_once_per_read(self, monkeypatch):
+        # Short documents, so spans repeat across documents and sides.
+        records = random_corpus(random.Random(29), 40, n_tokens=(10, 14), ensure_links=True)
+        spans = [tuple(pair) for r in records for side in ("gold", "predicted")
+                 for cluster in r[f"{side}_clusters"] for pair in cluster]
+        assert len(set(spans)) * 4 < len(spans)
+        built = [0]
+        init = Mention.__init__
+
+        def counting(self, *args):
+            built[0] += 1
+            init(self, *args)
+
+        monkeypatch.setattr(Mention, "__init__", counting)
+        docs = _read([json.dumps(r) for r in records])
+        assert built[0] == len(set(spans))
+        monkeypatch.undo()
+        assert docs == to_documents(records)
+
+    def test_byte_order_mark_is_worded_as_before(self):
+        with pytest.raises(CorpusFormatError, match=r"^line 1: invalid JSON: Unexpected UTF-8 BOM"):
+            _read(['\ufeff{"doc_id": "d0", "tokens": ["a"]}'])
+
 
 class TestRoundTrip:
     def test_random_corpora_round_trip_identity(self):

@@ -1,3 +1,6 @@
+import io
+import json
+import pickle
 import random
 
 import pytest
@@ -6,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from coref_semscore import labeling
-from coref_semscore.ingest import document_from_record
+from coref_semscore.ingest import document_from_record, read_jsonl_corpus
 from coref_semscore.inventory import CategoryInventory
 from coref_semscore.labeling import (
     DEFAULT_PRONOUNS,
@@ -404,6 +407,58 @@ class TestLabelDocument:
         assert gold_calls > 0
         assert calls[0] == gold_calls
         assert labeled.predicted_clusters == labeled.gold_clusters
+
+
+class TestSharedValues:
+    """One labeling pass builds each distinct labeled Mention once and
+    aligns each span once per document, with the result of labeling every
+    document on its own."""
+
+    @staticmethod
+    def _corpus():
+        # Short documents, so spans repeat across documents and sides.
+        records = random_corpus(random.Random(31), 40, n_tokens=(10, 14), max_labels=2,
+                                ensure_links=True, ensure_direct=True)
+        return records, read_jsonl_corpus(io.StringIO("\n".join(map(json.dumps, records))))
+
+    def test_each_labeled_value_is_built_once_per_pass(self, monkeypatch):
+        _, docs = self._corpus()
+        built = [0]
+        init = Mention.__init__
+
+        def counting(self, *args):
+            built[0] += 1
+            init(self, *args)
+
+        monkeypatch.setattr(Mention, "__init__", counting)
+        labeled = label_documents(docs, CFG)
+        mentions = [m for doc in labeled for side in ("gold", "predicted")
+                    for c in doc.clusters(side) for m in c.mentions
+                    if m.label_source is not LabelSource.NONE]
+        assert built[0] == len(set(mentions)) < len(mentions) / 2
+        assert len({id(m) for m in mentions}) == built[0]
+
+    def test_each_span_is_aligned_once_per_document(self, monkeypatch):
+        _, docs = self._corpus()
+        aligned = [0]
+        align = labeling._Alignments.__missing__
+
+        def counting(table, span):
+            aligned[0] += 1
+            return align(table, span)
+
+        monkeypatch.setattr(labeling._Alignments, "__missing__", counting)
+        label_documents(docs, CFG)
+        per_doc = [{m.span for side in ("gold", "predicted") for c in doc.clusters(side)
+                    for m in c.mentions} for doc in docs]
+        assert aligned[0] == sum(map(len, per_doc))
+
+    @pytest.mark.parametrize("cfg", [CFG, LabelingConfig(0.3, True, True)])
+    def test_shared_pass_equals_documents_labeled_apart(self, cfg):
+        records, docs = self._corpus()
+        labeled = label_documents(docs, cfg)
+        assert labeled == [_assign_then_propagate(doc, cfg) for doc in to_documents(records)]
+        assert pickle.loads(pickle.dumps(labeled)) == labeled
 
 
 class TestCoverage:

@@ -348,6 +348,12 @@ class TestValueSemantics:
         first, second = Document("a", ["x"]), Document("b", ["y"])
         assert first.extras == {} and first.extras is not second.extras
 
+    def test_labeling_config_states_its_defaults_once(self):
+        # The constructor's signature is the one place the defaults live;
+        # field defaults, if any, must say the same.
+        assert LabelingConfig() == (0.5, False, False)
+        assert LabelingConfig._field_defaults in ({}, LabelingConfig()._asdict())
+
     def test_tau_is_stored_without_its_sign_of_zero(self):
         assert str(LabelingConfig(-0.0).tau) == "0.0"
         assert str(LabelingConfig(0).tau) == "0.0"

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from coref_semscore.classic_metrics import ClassicReport, MetricTriple
-from coref_semscore.labeling import CoverageCounts, CoverageReport
+from coref_semscore.labeling import CoverageCounts, CoverageReport, DistributionReport
 from coref_semscore.reporting import (
     ReportModeError,
     compare_csv,
@@ -14,6 +14,7 @@ from coref_semscore.reporting import (
     render_classic_table,
     render_coverage_table,
     render_diagnose_table,
+    render_distribution_table,
     render_typed_table,
     typed_report_dict,
     typed_report_from_dict,
@@ -154,6 +155,24 @@ class TestRendering:
         data = coverage_report_dict(report)
         assert data["overall"]["any_pct"] == data["overall"]["direct_pct"] + \
             data["overall"]["propagated_pct"]
+
+
+    def test_distribution_table(self):
+        report = DistributionReport({"PER": 2, "LOC": 1}, 3, 4, ("ORG",))
+        assert render_distribution_table(report) == (
+            "label distribution\n"
+            "class  count   share\n"
+            "PER        2  0.6667\n"
+            "LOC        1  0.3333\n"
+            "labeled mentions: 3, unlabeled: 4\n"
+            "absent classes: ORG\n"
+        )
+        assert render_distribution_table(DistributionReport({}, 0, 0, ())) == (
+            "label distribution\n"
+            "class  count  share\n"
+            "labeled mentions: 0, unlabeled: 0\n"
+            "absent classes: (none)\n"
+        )
 
 
 class TestCompare:
