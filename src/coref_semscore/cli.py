@@ -14,8 +14,8 @@ import json
 import math
 import os
 import sys
-from collections import Counter
 from contextlib import contextmanager
+from operator import attrgetter
 from pathlib import Path
 
 from . import model
@@ -48,20 +48,14 @@ from .model import SIDES
 from .reporting import (
     ReportModeError,
     classic_report_dict,
-    compare_csv,
-    compare_eval_reports,
     coverage_report_dict,
-    diagnose_report,
     distribution_report_dict,
     json_text,
     render_classic_table,
-    render_compare_table,
     render_coverage_table,
-    render_diagnose_table,
     render_distribution_table,
     render_typed_table,
     typed_report_dict,
-    typed_report_from_dict,
     write_json,
 )
 from .typed_metrics import typed_link_scores, typed_mention_scores
@@ -176,9 +170,23 @@ def _ensure_labeled(docs, cfg: LabelingConfig, sides=SIDES):
     The decision is per side, so a corpus whose gold side was labeled
     earlier still gets its raw predictions labeled.  A side that needs
     labels when the corpus has no semantic spans is a mode-requirement
-    error.
+    error.  A reused side is an input error when a direct label's
+    overlap fails cfg's tau test, since labeling the side under cfg would
+    not give that label; the message names the lowest such overlap of
+    the first document that has one.
     """
     unlabeled = _unlabeled_sides(docs, sides)
+    for side in (side for side in sides if side not in unlabeled):
+        for doc in docs:
+            direct = [m for cluster in doc.clusters(side) for m in cluster.mentions
+                      if m.assignment_overlap is not None]
+            worst = min(direct, key=attrgetter("assignment_overlap"), default=None)
+            if worst is not None and not cfg.passes(worst.assignment_overlap):
+                raise CliError(EXIT_INPUT, (
+                    f"cannot reuse the {side} labels of doc {doc.doc_id!r}: span "
+                    f"[{worst.span.start}, {worst.span.end}) has a direct label at overlap "
+                    f"{worst.assignment_overlap!r}, not {'>=' if cfg.tau_inclusive else '>'} "
+                    f"tau {cfg.tau!r}; label the unlabeled corpus at this tau"))
     if not unlabeled:
         return docs
     if not any(doc.semantic_spans for doc in docs):
@@ -303,91 +311,35 @@ def cmd_distribution(args) -> int:
     return EXIT_OK
 
 
-def _load_report(path: str) -> tuple[dict, str]:
-    """An eval report and its corpus name, with config an object and each
-    typed block read back into a TypedScoreReport, so a malformed file is
-    an input error."""
+def _json_file(path: str):
+    """The JSON value in the file at `path`, which must not repeat a key."""
     with _reading(path), open(path, encoding="utf-8") as handle:
-        report = json.load(handle, object_pairs_hook=unique_keys)
-    if not isinstance(report, dict):
-        raise CliError(EXIT_INPUT, f"{path}: expected a JSON object")
-    config = report.get("config")
-    if config is None:
-        config = report["config"] = {}
-    if not isinstance(config, dict):
-        raise CliError(EXIT_INPUT, f"{path}: config must be a JSON object")
-    gold = config.get("gold")
-    if gold is not None and not isinstance(gold, str):
-        raise CliError(EXIT_INPUT, f"{path}: config.gold must be a string")
-    for mode in ("typed_mention", "typed_link"):
-        if report.get(mode) is not None:
-            try:
-                report[mode] = typed_report_from_dict(report[mode])
-            except ValueError as exc:
-                raise CliError(EXIT_INPUT, f"{path}: {mode}: {exc}") from exc
-    return report, gold or os.path.basename(path)
-
-
-_LABELING_FIELDS = (*LabelingConfig._fields, "link_mention_source")
-
-
-def _support(reports, mode: str) -> Counter:
-    total: Counter = Counter()
-    for report in reports:
-        total.update({label: s.support for label, s in report[mode].per_class.items()})
-    return total
-
-
-def _check_comparable(paths_a, reports_a, paths_b, reports_b) -> None:
-    """Refuse two systems scored on different gold corpora or labeled with
-    different settings: their per-class deltas would not compare the systems.
-    """
-    def refuse(a, b, field, value_a, value_b):
-        raise CliError(EXIT_INPUT, f"cannot compare {a} with {b}: {field} differs "
-                                   f"({value_a!r} vs {value_b!r})")
-
-    side_a, side_b = ", ".join(paths_a), ", ".join(paths_b)
-    gold_a = [report["config"].get("gold") for report in reports_a]
-    gold_b = [report["config"].get("gold") for report in reports_b]
-    if Counter(gold_a) != Counter(gold_b):
-        refuse(side_a, side_b, "config.gold", gold_a, gold_b)
-    reports = [*reports_a, *reports_b]
-    first = reports_a[0]["config"]
-    for path, report in zip([*paths_a, *paths_b], reports):
-        settings = report["config"]
-        for field in _LABELING_FIELDS:
-            if settings.get(field) != first.get(field):
-                refuse(paths_a[0], path, f"config.{field}", first.get(field), settings.get(field))
-    for mode in ("typed_mention", "typed_link"):
-        if all(report.get(mode) is not None for report in reports):
-            support_a, support_b = _support(reports_a, mode), _support(reports_b, mode)
-            for label in sorted(support_a.keys() | support_b.keys()):
-                if support_a[label] != support_b[label]:
-                    refuse(side_a, side_b, f"{mode} support of {label}",
-                           support_a[label], support_b[label])
+        return json.load(handle, object_pairs_hook=unique_keys)
 
 
 def cmd_compare(args) -> int:
-    reports_a, corpora_a = zip(*(_load_report(p) for p in args.report_a))
-    reports_b, corpora_b = zip(*(_load_report(p) for p in args.report_b))
-    _check_comparable(args.report_a, reports_a, args.report_b, reports_b)
-    result = compare_eval_reports(
+    from . import saved_reports as saved
+
+    reports_a, corpora_a = zip(*(saved.read_eval_report(p, _json_file(p)) for p in args.report_a))
+    reports_b, corpora_b = zip(*(saved.read_eval_report(p, _json_file(p)) for p in args.report_b))
+    saved.check_comparable(args.report_a, reports_a, args.report_b, reports_b)
+    result = saved.compare_eval_reports(
         reports_a, reports_b, corpora_a, corpora_b, pool_counts=args.pool_counts
     )
-    out = _publish(args, "compare", result, render_compare_table(result))
-    if out is not None:
-        for mode in ("mention", "link"):
-            if result.get(mode) is not None:
-                (out / f"compare_{mode}.csv").write_text(
-                    compare_csv(result, mode), encoding="utf-8"
-                )
+    out = _publish(args, "compare", result, saved.render_compare_table(result))
+    for mode in saved.TYPED_MODES.values():
+        if out is not None and result[mode] is not None:
+            (out / f"compare_{mode}.csv").write_text(saved.compare_csv(result, mode),
+                                                     encoding="utf-8")
     return EXIT_OK
 
 
 def cmd_diagnose(args) -> int:
+    from . import saved_reports as saved
+
     labels = _inventory().labels
-    eval_report, _ = _load_report(args.eval_report)
-    result = diagnose_report(
+    eval_report, _ = saved.read_eval_report(args.eval_report, _json_file(args.eval_report))
+    result = saved.diagnose_report(
         eval_report, labels,
         w_mention=args.w_mention, w_link=args.w_link, rarity_cap=args.rarity_cap,
     )
@@ -397,15 +349,14 @@ def cmd_diagnose(args) -> int:
                                        f"with --w-mention {args.w_mention!r}, --w-link "
                                        f"{args.w_link!r} and --rarity-cap {args.rarity_cap!r}; "
                                        "use smaller weights")
-    _publish(args, "diagnose", result, render_diagnose_table(result))
+    _publish(args, "diagnose", result, saved.render_diagnose_table(result))
     return EXIT_OK
 
 
 def _read_reference(path: str, inventory: CategoryInventory) -> dict[tuple[str, int], str]:
     """{(doc_id, cluster_index): label} from a {doc_id: {cluster_index: label}}
     JSON file; a shape error names the file, the doc_id and the key."""
-    with _reading(path), open(path, encoding="utf-8") as handle:
-        raw = json.load(handle, object_pairs_hook=unique_keys)
+    raw = _json_file(path)
     if not isinstance(raw, dict):
         raise CliError(EXIT_INPUT, f"{path}: expected a JSON object "
                                    "{doc_id: {cluster_index: label}}")

@@ -53,19 +53,6 @@ from .model import (
 
 Source = Union[str, Path, IO[str]]
 
-_MODEL_FIELDS = (
-    "doc_id",
-    "tokens",
-    "sentence_boundaries",
-    "gold_clusters",
-    "predicted_clusters",
-    "cner",
-    "cluster_labels",
-    "mention_labels",
-    "mention_label_sources",
-    "mention_overlaps",
-)
-
 
 class CorpusFormatError(Exception):
     """A corpus file that cannot be parsed or fails validation."""
@@ -74,6 +61,8 @@ class CorpusFormatError(Exception):
 _SOURCES = {source.value: source for source in LabelSource}
 _MENTION_BLOCKS = ("mention_labels", "mention_label_sources", "mention_overlaps")
 _LABEL_BLOCKS = ("cluster_labels", *_MENTION_BLOCKS)
+_MODEL_FIELDS = ("doc_id", "tokens", "sentence_boundaries", "gold_clusters",
+                 "predicted_clusters", "cner", *_LABEL_BLOCKS)
 # Span's own tuple constructor: builds a Span from a pair the caller has
 # already checked against the rule Span.__new__ enforces.
 _new_span = tuple.__new__

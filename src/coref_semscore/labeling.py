@@ -73,6 +73,10 @@ class LabelingConfig(_LabelingFields):
 
     _replace = __replace__ = _checked_replace
 
+    def passes(self, score: float) -> bool:
+        """Whether an assignment at overlap `score` passes tau."""
+        return score >= self.tau if self.tau_inclusive else score > self.tau
+
 
 def overlap(a: Span, b: Span) -> float:
     """Token-level Jaccard similarity of two spans."""
@@ -161,10 +165,8 @@ class _Alignments(dict):
                 key = (sem_start, sem_end, sem.label)
                 if score > best_score or key < best_key:
                     best_score, best_key = score, key
-        cfg, aligned = self._cfg, None
-        if best_key is not None and (
-            best_score >= cfg.tau if cfg.tau_inclusive else best_score > cfg.tau
-        ):
+        aligned = None
+        if best_key is not None and self._cfg.passes(best_score):
             label = best_key[2]
             aligned = label, best_score, self._made[span, label, best_score]
         self[span] = aligned
@@ -251,9 +253,11 @@ def propagate(doc: Document, cfg: LabelingConfig, side: str) -> Document:
 def _label_document(
     doc: Document, cfg: LabelingConfig, sides: Sequence[str], made: _Labeled
 ) -> Document:
-    """label_document taking labeled Mentions from `made`: one loop per
-    side, in which each mention span of the document is aligned once and
-    a cluster is voted on only when its direct labels disagree."""
+    """Assignment then propagation on each of `sides` that has clusters,
+    equal to propagate(assign_mentions(doc, cfg, side), cfg, side) side by
+    side, taking labeled Mentions from `made`: one loop per side, in which
+    each mention span of the document is aligned once and a cluster is
+    voted on only when its direct labels disagree."""
     aligned = _Alignments(doc.semantic_spans, cfg, made)
     labeled = {}
     for side in sides:
@@ -266,16 +270,6 @@ def _label_document(
         if clusters:
             labeled[f"{side}_clusters"] = clusters
     return doc._replace(**labeled) if labeled else doc
-
-
-def label_document(doc: Document, cfg: LabelingConfig, sides: Sequence[str] = SIDES) -> Document:
-    """Assignment then propagation on each of `sides` that has clusters.
-
-    Equal to propagate(assign_mentions(doc, cfg, side), cfg, side) side by
-    side, done in one pass: the semantic spans are indexed once, and a
-    span that is a mention on both sides is aligned once.
-    """
-    return _label_document(doc, cfg, sides, _Labeled())
 
 
 def label_documents(

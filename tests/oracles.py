@@ -62,8 +62,11 @@ def assign_side(clusters, cner, tau=0.5, inclusive=False):
     return out
 
 
-def propagate_side(assigned):
-    """(cluster_labels, per-mention (label, source)) after majority voting."""
+def propagate_side(assigned, force=False):
+    """(cluster_labels, per-mention (label, source)) after majority voting.
+
+    With `force`, each direct mention of a labeled cluster takes the
+    cluster label and stays direct."""
     cluster_labels = []
     mention_rows = []
     for row in assigned:
@@ -81,19 +84,20 @@ def propagate_side(assigned):
         )[2]
         cluster_labels.append(winner)
         mention_rows.append(
-            [(label, "direct") if label is not None else (winner, "propagated")
+            [((winner if force else label), "direct") if label is not None
+             else (winner, "propagated")
              for label, _ in row]
         )
     return cluster_labels, mention_rows
 
 
-def label_record(record, tau=0.5, inclusive=False):
+def label_record(record, tau=0.5, inclusive=False, force=False):
     """{"gold"/"predicted": (cluster_labels, mention_rows)} for one record."""
     cner = [tuple(t) for t in record.get("cner", [])]
     out = {}
     for side in ("gold", "predicted"):
         clusters = [[tuple(s) for s in c] for c in record.get(f"{side}_clusters", [])]
-        out[side] = propagate_side(assign_side(clusters, cner, tau, inclusive))
+        out[side] = propagate_side(assign_side(clusters, cner, tau, inclusive), force)
     return out
 
 

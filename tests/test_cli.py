@@ -14,10 +14,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coref_semscore import cli, model
+from coref_semscore import (
+    LabelingConfig,
+    cli,
+    label_documents,
+    model,
+    read_jsonl_corpus,
+    saved_reports,
+)
 from coref_semscore.cli import main
 from coref_semscore.inventory import CategoryInventory
-from coref_semscore.reporting import json_text, typed_report_dict, typed_report_from_dict
+from coref_semscore.reporting import json_text, typed_report_dict
+from coref_semscore.saved_reports import typed_report_from_dict
 from coref_semscore.typed_metrics import ClassScore, TypedScoreReport
 from conftest import COMPOSITE_RECORD, NEWS_RECORD
 from corpusgen import random_corpus
@@ -471,6 +479,59 @@ class TestEvalCommand:
         assert main(["eval", "--gold", str(out_label / "labeled.jsonl"), "--typed-mention",
                      "--typed-link", "--out", str(tmp_path / "out")]) == 0
 
+    @pytest.mark.parametrize("inclusive", [False, True])
+    def test_reused_direct_label_that_fails_tau_exits_2(self, tmp_path, capsys, inclusive):
+        # At tau 0.1 mentions are labeled directly at overlaps that tau 0.9
+        # rejects, so scoring that file at tau 0.9 would score other labels.
+        out_label = tmp_path / "labeled"
+        assert main(["label", "--gold", str(MINI_CORPUS), "--tau", "0.1",
+                     "--out", str(out_label)]) == 0
+        capsys.readouterr()
+        argv = ["eval", "--gold", str(out_label / "labeled.jsonl"), "--tau", "0.9",
+                "--typed-mention", "--typed-link"]
+        assert main(argv + ["--tau-inclusive"] * inclusive) == 2
+        test = ">=" if inclusive else ">"
+        assert capsys.readouterr().err == (
+            "error: cannot reuse the gold labels of doc 'mini0000': span [71, 72) has a "
+            f"direct label at overlap 0.5, not {test} tau 0.9; label the unlabeled "
+            "corpus at this tau\n")
+
+    def test_refuses_exactly_when_labeling_again_would_differ(self):
+        # A corpus labeled at tau 0.1, reused at tau 0.1 and at every
+        # stricter test: the direct overlaps are the taus where tests part.
+        raw = read_jsonl_corpus(MINI_CORPUS, CategoryInventory.default())
+        labeled = label_documents(raw, LabelingConfig(0.1))
+        overlaps = {m.assignment_overlap for doc in labeled for side in ("gold", "predicted")
+                    for c in doc.clusters(side) for m in c.mentions} - {None}
+        configs = [LabelingConfig(0.1), *(
+            LabelingConfig(tau, inclusive) for tau in sorted(overlaps) for inclusive in (False, True)
+        )]
+        refusals = 0
+        for cfg in configs:
+            try:
+                cli._ensure_labeled(labeled, cfg)
+                refused = False
+            except cli.CliError as exc:
+                assert exc.code == 2
+                refused = True
+            assert refused == (label_documents(raw, cfg) != labeled), cfg
+            refusals += refused
+        assert 0 < refusals < len(configs)
+
+    def test_reuse_at_the_labeling_tau_scores_as_a_fresh_run(self, tmp_path):
+        out_label = tmp_path / "labeled"
+        assert main(["label", "--gold", str(MINI_CORPUS), "--tau", "0.1",
+                     "--out", str(out_label)]) == 0
+        reports = []
+        for name, gold in (("reused", out_label / "labeled.jsonl"), ("fresh", MINI_CORPUS)):
+            out = tmp_path / name
+            assert main(["eval", "--gold", str(gold), "--tau", "0.1", "--typed-mention",
+                         "--typed-link", "--out", str(out)]) == 0
+            reports.append(json.loads((out / "eval_report.json").read_text(encoding="utf-8")))
+        reused, fresh = reports
+        for mode in ("typed_mention", "typed_link"):
+            assert reused[mode] == fresh[mode]
+
 
 class TestEvalSharesTables:
     """eval builds each document's overlap table once and scores every mode from it."""
@@ -490,7 +551,7 @@ class TestEvalSharesTables:
         monkeypatch.setattr(model, "contingency", counted)
         assert main(["eval", "--gold", str(MINI_CORPUS), *self.MODES.values(), *drop,
                      "--out", str(tmp_path)]) == 0
-        doc_ids = [json.loads(line)["doc_id"] for line in MINI_CORPUS.read_text().splitlines()]
+        doc_ids = [json.loads(line)["doc_id"] for line in MINI_CORPUS.read_text(encoding="utf-8").splitlines()]
         assert built == {doc_id: per_doc for doc_id in doc_ids}
 
     def test_each_block_equals_its_mode_alone(self, tmp_path):
@@ -987,6 +1048,34 @@ class TestTablesShowJson:
         self._assert_coverage(*self._written(
             tmp_path, command, [command, "--gold", str(MINI_CORPUS)], "coverage"))
 
+    @pytest.mark.parametrize("pool", [[], ["--pool-counts"]], ids=["mean", "pool-counts"])
+    def test_compare(self, tmp_path, pool):
+        # System B predicts the gold clusters, so every column differs
+        # from its neighbour somewhere.
+        records = [json.loads(line) for line in MINI_CORPUS.read_text(encoding="utf-8").splitlines()]
+        pred = write_jsonl(tmp_path / "pred.jsonl", [
+            {"doc_id": r["doc_id"], "tokens": r["tokens"], "predicted_clusters": r["gold_clusters"]}
+            for r in records])
+        reports = []
+        for name, extra in (("a", []), ("b", ["--pred", pred])):
+            self._written(tmp_path, name, ["eval", "--gold", str(MINI_CORPUS), *extra,
+                                           "--typed-mention", "--typed-link"], "eval_report")
+            reports.append(str(tmp_path / name / "eval_report.json"))
+        text, data = self._written(
+            tmp_path, "compare", ["compare", "-a", reports[0], "-b", reports[1], *pool], "compare")
+        assert data["averaging"] == ("pooled_counts" if pool else "mean_f1")
+        for mode in ("mention", "link"):
+            rows = data[mode]["per_class"]
+            assert rows
+            header, lines = _parse_table(text[text.index(f"{mode} mode\n"):], ["class"])
+            assert header == ["class", *saved_reports.COMPARE_COLUMNS]
+            assert lines == [
+                [label, *(f"{value:+.4f}" if key == "delta" else _json_cell(value)
+                          for key, value in row.items())]
+                for label, row in rows.items()
+            ]
+            assert all(list(row) == list(saved_reports.COMPARE_COLUMNS) for row in rows.values())
+
 
 class TestInputErrors:
     """Outside input that cannot be read exits 2 with a message, not a traceback."""
@@ -1115,7 +1204,7 @@ class TestInputErrors:
 
         report = tmp_path / "report.json"
         report.write_text(json.dumps({"typed_mention": _typed_block()}), encoding="utf-8")
-        monkeypatch.setattr(cli, "compare_eval_reports", broken)
+        monkeypatch.setattr(saved_reports, "compare_eval_reports", broken)
         with pytest.raises(KeyError, match="internal"):
             main(["compare", "-a", str(report), "-b", str(report)])
 
@@ -1129,6 +1218,35 @@ class TestDependencies:
         result = subprocess.run([sys.executable, "-c", code], env=env,
                                 capture_output=True, text=True, check=True)
         assert result.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("command", ["import", "label", "eval", "compare", "diagnose"])
+    def test_only_compare_and_diagnose_load_saved_reports(self, tmp_path, command):
+        # label and eval do not compile the saved-report readers, nor csv.
+        assert main(["eval", "--gold", str(MINI_CORPUS), "--typed-mention",
+                     "--out", str(tmp_path / "eval")]) == 0
+        report = str(tmp_path / "eval" / "eval_report.json")
+        argv = {
+            "import": [],
+            "label": ["label", "--gold", str(MINI_CORPUS), "--out", str(tmp_path / "label")],
+            "eval": ["eval", "--gold", str(MINI_CORPUS), "--typed-mention", "--typed-link",
+                     "--classic"],
+            "compare": ["compare", "-a", report, "-b", report, "--out", str(tmp_path / "cmp")],
+            "diagnose": ["diagnose", "--eval-report", report],
+        }[command]
+        code = ("import sys, coref_semscore.cli as cli\n"
+                "if sys.argv[1:]:\n"
+                "    assert cli.main(sys.argv[1:]) == 0\n"
+                "print(sorted(m for m in ('csv', 'coref_semscore.saved_reports') "
+                "if m in sys.modules))")
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        result = subprocess.run([sys.executable, "-S", "-c", code, *argv], env=env,
+                                capture_output=True, text=True, check=True)
+        loaded = result.stdout.splitlines()[-1]
+        if command in ("compare", "diagnose"):
+            assert loaded == "['coref_semscore.saved_reports', 'csv']"
+        else:
+            assert loaded == "[]"
 
     def test_import_loads_no_dataclasses(self):
         # Every command pays for what importing the package loads, and

@@ -18,7 +18,6 @@ from coref_semscore.labeling import (
     coverage,
     distribution,
     label_agreement,
-    label_document,
     label_documents,
     load_pronoun_lexicon,
     overlap,
@@ -348,6 +347,26 @@ class TestPropagate:
                 ]
                 assert got_rows == mention_rows
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 8), st.data())
+    def test_matches_brute_force_pipeline_at_every_config(self, seed, cner_noise, data):
+        record = random_record(random.Random(seed), "h0", cner_noise=cner_noise)
+        # Every overlap of a mention with a semantic span is a tau at which
+        # strict and inclusive tests part.
+        overlaps = {oracles.jaccard(span, (start, end))
+                    for side in ("gold", "predicted") for cluster in record[f"{side}_clusters"]
+                    for span in cluster for start, end, _ in record["cner"]}
+        tau = data.draw(st.sampled_from(sorted(overlaps | {0.0, 0.5, 1.0})))
+        inclusive, force = data.draw(st.booleans()), data.draw(st.booleans())
+        doc = document_from_record(record, CategoryInventory.default())
+        labeled = label_documents([doc], LabelingConfig(tau, inclusive, force))[0]
+        expected = oracles.label_record(record, tau, inclusive, force)
+        for side in ("gold", "predicted"):
+            cluster_labels, mention_rows = expected[side]
+            assert [c.cluster_label for c in labeled.clusters(side)] == cluster_labels
+            assert [[(m.assigned_label, m.label_source.value) for m in c.mentions]
+                    for c in labeled.clusters(side)] == mention_rows
+
 
 class TestLabelDocument:
     @settings(deadline=None)
@@ -384,11 +403,11 @@ class TestLabelDocument:
                 for force in (False, True):
                     cfg = LabelingConfig(tau=tau, tau_inclusive=inclusive,
                                          force_cluster_label=force)
-                    labeled = label_document(doc, cfg, sides)
+                    labeled = label_documents([doc], cfg, sides)[0]
                     assert labeled == _assign_then_propagate(doc, cfg, sides)
                     # Labels left by an earlier config leave no trace: the
                     # result is that of labeling the unlabeled document.
-                    from_raw = label_document(raw, cfg, sides)
+                    from_raw = label_documents([raw], cfg, sides)[0]
                     for side in sides:
                         assert labeled.clusters(side) == from_raw.clusters(side)
                         assert (assign_mentions(doc, cfg, side).clusters(side)
@@ -401,9 +420,9 @@ class TestLabelDocument:
         copied = doc.with_clusters("predicted", doc.gold_clusters)
         gold_only = doc.with_clusters("predicted", ())
         calls = _counting_overlap(monkeypatch)
-        label_document(gold_only, CFG)
+        label_documents([gold_only], CFG)
         gold_calls, calls[0] = calls[0], 0
-        labeled = label_document(copied, CFG)
+        labeled = label_documents([copied], CFG)[0]
         assert gold_calls > 0
         assert calls[0] == gold_calls
         assert labeled.predicted_clusters == labeled.gold_clusters

@@ -6,17 +6,19 @@ from coref_semscore.classic_metrics import ClassicReport, MetricTriple
 from coref_semscore.labeling import CoverageCounts, CoverageReport, DistributionReport
 from coref_semscore.reporting import (
     ReportModeError,
-    compare_csv,
-    compare_eval_reports,
     coverage_report_dict,
-    diagnose_report,
     json_text,
     render_classic_table,
     render_coverage_table,
-    render_diagnose_table,
     render_distribution_table,
     render_typed_table,
     typed_report_dict,
+)
+from coref_semscore.saved_reports import (
+    compare_csv,
+    compare_eval_reports,
+    diagnose_report,
+    render_diagnose_table,
     typed_report_from_dict,
 )
 from coref_semscore.typed_metrics import ClassScore, TypedScoreReport
