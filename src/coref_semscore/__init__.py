@@ -1,101 +1,43 @@
-"""Semantically typed coreference evaluation toolkit."""
+"""Semantically typed coreference evaluation toolkit.
 
-from .classic_metrics import (
-    ClassicReport,
-    MetricTriple,
-    b_cubed,
-    ceaf_phi4,
-    conll,
-    drop_singleton_clusters,
-    muc,
-)
-from .ingest import (
-    CorpusFormatError,
-    merge_predictions,
-    read_conll2012,
-    read_jsonl_corpus,
-    write_labeled_jsonl,
-)
-from .inventory import Category, CategoryInventory, UnknownLabelError
-from .labeling import (
-    AgreementReport,
-    CoverageReport,
-    DistributionReport,
-    LabelingConfig,
-    assign_mentions,
-    coverage,
-    distribution,
-    label_agreement,
-    label_documents,
-    overlap,
-    propagate,
-)
-from .model import (
-    Cluster,
-    Contingency,
-    Document,
-    DocumentPairingError,
-    LabelSource,
-    Mention,
-    SemanticSpan,
-    Span,
-    contingency,
-    validate_document,
-)
-from .typed_metrics import (
-    ClassScore,
-    TypedScoreReport,
-    links_of,
-    macro_f1,
-    micro_score,
-    typed_link_scores,
-    typed_mention_scores,
-)
+The exports below are looked up in their modules on first access (PEP
+562), so importing the package, or one of its modules, loads only what
+is used.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AgreementReport",
-    "Category",
-    "CategoryInventory",
-    "ClassicReport",
-    "ClassScore",
-    "Cluster",
-    "Contingency",
-    "CorpusFormatError",
-    "CoverageReport",
-    "DistributionReport",
-    "Document",
-    "DocumentPairingError",
-    "LabelSource",
-    "LabelingConfig",
-    "Mention",
-    "MetricTriple",
-    "SemanticSpan",
-    "Span",
-    "TypedScoreReport",
-    "UnknownLabelError",
-    "assign_mentions",
-    "b_cubed",
-    "ceaf_phi4",
-    "conll",
-    "contingency",
-    "coverage",
-    "distribution",
-    "drop_singleton_clusters",
-    "label_agreement",
-    "label_documents",
-    "links_of",
-    "macro_f1",
-    "merge_predictions",
-    "micro_score",
-    "muc",
-    "overlap",
-    "propagate",
-    "read_conll2012",
-    "read_jsonl_corpus",
-    "typed_link_scores",
-    "typed_mention_scores",
-    "validate_document",
-    "write_labeled_jsonl",
-]
+# Each exported name -> the module that defines it.
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "classic_metrics": "ClassicReport MetricTriple b_cubed ceaf_phi4 conll "
+                           "drop_singleton_clusters muc",
+        "conll2012": "read_conll2012",
+        "ingest": "CorpusFormatError merge_predictions read_jsonl_corpus write_labeled_jsonl",
+        "inventory": "Category CategoryInventory UnknownLabelError",
+        "label_reports": "AgreementReport DistributionReport distribution label_agreement",
+        "labeling": "CoverageReport LabelingConfig assign_mentions coverage label_documents "
+                    "overlap propagate",
+        "model": "Cluster Contingency Document DocumentPairingError LabelSource Mention "
+                 "SemanticSpan Span contingency validate_document",
+        "typed_metrics": "ClassScore TypedScoreReport links_of macro_f1 micro_score "
+                         "typed_link_scores typed_mention_scores",
+    }.items()
+    for name in names.split()
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

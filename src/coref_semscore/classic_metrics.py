@@ -9,9 +9,10 @@ scored one by one and the tables a caller builds once serve every
 metric, the typed ones included.  CEAF aligns clusters
 by phi4, solving the assignment exactly on each connected component of
 the nonzero overlaps.  Numerators are summed as integers per distinct
-denominator, divided once per denominator and converted to float once
-at the end, so results are reproducible bit-for-bit and the
-optimal-assignment step can be checked against exhaustive search
+denominator and brought over their least common multiple, and each of
+precision, recall and F1 is one ratio of integers, converted to float by
+one correctly rounded division; so results are reproducible bit-for-bit
+and the optimal-assignment step can be checked against exhaustive search
 exactly.  Degenerate 0/0 ratios are defined as 0 (MUC on all-singleton
 corpora included).
 """
@@ -19,7 +20,6 @@ corpora included).
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from math import lcm
 from typing import Collection, Mapping, NamedTuple, Sequence
 
@@ -43,25 +43,35 @@ class ClassicReport(NamedTuple):
         return (self.muc.f1 + self.b_cubed.f1 + self.ceaf_phi4.f1) / 3
 
 
-def _ratio(num: Fraction | int, den: Fraction | int) -> Fraction:
-    return Fraction(num) / den if den else Fraction(0)
+class RatioCounts(NamedTuple):
+    """Numerators and denominators of a metric's precision and recall,
+    pooled over documents; pooling two corpora adds them field by field.
+
+    A numerator is a Counter of denominator d -> integer total, standing
+    for the exact sum of total / d; MUC's has the one denominator 1."""
+
+    p_num: Counter[int]
+    p_den: int
+    r_num: Counter[int]
+    r_den: int
+
+
+def _ratio(num: Counter[int], den: int) -> tuple[int, int]:
+    """(a, b) with a / b the exact value of num over den, b > 0; 0/0 is 0/1."""
+    if not den:
+        return 0, 1
+    scale = lcm(*num)
+    return sum(total * (scale // d) for d, total in num.items()), scale * den
 
 
 def _triple(p_num, p_den, r_num, r_den) -> MetricTriple:
-    p = _ratio(p_num, p_den)
-    r = _ratio(r_num, r_den)
-    f1 = 2 * p * r / (p + r) if p + r else Fraction(0)
-    return MetricTriple(float(p), float(r), float(f1))
-
-
-class RatioCounts(NamedTuple):
-    """Numerators and denominators of a metric's precision and recall,
-    pooled over documents; pooling two corpora adds them field by field."""
-
-    p_num: Fraction | int
-    p_den: int
-    r_num: Fraction | int
-    r_den: int
+    """Precision a / b, recall c / d and F1 = 2pr / (p + r) = 2ac / (ad + cb),
+    each a ratio of integers divided once, so each float is the correctly
+    rounded value of the exact ratio."""
+    a, b = _ratio(p_num, p_den)
+    c, d = _ratio(r_num, r_den)
+    f1_den = a * d + c * b
+    return MetricTriple(a / b, c / d, 2 * a * c / f1_den if f1_den else 0.0)
 
 
 def _sizes(clusters: Sequence[Cluster]) -> list[int]:
@@ -82,17 +92,13 @@ def muc_counts(tables: Sequence[Contingency]) -> RatioCounts:
         num += sum(cells.values()) - len(cells)
         r_den += sum(_sizes(gold)) - len(gold)
         p_den += sum(_sizes(pred)) - len(pred)
-    return RatioCounts(num, p_den, num, r_den)
+    links = Counter({1: num})
+    return RatioCounts(links, p_den, links, r_den)
 
 
 def muc(tables: Sequence[Contingency]) -> MetricTriple:
     """Link-based metric over cluster partitions."""
     return _triple(*muc_counts(tables))
-
-
-def _sum_over_denominators(numerators: Counter[int]) -> Fraction:
-    """Exact sum of total / den over a Counter of den -> integer total."""
-    return sum((Fraction(total, den) for den, total in numerators.items()), Fraction(0))
 
 
 def b_cubed_counts(tables: Sequence[Contingency]) -> RatioCounts:
@@ -101,9 +107,8 @@ def b_cubed_counts(tables: Sequence[Contingency]) -> RatioCounts:
     Each of the n_ij mentions shared by gold cluster i and predicted
     cluster j scores n_ij / |G_i| for recall and n_ij / |P_j| for
     precision; mentions missing from the other side score 0.  The squares
-    n_ij^2 are summed as integers per cluster size over the corpus and
-    divided once per distinct size, exactly.  Denominators are mention
-    counts.
+    n_ij^2 are summed as integers per cluster size over the corpus.
+    Denominators are mention counts.
     """
     p_squares: Counter[int] = Counter()
     r_squares: Counter[int] = Counter()
@@ -115,8 +120,7 @@ def b_cubed_counts(tables: Sequence[Contingency]) -> RatioCounts:
             p_squares[pred_sizes[j]] += n * n
         r_den += sum(gold_sizes)
         p_den += sum(pred_sizes)
-    return RatioCounts(_sum_over_denominators(p_squares), p_den,
-                       _sum_over_denominators(r_squares), r_den)
+    return RatioCounts(p_squares, p_den, r_squares, r_den)
 
 
 def b_cubed(tables: Sequence[Contingency]) -> MetricTriple:
@@ -264,8 +268,8 @@ def ceaf_counts(tables: Sequence[Contingency]) -> RatioCounts:
     """CEAF-phi4 counts from the cluster-overlap tables.
 
     Both numerators are the corpus total of each document's best
-    alignment, summed per denominator (_add_alignment_totals) and divided
-    once per denominator; denominators are cluster counts.
+    alignment, summed per denominator (_add_alignment_totals);
+    denominators are cluster counts.
     """
     totals: Counter[int] = Counter()
     n_gold = n_pred = 0
@@ -273,8 +277,7 @@ def ceaf_counts(tables: Sequence[Contingency]) -> RatioCounts:
         _add_alignment_totals(totals, cells, _sizes(gold), _sizes(pred))
         n_gold += len(gold)
         n_pred += len(pred)
-    total = _sum_over_denominators(totals)
-    return RatioCounts(total, n_pred, total, n_gold)
+    return RatioCounts(totals, n_pred, totals, n_gold)
 
 
 def ceaf_phi4(tables: Sequence[Contingency]) -> MetricTriple:

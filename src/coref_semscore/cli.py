@@ -25,7 +25,6 @@ from .ingest import (
     attach_semantic_spans,
     merge_predictions,
     read_cner_jsonl,
-    read_conll2012,
     read_jsonl_corpus,
     write_labeled_jsonl,
 )
@@ -39,8 +38,6 @@ from .labeling import (
     DEFAULT_PRONOUNS,
     LabelingConfig,
     coverage,
-    distribution,
-    label_agreement,
     label_documents,
     load_pronoun_lexicon,
 )
@@ -49,11 +46,9 @@ from .reporting import (
     ReportModeError,
     classic_report_dict,
     coverage_report_dict,
-    distribution_report_dict,
     json_text,
     render_classic_table,
     render_coverage_table,
-    render_distribution_table,
     render_typed_table,
     typed_report_dict,
     write_json,
@@ -135,6 +130,8 @@ def _read_corpus(path: str, fmt: str, inventory: CategoryInventory, as_predictio
     with _reading(path):
         if fmt != "conll":
             return read_jsonl_corpus(path, inventory)
+        from .conll2012 import read_conll2012
+
         docs = read_conll2012(path)
     if as_predictions:
         docs = [doc.with_clusters("predicted", doc.gold_clusters) for doc in docs]
@@ -302,6 +299,8 @@ def cmd_coverage(args) -> int:
 
 
 def cmd_distribution(args) -> int:
+    from .label_reports import distribution, distribution_report_dict, render_distribution_table
+
     inventory = _inventory()
     cfg = _labeling_config(args, args.force_cluster_label)
     docs = _ensure_labeled(_load_corpus(args, inventory), cfg, ("gold",))
@@ -353,52 +352,22 @@ def cmd_diagnose(args) -> int:
     return EXIT_OK
 
 
-def _read_reference(path: str, inventory: CategoryInventory) -> dict[tuple[str, int], str]:
-    """{(doc_id, cluster_index): label} from a {doc_id: {cluster_index: label}}
-    JSON file; a shape error names the file, the doc_id and the key."""
-    raw = _json_file(path)
-    if not isinstance(raw, dict):
-        raise CliError(EXIT_INPUT, f"{path}: expected a JSON object "
-                                   "{doc_id: {cluster_index: label}}")
-    reference = {}
-    for doc_id, clusters in raw.items():
-        if not isinstance(clusters, dict):
-            raise CliError(EXIT_INPUT, f"{path}: doc {doc_id!r}: expected an object "
-                                       "{cluster_index: label}")
-        for key, label in clusters.items():
-            where = f"{path}: doc {doc_id!r}, key {key!r}"
-            if not key.isdecimal():
-                raise CliError(EXIT_INPUT, f"{where}: cluster index must be a non-negative integer")
-            cluster = (doc_id, int(key))
-            if cluster in reference:
-                raise CliError(EXIT_INPUT, f"{where}: cluster {int(key)} already has a label "
-                                           "from another key")
-            if not isinstance(label, str):
-                raise CliError(EXIT_INPUT, f"{where}: label must be a string, got {label!r}")
-            try:
-                reference[cluster] = inventory.resolve(label)
-            except ValueError as exc:
-                raise CliError(EXIT_INPUT, f"{where}: {exc}") from exc
-    return reference
-
-
 def cmd_validate_labels(args) -> int:
+    from . import label_reports
+
     inventory = _inventory()
     cfg = _labeling_config(args)
     docs = _ensure_labeled(_load_corpus(args, inventory), cfg, ("gold",))
-    reference = _read_reference(args.reference, inventory)
+    raw = _json_file(args.reference)
     try:
-        agreement = label_agreement(reference, docs)
+        reference = label_reports.read_reference(args.reference, raw, inventory)
+    except ValueError as exc:
+        raise CliError(EXIT_INPUT, str(exc)) from exc
+    try:
+        agreement = label_reports.label_agreement(reference, docs)
     except KeyError as exc:
         raise CliError(EXIT_INPUT, str(exc.args[0])) from exc
-    result = {
-        "precision": agreement.precision,
-        "recall": agreement.recall,
-        "f1": agreement.f1,
-        "true_positives": agreement.true_positives,
-        "system_labeled": agreement.system_labeled,
-        "reference_entries": agreement.reference_total,
-    }
+    result = label_reports.agreement_report_dict(agreement)
     _publish(args, "agreement", result, json_text(result))
     return EXIT_OK
 

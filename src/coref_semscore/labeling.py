@@ -8,20 +8,20 @@ every member, pronouns included; clusters with no directly labeled
 mention stay unlabeled.  One label_documents pass builds each distinct
 labeled Mention once (_Labeled) and aligns a span once per document.
 
-Coverage, label-distribution, and reference-agreement reports live here
-too, since they are all statements about labeled corpora.
+The coverage report lives here too; the label-distribution and
+reference-agreement reports are in label_reports.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import Counter, defaultdict
+from collections import defaultdict
 from math import fsum
 from operator import attrgetter
 from pathlib import Path
-from typing import IO, Iterable, Mapping, NamedTuple, Sequence, Union
+from typing import IO, Iterable, NamedTuple, Sequence, Union
 
-from .inventory import CategoryInventory, opened
+from .inventory import opened
 from .model import (
     SIDES,
     Cluster,
@@ -337,95 +337,4 @@ def coverage(
     return CoverageReport(
         overall=CoverageCounts(total, direct, propagated),
         pronoun=CoverageCounts(p_total, p_direct, p_propagated),
-    )
-
-
-class DistributionReport(NamedTuple):
-    """Counts and shares of mention labels over a corpus side."""
-
-    counts: Mapping[str, int]
-    total_labeled: int
-    unlabeled: int
-    absent_labels: tuple[str, ...]
-
-    @property
-    def shares(self) -> dict[str, float]:
-        if not self.total_labeled:
-            return {label: 0.0 for label in self.counts}
-        return {label: count / self.total_labeled for label, count in self.counts.items()}
-
-
-def distribution(
-    docs: Iterable[Document], inventory: CategoryInventory | None = None
-) -> DistributionReport:
-    """Label distribution over labeled gold mentions, plus absent inventory
-    labels."""
-    inventory = inventory or CategoryInventory.default()
-    counter: Counter[str] = Counter()
-    unlabeled = 0
-    for doc in docs:
-        for cluster in doc.gold_clusters:
-            for mention in cluster.mentions:
-                if mention.assigned_label is None:
-                    unlabeled += 1
-                else:
-                    counter[mention.assigned_label] += 1
-    ordered = dict(sorted(counter.items(), key=lambda item: (-item[1], item[0])))
-    absent = tuple(sorted(label for label in inventory.labels if label not in counter))
-    return DistributionReport(
-        counts=ordered,
-        total_labeled=sum(counter.values()),
-        unlabeled=unlabeled,
-        absent_labels=absent,
-    )
-
-
-class AgreementReport(NamedTuple):
-    true_positives: int
-    system_labeled: int
-    reference_total: int
-
-    @property
-    def precision(self) -> float:
-        return self.true_positives / self.system_labeled if self.system_labeled else 0.0
-
-    @property
-    def recall(self) -> float:
-        return self.true_positives / self.reference_total if self.reference_total else 0.0
-
-    @property
-    def f1(self) -> float:
-        p, r = self.precision, self.recall
-        return 2 * p * r / (p + r) if p + r else 0.0
-
-
-def label_agreement(
-    reference: Mapping[tuple[str, int], str], docs: Sequence[Document]
-) -> AgreementReport:
-    """Score system cluster labels against reference labels.
-
-    Reference keys are (doc_id, gold cluster index).  Precision is over
-    system-labeled clusters that have a reference entry; recall over all
-    reference entries.
-    """
-    by_id = {doc.doc_id: doc for doc in docs}
-    tp = 0
-    system_labeled = 0
-    for (doc_id, cluster_index), ref_label in reference.items():
-        doc = by_id.get(doc_id)
-        if doc is None:
-            raise KeyError(f"reference key ({doc_id!r}, {cluster_index}) matches no document")
-        if not 0 <= cluster_index < len(doc.gold_clusters):
-            raise KeyError(
-                f"reference key ({doc_id!r}, {cluster_index}) is out of range: "
-                f"document has {len(doc.gold_clusters)} gold clusters"
-            )
-        system_label = doc.gold_clusters[cluster_index].cluster_label
-        if system_label is not None:
-            system_labeled += 1
-            tp += system_label == ref_label
-    return AgreementReport(
-        true_positives=tp,
-        system_labeled=system_labeled,
-        reference_total=len(reference),
     )

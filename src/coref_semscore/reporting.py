@@ -12,7 +12,7 @@ import json
 from typing import Iterable, Mapping, Sequence
 
 from .classic_metrics import ClassicReport, MetricTriple
-from .labeling import CoverageReport, DistributionReport
+from .labeling import CoverageReport
 from .typed_metrics import ClassScore, TypedScoreReport
 
 
@@ -88,16 +88,6 @@ def coverage_report_dict(report: CoverageReport) -> dict:
             for scope, counts in report._asdict().items()}
 
 
-def distribution_report_dict(report: DistributionReport) -> dict:
-    return {
-        "total_labeled": report.total_labeled,
-        "unlabeled": report.unlabeled,
-        "counts": dict(report.counts),
-        "shares": report.shares,
-        "absent_labels": list(report.absent_labels),
-    }
-
-
 # ---------------------------------------------------------------------------
 # Text tables
 
@@ -156,16 +146,3 @@ def render_coverage_table(reports: Mapping[str, CoverageReport]) -> str:
     rows = [((side, scope), row) for side, report in reports.items()
             for scope, row in coverage_report_dict(report).items()]
     return "labeling coverage\n" + _grid(("side", "mentions"), _COVERAGE_COLUMNS, rows)
-
-
-def render_distribution_table(report: DistributionReport) -> str:
-    block = distribution_report_dict(report)
-    columns = {"count": block["counts"], "share": block["shares"]}
-    rows = [((label,), {name: column[label] for name, column in columns.items()})
-            for label in block["counts"]]
-    return "\n".join([
-        "label distribution",
-        _grid(("class",), columns, rows).rstrip("\n"),
-        f"labeled mentions: {block['total_labeled']}, unlabeled: {block['unlabeled']}",
-        f"absent classes: {', '.join(block['absent_labels']) or '(none)'}",
-    ]) + "\n"

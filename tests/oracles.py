@@ -329,7 +329,17 @@ def typed_report(counts, unlabeled_gold, unlabeled_pred, mode, link_mention_sour
     }
 
 
-def classic_report(records):
+def without_singletons(record):
+    """The record with its size-1 clusters dropped from both sides."""
+    out = dict(record)
+    for key in ("gold_clusters", "predicted_clusters"):
+        out[key] = [c for c in record.get(key, []) if len(c) > 1]
+    return out
+
+
+def classic_report(records, drop_singletons=False):
+    if drop_singletons:
+        records = [without_singletons(r) for r in records]
     scores = classic_scores(records)
     out = {}
     for name in ("muc", "b_cubed", "ceaf_phi4"):
@@ -339,8 +349,11 @@ def classic_report(records):
     return out
 
 
-def eval_report(records, gold_name, tau=0.5, inclusive=False):
-    """Full eval report for a combined corpus, in the CLI's JSON shape."""
+def eval_report(records, gold_name, tau=0.5, inclusive=False, drop_singletons=False):
+    """Full eval report for a combined corpus, in the CLI's JSON shape.
+
+    With drop_singletons, size-1 clusters are dropped from both sides
+    before classic scoring only; the typed blocks score every cluster."""
     labeled = {r["doc_id"]: label_record(r, tau, inclusive) for r in records}
     mention = typed_report(
         *corpus_typed_counts(records, labeled, "mention"), mode="mention"
@@ -360,9 +373,9 @@ def eval_report(records, gold_name, tau=0.5, inclusive=False):
             "tau_inclusive": inclusive,
             "force_cluster_label": False,
             "link_mention_source": "predicted",
-            "drop_singletons": False,
+            "drop_singletons": drop_singletons,
         },
         "typed_mention": mention,
         "typed_link": link,
-        "classic": classic_report(records),
+        "classic": classic_report(records, drop_singletons),
     }

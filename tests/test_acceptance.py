@@ -10,6 +10,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import COMPOSITE_RECORD, NEWS_RECORD, best_alignment_total, tables_of
@@ -265,6 +267,22 @@ def test_a9_golden_end_to_end(tmp_path):
                  "--classic", "--out", str(out)])
     assert code == 0
     assert (out / "eval_report.json").read_bytes() == golden.read_bytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6))
+def test_drop_singletons_report_matches_oracle(tmp_path_factory, seed, n_docs):
+    # Size-1 clusters leave both sides before classic scoring only.
+    records = random_corpus(random.Random(seed), n_docs)
+    out = tmp_path_factory.mktemp("drop")
+    corpus = out / "corpus.jsonl"
+    corpus.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    code = main(["eval", "--gold", str(corpus), "--typed-mention", "--typed-link",
+                 "--classic", "--drop-singletons", "--out", str(out)])
+    assert code == 0
+    report = oracles.eval_report(records, gold_name=corpus.name, drop_singletons=True)
+    expected = json.dumps(report, indent=2, ensure_ascii=False) + "\n"
+    assert (out / "eval_report.json").read_bytes() == expected.encode("utf-8")
 
 
 def test_a10_throughput():

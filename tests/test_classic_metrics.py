@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import permutations
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -260,6 +261,75 @@ class TestConll:
         assert (report.ceaf_phi4.precision, report.ceaf_phi4.recall, report.ceaf_phi4.f1) \
             == expected["ceaf_phi4"]
         assert report.conll_f1 == expected["conll_f1"]
+
+
+# Gold cluster sizes whose lcm, that of 1..50, exceeds 2**64.
+PRIME_POWER_SIZES = (32, 27, 25, 49, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+def _many_sizes_corpus(rng):
+    """Records whose gold clusters take every size in PRIME_POWER_SIZES, at
+    most three to a document plus one small cluster, and whose predicted
+    clusters, at most four to a document, regroup most gold mentions and
+    some spurious ones."""
+    sizes = list(PRIME_POWER_SIZES)
+    rng.shuffle(sizes)
+    records = []
+    while sizes:
+        gold_sizes = [sizes.pop() for _ in range(min(len(sizes), rng.randint(1, 3)))]
+        gold_sizes.append(rng.randint(1, 3))
+        n_gold = sum(gold_sizes)
+        gold, start = [], 0
+        for size in gold_sizes:
+            gold.append([[i, i + 1] for i in range(start, start + size)])
+            start += size
+        kept = [i for i in range(n_gold) if rng.random() < 0.9]
+        kept += [i for i in range(n_gold, n_gold + 5) if rng.random() < 0.5]
+        predicted = [[] for _ in range(rng.randint(1, 4))]
+        for i in kept:
+            predicted[rng.randrange(len(predicted))].append([i, i + 1])
+        records.append({
+            "doc_id": f"d{len(records)}",
+            "tokens": [f"t{i}" for i in range(n_gold + 5)],
+            "gold_clusters": gold,
+            "predicted_clusters": [c for c in predicted if c],
+        })
+    return records
+
+
+class TestExactRatios:
+    """Each float is the correctly rounded value of its exact ratio: equal,
+    bit for bit, to float() of the oracles' Fraction arithmetic."""
+
+    @staticmethod
+    def _check(records):
+        tables = tables_of(to_documents(records))
+        expected = oracles.classic_scores(records)
+        for name, metric in (("muc", muc), ("b_cubed", b_cubed), ("ceaf_phi4", ceaf_phi4)):
+            assert [x.hex() for x in metric(tables)] == [x.hex() for x in expected[name]]
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_denominators_past_64_bits(self, seed):
+        records = _many_sizes_corpus(random.Random(seed))
+        assert lcm(*(len(c) for r in records for c in r["gold_clusters"])) > 2**64
+        self._check(records)
+
+    @pytest.mark.parametrize("gold, predicted", [
+        (None, None),
+        ([], []),
+        ([[[0, 1], [1, 2]]], []),
+        ([], [[[0, 1], [1, 2]]]),
+        ([[[0, 1]], [[1, 2]]], [[[0, 1]], [[2, 3]]]),
+        ([[[0, 1], [1, 2]]], [[[2, 3], [3, 4]]]),
+    ], ids=["no-documents", "no-clusters", "no-predicted", "no-gold", "all-singletons",
+            "nothing-shared"])
+    def test_zero_over_zero(self, gold, predicted):
+        records = [] if gold is None else [{
+            "doc_id": "d0", "tokens": [f"t{i}" for i in range(4)],
+            "gold_clusters": gold, "predicted_clusters": predicted,
+        }]
+        self._check(records)
 
 
 class TestSingletons:

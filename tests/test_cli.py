@@ -1259,6 +1259,83 @@ class TestDependencies:
                                 capture_output=True, text=True, check=True)
         assert result.stdout.strip() == "False"
 
+    # Loaded by no command (fractions, decimal), or only by the commands
+    # that run them (the CoNLL reader, the label reports).
+    ON_DEMAND = ("decimal", "fractions", "coref_semscore.conll2012",
+                 "coref_semscore.label_reports")
+
+    def test_import_loads_neither_fractions_nor_code_run_on_demand(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = ("import sys, coref_semscore, coref_semscore.cli; "
+                f"print(sorted(m for m in {self.ON_DEMAND!r} if m in sys.modules))")
+        env = dict(os.environ, PYTHONPATH=str(src))
+        result = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("argv, loads", [
+        (["label", "--gold", "{corpus}", "--out", "{out}"], []),
+        (["eval", "--gold", "{corpus}", "--classic", "--out", "{out}"], []),
+        (["eval", "--gold", "{conll}", "--pred", "{conll}", "--format", "conll", "--classic",
+          "--out", "{out}"], ["coref_semscore.conll2012"]),
+        (["distribution", "--gold", "{corpus}", "--out", "{out}"],
+         ["coref_semscore.label_reports"]),
+        (["validate-labels", "--gold", "{corpus}", "--reference", "{reference}",
+          "--out", "{out}"], ["coref_semscore.label_reports"]),
+    ], ids=["label", "eval-classic", "eval-conll", "distribution", "validate-labels"])
+    def test_command_loads_code_on_demand(self, tmp_path, capsys, argv, loads):
+        # In a fresh interpreter a command loads only the code it runs, and
+        # writes the same bytes as in this one.
+        inputs = _collector_inputs(tmp_path / "in", 1)
+        capsys.readouterr()
+        fresh, here = ([arg.format(**{**inputs, "out": str(tmp_path / name)}) for arg in argv]
+                       for name in ("fresh", "here"))
+        code = ("import sys, coref_semscore.cli as cli\n"
+                "assert cli.main(sys.argv[1:]) == 0\n"
+                f"print(sorted(m for m in {self.ON_DEMAND!r} if m in sys.modules))")
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        result = subprocess.run([sys.executable, "-S", "-c", code, *fresh], env=env,
+                                capture_output=True, text=True, check=True)
+        *printed, loaded = result.stdout.splitlines(keepends=True)
+        assert loaded.strip() == str(loads)
+        assert main(here) == 0
+        assert "".join(printed) == capsys.readouterr().out
+        outputs = [{path.name: path.read_bytes() for path in (tmp_path / name).iterdir()}
+                   for name in ("fresh", "here")]
+        assert outputs[0] and outputs[0] == outputs[1]
+
+    def test_package_exports_resolve_on_first_access(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = ("import sys, coref_semscore as pkg\n"
+                "assert not [m for m in sys.modules if m.startswith('coref_semscore.')]\n"
+                "assert set(pkg.__all__) <= set(dir(pkg))\n"
+                "for name in pkg.__all__:\n"
+                "    module = sys.modules[getattr(pkg, name).__module__]\n"
+                "    assert getattr(module, name) is getattr(pkg, name), name\n"
+                "try:\n"
+                "    pkg.no_such_name\n"
+                "except AttributeError as exc:\n"
+                "    print(exc)\n"
+                "from coref_semscore import cli, conll\n"
+                "print(cli.__name__, conll.__module__, len(pkg.__all__))")
+        env = dict(os.environ, PYTHONPATH=str(src))
+        result = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.splitlines() == [
+            "module 'coref_semscore' has no attribute 'no_such_name'",
+            "coref_semscore.cli coref_semscore.classic_metrics 43",
+        ]
+
+    def test_conll_is_the_conll_f1_function_after_reading_conll(self, tmp_path, capsys):
+        import coref_semscore
+        from coref_semscore import classic_metrics
+
+        inputs = _collector_inputs(tmp_path / "in", 1)
+        assert main(["eval", "--gold", inputs["conll"], "--pred", inputs["conll"],
+                     "--format", "conll", "--classic"]) == 0
+        assert coref_semscore.conll is classic_metrics.conll
+
 
 class TestHashSeedDeterminism:
     """The same inputs and flags give the same bytes, on stdout and in every

@@ -7,14 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coref_semscore.conll2012 import _conll_records, read_conll2012
 from coref_semscore.ingest import (
     CorpusFormatError,
-    _conll_records,
     document_from_record,
     document_to_record,
     merge_predictions,
     read_cner_jsonl,
-    read_conll2012,
     read_jsonl_corpus,
     write_labeled_jsonl,
 )

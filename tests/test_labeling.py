@@ -11,13 +11,12 @@ import oracles
 from coref_semscore import labeling
 from coref_semscore.ingest import document_from_record, read_jsonl_corpus
 from coref_semscore.inventory import CategoryInventory
+from coref_semscore.label_reports import distribution, label_agreement
 from coref_semscore.labeling import (
     DEFAULT_PRONOUNS,
     LabelingConfig,
     assign_mentions,
     coverage,
-    distribution,
-    label_agreement,
     label_documents,
     load_pronoun_lexicon,
     overlap,

@@ -8,14 +8,8 @@ from hypothesis import strategies as st
 
 from coref_semscore.classic_metrics import ClassicReport, MetricTriple
 from coref_semscore.inventory import Category, CategoryInventory, UnknownLabelError
-from coref_semscore.labeling import (
-    AgreementReport,
-    CoverageCounts,
-    CoverageReport,
-    DistributionReport,
-    LabelingConfig,
-    label_documents,
-)
+from coref_semscore.label_reports import AgreementReport, DistributionReport
+from coref_semscore.labeling import CoverageCounts, CoverageReport, LabelingConfig, label_documents
 from coref_semscore.model import (
     Cluster,
     Document,

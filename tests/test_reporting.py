@@ -3,14 +3,14 @@ import json
 import pytest
 
 from coref_semscore.classic_metrics import ClassicReport, MetricTriple
-from coref_semscore.labeling import CoverageCounts, CoverageReport, DistributionReport
+from coref_semscore.label_reports import DistributionReport, render_distribution_table
+from coref_semscore.labeling import CoverageCounts, CoverageReport
 from coref_semscore.reporting import (
     ReportModeError,
     coverage_report_dict,
     json_text,
     render_classic_table,
     render_coverage_table,
-    render_distribution_table,
     render_typed_table,
     typed_report_dict,
 )
