@@ -325,33 +325,14 @@ def pair_by_doc_id(
     return [(d, pred_by_id[d.doc_id]) for d in gold]
 
 
-def _cluster_index(
-    doc_id: str, side: str, clusters: Sequence[Cluster]
-) -> dict[Span, tuple[int, str | None]]:
+def _cluster_index(clusters: Sequence[Cluster]) -> dict[Span, tuple[int, str | None]]:
     """Map each mention span of one side to its cluster's index and the
-    mention's label.
-
-    This is the only place a metric indexes mention spans.  Raises
-    ValueError naming the document, the side and the span when a span
-    belongs to two clusters, which validate_document reports and the
-    metrics cannot score.
-    """
-    index = {
+    mention's label.  This is the only place a metric indexes mention spans."""
+    return {
         m.span: (i, m.assigned_label)
         for i, cluster in enumerate(clusters)
         for m in cluster.mentions
     }
-    if len(index) != sum(len(cluster.mentions) for cluster in clusters):
-        seen: dict[Span, int] = {}
-        for i, cluster in enumerate(clusters):
-            for m in cluster.mentions:
-                if m.span in seen:
-                    raise ValueError(
-                        f"doc {doc_id!r}: {side} span {_span_str(m.span)} appears "
-                        f"in clusters {seen[m.span]} and {i}"
-                    )
-                seen[m.span] = i
-    return index
 
 
 class Contingency(NamedTuple):
@@ -378,12 +359,14 @@ def contingency(doc: Document) -> Contingency:
 
     A corpus whose predictions came in a separate file is merged first
     (ingest.merge_predictions), so each document holds both sides.
-    Raises ValueError when a span repeats across the clusters of either
-    side.
+    Raises ValueError, worded as validate_document words its first
+    violation, when a span repeats across the clusters of either side,
+    which the metrics cannot score.
     """
     gold, pred = doc.gold_clusters, doc.predicted_clusters
-    gold_index = _cluster_index(doc.doc_id, "gold", gold)
-    pred_index = _cluster_index(doc.doc_id, "predicted", pred)
+    gold_index, pred_index = _cluster_index(gold), _cluster_index(pred)
+    if len(gold_index) + len(pred_index) != sum(len(c.mentions) for c in gold + pred):
+        raise ValueError(f"doc {doc.doc_id!r}: {validate_document(doc)[0]}")
     shared = [(gold_index[span], p) for span, p in pred_index.items() if span in gold_index]
     return Contingency(
         gold,

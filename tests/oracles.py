@@ -349,20 +349,34 @@ def classic_report(records, drop_singletons=False):
     return out
 
 
-def eval_report(records, gold_name, tau=0.5, inclusive=False, drop_singletons=False):
+def containment_violations(records):
+    """The number of predicted mention spans that are no gold mention span."""
+    return sum(
+        len({tuple(s) for c in r.get("predicted_clusters", []) for s in c}
+            - {tuple(s) for c in r.get("gold_clusters", []) for s in c})
+        for r in records
+    )
+
+
+def eval_report(records, gold_name, tau=0.5, inclusive=False, drop_singletons=False,
+                force=False, link_mention_source="predicted"):
     """Full eval report for a combined corpus, in the CLI's JSON shape.
 
     With drop_singletons, size-1 clusters are dropped from both sides
-    before classic scoring only; the typed blocks score every cluster."""
-    labeled = {r["doc_id"]: label_record(r, tau, inclusive) for r in records}
+    before classic scoring only; the typed blocks score every cluster.
+    With link_mention_source "gold", the link block also counts the
+    predicted mention spans that are no gold mention span."""
+    labeled = {r["doc_id"]: label_record(r, tau, inclusive, force) for r in records}
     mention = typed_report(
         *corpus_typed_counts(records, labeled, "mention"), mode="mention"
     )
     link = typed_report(
         *corpus_typed_counts(records, labeled, "link"),
         mode="link",
-        link_mention_source="predicted",
+        link_mention_source=link_mention_source,
     )
+    if link_mention_source == "gold":
+        link["containment_violations"] = containment_violations(records)
     return {
         "config": {
             "gold": gold_name,
@@ -371,8 +385,8 @@ def eval_report(records, gold_name, tau=0.5, inclusive=False, drop_singletons=Fa
             "format": "jsonl",
             "tau": tau,
             "tau_inclusive": inclusive,
-            "force_cluster_label": False,
-            "link_mention_source": "predicted",
+            "force_cluster_label": force,
+            "link_mention_source": link_mention_source,
             "drop_singletons": drop_singletons,
         },
         "typed_mention": mention,

@@ -269,18 +269,26 @@ def test_a9_golden_end_to_end(tmp_path):
     assert (out / "eval_report.json").read_bytes() == golden.read_bytes()
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(1, 6))
-def test_drop_singletons_report_matches_oracle(tmp_path_factory, seed, n_docs):
-    # Size-1 clusters leave both sides before classic scoring only.
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.data())
+def test_eval_report_matches_oracle_over_drawn_options(tmp_path_factory, seed, n_docs, data):
     records = random_corpus(random.Random(seed), n_docs)
-    out = tmp_path_factory.mktemp("drop")
+    overlaps = {oracles.jaccard(span, cner[:2]) for r in records for cner in r["cner"]
+                for side in ("gold_clusters", "predicted_clusters")
+                for cluster in r[side] for span in cluster}
+    tau = data.draw(st.sampled_from(sorted(overlaps | {0.0, 0.5, 1.0})), label="tau")
+    inclusive, force, drop = (data.draw(st.booleans(), label=name)
+                              for name in ("inclusive", "force", "drop"))
+    source = data.draw(st.sampled_from(["predicted", "gold"]), label="source")
+    out = tmp_path_factory.mktemp("eval")
     corpus = out / "corpus.jsonl"
     corpus.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
-    code = main(["eval", "--gold", str(corpus), "--typed-mention", "--typed-link",
-                 "--classic", "--drop-singletons", "--out", str(out)])
+    flags = [flag for flag, on in (("--tau-inclusive", inclusive), ("--force-cluster-label", force),
+                                   ("--drop-singletons", drop)) if on]
+    code = main(["eval", "--gold", str(corpus), "--typed-mention", "--typed-link", "--classic",
+                 "--tau", repr(tau), "--link-mention-source", source, *flags, "--out", str(out)])
     assert code == 0
-    report = oracles.eval_report(records, gold_name=corpus.name, drop_singletons=True)
+    report = oracles.eval_report(records, corpus.name, tau, inclusive, drop, force, source)
     expected = json.dumps(report, indent=2, ensure_ascii=False) + "\n"
     assert (out / "eval_report.json").read_bytes() == expected.encode("utf-8")
 

@@ -121,7 +121,7 @@ class TestRepeatedSpan:
             metric(tables_of([doc]))
         message = str(excinfo.value)
         assert "'api7'" in message
-        assert f"{side} span {span}" in message
+        assert f"{side}_clusters: span {span} appears in clusters" in message
 
 
 class TestLargeClusterOracles:
