@@ -373,11 +373,11 @@ def cmd_validate_labels(args) -> int:
 
 
 def _weight(text: str) -> float:
-    """A diagnose weight: a finite number >= 0."""
+    """A diagnose weight: a finite number >= 0, with -0 read as 0."""
     try:
         value = float(text)
         if math.isfinite(value) and value >= 0:
-            return value
+            return value + 0.0
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")

@@ -111,14 +111,18 @@ def _support(reports, block: str) -> Counter:
 
 
 def check_comparable(paths_a, reports_a, paths_b, reports_b) -> None:
-    """Refuse two systems scored on different gold corpora or labeled with
-    different settings: their per-class deltas would not compare the systems.
+    """Refuse two systems with different numbers of reports, scored on
+    different gold corpora or labeled with different settings: their
+    per-class deltas would not compare the systems.
     """
     def refuse(a, b, field, value_a, value_b):
         raise ReportModeError(f"cannot compare {a} with {b}: {field} differs "
                               f"({value_a!r} vs {value_b!r})")
 
     side_a, side_b = ", ".join(paths_a), ", ".join(paths_b)
+    if len(reports_a) != len(reports_b):
+        raise ReportModeError(f"cannot compare {side_a} with {side_b}: system A has "
+                              f"{len(reports_a)} reports and system B has {len(reports_b)}")
     gold_a = [report["config"].get("gold") for report in reports_a]
     gold_b = [report["config"].get("gold") for report in reports_b]
     if Counter(gold_a) != Counter(gold_b):

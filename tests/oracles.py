@@ -359,8 +359,12 @@ def containment_violations(records):
 
 
 def eval_report(records, gold_name, tau=0.5, inclusive=False, drop_singletons=False,
-                force=False, link_mention_source="predicted"):
+                force=False, link_mention_source="predicted", *, pred_name=None, cner_name=None,
+                fmt="jsonl"):
     """Full eval report for a combined corpus, in the CLI's JSON shape.
+
+    pred_name, cner_name and fmt are the config's names of the --pred and
+    --cner files and its --format; they change no score.
 
     With drop_singletons, size-1 clusters are dropped from both sides
     before classic scoring only; the typed blocks score every cluster.
@@ -380,9 +384,9 @@ def eval_report(records, gold_name, tau=0.5, inclusive=False, drop_singletons=Fa
     return {
         "config": {
             "gold": gold_name,
-            "pred": None,
-            "cner": None,
-            "format": "jsonl",
+            "pred": pred_name,
+            "cner": cner_name,
+            "format": fmt,
             "tau": tau,
             "tau_inclusive": inclusive,
             "force_cluster_label": force,

@@ -10,7 +10,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -35,6 +35,7 @@ from coref_semscore.labeling import (
 from coref_semscore.model import Cluster, Document, LabelSource, Mention, Span
 from coref_semscore.typed_metrics import typed_link_scores, typed_mention_scores
 from corpusgen import random_corpus, to_documents
+from test_commands import conll_text, write_jsonl
 
 CFG = LabelingConfig()
 DATA = Path(__file__).parent / "data"
@@ -269,10 +270,20 @@ def test_a9_golden_end_to_end(tmp_path):
     assert (out / "eval_report.json").read_bytes() == golden.read_bytes()
 
 
+def _crossing(records) -> bool:
+    """Whether a cluster of either side holds two spans that cross, which a
+    CoNLL-2012 file cannot express."""
+    return any(s1 < s2 < e1 < e2 for r in records
+               for cluster in (*r["gold_clusters"], *r["predicted_clusters"])
+               for s1, e1 in cluster for s2, e2 in cluster)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.data())
 def test_eval_report_matches_oracle_over_drawn_options(tmp_path_factory, seed, n_docs, data):
     records = random_corpus(random.Random(seed), n_docs)
+    fmt = data.draw(st.sampled_from(["jsonl", "conll"]), label="format")
+    assume(fmt == "jsonl" or not _crossing(records))
     overlaps = {oracles.jaccard(span, cner[:2]) for r in records for cner in r["cner"]
                 for side in ("gold_clusters", "predicted_clusters")
                 for cluster in r[side] for span in cluster}
@@ -281,14 +292,27 @@ def test_eval_report_matches_oracle_over_drawn_options(tmp_path_factory, seed, n
                               for name in ("inclusive", "force", "drop"))
     source = data.draw(st.sampled_from(["predicted", "gold"]), label="source")
     out = tmp_path_factory.mktemp("eval")
-    corpus = out / "corpus.jsonl"
-    corpus.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    if fmt == "jsonl":
+        inputs = ["--gold", write_jsonl(out / "corpus.jsonl", records)]
+    else:
+        # The predictions go in a second file's coreference column, and the
+        # semantic spans in a --cner file keyed by the documents' CoNLL ids.
+        for name, side in (("gold.conll", "gold_clusters"), ("pred.conll", "predicted_clusters")):
+            (out / name).write_text(conll_text([dict(r, gold_clusters=r[side]) for r in records]),
+                                    encoding="utf-8")
+        cner = write_jsonl(out / "cner.jsonl", [{"doc_id": f"{r['doc_id']}_part_000",
+                                                 "cner": r["cner"]} for r in records])
+        inputs = ["--gold", str(out / "gold.conll"), "--pred", str(out / "pred.conll"),
+                  "--cner", cner]
     flags = [flag for flag, on in (("--tau-inclusive", inclusive), ("--force-cluster-label", force),
                                    ("--drop-singletons", drop)) if on]
-    code = main(["eval", "--gold", str(corpus), "--typed-mention", "--typed-link", "--classic",
+    code = main(["eval", *inputs, "--format", fmt, "--typed-mention", "--typed-link", "--classic",
                  "--tau", repr(tau), "--link-mention-source", source, *flags, "--out", str(out)])
     assert code == 0
-    report = oracles.eval_report(records, corpus.name, tau, inclusive, drop, force, source)
+    names = dict(zip(("gold_name", "pred_name", "cner_name"),
+                     (Path(path).name for path in inputs[1::2])))
+    report = oracles.eval_report(records, tau=tau, inclusive=inclusive, drop_singletons=drop,
+                                 force=force, link_mention_source=source, fmt=fmt, **names)
     expected = json.dumps(report, indent=2, ensure_ascii=False) + "\n"
     assert (out / "eval_report.json").read_bytes() == expected.encode("utf-8")
 

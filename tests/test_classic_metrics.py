@@ -212,6 +212,9 @@ class TestAlignmentSolver:
         assert total == oracles.ceaf_exhaustive_total(gold, pred)
         assert total == 1 + Fraction(4, 9) + Fraction(4, 9) + Fraction(4, 5) + Fraction(2, 3)
 
+    def test_empty_matrix_assigns_nothing(self):
+        assert linear_sum_assignment(Matrix(())) == ([], [])
+
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 5), st.integers(1, 5), st.data())
     def test_assignment_is_optimal(self, n_rows, n_cols, data):

@@ -1,8 +1,14 @@
-"""One row per command run, and three tests that every row must pass.
+"""One row per command run, and the tests that every row must pass.
 
 A row of COMMANDS gives an argv over command_inputs, its exit code and
 exact stderr, the files it writes under --out, and which WATCHED modules it
-loads; argv None is a bare `import coref_semscore.cli`.
+loads; argv None is a bare `import coref_semscore.cli`.  Three tests read
+every row.
+
+A row of REFUSALS is a run that exits 2 or 3: its argv, the files and
+environment it runs with, its exit code and its exact stderr.  One test
+reads every row: the run prints that stderr and nothing on stdout, writes
+nothing under --out and leaves the collector no package object.
 """
 
 import gc
@@ -17,6 +23,8 @@ from typing import NamedTuple
 import pytest
 
 from coref_semscore.cli import main
+from coref_semscore.reporting import typed_report_dict
+from coref_semscore.typed_metrics import ClassScore, TypedScoreReport
 
 DATA = Path(__file__).resolve().parent / "data"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -104,12 +112,28 @@ def conll_text(records) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Each eval report of command_inputs: the corpus it scores and its flags.
+REPORTS = {
+    "report": ("corpus", "--typed-mention", "--typed-link"),
+    "mention_report": ("corpus", "--typed-mention"),
+    "classic_report": ("corpus", "--classic"),
+    "tau_report": ("corpus", "--typed-mention", "--tau", "0.9"),
+    "inclusive_report": ("corpus", "--typed-mention", "--tau-inclusive"),
+    "forced_report": ("corpus", "--typed-mention", "--force-cluster-label"),
+    "gold_source_report": ("corpus", "--typed-link", "--link-mention-source", "gold"),
+    "other_gold_report": ("short_pred", "--typed-mention"),
+    "other_corpus_report": ("other_corpus", "--typed-mention"),
+}
+
+
 def command_inputs(root: Path, copies: int) -> dict:
     """Inputs made from the mini corpus repeated `copies` times under new
     doc_ids: the corpus, its CoNLL form, a copy with no semantic spans, a
-    prediction file that misses the first document, an eval report and a
-    reference."""
+    prediction file that misses the first document, which is also a corpus
+    of another name, a corpus of the corpus's name without that document, a
+    reference, the corpus labeled at tau 0.1, and the REPORTS."""
     root.mkdir()
+    (root / "other").mkdir()
     lines = (DATA / "mini_corpus.jsonl").read_text(encoding="utf-8").splitlines()
     records = [dict(json.loads(line), doc_id=f"{json.loads(line)['doc_id']}_{c}")
                for c in range(copies) for line in lines]
@@ -118,15 +142,19 @@ def command_inputs(root: Path, copies: int) -> dict:
         "no_spans": write_jsonl(root / "no_spans.jsonl",
                                 [{k: v for k, v in r.items() if k != "cner"} for r in records]),
         "short_pred": write_jsonl(root / "short_pred.jsonl", records[1:]),
+        "other_corpus": write_jsonl(root / "other" / "corpus.jsonl", records[1:]),
         "reference": str(root / "ref.json"),
-        "report": str(root / "ev" / "eval_report.json"),
         "conll": str(root / "corpus.conll"),
+        "labeled": str(root / "labeled" / "labeled.jsonl"),
     }
     Path(inputs["conll"]).write_text(conll_text(records), encoding="utf-8")
     Path(inputs["reference"]).write_text(
         json.dumps({records[0]["doc_id"]: {"0": "PER", "1": "LOC"}}), encoding="utf-8")
-    assert main(["eval", "--gold", inputs["corpus"], "--typed-mention", "--typed-link",
-                 "--out", str(root / "ev")]) == 0
+    assert main(["label", "--gold", inputs["corpus"], "--tau", "0.1",
+                 "--out", str(root / "labeled")]) == 0
+    for name, (corpus, *flags) in REPORTS.items():
+        assert main(["eval", "--gold", inputs[corpus], *flags, "--out", str(root / name)]) == 0
+        inputs[name] = str(root / name / "eval_report.json")
     return inputs
 
 
@@ -137,8 +165,372 @@ def corpora(tmp_path_factory) -> dict:
     return {copies: command_inputs(root / f"x{copies}", copies) for copies in (1, 2)}
 
 
-def _argv(command: Command, inputs: dict, out: Path) -> list[str]:
-    return [arg.format(**inputs, out=out) for arg in command.argv]
+class Refusal(NamedTuple):
+    """A run that writes `files` ({name: text or bytes}) into its working
+    directory, sets `env`, runs argv over them and command_inputs, and exits
+    `code` printing `stderr`, or for a usage error (`usage`) a stderr whose
+    last line is `stderr`."""
+
+    argv: tuple[str, ...]
+    code: int
+    stderr: str
+    files: dict = {}
+    env: dict = {}
+    usage: bool = False
+
+
+def _file(content) -> str | bytes:
+    """A file's content: bytes and text as they are, any other value as JSON."""
+    return content if isinstance(content, (str, bytes)) else json.dumps(content)
+
+
+def _refusal(argv, message: str, files=None, code: int = 2, env=None) -> Refusal:
+    """`argv --out {out}`, run over `files` ({name: content}), exits `code`
+    with `error: message`."""
+    files = {name: _file(content) for name, content in (files or {}).items()}
+    return Refusal((*argv, "--out", "{out}"), code, f"error: {message}\n", files, env or {})
+
+
+def _usage(argv, message: str) -> Refusal:
+    """`argv --out {out}` is a usage error of argv's subcommand ending in `message`."""
+    return Refusal((*argv, "--out", "{out}"), 2, f"coref-semscore {argv[0]}: error: {message}\n",
+                   usage=True)
+
+
+def _unrecognized(argv, *extra: str, files=None) -> Refusal:
+    """`argv extra --out {out}` is a usage error, since argv's subcommand
+    takes none of `extra`."""
+    return Refusal((*argv, *extra, "--out", "{out}"), 2,
+                   f"coref-semscore: error: unrecognized arguments: {' '.join(extra)}\n",
+                   files or {}, usage=True)
+
+
+def typed_block(counts=(1, 0, 0), mode="mention", **row) -> dict:
+    """A typed block as eval writes it, with one PER row of (tp, fp, fn)
+    `counts`, and the fields in `row` put over that row."""
+    source = "predicted" if mode == "link" else None
+    scores = {"PER": ClassScore("PER", *counts)} if counts else {}
+    block = typed_report_dict(TypedScoreReport(mode, scores, 0, 0, source))
+    if counts:
+        block["per_class"]["PER"].update(row)
+    return block
+
+
+def _both_blocks(**row) -> dict:
+    """Both typed blocks with one PER row of counts tp 0, fp 1, fn 1, and
+    the fields in `row` put over the mention row."""
+    return {"typed_mention": typed_block((0, 1, 1), **row),
+            "typed_link": typed_block((0, 1, 1), mode="link")}
+
+
+UNDECODABLE = (b"\xff\xfe\x00",
+               "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte")
+NOT_JSON = ("{oops", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)")
+GOLD = {"doc_id": "d0", "tokens": ["a"], "gold_clusters": [[[0, 1]]]}
+PRED = {"doc_id": "d0", "tokens": ["a"], "predicted_clusters": [[[0, 1]]]}
+PAIR = {"doc_id": "d0", "tokens": ["a", "b"], "gold_clusters": [[[0, 1], [1, 2]]],
+        "predicted_clusters": [[[0, 1], [1, 2]]]}
+
+# Corpora that `eval --classic` reads as bad.jsonl: (content, message after the name).
+BAD_CORPORA = {
+    "undecodable": UNDECODABLE,
+    "not-json": (json.dumps(GOLD) + "\n" + NOT_JSON[0], f"line 2: invalid JSON: {NOT_JSON[1]}"),
+    "span-out-of-range": ({**GOLD, "gold_clusters": [[[0, 9]]]}, "line 1: doc 'd0': "
+                          "gold_clusters[0].mentions[0]: span [0, 9) out of range (1 tokens)"),
+    **{f"{field}={json.dumps(value)}": ({**PAIR, field: value}, f"line 1: {message}")
+       for field, value, message in [
+           ("tokens", 1.5, "tokens: expected a list of token strings, got float"),
+           ("tokens", None, "tokens: expected a list of token strings, got NoneType"),
+           ("gold_clusters", [7], "gold_clusters[0]: expected a list of [start, end] pairs, got "
+            "int"),
+           ("gold_clusters", [[[0, 1.5]]], "gold_clusters[0][0]: span bounds must be integers, "
+            "got [0, 1.5]"),
+           ("cluster_labels", {"gold": [["PER"]]},
+            "gold_clusters[0]: label must be a string or null, got ['PER']"),
+           ("cluster_labels", {"gold": 1},
+            "cluster_labels[gold]: expected a list as long as gold_clusters"),
+           ("mention_labels", {"gold": [["PER"]]},
+            "mention_labels[gold][0]: expected a list as long as gold_clusters[0]"),
+           ("mention_labels", {"gold": [[None, 4]]},
+            "gold_clusters[0][1]: label must be a string or null, got 4"),
+           ("mention_overlaps", {"gold": [[[1.0], None]]}, "gold_clusters[0][0]: float() "
+            "argument must be a string or a real number, not 'list'"),
+           ("sentence_boundaries", 3, "sentence_boundaries: expected a list of token indices, "
+            "got int"),
+           *(("sentence_boundaries", value,
+              f"sentence_boundaries: token indices must be integers, got {value}")
+             for value in (["x"], [1.5, True], [0, True])),
+           *(("sentence_boundaries", value, "sentence_boundaries: token indices must be "
+              f"strictly increasing and in [0, 2), got {value}")
+             for value in ([5, -1], [0, 0], [2])),
+       ]},
+}
+
+# For each option, a run that reads the file bad.input as that option's input.
+BAD_INPUT_RUNS = {
+    "--gold": ("eval", "--typed-mention", "--gold", "bad.input", "--pred", "{corpus}"),
+    "--pred": ("eval", "--typed-mention", "--gold", "{corpus}", "--pred", "bad.input"),
+    "--cner": ("eval", "--typed-mention", "--gold", "{corpus}", "--cner", "bad.input"),
+    "--pronouns": ("coverage", "--gold", "{corpus}", "--pronouns", "bad.input"),
+    "--reference": ("validate-labels", "--gold", "{corpus}", "--reference", "bad.input"),
+}
+# bad.input files: (option, content, message after the name).
+BAD_INPUTS = {
+    **{f"{option[2:]}-undecodable": (option, *UNDECODABLE) for option in BAD_INPUT_RUNS},
+    "gold-tokens": ("--gold", {"doc_id": "d0", "tokens": 5}, "line 1: tokens: expected a list of "
+                    "token strings, got int"),
+    "gold-repeated-key": ("--gold", '{"doc_id": "d0", "tokens": ["a"], "gold_clusters": '
+                          '[[[0, 1]]], "gold_clusters": []}',
+                          "line 1: repeated JSON key 'gold_clusters'"),
+    "pred-no-tokens": ("--pred", '\n{"doc_id": "d0"}\n', "line 2: missing required field 'tokens'"),
+    "pred-repeated-key": ("--pred", '\n{"doc_id": "d0", "tokens": [], "predicted_clusters": '
+                          '[[[7, 9]]], "tokens": []}', "line 2: repeated JSON key 'tokens'"),
+    "cner-float-bound": ("--cner", {"doc_id": "mini0000_0", "cner": [[7, 9.5, "PER"]]},
+                         "line 1: cner[0]: span bounds must be integers, got [7, 9.5]"),
+    "cner-out-of-range": ("--cner", {"doc_id": "mini0000_0", "cner": [[7, 99, "PER"]]},
+                          "doc 'mini0000_0': semantic_spans[0]: span [7, 99) out of range "
+                          "(73 tokens)"),
+    "cner-repeated-key": ("--cner", '{"doc_id": "d0", "cner": [[7, 9, "PER"]], "cner": []}',
+                          "line 1: repeated JSON key 'cner'"),
+    "reference-not-json": ("--reference", *NOT_JSON),
+}
+
+# The runs that read report.json as their first eval report.
+REPORT_READERS = {
+    "compare": ("compare", "-a", "report.json", "-b", "{report}"),
+    "pool-counts": ("compare", "-a", "report.json", "-b", "{report}", "--pool-counts"),
+    "diagnose": ("diagnose", "--eval-report", "report.json"),
+}
+# Eval reports that compare and diagnose refuse: (content, message after "report.json: ").
+BAD_REPORTS = {
+    "undecodable": UNDECODABLE,
+    "not-json": NOT_JSON,
+    "repeated-key": (json.dumps({"typed_mention": typed_block()}).replace(
+        '"macro_f1":', '"macro_f1": 0.0, "macro_f1":', 1), "repeated JSON key 'macro_f1'"),
+    "list": ([], "expected a JSON object"),
+    **{f"config={json.dumps(config)}": ({"config": config}, "config must be a JSON object")
+       for config in (["gold.jsonl"], [], 0, False, "")},
+    "gold-list": ({"config": {"gold": ["a.jsonl"]}}, "config.gold must be a string"),
+    "block-list": ({"typed_link": ["PER"]}, "typed_link: expected a JSON object"),
+    "per-class-list": ({"typed_link": {**typed_block(mode="link"), "per_class": []}},
+                       "typed_link: per_class must be a JSON object, got []"),
+    **{name: ({"typed_mention": block}, f"typed_mention: {problem}") for name, block, problem in [
+        ("mode-missing", {}, "mode is missing"),
+        ("tp-missing", {**typed_block(), "per_class": {"PER": {"f1": 1.0}}},
+         "per_class.PER.tp is missing"),
+        *((f"tp={tp}", typed_block((1, 1, 1), tp=tp),
+           f"per_class.PER.tp must be an integer >= 0, got {tp}") for tp in (-5, 2.5, True)),
+        ("support-not-tp-plus-fn", typed_block((1, 0, 1), support=3),
+         "per_class.PER.support is 3, but its counts give 2"),
+        ("float-support", typed_block(support=1.0),
+         "per_class.PER.support is 1.0, but its counts give 1"),
+        *((f"f1={f1!r}", typed_block(f1=f1), f"per_class.PER.f1 is {f1!r}, but its counts give 1.0")
+          for f1 in ("1.0", float("inf"), 0.25)),
+        ("macro-f1-nan", {**typed_block(), "macro_f1": float("nan")},
+         "macro_f1 is nan, but its counts give 1.0"),
+        ("macro-f1-above-1", {**typed_block(None), "macro_f1": 1.5},
+         "macro_f1 is 1.5, but its counts give 0.0"),
+    ]},
+    **{f"f1={f1}-support={support}": (_both_blocks(f1=f1, support=support),
+                                      f"typed_mention: per_class.PER.{problem}")
+       for f1, support, problem in [(2.5, 3, "f1 is 2.5, but its counts give 0.0"),
+                                    (-0.5, 3, "f1 is -0.5, but its counts give 0.0"),
+                                    (0.5, -1, "f1 is 0.5, but its counts give 0.0"),
+                                    (0.0, -1, "support is -1, but its counts give 1")]},
+}
+
+# COREF_SEMSCORE_INVENTORY files: (run, content, message after the name).
+BAD_INVENTORIES = {
+    "alias-twice": (("coverage", "--gold", "{corpus}"),
+                    [{"label": "FOO", "aliases": ["X"]}, {"label": "BAR", "aliases": ["X"]}],
+                    "alias 'X' maps to both FOO and BAR"),
+    "repeated-key": (("coverage", "--gold", "{corpus}"), '[{"label": "FOO", "label": "PER"}]',
+                     "repeated JSON key 'label'"),
+    "alias-is-a-label": (("eval", "--gold", "{corpus}", "--classic"),
+                         [{"label": "LOC", "aliases": ["org"]}, {"label": "ORG"}],
+                         "alias 'ORG' of LOC is the label of category ORG, so it would never "
+                         "apply"),
+    "entry-without-label": (("eval", "--gold", "{corpus}", "--classic"),
+                            [{"description": "no label"}],
+                            "inventory entry 0: expected an object with a string label"),
+    "aliases-string": (("eval", "--gold", "{corpus}", "--classic"),
+                       [{"label": "FOO", "aliases": "FOOBAR"}],
+                       "inventory entry 0: aliases must be a list of strings"),
+    "object": (("eval", "--gold", "{corpus}", "--classic"), {"label": "FOO"},
+               "inventory file must contain a JSON list"),
+}
+
+# --reference files of validate-labels: (content, message after "ref.json: ").
+BAD_REFERENCES = {
+    "list": (["mini0000_0", {"0": "PER"}], "expected a JSON object {doc_id: {cluster_index: "
+             "label}}"),
+    "key-not-an-index": ({"mini0000_0": {"first": "PER"}}, "doc 'mini0000_0', key 'first': "
+                         "cluster index must be a non-negative integer"),
+    "doc-list": ({"mini0000_0": ["PER"]},
+                 "doc 'mini0000_0': expected an object {cluster_index: label}"),
+    "label-number": ({"mini0000_0": {"0": 3}},
+                     "doc 'mini0000_0', key '0': label must be a string, got 3"),
+    "label-unknown": ({"mini0000_0": {"0": "P3R"}}, "doc 'mini0000_0', key '0': "
+                      "bad category label 'P3R': expected letters only"),
+    "cluster-twice": ({"mini0000_0": {"0": "PER", "00": "LOC"}}, "doc 'mini0000_0', key '00': "
+                      "cluster 0 already has a label from another key"),
+    "repeated-key": ('{"mini0000_0": {"0": "PER", "0": "LOC"}}', "repeated JSON key '0'"),
+    "repeated-doc": ('{"mini0000_0": {"0": "PER"}, "mini0000_0": {"1": "LOC"}}',
+                     "repeated JSON key 'mini0000_0'"),
+}
+
+# CoNLL files of eval --format conll: (content, message after "x.conll: ").
+BAD_CONLL = {
+    "nested-begin": ("#begin document (a)\n#begin document (b)\n",
+                     "line 2: new document begins before #end document"),
+    "bad-header": ("#begin document a\n", "line 1: malformed #begin document header"),
+    "end-without-begin": ("#end document\n", "line 1: #end document without a begin"),
+    "token-outside": ("a 0 0 w X -\n", "line 1: token line outside any document"),
+    "few-columns": ("#begin document (a)\na 0 0 w\n#end document\n",
+                    "line 2: expected at least 5 columns, got 4"),
+}
+
+# --cner files for a corpus of one document doc1 of two tokens.
+BAD_CNER = {
+    "out-of-range": ({"doc_id": "doc1", "cner": [[0, 9, "PER"]]},
+                     "doc 'doc1': semantic_spans[0]: span [0, 9) out of range (2 tokens)"),
+    "without-cner": ({"doc_id": "doc1"}, "line 1: missing required field 'cner'"),
+    "unknown-doc": ({"doc_id": "nope", "cner": []}, "cner corpus has unknown doc_ids: nope"),
+}
+
+# Eval reports of command_inputs that compare refuses against {report}.
+DIFFERENT_REPORTS = {
+    "other_gold_report": "config.gold differs (['corpus.jsonl'] vs ['short_pred.jsonl'])",
+    "tau_report": "config.tau differs (0.5 vs 0.9)",
+    "inclusive_report": "config.tau_inclusive differs (False vs True)",
+    "forced_report": "config.force_cluster_label differs (False vs True)",
+    "gold_source_report": "config.link_mention_source differs ('predicted' vs 'gold')",
+    "other_corpus_report": "typed_mention support of ANIMAL differs (53 vs 49)",
+}
+
+NO_SPANS = "typed scoring requires semantic spans (--cner or a cner field) or an already-labeled "
+PAIRED = ("eval", "--gold", "gold.jsonl", "--pred", "pred.jsonl")
+INVENTORY = {"COREF_SEMSCORE_INVENTORY": "inv.json"}
+
+# Every run that exits 2 or 3, with its exact stderr.
+REFUSALS = {
+    # Options a command does not take, and values an option does not take.
+    **{f"{argv[0]}-pronouns": _unrecognized((*argv, "--gold", "{corpus}"), "--pronouns",
+                                            "pronouns.txt", files={"pronouns.txt": "he\n"})
+       for argv in [("eval", "--classic"), ("distribution",),
+                    ("validate-labels", "--reference", "{reference}")]},
+    **{f"{argv[0]}-force": _unrecognized(argv, "--force-cluster-label")
+       for argv in [("coverage", "--gold", "{corpus}"),
+                    ("validate-labels", "--gold", "{corpus}", "--reference", "{reference}")]},
+    "distribution-pred": _unrecognized(("distribution", "--gold", "{corpus}"), "--pred",
+                                       "{corpus}"),
+    "diagnose-distribution-report": _unrecognized(("diagnose", "--eval-report", "{report}"),
+                                                  "--distribution-report", "d.json"),
+    **{f"diagnose{option}={value}": _usage(
+        ("diagnose", "--eval-report", "{report}", option, value),
+        f"argument {option}: must be a finite number >= 0, got {value!r}")
+       for option, value in [("--w-mention", "nan"), ("--w-link", "inf"), ("--w-link", "-0.5"),
+                             ("--rarity-cap", "-5"), ("--rarity-cap", "abc")]},
+    "label-without-out": Refusal(("label", "--gold", "missing.jsonl"), 2, "coref-semscore label: "
+                                 "error: the following arguments are required: --out\n",
+                                 usage=True),
+    "label-empty-out": Refusal(("label", "--gold", "missing.jsonl", "--out", ""), 2,
+                               "error: label requires a non-empty --out\n"),
+    "eval-without-mode": _refusal(("eval", "--gold", "{corpus}"), "eval requires at least one "
+                                  "of --typed-mention, --typed-link, --classic"),
+    "diagnose-composite-overflows": _refusal(
+        ("diagnose", "--eval-report", "report.json", "--w-mention", "1.7e308", "--w-link",
+         "1.7e308"), "composite of PER is not a finite number with --w-mention 1.7e+308, "
+        "--w-link 1.7e+308 and --rarity-cap 0.2; use smaller weights",
+        {"report.json": _both_blocks()}),
+    # Inputs that cannot be read.
+    **{f"corpus-{name}": _refusal(("eval", "--gold", "bad.jsonl", "--classic"),
+                                  f"bad.jsonl: {message}", {"bad.jsonl": content})
+       for name, (content, message) in BAD_CORPORA.items()},
+    **{f"input-{name}": _refusal(BAD_INPUT_RUNS[option], f"bad.input: {message}",
+                                 {"bad.input": content})
+       for name, (option, content, message) in BAD_INPUTS.items()},
+    **{f"report-{name}-{reader}": _refusal(argv, f"report.json: {message}",
+                                           {"report.json": content})
+       for name, (content, message) in BAD_REPORTS.items()
+       for reader, argv in REPORT_READERS.items()},
+    **{f"inventory-{name}": _refusal(argv, f"COREF_SEMSCORE_INVENTORY=inv.json: {message}",
+                                     {"inv.json": content}, env=INVENTORY)
+       for name, (argv, content, message) in BAD_INVENTORIES.items()},
+    "inventory-without-a-corpus-label": _refusal(
+        ("label", "--gold", "gold.jsonl"), "gold.jsonl: line 1: cner[0]: unknown category label "
+        "'PER'", {"inv.json": [{"label": "FOO"}], "gold.jsonl": {**GOLD, "cner": [[0, 1, "PER"]]}},
+        env=INVENTORY),
+    **{f"reference-{name}": _refusal(
+        ("validate-labels", "--gold", "{corpus}", "--reference", "ref.json"),
+        f"ref.json: {message}", {"ref.json": content})
+       for name, (content, message) in BAD_REFERENCES.items()},
+    **{f"conll-{name}": _refusal(("eval", "--gold", "x.conll", "--pred", "x.conll", "--format",
+                                  "conll", "--classic"), f"x.conll: {message}",
+                                 {"x.conll": content})
+       for name, (content, message) in BAD_CONLL.items()},
+    **{f"cner-{name}": _refusal(("eval", "--gold", "gold.jsonl", "--cner", "c.jsonl",
+                                 "--typed-link"), f"c.jsonl: {message}",
+                                {"gold.jsonl": {**PAIR, "doc_id": "doc1"}, "c.jsonl": record})
+       for name, (record, message) in BAD_CNER.items()},
+    # Inputs that do not go together.
+    "pred-without-clusters": _refusal((*PAIRED, "--classic"), "pred.jsonl: no predicted_clusters "
+                                      "in prediction file",
+                                      {"gold.jsonl": GOLD, "pred.jsonl": GOLD}),
+    "pred-tokens-differ": _refusal((*PAIRED, "--classic"), "doc 'd0': token sequences differ "
+                                   "between files",
+                                   {"gold.jsonl": GOLD, "pred.jsonl": {**PRED, "tokens": ["b"]}}),
+    "pred-doc-ids-differ": _refusal((*PAIRED, "--classic"), "missing from predicted corpus: d0; "
+                                    "missing from gold corpus: d1",
+                                    {"gold.jsonl": GOLD, "pred.jsonl": {**PRED, "doc_id": "d1"}}),
+    "reference-unknown-doc": _refusal(
+        ("validate-labels", "--gold", "{corpus}", "--reference", "ref.json"),
+        "reference key ('nope', 0) matches no document", {"ref.json": {"nope": {"0": "PER"}}}),
+    **{f"eval-reuse-tau-0.1-at-0.9{''.join(flag)}": _refusal(
+        ("eval", "--gold", "{labeled}", "--tau", "0.9", *flag, "--typed-mention", "--typed-link"),
+        "cannot reuse the gold labels of doc 'mini0000_0': span [71, 72) has a direct label at "
+        f"overlap 0.5, not {test} tau 0.9; label the unlabeled corpus at this tau")
+       for flag, test in [((), ">"), (("--tau-inclusive",), ">=")]},
+    "compare-report-counts": _refusal(
+        ("compare", "-a", "{report}", "-a", "{classic_report}", "-b", "{report}"),
+        "cannot compare {report}, {classic_report} with {report}: system A has 2 reports and "
+        "system B has 1"),
+    "compare-mode-in-some-reports": _refusal(
+        ("compare", "-a", "{report}", "-a", "{classic_report}", "-b", "{report}", "-b",
+         "{report}"), "system A: mode typed_mention present in some reports but not all"),
+    "compare-mode-mismatch": _refusal(("compare", "-a", "{report}", "-b", "{mention_report}"),
+                                      "mode mismatch: typed_link present in only one system"),
+    "compare-no-typed-mode": _refusal(
+        ("compare", "-a", "{classic_report}", "-b", "{classic_report}"),
+        "no typed scoring mode shared by the two reports"),
+    "diagnose-no-typed-mode": _refusal(
+        ("diagnose", "--eval-report", "{classic_report}"),
+        "diagnosis needs at least one typed mode in the eval report"),
+    **{f"compare-{name}": _refusal(("compare", "-a", "{report}", "-b", f"{{{name}}}"),
+                                   f"cannot compare {{report}} with {{{name}}}: {difference}")
+       for name, difference in DIFFERENT_REPORTS.items()},
+    # Modes whose inputs are missing.
+    "eval-typed-without-spans": _refusal(("eval", "--gold", "{no_spans}", "--typed-mention"),
+                                         f"{NO_SPANS}corpus; unlabeled side: gold, predicted",
+                                         code=3),
+    "eval-pred-without-spans": _refusal(
+        (*PAIRED, "--typed-mention"), f"{NO_SPANS}corpus; unlabeled side: predicted",
+        {"gold.jsonl": {**GOLD, "cluster_labels": {"gold": ["PER"]}}, "pred.jsonl": PRED}, code=3),
+    "eval-without-predictions": _refusal(
+        ("eval", "--gold", "gold.jsonl", "--classic"), "evaluation requires predicted clusters "
+        "(--pred or a predicted_clusters field)", {"gold.jsonl": GOLD}, code=3),
+}
+
+
+def _fill(text: str, inputs: dict, out: Path) -> str:
+    """`text` with {out} and each {name} of `inputs` replaced by its path."""
+    for name, path in {**inputs, "out": str(out)}.items():
+        text = text.replace(f"{{{name}}}", path)
+    return text
+
+
+def _argv(command, inputs: dict, out: Path) -> list[str]:
+    return [_fill(arg, inputs, out) for arg in command.argv]
 
 
 def _files(out: Path) -> dict:
@@ -170,19 +562,25 @@ def _run_here(argv: list[str], capsys) -> tuple[int, str, str]:
 
 
 def _cyclic_garbage(argv: list[str]) -> tuple[int, Counter]:
-    """main(argv)'s exit code, and the types of what a collection right after
-    it finds, with the collector held off so that nothing is collected unseen."""
+    """main(argv)'s exit code, or its usage error's, and the types of what a
+    collection right after it finds among the objects made since it began,
+    with the collector held off so that nothing is collected unseen.  The
+    objects made before are frozen, so the collection walks only the new."""
     enabled = gc.isenabled()
     gc.disable()
-    gc.collect()
+    gc.freeze()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
         gc.collect()
         return code, Counter(f"{type(o).__module__}.{type(o).__qualname__}" for o in gc.garbage)
     finally:
         gc.set_debug(0)
         gc.garbage.clear()
+        gc.unfreeze()
         if enabled:
             gc.enable()
 
@@ -233,3 +631,26 @@ def test_command_leaves_no_model_cycles(tmp_path, corpora, capsys, command):
         found.append(garbage)
     assert not [name for name in found[0] if name.startswith("coref_semscore.")]
     assert found[0] == found[1]
+
+
+@pytest.mark.parametrize("refusal", REFUSALS.values(), ids=REFUSALS)
+def test_refusal_prints_its_message_only(tmp_path, corpora, capsys, monkeypatch, refusal):
+    # Exit code, exact stderr (a usage error's last line), empty stdout,
+    # nothing under --out, and no package object left for the collector.
+    monkeypatch.chdir(tmp_path)
+    for name, content in refusal.files.items():
+        path = tmp_path / name
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content, encoding="utf-8")
+    for name, value in refusal.env.items():
+        monkeypatch.setenv(name, value)
+    inputs, out = corpora[1], tmp_path / "out"
+    capsys.readouterr()
+    code, garbage = _cyclic_garbage(_argv(refusal, inputs, out))
+    printed = capsys.readouterr()
+    err = printed.err.splitlines(keepends=True)[-1] if refusal.usage else printed.err
+    assert (code, err, printed.out, out.exists()) == (
+        refusal.code, _fill(refusal.stderr, inputs, out), "", False)
+    assert not [name for name in garbage if name.startswith("coref_semscore.")]

@@ -391,6 +391,12 @@ class TestConllReader:
         (cluster,) = docs[0].gold_clusters
         assert [(m.span.start, m.span.end) for m in cluster.mentions] == [(7, 8)]
 
+    def test_comment_line_inside_a_document_is_skipped(self):
+        text = CONLL_TWO_SENTENCES.replace("wsj/test 0 2 met", "# a comment of five columns\n"
+                                           "wsj/test 0 2 met")
+        assert read_conll2012(io.StringIO(text)) == read_conll2012(
+            io.StringIO(CONLL_TWO_SENTENCES))
+
     def test_unannotated_document_has_no_clusters(self):
         text = CONLL_SINGLE_TOKEN.replace("(3)", "-")
         docs = read_conll2012(io.StringIO(text))

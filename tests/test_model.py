@@ -163,6 +163,15 @@ class TestValidateDocument:
         assert any("doc_id" in v for v in validate_document(doc))
 
 
+class TestDocumentSides:
+    def test_unknown_side_is_refused(self):
+        doc = Document(doc_id="d0", tokens=("a",))
+        with pytest.raises(ValueError, match="unknown side 'system'"):
+            doc.clusters("system")
+        with pytest.raises(ValueError, match="unknown side 'system'"):
+            doc.with_clusters("system", ())
+
+
 class TestLabels:
     def test_normalize(self):
         assert normalize_label(" per ") == "PER"

@@ -193,6 +193,11 @@ class TestTypedLinkScores:
         clean = typed_link_scores(tables_of([doc]))
         assert clean.containment_violations is None
 
+    def test_unknown_link_mention_source_is_refused(self):
+        doc = _doc("d0", 4, [_cluster([(0, 1), (2, 3)], "PER")], [])
+        with pytest.raises(ValueError, match="unknown link_mention_source 'system'"):
+            typed_link_scores(tables_of([doc]), "system")
+
     def test_unlabeled_cluster_changes_no_typed_count(self):
         records, docs = _labeled_random_docs(13, 8)
         base = typed_link_scores(tables_of(docs))

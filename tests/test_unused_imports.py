@@ -1,7 +1,8 @@
-"""Every import in a package module is used by that module.
+"""Every import in a package module, a test module or a script is used by
+that module.
 
 An import whose line says `# noqa: F401` is kept on purpose and skipped.
-__init__.py re-exports what it imports, so it is not checked.
+The package's __init__.py re-exports what it imports, so it is not checked.
 """
 
 import ast
@@ -9,8 +10,13 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "coref_semscore"
-MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted([
+    *(path for path in (ROOT / "src" / "coref_semscore").glob("*.py")
+      if path.name != "__init__.py"),
+    *(ROOT / "tests").glob("*.py"),
+    *(ROOT / "scripts").glob("*.py"),
+])
 
 
 def unused_imports(source: str) -> list[str]:
