@@ -366,7 +366,7 @@ def cmd_validate_labels(args) -> int:
     try:
         agreement = label_reports.label_agreement(reference, docs)
     except KeyError as exc:
-        raise CliError(EXIT_INPUT, str(exc.args[0])) from exc
+        raise CliError(EXIT_INPUT, f"{args.reference}: {exc.args[0]}") from exc
     result = label_reports.agreement_report_dict(agreement)
     _publish(args, "agreement", result, json_text(result))
     return EXIT_OK
@@ -446,7 +446,24 @@ def build_parser() -> argparse.ArgumentParser:
                    help="JSON file {doc_id: {cluster_index: label}}")
     p.set_defaults(func=cmd_validate_labels)
 
+    for command in sub.choices.values():
+        command.set_defaults(command_parser=command)
     return parser
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """argv parsed, with an option that the subcommand does not take
+    reported by the subcommand's parser, with its usage.  The subcommand
+    takes every argument after its name, so an unknown option is the
+    top-level parser's to report only when something comes before that
+    name."""
+    parser = build_parser()
+    args, extras = parser.parse_known_args(argv)
+    if extras:
+        first = (sys.argv[1:] if argv is None else argv)[0]
+        reporter = args.command_parser if first == args.command else parser
+        reporter.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def main(argv=None) -> int:
@@ -462,7 +479,7 @@ def main(argv=None) -> int:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse_args(argv)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc.message}", file=sys.stderr)

@@ -5,8 +5,9 @@ semantic span by token-level Jaccard similarity and keeps that span's
 label when the score beats the threshold.  Step two (propagation) votes a
 label per cluster over its directly labeled mentions and writes it onto
 every member, pronouns included; clusters with no directly labeled
-mention stay unlabeled.  One label_documents pass builds each distinct
-labeled Mention once (_Labeled) and aligns a span once per document.
+mention stay unlabeled.  A label_documents pass aligns each mention span
+once per document and builds the direct Mention of that alignment once,
+so the gold and predicted mentions at one span of one document share it.
 
 The coverage report lives here too; the label-distribution and
 reference-agreement reports are in label_reports.
@@ -106,21 +107,6 @@ _NONE, _DIRECT, _PROPAGATED = LabelSource.NONE, LabelSource.DIRECT, LabelSource.
 _Direct = tuple[str, float, Mention]
 
 
-class _Labeled(dict):
-    """The labeled Mentions of one labeling pass, each built once per
-    distinct value: (span, label, overlap) keys a direct Mention and
-    (span, label) a propagated one."""
-
-    __slots__ = ()
-
-    def __missing__(self, key: tuple) -> Mention:
-        mention = self[key] = (
-            Mention(key[0], key[1], _DIRECT, key[2]) if len(key) == 3
-            else Mention(key[0], key[1], _PROPAGATED)
-        )
-        return mention
-
-
 class _Alignments(dict):
     """Span -> the direct assignment of a mention at that span in one
     document, or None when its best overlap does not pass tau.
@@ -130,16 +116,14 @@ class _Alignments(dict):
     table serves every mention of one document, on both sides.
     """
 
-    __slots__ = ("_ordered", "_starts", "_longest", "_cfg", "_made")
+    __slots__ = ("_ordered", "_starts", "_longest", "_cfg")
 
-    def __init__(
-        self, semantic_spans: Iterable[SemanticSpan], cfg: LabelingConfig, made: _Labeled
-    ) -> None:
+    def __init__(self, semantic_spans: Iterable[SemanticSpan], cfg: LabelingConfig) -> None:
         self._ordered = sorted(semantic_spans, key=attrgetter("span"))
         spans = [sem.span for sem in self._ordered]
         self._starts = [start for start, _ in spans]
         self._longest = max([end - start for start, end in spans], default=0)
-        self._cfg, self._made = cfg, made
+        self._cfg = cfg
 
     def __missing__(self, span: Span) -> _Direct | None:
         """The label and Jaccard score of the best-overlapping semantic
@@ -168,14 +152,13 @@ class _Alignments(dict):
         aligned = None
         if best_key is not None and self._cfg.passes(best_score):
             label = best_key[2]
-            aligned = label, best_score, self._made[span, label, best_score]
+            aligned = label, best_score, Mention(span, label, _DIRECT, best_score)
         self[span] = aligned
         return aligned
 
 
 def _relabel(
-    cluster: Cluster, direct: Sequence[_Direct | None], label: str | None, force: bool,
-    made: _Labeled,
+    cluster: Cluster, direct: Sequence[_Direct | None], label: str | None, force: bool
 ) -> Cluster:
     """The cluster rebuilt with `label` and its mentions' labels: the one
     place a labeled Cluster is built.
@@ -183,13 +166,12 @@ def _relabel(
     `direct` holds each mention's direct assignment, or None.  A direct
     mention keeps its own label and Mention, or takes `label` when `force`
     is set (which needs a `label`); any other mention takes `label` as
-    propagated, or is left unlabeled when `label` is None.  A labeled
-    Mention that is not kept comes from `made`.  The spans are those of
-    `cluster`, already checked when it was built.
+    propagated, or is left unlabeled when `label` is None.  The spans are
+    those of `cluster`, already checked when it was built.
     """
     return _trusted_cluster(tuple([
-        (made[m.span, label, entry[1]] if force else entry[2]) if entry is not None
-        else made[m.span, label] if label is not None
+        (Mention(m.span, label, _DIRECT, entry[1]) if force else entry[2]) if entry is not None
+        else Mention(m.span, label, _PROPAGATED) if label is not None
         else m if m.label_source is _NONE
         else Mention(m.span)
         for m, entry in zip(cluster.mentions, direct)
@@ -202,10 +184,9 @@ def assign_mentions(doc: Document, cfg: LabelingConfig, side: str) -> Document:
     Replaces any previous labels on the chosen side; mentions without a
     sufficiently overlapping semantic span are left unlabeled.
     """
-    made = _Labeled()
-    aligned = _Alignments(doc.semantic_spans, cfg, made)
+    aligned = _Alignments(doc.semantic_spans, cfg)
     return doc.with_clusters(side, [
-        _relabel(c, [aligned[m.span] for m in c.mentions], None, False, made)
+        _relabel(c, [aligned[m.span] for m in c.mentions], None, False)
         for c in doc.clusters(side)
     ])
 
@@ -240,25 +221,23 @@ def propagate(doc: Document, cfg: LabelingConfig, side: str) -> Document:
     label and every propagated mention label are cleared.  Applying this
     twice changes nothing.
     """
-    new_clusters, made = [], _Labeled()
+    new_clusters = []
     for cluster in doc.clusters(side):
         direct = [
             (m.assigned_label, m.assignment_overlap, m) if m.label_source is _DIRECT else None
             for m in cluster.mentions
         ]
-        new_clusters.append(_relabel(cluster, direct, _vote(direct), cfg.force_cluster_label, made))
+        new_clusters.append(_relabel(cluster, direct, _vote(direct), cfg.force_cluster_label))
     return doc.with_clusters(side, new_clusters)
 
 
-def _label_document(
-    doc: Document, cfg: LabelingConfig, sides: Sequence[str], made: _Labeled
-) -> Document:
+def _label_document(doc: Document, cfg: LabelingConfig, sides: Sequence[str]) -> Document:
     """Assignment then propagation on each of `sides` that has clusters,
     equal to propagate(assign_mentions(doc, cfg, side), cfg, side) side by
-    side, taking labeled Mentions from `made`: one loop per side, in which
-    each mention span of the document is aligned once and a cluster is
-    voted on only when its direct labels disagree."""
-    aligned = _Alignments(doc.semantic_spans, cfg, made)
+    side: one loop per side, in which each mention span of the document is
+    aligned once and a cluster is voted on only when its direct labels
+    disagree."""
+    aligned = _Alignments(doc.semantic_spans, cfg)
     labeled = {}
     for side in sides:
         clusters = []
@@ -266,7 +245,7 @@ def _label_document(
             direct = [aligned[m.span] for m in cluster.mentions]
             labels = {entry[0] for entry in direct if entry is not None}
             label = _vote(direct) if len(labels) > 1 else labels.pop() if labels else None
-            clusters.append(_relabel(cluster, direct, label, cfg.force_cluster_label, made))
+            clusters.append(_relabel(cluster, direct, label, cfg.force_cluster_label))
         if clusters:
             labeled[f"{side}_clusters"] = clusters
     return doc._replace(**labeled) if labeled else doc
@@ -278,8 +257,8 @@ def label_documents(
     sides: Sequence[str] = SIDES,
 ) -> list[Document]:
     """Run assignment and propagation over a corpus, on both sides by default."""
-    cfg, made = cfg or LabelingConfig(), _Labeled()
-    return [_label_document(doc, cfg, sides, made) for doc in docs]
+    cfg = cfg or LabelingConfig()
+    return [_label_document(doc, cfg, sides) for doc in docs]
 
 
 class CoverageCounts(NamedTuple):

@@ -198,11 +198,10 @@ def _usage(argv, message: str) -> Refusal:
 
 
 def _unrecognized(argv, *extra: str, files=None) -> Refusal:
-    """`argv extra --out {out}` is a usage error, since argv's subcommand
-    takes none of `extra`."""
-    return Refusal((*argv, *extra, "--out", "{out}"), 2,
-                   f"coref-semscore: error: unrecognized arguments: {' '.join(extra)}\n",
-                   files or {}, usage=True)
+    """`argv extra --out {out}` is a usage error of argv's subcommand,
+    which takes none of `extra`."""
+    return Refusal((*argv, *extra, "--out", "{out}"), 2, f"coref-semscore {argv[0]}: error: "
+                   f"unrecognized arguments: {' '.join(extra)}\n", files or {}, usage=True)
 
 
 def typed_block(counts=(1, 0, 0), mode="mention", **row) -> dict:
@@ -426,6 +425,12 @@ REFUSALS = {
                                        "{corpus}"),
     "diagnose-distribution-report": _unrecognized(("diagnose", "--eval-report", "{report}"),
                                                   "--distribution-report", "d.json"),
+    "label-typed-mention": _unrecognized(("label", "--gold", "{corpus}"), "--typed-mention"),
+    "compare-tau": _unrecognized(("compare", "-a", "{report}", "-b", "{report}"), "--tau",
+                                 "0.5"),
+    "option-before-command": Refusal(
+        ("--bogus", "eval", "--gold", "{corpus}", "--classic", "--out", "{out}"), 2,
+        "coref-semscore: error: unrecognized arguments: --bogus\n", usage=True),
     **{f"diagnose{option}={value}": _usage(
         ("diagnose", "--eval-report", "{report}", option, value),
         f"argument {option}: must be a finite number >= 0, got {value!r}")
@@ -485,7 +490,12 @@ REFUSALS = {
                                     {"gold.jsonl": GOLD, "pred.jsonl": {**PRED, "doc_id": "d1"}}),
     "reference-unknown-doc": _refusal(
         ("validate-labels", "--gold", "{corpus}", "--reference", "ref.json"),
-        "reference key ('nope', 0) matches no document", {"ref.json": {"nope": {"0": "PER"}}}),
+        "ref.json: reference key ('nope', 0) matches no document",
+        {"ref.json": {"nope": {"0": "PER"}}}),
+    "reference-index-out-of-range": _refusal(
+        ("validate-labels", "--gold", "{corpus}", "--reference", "ref.json"),
+        "ref.json: reference key ('mini0000_0', 3) is out of range: document has 3 gold "
+        "clusters", {"ref.json": {"mini0000_0": {"3": "PER"}}}),
     **{f"eval-reuse-tau-0.1-at-0.9{''.join(flag)}": _refusal(
         ("eval", "--gold", "{labeled}", "--tau", "0.9", *flag, "--typed-mention", "--typed-link"),
         "cannot reuse the gold labels of doc 'mini0000_0': span [71, 72) has a direct label at "

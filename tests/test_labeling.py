@@ -428,9 +428,10 @@ class TestLabelDocument:
 
 
 class TestSharedValues:
-    """One labeling pass builds each distinct labeled Mention once and
-    aligns each span once per document, with the result of labeling every
-    document on its own."""
+    """One labeling pass aligns each span once per document, and the gold
+    and predicted mentions at one span of one document share the direct
+    Mention of that alignment, with the result of labeling every document
+    on its own."""
 
     @staticmethod
     def _corpus():
@@ -439,22 +440,15 @@ class TestSharedValues:
                                 ensure_links=True, ensure_direct=True)
         return records, read_jsonl_corpus(io.StringIO("\n".join(map(json.dumps, records))))
 
-    def test_each_labeled_value_is_built_once_per_pass(self, monkeypatch):
+    def test_direct_mention_is_shared_within_a_document(self):
         _, docs = self._corpus()
-        built = [0]
-        init = Mention.__init__
-
-        def counting(self, *args):
-            built[0] += 1
-            init(self, *args)
-
-        monkeypatch.setattr(Mention, "__init__", counting)
-        labeled = label_documents(docs, CFG)
-        mentions = [m for doc in labeled for side in ("gold", "predicted")
-                    for c in doc.clusters(side) for m in c.mentions
-                    if m.label_source is not LabelSource.NONE]
-        assert built[0] == len(set(mentions)) < len(mentions) / 2
-        assert len({id(m) for m in mentions}) == built[0]
+        shared = 0
+        for doc in label_documents(docs, CFG):
+            direct = [m for side in ("gold", "predicted") for c in doc.clusters(side)
+                      for m in c.mentions if m.label_source is LabelSource.DIRECT]
+            assert len({id(m) for m in direct}) == len({m.span for m in direct})
+            shared += len(direct) - len({m.span for m in direct})
+        assert shared > 0
 
     def test_each_span_is_aligned_once_per_document(self, monkeypatch):
         _, docs = self._corpus()
