@@ -24,10 +24,11 @@ back transparently):
     mention_overlaps        per-mention assignment score in [0, 1], null
                             unless direct
 
-Unknown fields are preserved on round-trip.  The CoNLL-2012 reader, for
-gold clusters only, is in conll2012 and builds each document through
-_documents; there is no CoNLL writer.  One read builds each distinct label
-and unlabeled Mention once (_Shared).
+Unknown fields are preserved on round-trip.  Documents are read only as
+whole corpora: read_jsonl_corpus here and, for gold clusters only,
+read_conll2012 in conll2012 build each document through _documents, which
+words every error with its line number.  There is no CoNLL writer.  One
+read builds each distinct label and unlabeled Mention once (_Shared).
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ def _span(pair, where: str, *index: int) -> Span:
     reject, to word the error, so the field name, where.format(*index), is
     built only then.
     """
-    if isinstance(pair, (list, tuple)) and len(pair) == 2:
+    if isinstance(pair, list) and len(pair) == 2:
         start, end = pair
         if type(start) is int and type(end) is int:
             try:
@@ -262,7 +263,7 @@ def _semantic_spans(
     semantic_spans = []
     violated = False
     for si, triple in enumerate(raw_cner):
-        if not isinstance(triple, (list, tuple)) or len(triple) != 3:
+        if not isinstance(triple, list) or len(triple) != 3:
             raise CorpusFormatError(f"cner[{si}]: expected a [start, end, label] triple")
         start, end, label = triple
         if type(start) is int and type(end) is int and 0 <= start < end <= n:
@@ -286,13 +287,9 @@ def _check(doc: Document) -> None:
         raise CorpusFormatError(f"doc {doc.doc_id!r}: {violations[0]}")
 
 
-def document_from_record(record: dict, inventory: CategoryInventory) -> Document:
-    """Build and validate a Document from a parsed JSONL record."""
-    return _document(record, _Shared(inventory))
-
-
 def _document(record, shared: _Shared) -> Document:
-    """document_from_record in one checked pass over the record.
+    """The validated Document of one parsed record, built in one checked
+    pass over it.
 
     The build raises each field's error as it meets it.  The checks of
     validate_document (span ranges, a span in two clusters of a side, an

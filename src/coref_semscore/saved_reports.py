@@ -173,7 +173,9 @@ def compare_eval_reports(
     Each report is an eval report whose typed_mention and typed_link
     entries are TypedScoreReports or None.  Multi-corpus inputs are
     averaged per system before subtraction (mean of per-corpus F1 values,
-    or pooled counts with pool_counts).
+    or pooled counts with pool_counts).  The two systems must pass
+    check_comparable, so each label has one gold support, which orders
+    the rows.
     """
     out: dict = {
         "corpora_a": list(corpora_a),
@@ -198,8 +200,7 @@ def compare_eval_reports(
         absent = (0.0, 0)
 
         def sort_key(label: str):
-            support = max(stats_a.get(label, absent)[1], stats_b.get(label, absent)[1])
-            return (-support, label)
+            return (-stats_a.get(label, absent)[1], label)
 
         per_class = {}
         for label in sorted(stats_a.keys() | stats_b.keys(), key=sort_key):

@@ -4,9 +4,17 @@ from fractions import Fraction
 import pytest
 
 from coref_semscore.classic_metrics import ceaf_counts
-from coref_semscore.ingest import document_from_record
 from coref_semscore.inventory import CategoryInventory
-from coref_semscore.model import Cluster, Document, Mention, contingency
+from coref_semscore.model import (
+    Cluster,
+    Document,
+    LabelSource,
+    Mention,
+    SemanticSpan,
+    Span,
+    contingency,
+)
+from corpusgen import to_documents
 
 # News-wire fixture: one person entity referenced by name and pronoun, one
 # place entity referenced twice.  The two "Mr. <name>" mentions are exactly
@@ -73,6 +81,30 @@ COMPOSITE_RECORD = {
 }
 
 
+def cluster_of(spans, label=None):
+    """A Cluster of (start, end) spans.  With a label, the cluster and each
+    of its mentions carry it, the mentions as propagated labels."""
+    source = LabelSource.NONE if label is None else LabelSource.PROPAGATED
+    return Cluster(tuple(Mention(Span(*span), label, source) for span in spans), label)
+
+
+def doc_of(gold=(), predicted=(), cner=(), tokens=12, doc_id="d0"):
+    """A Document built straight from span lists, with no reader involved.
+
+    Each cluster of gold and predicted is a Cluster or a list of spans for
+    cluster_of(); cner holds (start, end, label) triples; tokens is the token
+    list, or the number of placeholder tokens t0, t1 and so on.
+    """
+    if isinstance(tokens, int):
+        tokens = [f"t{i}" for i in range(tokens)]
+
+    def clusters(spec):
+        return tuple(c if isinstance(c, Cluster) else cluster_of(c) for c in spec)
+
+    semantic_spans = tuple(SemanticSpan(Span(s, e), label) for s, e, label in cner)
+    return Document(doc_id, tokens, clusters(gold), clusters(predicted), semantic_spans)
+
+
 def tables_of(docs):
     """One overlap table per document, the scorers' input."""
     return [contingency(doc) for doc in docs]
@@ -93,10 +125,7 @@ def best_alignment_total(gold_sets, pred_sets):
     """Maximum total phi4 over one-to-one alignments of clusters given as
     span sets: the CEAF numerator of a one-document corpus whose gold and
     predicted clusters are those sets."""
-    def clusters(span_sets):
-        return tuple(Cluster(tuple(Mention(span) for span in spans)) for spans in span_sets)
-
-    doc = Document("span sets", (), clusters(gold_sets), clusters(pred_sets))
+    doc = doc_of(gold_sets, pred_sets, doc_id="span sets")
     return exact(ceaf_counts(tables_of([doc])).p_num)
 
 
@@ -107,12 +136,12 @@ def inventory():
 
 @pytest.fixture
 def news_doc(inventory):
-    return document_from_record(NEWS_RECORD, inventory)
+    return to_documents([NEWS_RECORD], inventory)[0]
 
 
 @pytest.fixture
 def composite_doc(inventory):
-    return document_from_record(COMPOSITE_RECORD, inventory)
+    return to_documents([COMPOSITE_RECORD], inventory)[0]
 
 
 # ---------------------------------------------------------------------------

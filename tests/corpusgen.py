@@ -1,16 +1,19 @@
 """Deterministic random corpora for property and acceptance tests.
 
 Documents are built as plain JSONL-style records first, so the same
-structures feed both the package (via document_from_record) and the
-brute-force oracles.  Predicted clusters are perturbations of gold:
-dropped and shifted mentions, split and merged clusters, spurious spans.
+structures feed both the package (through to_documents, which reads them
+back as JSONL lines) and the brute-force oracles.  Predicted clusters are
+perturbations of gold: dropped and shifted mentions, split and merged
+clusters, spurious spans.
 """
 
 from __future__ import annotations
 
+import io
+import json
 import random
 
-from coref_semscore.ingest import document_from_record
+from coref_semscore.ingest import read_jsonl_corpus
 from coref_semscore.inventory import CategoryInventory
 
 LABELS = ["PER", "LOC", "ORG", "EVENT", "GROUP", "MEDIA", "DATETIME", "ANIMAL"]
@@ -150,5 +153,7 @@ def random_corpus(rng: random.Random, n_docs: int, prefix: str = "doc", **kwargs
 
 
 def to_documents(records, inventory: CategoryInventory | None = None):
-    inventory = inventory or CategoryInventory.default()
-    return [document_from_record(record, inventory) for record in records]
+    """The Documents of records, read by the package's JSONL reader from
+    the lines that json.dumps makes of them."""
+    lines = "".join(json.dumps(record) + "\n" for record in records)
+    return read_jsonl_corpus(io.StringIO(lines), inventory)

@@ -246,35 +246,29 @@ def prf(p_num, p_den, r_num, r_den):
     return float(p), float(r), float(f1)
 
 
-def classic_scores(records):
-    """{"muc"/"b_cubed"/"ceaf_phi4": (p, r, f1), "conll_f1": float}."""
-    muc_r = [0, 0]
-    muc_p = [0, 0]
-    b3_p = [Fraction(0), 0]
-    b3_r = [Fraction(0), 0]
-    ceaf_total = Fraction(0)
-    n_gold = n_pred = 0
+def classic_counts(records):
+    """(MUC, B-cubed, CEAF) counts pooled over a corpus, each as
+    (p_num, p_den, r_num, r_den) with exact numerators."""
+    muc = [0, 0, 0, 0]
+    b3 = [Fraction(0), 0, Fraction(0), 0]
+    ceaf = [Fraction(0), 0, Fraction(0), 0]
     for record in records:
         gold = _cluster_sets(record.get("gold_clusters", []))
         pred = _cluster_sets(record.get("predicted_clusters", []))
-        num, den = muc_side_counts(gold, pred)
-        muc_r[0] += num
-        muc_r[1] += den
-        num, den = muc_side_counts(pred, gold)
-        muc_p[0] += num
-        muc_p[1] += den
-        total, count = b_cubed_side(pred, gold)
-        b3_p[0] += total
-        b3_p[1] += count
-        total, count = b_cubed_side(gold, pred)
-        b3_r[0] += total
-        b3_r[1] += count
-        ceaf_total += ceaf_exhaustive_total(gold, pred)
-        n_gold += len(gold)
-        n_pred += len(pred)
-    muc_triple = prf(muc_p[0], muc_p[1], muc_r[0], muc_r[1])
-    b3_triple = prf(b3_p[0], b3_p[1], b3_r[0], b3_r[1])
-    ceaf_triple = prf(ceaf_total, n_pred, ceaf_total, n_gold)
+        aligned = ceaf_exhaustive_total(gold, pred)
+        for total, counts in (
+            (muc, (*muc_side_counts(pred, gold), *muc_side_counts(gold, pred))),
+            (b3, (*b_cubed_side(pred, gold), *b_cubed_side(gold, pred))),
+            (ceaf, (aligned, len(pred), aligned, len(gold))),
+        ):
+            for k, value in enumerate(counts):
+                total[k] += value
+    return tuple(muc), tuple(b3), tuple(ceaf)
+
+
+def classic_scores(records):
+    """{"muc"/"b_cubed"/"ceaf_phi4": (p, r, f1), "conll_f1": float}."""
+    muc_triple, b3_triple, ceaf_triple = (prf(*counts) for counts in classic_counts(records))
     return {
         "muc": muc_triple,
         "b_cubed": b3_triple,

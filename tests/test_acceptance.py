@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import COMPOSITE_RECORD, NEWS_RECORD, best_alignment_total, tables_of
+from conftest import best_alignment_total, doc_of, tables_of
 from coref_semscore.classic_metrics import (
     b_cubed,
     ceaf_phi4,
@@ -22,8 +22,6 @@ from coref_semscore.classic_metrics import (
     muc,
 )
 from coref_semscore.cli import main
-from coref_semscore.ingest import document_from_record
-from coref_semscore.inventory import CategoryInventory
 from coref_semscore.labeling import (
     LabelingConfig,
     assign_mentions,
@@ -32,27 +30,13 @@ from coref_semscore.labeling import (
     overlap,
     propagate,
 )
-from coref_semscore.model import Cluster, Document, LabelSource, Mention, Span
+from coref_semscore.model import Cluster, LabelSource, Span
 from coref_semscore.typed_metrics import typed_link_scores, typed_mention_scores
 from corpusgen import random_corpus, to_documents
 from test_commands import conll_text, write_jsonl
 
 CFG = LabelingConfig()
 DATA = Path(__file__).parent / "data"
-
-
-def _doc_from_spans(gold, predicted, n_tokens=12, doc_id="d0"):
-    def clusters(spec):
-        return tuple(
-            Cluster(tuple(Mention(span=Span(s, e)) for s, e in group)) for group in spec
-        )
-
-    return Document(
-        doc_id=doc_id,
-        tokens=tuple(f"t{i}" for i in range(n_tokens)),
-        gold_clusters=clusters(gold),
-        predicted_clusters=clusters(predicted),
-    )
 
 
 def test_a1_overlap_oracle():
@@ -73,9 +57,8 @@ def test_a1_overlap_oracle():
     assert elapsed < 1.0, f"overlap oracle took {elapsed:.2f}s"
 
 
-def test_a2_news_fixture_propagation(inventory):
-    doc = document_from_record(NEWS_RECORD, inventory)
-    (labeled,) = label_documents([doc], CFG, sides=("gold",))
+def test_a2_news_fixture_propagation(news_doc):
+    (labeled,) = label_documents([news_doc], CFG, sides=("gold",))
     person, place = labeled.gold_clusters
     assert person.cluster_label == "PER"
     assert place.cluster_label == "LOC"
@@ -92,9 +75,8 @@ def test_a2_news_fixture_propagation(inventory):
     ]
 
 
-def test_a3_composite_fixture_propagation(inventory):
-    doc = document_from_record(COMPOSITE_RECORD, inventory)
-    (labeled,) = label_documents([doc], CFG, sides=("gold",))
+def test_a3_composite_fixture_propagation(composite_doc):
+    (labeled,) = label_documents([composite_doc], CFG, sides=("gold",))
     first, second, composite = labeled.gold_clusters
     assert first.cluster_label == "PER"
     assert second.cluster_label == "PER"
@@ -107,13 +89,12 @@ def test_a3_composite_fixture_propagation(inventory):
 
 def test_a4_typed_link_oracle():
     rng = random.Random(404)
-    inventory = CategoryInventory.default()
     started = time.perf_counter()
     for i in range(500):
         record = random_corpus(
             rng, 1, prefix=f"c{i}_", max_clusters=6, max_total_mentions=8, max_labels=3
         )[0]
-        doc = document_from_record(record, inventory)
+        (doc,) = to_documents([record])
         (labeled,) = label_documents([doc], CFG)
         report = typed_link_scores(tables_of([labeled]))
         oracle_labels = {record["doc_id"]: oracles.label_record(record)}
@@ -129,29 +110,28 @@ def test_a4_typed_link_oracle():
 
 def test_a5_classic_metric_oracles():
     # hand-derived worked examples
-    split = _doc_from_spans([[(0, 1), (2, 3), (4, 5)]], [[(0, 1), (2, 3)], [(4, 5)]])
+    split = doc_of([[(0, 1), (2, 3), (4, 5)]], [[(0, 1), (2, 3)], [(4, 5)]])
     triple = muc(tables_of([split]))
     assert triple.recall == pytest.approx(0.5, abs=1e-9)
     assert triple.precision == pytest.approx(1.0, abs=1e-9)
     assert triple.f1 == pytest.approx(2 / 3, abs=1e-9)
 
-    merged = _doc_from_spans([[(0, 1)], [(2, 3)]], [[(0, 1), (2, 3)]])
+    merged = doc_of([[(0, 1)], [(2, 3)]], [[(0, 1), (2, 3)]])
     triple = muc(tables_of([merged]))
     assert triple.recall == pytest.approx(0.0, abs=1e-9)
     assert triple.precision == pytest.approx(0.0, abs=1e-9)
 
-    b3_doc = _doc_from_spans([[(0, 1), (2, 3)], [(4, 5)]], [[(0, 1), (2, 3), (4, 5)]])
+    b3_doc = doc_of([[(0, 1), (2, 3)], [(4, 5)]], [[(0, 1), (2, 3), (4, 5)]])
     triple = b_cubed(tables_of([b3_doc]))
     assert triple.precision == pytest.approx(5 / 9, abs=1e-9)
     assert triple.recall == pytest.approx(1.0, abs=1e-9)
 
-    even = _doc_from_spans([[(0, 1), (2, 3)], [(4, 5), (6, 7)]],
-                           [[(0, 1), (4, 5)], [(2, 3), (6, 7)]])
+    even = doc_of([[(0, 1), (2, 3)], [(4, 5), (6, 7)]], [[(0, 1), (4, 5)], [(2, 3), (6, 7)]])
     triple = ceaf_phi4(tables_of([even]))
     assert triple.precision == pytest.approx(0.5, abs=1e-9)
     assert triple.recall == pytest.approx(0.5, abs=1e-9)
 
-    uneven = _doc_from_spans([[(0, 1), (2, 3), (4, 5)]], [[(0, 1), (2, 3)], [(4, 5)]])
+    uneven = doc_of([[(0, 1), (2, 3), (4, 5)]], [[(0, 1), (2, 3)], [(4, 5)]])
     triple = ceaf_phi4(tables_of([uneven]))
     assert triple.recall == pytest.approx(0.8, abs=1e-9)
     assert triple.precision == pytest.approx(0.4, abs=1e-9)
@@ -226,11 +206,7 @@ def test_a7_coverage_properties():
     assert after.direct + after.propagated >= before.direct + before.propagated
 
     # a cluster of bare pronouns contributes nothing
-    pronoun_doc = Document(
-        doc_id="pron0",
-        tokens=("he", "saw", "him"),
-        gold_clusters=(Cluster((Mention(span=Span(0, 1)), Mention(span=Span(2, 3)))),),
-    )
+    pronoun_doc = doc_of([[(0, 1), (2, 3)]], tokens=["he", "saw", "him"], doc_id="pron0")
     (labeled,) = label_documents([pronoun_doc], CFG, sides=("gold",))
     assert labeled.gold_clusters[0].cluster_label is None
     solo = coverage([labeled], "gold").overall

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import best_alignment_total, tables_of
+from conftest import best_alignment_total, doc_of, tables_of
 from coref_semscore import classic_metrics
 from coref_semscore.classic_metrics import (
     Matrix,
@@ -19,27 +19,8 @@ from coref_semscore.classic_metrics import (
     linear_sum_assignment,
     muc,
 )
-from coref_semscore.model import Cluster, Document, Mention, Span
+from coref_semscore.model import Span
 from corpusgen import random_corpus, to_documents
-
-# Mention spans named a..f at fixed positions, for readable cluster specs.
-SPANS = {name: (2 * i, 2 * i + 1) for i, name in enumerate("abcdef")}
-
-
-def _doc(gold, predicted, doc_id="d0"):
-    def clusters(spec):
-        return tuple(
-            Cluster(tuple(Mention(span=Span(*SPANS[name])) for name in group))
-            for group in spec
-        )
-
-    return Document(
-        doc_id=doc_id,
-        tokens=tuple(f"t{i}" for i in range(12)),
-        gold_clusters=clusters(gold),
-        predicted_clusters=clusters(predicted),
-    )
-
 
 def _identity_docs(seed=3, n_docs=10):
     rng = random.Random(seed)
@@ -54,29 +35,29 @@ class TestMuc:
         assert (triple.precision, triple.recall, triple.f1) == (1.0, 1.0, 1.0)
 
     def test_split_cluster(self):
-        doc = _doc([("a", "b", "c")], [("a", "b"), ("c",)])
+        doc = doc_of([[(0, 1), (2, 3), (4, 5)]], [[(0, 1), (2, 3)], [(4, 5)]])
         triple = muc(tables_of([doc]))
         assert triple.recall == 0.5
         assert triple.precision == 1.0
         assert triple.f1 == pytest.approx(2 / 3, abs=1e-9)
 
     def test_merged_singletons_degenerate(self):
-        doc = _doc([("a",), ("b",)], [("a", "b")])
+        doc = doc_of([[(0, 1)], [(2, 3)]], [[(0, 1), (2, 3)]])
         triple = muc(tables_of([doc]))
         assert triple.recall == 0.0  # 0/0 convention
         assert triple.precision == 0.0
         assert triple.f1 == 0.0
 
     def test_pure_function_of_partitions(self):
-        doc_a = _doc([("a", "b"), ("c", "d")], [("a", "b", "c", "d")])
-        doc_b = _doc([("c", "d"), ("a", "b")], [("a", "b", "c", "d")])
+        doc_a = doc_of([[(0, 1), (2, 3)], [(4, 5), (6, 7)]], [[(0, 1), (2, 3), (4, 5), (6, 7)]])
+        doc_b = doc_of([[(4, 5), (6, 7)], [(0, 1), (2, 3)]], [[(0, 1), (2, 3), (4, 5), (6, 7)]])
         assert muc(tables_of([doc_a])) == muc(tables_of([doc_b]))
 
     def test_twinless_mentions_partition_alone(self):
         # predicted cluster contains a mention absent from gold
-        doc = _doc([("a", "b")], [("a", "b", "e")])
+        doc = doc_of([[(0, 1), (2, 3)]], [[(0, 1), (2, 3), (8, 9)]])
         triple = muc(tables_of([doc]))
-        # precision: |{a,b,e}| - cells(a,b -> gold 0; e unmatched) = 3 - 2 = 1, den 2
+        # precision: |{(0,1),(2,3),(8,9)}| - 2 parts ({(0,1),(2,3)}; (8,9) alone) = 1, den 2
         assert triple.precision == 0.5
         assert triple.recall == 1.0
 
@@ -88,13 +69,13 @@ class TestBCubed:
         assert (triple.precision, triple.recall, triple.f1) == (1.0, 1.0, 1.0)
 
     def test_merge_example(self):
-        doc = _doc([("a", "b"), ("c",)], [("a", "b", "c")])
+        doc = doc_of([[(0, 1), (2, 3)], [(4, 5)]], [[(0, 1), (2, 3), (4, 5)]])
         triple = b_cubed(tables_of([doc]))
         assert triple.precision == pytest.approx(5 / 9, abs=1e-12)
         assert triple.recall == 1.0
 
     def test_twinless_predicted_singleton_scores_zero_precision(self):
-        doc = _doc([("a", "b")], [("a", "b"), ("e",)])
+        doc = doc_of([[(0, 1), (2, 3)]], [[(0, 1), (2, 3)], [(8, 9)]])
         triple = b_cubed(tables_of([doc]))
         assert triple.precision == pytest.approx(2 / 3, abs=1e-12)
         assert triple.recall == 1.0
@@ -107,13 +88,13 @@ class TestCeaf:
         assert (triple.precision, triple.recall, triple.f1) == (1.0, 1.0, 1.0)
 
     def test_symmetric_even_split(self):
-        doc = _doc([("a", "b"), ("c", "d")], [("a", "c"), ("b", "d")])
+        doc = doc_of([[(0, 1), (2, 3)], [(4, 5), (6, 7)]], [[(0, 1), (4, 5)], [(2, 3), (6, 7)]])
         triple = ceaf_phi4(tables_of([doc]))
         assert triple.precision == 0.5
         assert triple.recall == 0.5
 
     def test_one_gold_two_predicted(self):
-        doc = _doc([("a", "b", "c")], [("a", "b"), ("c",)])
+        doc = doc_of([[(0, 1), (2, 3), (4, 5)]], [[(0, 1), (2, 3)], [(4, 5)]])
         triple = ceaf_phi4(tables_of([doc]))
         assert triple.recall == pytest.approx(0.8, abs=1e-9)
         assert triple.precision == pytest.approx(0.4, abs=1e-9)
@@ -337,13 +318,13 @@ class TestExactRatios:
 
 class TestSingletons:
     def test_identical_singleton_corpora(self):
-        doc = _doc([("a",), ("b",)], [("a",), ("b",)])
+        doc = doc_of([[(0, 1)], [(2, 3)]], [[(0, 1)], [(2, 3)]])
         assert b_cubed(tables_of([doc])).f1 == 1.0
         assert ceaf_phi4(tables_of([doc])).f1 == 1.0
         assert muc(tables_of([doc])).f1 == 0.0  # 0/0 convention
 
     def test_drop_singletons(self):
-        doc = _doc([("a", "b"), ("c",)], [("a", "b"), ("d",)])
+        doc = doc_of([[(0, 1), (2, 3)], [(4, 5)]], [[(0, 1), (2, 3)], [(6, 7)]])
         (stripped,) = drop_singleton_clusters([doc])
         assert len(stripped.gold_clusters) == 1
         assert len(stripped.predicted_clusters) == 1

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import exact_counts, tables_of
+from conftest import doc_of, exact_counts, tables_of
 from coref_semscore.classic_metrics import (
     b_cubed,
     b_cubed_counts,
@@ -28,7 +28,7 @@ from coref_semscore.classic_metrics import (
     muc_counts,
 )
 from coref_semscore.labeling import LabelingConfig, label_documents
-from coref_semscore.model import Cluster, Document, Mention, Span, contingency
+from coref_semscore.model import contingency
 from coref_semscore.typed_metrics import typed_link_scores, typed_mention_scores
 from corpusgen import random_corpus, to_documents
 
@@ -39,41 +39,6 @@ CFG = LabelingConfig()
 BIG_CLUSTERS = dict(n_tokens=(160, 240), max_clusters=3, max_total_mentions=80, max_labels=3)
 
 
-def _doc(gold, predicted, doc_id="d0", n_tokens=12):
-    def clusters(spec):
-        return tuple(Cluster(tuple(Mention(span=Span(*s)) for s in group)) for group in spec)
-
-    return Document(
-        doc_id=doc_id,
-        tokens=tuple(f"t{i}" for i in range(n_tokens)),
-        gold_clusters=clusters(gold),
-        predicted_clusters=clusters(predicted),
-    )
-
-
-def _cluster_sets(record, side):
-    return [frozenset(tuple(s) for s in c) for c in record[f"{side}_clusters"]]
-
-
-def _oracle_classic_counts(records):
-    """(MUC, B-cubed, CEAF) as (p_num, p_den, r_num, r_den), pooled by the oracles."""
-    muc_total = [0, 0, 0, 0]
-    b3_total = [0, 0, 0, 0]
-    ceaf_total = [0, 0, 0, 0]
-    for record in records:
-        gold, pred = _cluster_sets(record, "gold"), _cluster_sets(record, "predicted")
-        for total, side in ((muc_total, oracles.muc_side_counts),
-                            (b3_total, oracles.b_cubed_side)):
-            p_num, p_den = side(pred, gold)
-            r_num, r_den = side(gold, pred)
-            for k, value in enumerate((p_num, p_den, r_num, r_den)):
-                total[k] += value
-        aligned = oracles.ceaf_exhaustive_total(gold, pred)
-        for k, value in enumerate((aligned, len(pred), aligned, len(gold))):
-            ceaf_total[k] += value
-    return tuple(muc_total), tuple(b3_total), tuple(ceaf_total)
-
-
 def _link_counts(report):
     per_class = {label: (s.tp, s.fp, s.fn) for label, s in report.per_class.items()}
     return per_class, report.unlabeled_gold, report.unlabeled_predicted
@@ -81,12 +46,12 @@ def _link_counts(report):
 
 class TestContingency:
     def test_sparse_overlap_counts(self):
-        doc = _doc([[(0, 1), (2, 3), (4, 5)], [(6, 7)]],
-                   [[(0, 1), (2, 3)], [(4, 5), (6, 7), (8, 9)]])
+        doc = doc_of([[(0, 1), (2, 3), (4, 5)], [(6, 7)]],
+                     [[(0, 1), (2, 3)], [(4, 5), (6, 7), (8, 9)]])
         assert contingency(doc).cells == {(0, 0): 2, (0, 1): 1, (1, 1): 1}
 
     def test_twinless_mentions_leave_no_cell(self):
-        doc = _doc([[(0, 1)]], [[(2, 3)]])
+        doc = doc_of([[(0, 1)]], [[(2, 3)]])
         assert contingency(doc).cells == {}
 
     def test_cells_sum_to_shared_spans(self):
@@ -116,7 +81,7 @@ class TestRepeatedSpan:
     @pytest.mark.parametrize("metric", [typed_mention_scores, typed_link_scores, muc, b_cubed,
                                         ceaf_phi4, conll])
     def test_metrics_raise_naming_doc_side_and_span(self, metric, spec, side, span):
-        doc = _doc(*spec, doc_id="api7")
+        doc = doc_of(*spec, doc_id="api7")
         with pytest.raises(ValueError) as excinfo:
             metric(tables_of([doc]))
         message = str(excinfo.value)
@@ -151,7 +116,7 @@ class TestLargeClusterOracles:
     def test_muc_and_b_cubed_counts_match_oracles(self, seed):
         records = random_corpus(random.Random(seed), 8, **BIG_CLUSTERS)
         docs = to_documents(records)
-        want_muc, want_b3, _ = _oracle_classic_counts(records)
+        want_muc, want_b3, _ = oracles.classic_counts(records)
         assert exact_counts(muc_counts(tables_of(docs))) == want_muc
         assert exact_counts(b_cubed_counts(tables_of(docs))) == want_b3
 
@@ -159,7 +124,7 @@ class TestLargeClusterOracles:
     def test_ceaf_counts_match_oracles(self, seed):
         records = random_corpus(random.Random(seed), 8, **BIG_CLUSTERS)
         docs = to_documents(records)
-        _, _, want_ceaf = _oracle_classic_counts(records)
+        _, _, want_ceaf = oracles.classic_counts(records)
         assert exact_counts(ceaf_counts(tables_of(docs))) == want_ceaf
 
 

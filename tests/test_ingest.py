@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from coref_semscore.conll2012 import _conll_records, read_conll2012
 from coref_semscore.ingest import (
     CorpusFormatError,
-    document_from_record,
     document_to_record,
     merge_predictions,
     read_cner_jsonl,
@@ -307,7 +306,8 @@ class TestSinglePassReader:
         docs = _read([json.dumps(r) for r in records])
         assert built[0] == len(set(spans))
         monkeypatch.undo()
-        assert docs == to_documents(records)
+        inventory = CategoryInventory.default()
+        assert docs == [_reference_document(r, inventory) for r in records]
 
     def test_byte_order_mark_is_worded_as_before(self):
         with pytest.raises(CorpusFormatError, match=r"^line 1: invalid JSON: Unexpected UTF-8 BOM"):
@@ -325,9 +325,9 @@ class TestRoundTrip:
         again = read_jsonl_corpus(buffer)
         assert again == docs
 
-    def test_unknown_fields_preserved(self, inventory):
+    def test_unknown_fields_preserved(self):
         record = {"doc_id": "d0", "tokens": ["a"], "genre": "news", "split": 3}
-        doc = document_from_record(record, inventory)
+        (doc,) = to_documents([record])
         out = document_to_record(doc)
         assert out["genre"] == "news"
         assert out["split"] == 3
@@ -488,7 +488,7 @@ class TestConllReader:
             "line 4: gold_clusters[1]: duplicate mention span within cluster"
         )
 
-    def test_document_is_built_from_its_record(self, inventory):
+    def test_document_is_built_from_its_record(self):
         nested = (CONLL_SINGLE_TOKEN.replace("a x -", "a x (3)").replace("d x -", "d x (3")
                   .replace("e x -", "e x (3)").replace("f x -", "f x (1)")
                   .replace("g x -", "g x 3)"))
@@ -500,9 +500,9 @@ class TestConllReader:
             "sentence_boundaries": [0, 3],
             "gold_clusters": [[[5, 6]], [[0, 1], [3, 7], [4, 5], [7, 8]]],
         }
-        assert read_conll2012(io.StringIO(CONLL_TWO_SENTENCES + nested)) == [
-            document_from_record(record, inventory) for _, record in numbered
-        ]
+        assert read_conll2012(io.StringIO(CONLL_TWO_SENTENCES + nested)) == to_documents(
+            [record for _, record in numbered]
+        )
 
 
 class TestMergePredictions:

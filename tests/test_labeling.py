@@ -1,5 +1,3 @@
-import io
-import json
 import pickle
 import random
 
@@ -8,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import doc_of
 from coref_semscore import labeling
-from coref_semscore.ingest import document_from_record, read_jsonl_corpus
-from coref_semscore.inventory import CategoryInventory
 from coref_semscore.label_reports import distribution, label_agreement
 from coref_semscore.labeling import (
     DEFAULT_PRONOUNS,
@@ -22,23 +19,12 @@ from coref_semscore.labeling import (
     overlap,
     propagate,
 )
-from coref_semscore.model import Cluster, Document, LabelSource, Mention, SemanticSpan, Span
+from coref_semscore.model import Cluster, LabelSource, Mention, Span
 from corpusgen import random_corpus, random_record, to_documents
 
 CFG = LabelingConfig()
 
 spans = st.tuples(st.integers(0, 40), st.integers(1, 44)).filter(lambda t: t[0] < t[1])
-
-
-def _doc(tokens, clusters, cner, doc_id="d0"):
-    return Document(
-        doc_id=doc_id,
-        tokens=tuple(tokens),
-        gold_clusters=tuple(
-            Cluster(tuple(Mention(span=Span(s, e)) for s, e in cluster)) for cluster in clusters
-        ),
-        semantic_spans=tuple(SemanticSpan(Span(s, e), label) for s, e, label in cner),
-    )
 
 
 def _assign_then_propagate(doc, cfg, sides=("gold", "predicted")):
@@ -108,7 +94,7 @@ class TestOverlap:
 
 class TestAssignMentions:
     def test_exact_cover_direct(self):
-        doc = _doc(["Mr.", "Clinton", "smiled"], [[(0, 2)]], [(0, 2, "PER")])
+        doc = doc_of([[(0, 2)]], cner=[(0, 2, "PER")], tokens=["Mr.", "Clinton", "smiled"])
         labeled = assign_mentions(doc, CFG, "gold")
         mention = labeled.gold_clusters[0].mentions[0]
         assert mention.assigned_label == "PER"
@@ -116,46 +102,41 @@ class TestAssignMentions:
         assert mention.assignment_overlap == 1.0
 
     def test_pronoun_without_span_stays_unlabeled(self):
-        doc = _doc(["he", "spoke"], [[(0, 1)]], [(1, 2, "EVENT")])
+        doc = doc_of([[(0, 1)]], cner=[(1, 2, "EVENT")], tokens=["he", "spoke"])
         labeled = assign_mentions(doc, CFG, "gold")
         mention = labeled.gold_clusters[0].mentions[0]
         assert mention.assigned_label is None
         assert mention.label_source is LabelSource.NONE
 
     def test_argmax_over_candidates(self):
-        doc = _doc(
-            ["a", "b", "c", "d"],
-            [[(0, 4)]],
-            [(0, 2, "LOC"), (0, 3, "ORG")],
-        )
+        doc = doc_of([[(0, 4)]], cner=[(0, 2, "LOC"), (0, 3, "ORG")], tokens=["a", "b", "c", "d"])
         mention = assign_mentions(doc, CFG, "gold").gold_clusters[0].mentions[0]
         assert mention.assigned_label == "ORG"
         assert mention.assignment_overlap == 0.75
 
     def test_strict_threshold_excludes_exact_tau(self):
-        doc = _doc(["a", "b"], [[(0, 2)]], [(0, 1, "PER")])
+        doc = doc_of([[(0, 2)]], cner=[(0, 1, "PER")], tokens=["a", "b"])
         mention = assign_mentions(doc, CFG, "gold").gold_clusters[0].mentions[0]
         assert mention.assigned_label is None
 
     def test_inclusive_threshold_accepts_exact_tau(self):
         cfg = LabelingConfig(tau_inclusive=True)
-        doc = _doc(["a", "b"], [[(0, 2)]], [(0, 1, "PER")])
+        doc = doc_of([[(0, 2)]], cner=[(0, 1, "PER")], tokens=["a", "b"])
         mention = assign_mentions(doc, cfg, "gold").gold_clusters[0].mentions[0]
         assert mention.assigned_label == "PER"
         assert mention.assignment_overlap == 0.5
 
     def test_span_tie_prefers_earlier_span(self):
         # both candidates overlap [1,3) at 1/3
-        doc = _doc(["a", "b", "c", "d"], [[(1, 3)]],
-                   [(0, 2, "ORG"), (2, 4, "LOC")])
+        doc = doc_of([[(1, 3)]], cner=[(0, 2, "ORG"), (2, 4, "LOC")], tokens=["a", "b", "c", "d"])
         cfg = LabelingConfig(tau=0.2)
         mention = assign_mentions(doc, cfg, "gold").gold_clusters[0].mentions[0]
         assert mention.assigned_label == "ORG"
 
     def test_long_span_starting_well_before_a_short_mention(self):
         # [0, 20) overlaps [12, 18) at 6/20; the nearby [17, 19) at 1/7.
-        doc = _doc(list("abcdefghijklmnopqrst"), [[(12, 18)]],
-                   [(0, 20, "EVENT"), (17, 19, "PER")])
+        doc = doc_of([[(12, 18)]], cner=[(0, 20, "EVENT"), (17, 19, "PER")],
+                     tokens=list("abcdefghijklmnopqrst"))
         cfg = LabelingConfig(tau=0.1)
         mention = assign_mentions(doc, cfg, "gold").gold_clusters[0].mentions[0]
         assert mention.assigned_label == "EVENT"
@@ -165,17 +146,7 @@ class TestAssignMentions:
     @given(assignment_cases())
     def test_matches_brute_force_oracle_on_spans_of_any_length(self, case):
         n, gold, predicted, cner = case
-        doc = Document(
-            doc_id="h0",
-            tokens=tuple(f"w{i}" for i in range(n)),
-            gold_clusters=tuple(
-                Cluster(tuple(Mention(span=Span(s, e)) for s, e in c)) for c in gold
-            ),
-            predicted_clusters=tuple(
-                Cluster(tuple(Mention(span=Span(s, e)) for s, e in c)) for c in predicted
-            ),
-            semantic_spans=tuple(SemanticSpan(Span(s, e), label) for s, e, label in cner),
-        )
+        doc = doc_of(gold, predicted, cner, tokens=n, doc_id="h0")
         for tau in (0.0, 1 / 3, 0.5, 1.0):
             for inclusive in (False, True):
                 cfg = LabelingConfig(tau=tau, tau_inclusive=inclusive)
@@ -189,7 +160,7 @@ class TestAssignMentions:
     def test_scores_only_spans_in_each_mentions_window(self, monkeypatch):
         record = random_record(random.Random(7), "long", n_tokens=(4000, 5000),
                                max_clusters=60, max_total_mentions=600, cner_noise=400)
-        doc = document_from_record(record, CategoryInventory.default())
+        (doc,) = to_documents([record])
         calls = _counting_overlap(monkeypatch)
         assign_mentions(doc, CFG, "gold")
         cner = record["cner"]
@@ -238,20 +209,20 @@ class TestPropagate:
         assert plural.label_source is LabelSource.PROPAGATED
 
     def test_strict_majority(self):
-        doc = _doc(
-            list("abcdef"),
+        doc = doc_of(
             [[(0, 1), (2, 3), (4, 5)]],
-            [(0, 1, "PER"), (2, 3, "PER"), (4, 5, "LOC")],
+            cner=[(0, 1, "PER"), (2, 3, "PER"), (4, 5, "LOC")],
+            tokens=list("abcdef"),
         )
         labeled = _labeled_gold(doc)
         assert labeled.gold_clusters[0].cluster_label == "PER"
 
     def test_frequency_tie_broken_by_mean_overlap(self):
         # PER support overlap 0.6 ([0,3) vs [0,5)); LOC support overlap 0.9
-        doc = _doc(
-            list("abcdefghijklmnopqrst"),
+        doc = doc_of(
             [[(0, 5), (10, 19)]],
-            [(0, 3, "PER"), (10, 20, "LOC")],
+            cner=[(0, 3, "PER"), (10, 20, "LOC")],
+            tokens=list("abcdefghijklmnopqrst"),
         )
         labeled = _labeled_gold(doc)
         mentions = labeled.gold_clusters[0].mentions
@@ -260,25 +231,25 @@ class TestPropagate:
         assert labeled.gold_clusters[0].cluster_label == "LOC"
 
     def test_full_tie_broken_lexicographically(self):
-        doc = _doc(
-            list("abcd"),
+        doc = doc_of(
             [[(0, 1), (2, 3)]],
-            [(0, 1, "ORG"), (2, 3, "EVENT")],
+            cner=[(0, 1, "ORG"), (2, 3, "EVENT")],
+            tokens=list("abcd"),
         )
         labeled = _labeled_gold(doc)
         assert labeled.gold_clusters[0].cluster_label == "EVENT"
 
     def test_pronoun_only_cluster_stays_unlabeled(self):
-        doc = _doc(["he", "saw", "him"], [[(0, 1), (2, 3)]], [])
+        doc = doc_of([[(0, 1), (2, 3)]], tokens=["he", "saw", "him"])
         labeled = _labeled_gold(doc)
         assert labeled.gold_clusters[0].cluster_label is None
         assert all(m.assigned_label is None for m in labeled.gold_clusters[0].mentions)
 
     def test_disagreeing_direct_label_kept_by_default(self):
-        doc = _doc(
-            list("abcdef"),
+        doc = doc_of(
             [[(0, 1), (2, 3), (4, 5)]],
-            [(0, 1, "PER"), (2, 3, "PER"), (4, 5, "LOC")],
+            cner=[(0, 1, "PER"), (2, 3, "PER"), (4, 5, "LOC")],
+            tokens=list("abcdef"),
         )
         labeled = _labeled_gold(doc)
         outlier = labeled.gold_clusters[0].mentions[2]
@@ -287,10 +258,10 @@ class TestPropagate:
 
     def test_force_cluster_label_overwrites_disagreement(self):
         cfg = LabelingConfig(force_cluster_label=True)
-        doc = _doc(
-            list("abcdef"),
+        doc = doc_of(
             [[(0, 1), (2, 3), (4, 5)]],
-            [(0, 1, "PER"), (2, 3, "PER"), (4, 5, "LOC")],
+            cner=[(0, 1, "PER"), (2, 3, "PER"), (4, 5, "LOC")],
+            tokens=list("abcdef"),
         )
         labeled = propagate(assign_mentions(doc, cfg, "gold"), cfg, "gold")
         outlier = labeled.gold_clusters[0].mentions[2]
@@ -300,7 +271,7 @@ class TestPropagate:
     def test_idempotent(self):
         rng = random.Random(11)
         for record in random_corpus(rng, 8):
-            doc = document_from_record(record, CategoryInventory.default())
+            (doc,) = to_documents([record])
             once = _labeled_gold(doc)
             twice = propagate(once, CFG, "gold")
             assert twice == once
@@ -310,7 +281,7 @@ class TestPropagate:
             Mention(Span(0, 1), "PER", LabelSource.PROPAGATED),
             Mention(Span(2, 3)),
         ), cluster_label="PER")
-        doc = Document(doc_id="d0", tokens=("he", "saw", "him"), gold_clusters=(stale,))
+        doc = doc_of([stale], tokens=["he", "saw", "him"])
         cluster = propagate(doc, CFG, "gold").gold_clusters[0]
         assert cluster.cluster_label is None
         assert [(m.assigned_label, m.label_source) for m in cluster.mentions] == [
@@ -319,7 +290,7 @@ class TestPropagate:
     def test_cluster_label_comes_from_a_direct_member(self):
         rng = random.Random(23)
         for record in random_corpus(rng, 15):
-            doc = document_from_record(record, CategoryInventory.default())
+            (doc,) = to_documents([record])
             assigned = assign_mentions(doc, CFG, "gold")
             labeled = propagate(assigned, CFG, "gold")
             for before, after in zip(assigned.gold_clusters, labeled.gold_clusters):
@@ -332,9 +303,8 @@ class TestPropagate:
 
     def test_matches_brute_force_pipeline(self):
         rng = random.Random(31)
-        inventory = CategoryInventory.default()
         for record in random_corpus(rng, 25):
-            doc = document_from_record(record, inventory)
+            (doc,) = to_documents([record])
             labeled = label_documents([doc], CFG)[0]
             expected = oracles.label_record(record)
             for side in ("gold", "predicted"):
@@ -357,7 +327,7 @@ class TestPropagate:
                     for span in cluster for start, end, _ in record["cner"]}
         tau = data.draw(st.sampled_from(sorted(overlaps | {0.0, 0.5, 1.0})))
         inclusive, force = data.draw(st.booleans()), data.draw(st.booleans())
-        doc = document_from_record(record, CategoryInventory.default())
+        (doc,) = to_documents([record])
         labeled = label_documents([doc], LabelingConfig(tau, inclusive, force))[0]
         expected = oracles.label_record(record, tau, inclusive, force)
         for side in ("gold", "predicted"):
@@ -382,17 +352,7 @@ class TestLabelDocument:
             predicted = gold
         elif predicted_from == "mixed":
             predicted = gold[:2] + predicted
-
-        def clusters(spans):
-            return tuple(Cluster(tuple(Mention(span=Span(s, e)) for s, e in c)) for c in spans)
-
-        doc = Document(
-            doc_id="h0",
-            tokens=tuple(f"w{i}" for i in range(n)),
-            gold_clusters=clusters(gold),
-            predicted_clusters=clusters(predicted),
-            semantic_spans=tuple(SemanticSpan(Span(s, e), label) for s, e, label in cner),
-        )
+        doc = doc_of(gold, predicted, cner, tokens=n, doc_id="h0")
         raw = doc
         if labeled_at is not None:
             tau, force = labeled_at
@@ -415,7 +375,7 @@ class TestLabelDocument:
     def test_span_on_both_sides_is_aligned_once(self, monkeypatch):
         record = random_record(random.Random(13), "both", n_tokens=(400, 500),
                                max_clusters=20, max_total_mentions=80, cner_noise=40)
-        doc = document_from_record(record, CategoryInventory.default())
+        (doc,) = to_documents([record])
         copied = doc.with_clusters("predicted", doc.gold_clusters)
         gold_only = doc.with_clusters("predicted", ())
         calls = _counting_overlap(monkeypatch)
@@ -438,7 +398,7 @@ class TestSharedValues:
         # Short documents, so spans repeat across documents and sides.
         records = random_corpus(random.Random(31), 40, n_tokens=(10, 14), max_labels=2,
                                 ensure_links=True, ensure_direct=True)
-        return records, read_jsonl_corpus(io.StringIO("\n".join(map(json.dumps, records))))
+        return records, to_documents(records)
 
     def test_direct_mention_is_shared_within_a_document(self):
         _, docs = self._corpus()
@@ -475,15 +435,15 @@ class TestSharedValues:
 
 class TestCoverage:
     def test_fully_covered_corpus(self):
-        doc = _doc(["a", "b", "he"], [[(0, 1), (2, 3)], [(1, 2)]],
-                   [(0, 1, "PER"), (1, 2, "LOC")])
+        doc = doc_of([[(0, 1), (2, 3)], [(1, 2)]], cner=[(0, 1, "PER"), (1, 2, "LOC")],
+                     tokens=["a", "b", "he"])
         report = coverage([_labeled_gold(doc)], "gold")
         assert report.overall.any_pct == 100.0
         assert report.overall.direct == 2
         assert report.overall.propagated == 1
 
     def test_pronoun_only_cluster_contributes_nothing(self):
-        doc = _doc(["he", "him"], [[(0, 1), (1, 2)]], [])
+        doc = doc_of([[(0, 1), (1, 2)]], tokens=["he", "him"])
         report = coverage([_labeled_gold(doc)], "gold")
         assert report.overall.direct == 0
         assert report.overall.propagated == 0
@@ -499,7 +459,7 @@ class TestCoverage:
         assert counts.any_pct == counts.direct_pct + counts.propagated_pct
 
     def test_pronoun_rows_restrict_to_lexicon(self):
-        doc = _doc(["He", "met", "Ada"], [[(0, 1), (2, 3)]], [(2, 3, "PER")])
+        doc = doc_of([[(0, 1), (2, 3)]], cner=[(2, 3, "PER")], tokens=["He", "met", "Ada"])
         report = coverage([_labeled_gold(doc)], "gold")
         assert report.overall.total == 2
         assert report.pronoun.total == 1
@@ -519,7 +479,7 @@ class TestCoverage:
         assert "he" in DEFAULT_PRONOUNS
 
     def test_custom_lexicon_replaces_default(self):
-        doc = _doc(["thingy", "Rome"], [[(0, 1), (1, 2)]], [(1, 2, "LOC")])
+        doc = doc_of([[(0, 1), (1, 2)]], cner=[(1, 2, "LOC")], tokens=["thingy", "Rome"])
         docs = [_labeled_gold(doc)]
         report = coverage(docs, "gold", pronouns=frozenset({"thingy"}))
         assert report.overall == coverage(docs, "gold").overall
@@ -530,10 +490,10 @@ class TestCoverage:
 
 class TestDistribution:
     def test_counts_and_shares(self, inventory):
-        doc = _doc(
-            list("abcdefgh"),
+        doc = doc_of(
             [[(0, 1), (2, 3), (4, 5)], [(6, 7)]],
-            [(0, 1, "PER"), (2, 3, "PER"), (4, 5, "PER"), (6, 7, "LOC")],
+            cner=[(0, 1, "PER"), (2, 3, "PER"), (4, 5, "PER"), (6, 7, "LOC")],
+            tokens=list("abcdefgh"),
         )
         report = distribution([_labeled_gold(doc)], inventory)
         assert report.counts == {"PER": 3, "LOC": 1}
@@ -542,7 +502,7 @@ class TestDistribution:
         assert "PER" not in report.absent_labels
 
     def test_empty_distribution_lists_all_labels_absent(self, inventory):
-        doc = _doc(["he"], [[(0, 1)]], [])
+        doc = doc_of([[(0, 1)]], tokens=["he"])
         report = distribution([_labeled_gold(doc)], inventory)
         assert report.counts == {}
         assert report.total_labeled == 0
@@ -562,10 +522,10 @@ class TestDistribution:
 
 class TestLabelAgreement:
     def _labeled_docs(self):
-        doc = _doc(
-            list("abcdefghijklmnopqrst"),
+        doc = doc_of(
             [[(i, i + 1)] for i in range(0, 20, 2)],
-            [(i, i + 1, "PER") for i in range(0, 20, 2)],
+            cner=[(i, i + 1, "PER") for i in range(0, 20, 2)],
+            tokens=list("abcdefghijklmnopqrst"),
         )
         return [_labeled_gold(doc)]
 
@@ -585,7 +545,7 @@ class TestLabelAgreement:
         assert report.f1 == pytest.approx(0.9)
 
     def test_unlabeled_clusters_do_not_count_toward_precision(self):
-        doc = _doc(["he", "x", "Ada"], [[(0, 1)], [(2, 3)]], [(2, 3, "PER")])
+        doc = doc_of([[(0, 1)], [(2, 3)]], cner=[(2, 3, "PER")], tokens=["he", "x", "Ada"])
         docs = [_labeled_gold(doc)]
         reference = {("d0", 0): "PER", ("d0", 1): "PER"}
         report = label_agreement(reference, docs)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import cluster_of, doc_of
 from coref_semscore.classic_metrics import ClassicReport, MetricTriple
 from coref_semscore.inventory import Category, CategoryInventory, UnknownLabelError
 from coref_semscore.label_reports import AgreementReport, DistributionReport
@@ -25,10 +26,6 @@ from coref_semscore.typed_metrics import ClassScore, TypedScoreReport
 from oracles import token_set
 
 spans = st.tuples(st.integers(0, 60), st.integers(1, 64)).filter(lambda t: t[0] < t[1])
-
-
-def _cluster(*pairs):
-    return Cluster(tuple(Mention(span=Span(s, e)) for s, e in pairs))
 
 
 class TestSpan:
@@ -106,16 +103,16 @@ class TestCluster:
         with pytest.raises(ValueError, match="at least one mention"):
             Cluster(())
         with pytest.raises(ValueError, match="at least one mention"):
-            _cluster((0, 2))._replace(mentions=())
+            cluster_of([(0, 2)])._replace(mentions=())
 
     def test_rejects_duplicate_spans(self):
         with pytest.raises(ValueError, match="duplicate mention span"):
-            _cluster((0, 2), (0, 2))
+            cluster_of([(0, 2), (0, 2)])
         labeled = Mention(Span(0, 2), "PER", LabelSource.PROPAGATED)
         with pytest.raises(ValueError, match="duplicate mention span"):
             Cluster([Mention(Span(0, 2)), labeled])
         with pytest.raises(ValueError, match="duplicate mention span"):
-            _cluster((0, 2), (3, 4))._replace(mentions=(Mention(Span(0, 2)), labeled))
+            cluster_of([(0, 2), (3, 4)])._replace(mentions=(Mention(Span(0, 2)), labeled))
 
     def test_trusted_builder_builds_the_checked_value(self):
         mentions = (Mention(Span(0, 2)), Mention(Span(3, 4), "PER", LabelSource.PROPAGATED))
@@ -128,32 +125,24 @@ class TestCluster:
 
 class TestValidateDocument:
     def test_well_formed(self):
-        doc = Document(
-            doc_id="d0",
-            tokens=tuple(f"t{i}" for i in range(10)),
-            gold_clusters=(_cluster((0, 2), (4, 5)), _cluster((6, 8),)),
-        )
+        doc = doc_of([[(0, 2), (4, 5)], [(6, 8)]], tokens=10)
         assert validate_document(doc) == []
 
     def test_out_of_range_span(self):
-        doc = Document(doc_id="d0", tokens=("a", "b"), gold_clusters=(_cluster((0, 3),),))
+        doc = doc_of([[(0, 3)]], tokens=["a", "b"])
         violations = validate_document(doc)
         assert len(violations) == 1
         assert "[0, 3)" in violations[0]
         assert "gold_clusters[0]" in violations[0]
 
     def test_span_in_two_clusters(self):
-        doc = Document(
-            doc_id="d0",
-            tokens=tuple("abcdef"),
-            gold_clusters=(_cluster((0, 2),), _cluster((3, 4), (0, 2))),
-        )
+        doc = doc_of([[(0, 2)], [(3, 4), (0, 2)]], tokens=list("abcdef"))
         violations = validate_document(doc)
         assert len(violations) == 1
         assert "clusters 0 and 1" in violations[0]
 
     def test_does_not_mutate(self):
-        doc = Document(doc_id="d0", tokens=("a",), gold_clusters=(_cluster((0, 1),),))
+        doc = doc_of([[(0, 1)]], tokens=["a"])
         before = doc
         validate_document(doc)
         assert doc == before
@@ -218,8 +207,8 @@ def _labeled_document():
     doc = Document(
         doc_id="d0",
         tokens=("Mr.", "Smith", "said", "he", "left", "Rome"),
-        gold_clusters=(_cluster((0, 2), (3, 4)), _cluster((5, 6),)),
-        predicted_clusters=(_cluster((1, 2), (3, 4)),),
+        gold_clusters=(cluster_of([(0, 2), (3, 4)]), cluster_of([(5, 6)])),
+        predicted_clusters=(cluster_of([(1, 2), (3, 4)]),),
         semantic_spans=(SemanticSpan(Span(0, 2), "PER"), SemanticSpan(Span(5, 6), "LOC")),
         sentence_boundaries=(0,),
         extras={"source": "demo"},
@@ -240,7 +229,7 @@ VALUES = [
     (lambda: Span(0, 1), ("start", "end")),
     (lambda: Mention(span=Span(0, 1)), ("span", "assigned_label", "label_source",
                                         "assignment_overlap")),
-    (lambda: _cluster((0, 1)), ("mentions", "cluster_label")),
+    (lambda: cluster_of([(0, 1)]), ("mentions", "cluster_label")),
     (lambda: SemanticSpan(Span(0, 1), "PER"), ("span", "label")),
     (_labeled_document, ("doc_id", "tokens", "gold_clusters", "predicted_clusters",
                          "semantic_spans", "sentence_boundaries", "extras")),
@@ -284,7 +273,7 @@ class TestValueSemantics:
                 assert getattr(copied, name) == getattr(value, name)
 
     def test_model_values_are_not_tuples(self):
-        for make in (lambda: Mention(Span(0, 1)), lambda: _cluster((0, 1)),
+        for make in (lambda: Mention(Span(0, 1)), lambda: cluster_of([(0, 1)]),
                      lambda: SemanticSpan(Span(0, 1), "PER"), _labeled_document):
             assert not isinstance(make(), tuple)
 
@@ -294,7 +283,7 @@ class TestValueSemantics:
         assert mention != Mention(Span(0, 2))
         assert mention != (Span(0, 1), None, LabelSource.NONE, None)
         assert SemanticSpan(Span(0, 1), "PER") != SemanticSpan(Span(0, 1), "LOC")
-        assert len({_cluster((0, 1)), _cluster((0, 1)), _cluster((0, 2))}) == 2
+        assert len({cluster_of([(0, 1)]), cluster_of([(0, 1)]), cluster_of([(0, 2)])}) == 2
 
     def test_records_are_named_tuples(self):
         assert LabelingConfig() == (0.5, False, False)
@@ -339,7 +328,7 @@ class TestValueSemantics:
 
     def test_document_replace_stores_tuples(self):
         doc = _labeled_document()
-        cluster = _cluster((0, 1))
+        cluster = cluster_of([(0, 1)])
         changed = doc._replace(gold_clusters=[cluster], semantic_spans=iter([]))
         assert changed.gold_clusters == (cluster,)
         assert changed.semantic_spans == ()

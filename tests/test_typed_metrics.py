@@ -5,17 +5,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from conftest import tables_of
+from conftest import cluster_of, doc_of, tables_of
 from coref_semscore.labeling import LabelingConfig, label_documents
-from coref_semscore.model import (
-    Cluster,
-    Document,
-    DocumentPairingError,
-    LabelSource,
-    Mention,
-    Span,
-    pair_by_doc_id,
-)
+from coref_semscore.model import Cluster, DocumentPairingError, Span, pair_by_doc_id
 from coref_semscore.typed_metrics import (
     ClassScore,
     links_of,
@@ -29,26 +21,6 @@ from corpusgen import random_corpus, to_documents
 CFG = LabelingConfig()
 
 
-def _mention(span, label=None):
-    if label is None:
-        return Mention(span=Span(*span))
-    return Mention(span=Span(*span), assigned_label=label,
-                   label_source=LabelSource.PROPAGATED)
-
-
-def _cluster(spans, label=None):
-    return Cluster(tuple(_mention(s, label) for s in spans), cluster_label=label)
-
-
-def _doc(doc_id, n_tokens, gold, predicted):
-    return Document(
-        doc_id=doc_id,
-        tokens=tuple(f"t{i}" for i in range(n_tokens)),
-        gold_clusters=tuple(gold),
-        predicted_clusters=tuple(predicted),
-    )
-
-
 def _labeled_random_docs(seed, n_docs, **kwargs):
     rng = random.Random(seed)
     records = random_corpus(rng, n_docs, **kwargs)
@@ -57,21 +29,21 @@ def _labeled_random_docs(seed, n_docs, **kwargs):
 
 class TestLinksOf:
     def test_pair_counts(self):
-        assert len(links_of(_cluster([(0, 1), (2, 3), (4, 5)], "PER"))) == 3
-        assert links_of(_cluster([(0, 1)], "PER")) == []
+        assert len(links_of(cluster_of([(0, 1), (2, 3), (4, 5)], "PER"))) == 3
+        assert links_of(cluster_of([(0, 1)], "PER")) == []
 
     def test_five_mentions_give_ten_distinct_pairs(self):
-        links = links_of(_cluster([(i, i + 1) for i in range(0, 10, 2)], "LOC"))
+        links = links_of(cluster_of([(i, i + 1) for i in range(0, 10, 2)], "LOC"))
         assert len(links) == 10
         assert len({pair for pair, _ in links}) == 10
 
     def test_pairs_are_canonical_and_carry_label(self):
-        links = links_of(_cluster([(4, 5), (0, 1)], "ORG"))
+        links = links_of(cluster_of([(4, 5), (0, 1)], "ORG"))
         assert links == [((((0, 1)), ((4, 5))), "ORG")]
 
     @given(st.integers(1, 8))
     def test_binomial_count(self, k):
-        cluster = _cluster([(2 * i, 2 * i + 1) for i in range(k)], "PER")
+        cluster = cluster_of([(2 * i, 2 * i + 1) for i in range(k)], "PER")
         assert len(links_of(cluster)) == k * (k - 1) // 2
 
 
@@ -107,53 +79,53 @@ class TestTypedMentionScores:
         assert report.micro.f1 == 1.0
 
     def test_partial_detection(self):
-        gold = [_cluster([(0, 1), (2, 3)], "PER")]
-        pred = [_cluster([(0, 1), (5, 6)], "PER")]
-        doc = _doc("d0", 8, gold, pred)
+        gold = [cluster_of([(0, 1), (2, 3)], "PER")]
+        pred = [cluster_of([(0, 1), (5, 6)], "PER")]
+        doc = doc_of(gold, pred)
         report = typed_mention_scores(tables_of([doc]))
         score = report.per_class["PER"]
         assert (score.tp, score.fp, score.fn) == (1, 1, 1)
         assert score.precision == score.recall == score.f1 == 0.5
 
     def test_class_mismatch_gives_no_credit(self):
-        gold = [_cluster([(0, 1)], "PER")]
-        pred = [_cluster([(0, 1)], "LOC")]
-        doc = _doc("d0", 4, gold, pred)
+        gold = [cluster_of([(0, 1)], "PER")]
+        pred = [cluster_of([(0, 1)], "LOC")]
+        doc = doc_of(gold, pred)
         report = typed_mention_scores(tables_of([doc]))
         assert report.per_class["LOC"].fp == 1
         assert report.per_class["PER"].fn == 1
         assert report.micro.tp == 0
 
     def test_unlabeled_mentions_tallied_separately(self):
-        gold = [_cluster([(0, 1)], "PER"), _cluster([(2, 3)])]
-        pred = [_cluster([(0, 1)], "PER"), _cluster([(4, 5)])]
-        doc = _doc("d0", 8, gold, pred)
+        gold = [cluster_of([(0, 1)], "PER"), cluster_of([(2, 3)])]
+        pred = [cluster_of([(0, 1)], "PER"), cluster_of([(4, 5)])]
+        doc = doc_of(gold, pred)
         report = typed_mention_scores(tables_of([doc]))
         assert report.unlabeled_gold == 1
         assert report.unlabeled_predicted == 1
         assert set(report.per_class) == {"PER"}
 
     def test_span_shift_turns_tp_into_fp_and_fn(self):
-        gold = [_cluster([(2, 4)], "PER")]
-        doc_match = _doc("d0", 8, gold, [_cluster([(2, 4)], "PER")])
-        doc_shift = _doc("d0", 8, gold, [_cluster([(3, 5)], "PER")])
+        gold = [cluster_of([(2, 4)], "PER")]
+        doc_match = doc_of(gold, [cluster_of([(2, 4)], "PER")])
+        doc_shift = doc_of(gold, [cluster_of([(3, 5)], "PER")])
         matched = typed_mention_scores(tables_of([doc_match])).per_class["PER"]
         shifted = typed_mention_scores(tables_of([doc_shift])).per_class["PER"]
         assert (matched.tp, matched.fp, matched.fn) == (1, 0, 0)
         assert (shifted.tp, shifted.fp, shifted.fn) == (0, 1, 1)
 
     def test_doc_id_mismatch(self):
-        doc_a = _doc("a", 4, [], [])
-        doc_b = _doc("b", 4, [], [])
+        doc_a = doc_of(doc_id="a")
+        doc_b = doc_of(doc_id="b")
         with pytest.raises(DocumentPairingError):
             pair_by_doc_id([doc_a], [doc_b])
 
 
 class TestTypedLinkScores:
     def test_subset_cluster(self):
-        gold = [_cluster([(0, 1), (2, 3), (4, 5)], "PER")]
-        pred = [_cluster([(0, 1), (2, 3)], "PER")]
-        doc = _doc("d0", 8, gold, pred)
+        gold = [cluster_of([(0, 1), (2, 3), (4, 5)], "PER")]
+        pred = [cluster_of([(0, 1), (2, 3)], "PER")]
+        doc = doc_of(gold, pred)
         score = typed_link_scores(tables_of([doc])).per_class["PER"]
         assert (score.tp, score.fp, score.fn) == (1, 0, 2)
         assert score.precision == 1.0
@@ -169,24 +141,24 @@ class TestTypedLinkScores:
         assert report.macro_f1 == report.micro.f1 == 1.0
 
     def test_merged_singletons_score_zero(self):
-        gold = [_cluster([(0, 1)], "PER"), _cluster([(2, 3)], "PER")]
-        pred = [_cluster([(0, 1), (2, 3)], "PER")]
-        doc = _doc("d0", 4, gold, pred)
+        gold = [cluster_of([(0, 1)], "PER"), cluster_of([(2, 3)], "PER")]
+        pred = [cluster_of([(0, 1), (2, 3)], "PER")]
+        doc = doc_of(gold, pred)
         score = typed_link_scores(tables_of([doc])).per_class["PER"]
         assert (score.tp, score.fp, score.fn) == (0, 1, 0)
         assert score.f1 == 0.0
 
     def test_singletons_contribute_no_links(self):
-        gold = [_cluster([(0, 1)], "PER")]
-        doc = _doc("d0", 4, gold, gold)
+        gold = [cluster_of([(0, 1)], "PER")]
+        doc = doc_of(gold, gold)
         report = typed_link_scores(tables_of([doc]))
         assert report.per_class == {}
         assert report.micro.tp == 0
 
     def test_gold_mention_source_reports_containment(self):
-        gold = [_cluster([(0, 1), (2, 3)], "PER")]
-        pred = [_cluster([(0, 1), (4, 5)], "PER")]
-        doc = _doc("d0", 8, gold, pred)
+        gold = [cluster_of([(0, 1), (2, 3)], "PER")]
+        pred = [cluster_of([(0, 1), (4, 5)], "PER")]
+        doc = doc_of(gold, pred)
         report = typed_link_scores(tables_of([doc]), link_mention_source="gold")
         assert report.link_mention_source == "gold"
         assert report.containment_violations == 1
@@ -194,7 +166,7 @@ class TestTypedLinkScores:
         assert clean.containment_violations is None
 
     def test_unknown_link_mention_source_is_refused(self):
-        doc = _doc("d0", 4, [_cluster([(0, 1), (2, 3)], "PER")], [])
+        doc = doc_of([cluster_of([(0, 1), (2, 3)], "PER")])
         with pytest.raises(ValueError, match="unknown link_mention_source 'system'"):
             typed_link_scores(tables_of([doc]), "system")
 
@@ -204,10 +176,7 @@ class TestTypedLinkScores:
         base_mention = typed_mention_scores(tables_of(docs))
         spiked = []
         for doc in docs:
-            extra = Cluster((
-                Mention(span=Span(0, 1)),
-                Mention(span=Span(1, 2)),
-            ))
+            extra = cluster_of([(0, 1), (1, 2)])
             existing = {m.span for c in doc.predicted_clusters for m in c.mentions}
             if Span(0, 1) in existing or Span(1, 2) in existing:
                 spiked.append(doc)
@@ -250,16 +219,16 @@ class TestAggregates:
         assert micro.f1 == pytest.approx(2 / 3)
 
     def test_single_class_macro_equals_micro(self):
-        gold = [_cluster([(0, 1), (2, 3)], "PER")]
-        pred = [_cluster([(0, 1)], "PER")]
-        doc = _doc("d0", 4, gold, pred)
+        gold = [cluster_of([(0, 1), (2, 3)], "PER")]
+        pred = [cluster_of([(0, 1)], "PER")]
+        doc = doc_of(gold, pred)
         report = typed_mention_scores(tables_of([doc]))
         assert report.macro_f1 == report.micro.f1 == report.per_class["PER"].f1
 
     def test_predicted_only_classes_excluded_from_macro(self):
-        gold = [_cluster([(0, 1)], "PER")]
-        pred = [_cluster([(0, 1)], "PER"), _cluster([(2, 3)], "LOC")]
-        doc = _doc("d0", 4, gold, pred)
+        gold = [cluster_of([(0, 1)], "PER")]
+        pred = [cluster_of([(0, 1)], "PER"), cluster_of([(2, 3)], "LOC")]
+        doc = doc_of(gold, pred)
         report = typed_mention_scores(tables_of([doc]))
         assert report.predicted_only_classes == ["LOC"]
         assert report.macro_classes == ["PER"]
