@@ -129,48 +129,33 @@ def b_cubed(tables: Sequence[Contingency]) -> MetricTriple:
 
 
 class Matrix(NamedTuple):
-    """A dense matrix of exact numbers, as a tuple of equal-length rows."""
+    """A dense matrix of exact numbers, as a non-empty tuple of equal-length,
+    non-empty rows."""
 
     rows: tuple[tuple[int, ...], ...]
 
     @property
     def size(self) -> int:
-        return len(self.rows) * len(self.rows[0]) if self.rows else 0
+        return len(self.rows) * len(self.rows[0])
 
 
-def linear_sum_assignment(matrix: Matrix) -> tuple[list[int], list[int]]:
-    """One-to-one assignment of rows to columns with the greatest total.
-
-    Pairs min(rows, columns) rows with distinct columns so that the total
-    of the chosen entries is greatest, and returns (rows, cols) sorted by
-    row, as scipy.optimize's function of the same name does with
-    maximize=True.  The arithmetic is exact, so with integer entries no
-    tie is decided by rounding.
-    """
-    rows = matrix.rows
-    if not rows or not rows[0]:
-        return [], []
-    # _assign_rows finds the least total, so it is given negated weights.
-    if len(rows) <= len(rows[0]):
-        return list(range(len(rows))), _assign_rows([[-w for w in row] for row in rows])
-    # More rows than columns: assign the columns of the transpose instead.
-    col_rows = _assign_rows([[-w for w in col] for col in zip(*rows)])
-    pairs = sorted(zip(col_rows, range(len(col_rows))))
-    return [i for i, _ in pairs], [j for _, j in pairs]
-
-
-def _assign_rows(cost: list[list[int]]) -> list[int]:
-    """The column of each row in a least-cost assignment of every row.
+def linear_sum_assignment(matrix: Matrix) -> int:
+    """The greatest total of entries chosen one per row and per column,
+    min(rows, columns) of them.  The arithmetic is exact, so with integer
+    entries no tie is decided by rounding.
 
     The Hungarian method in its shortest-augmenting-path form (Jonker and
-    Volgenant): rows are added one at a time, each by a Dijkstra search
-    over reduced costs kept non-negative by row and column potentials,
-    and the path found is flipped.  Needs no more rows than columns;
-    O(rows² · columns).
+    Volgenant), which finds the least total of negated weights: rows are
+    added one at a time, each by a Dijkstra search over reduced costs kept
+    non-negative by row and column potentials, and the path found is
+    flipped.  It needs no more rows than columns, so a taller matrix is
+    transposed first; O(rows² · columns).
     """
+    rows = matrix.rows
+    if len(rows) > len(rows[0]):
+        rows = tuple(zip(*rows))
+    cost = [[-w for w in row] for row in rows]
     n, m = len(cost), len(cost[0])
-    if n > m:
-        raise ValueError(f"cannot assign {n} rows to {m} columns")
     inf = float("inf")
     # 1-based rows and columns; column 0 is the search root, and owner[j]
     # is the row holding column j, 0 if it is free.
@@ -206,11 +191,7 @@ def _assign_rows(cost: list[list[int]]) -> list[int]:
             j1 = way[j0]
             owner[j0] = owner[j1]
             j0 = j1
-    cols = [0] * n
-    for j in range(1, m + 1):
-        if owner[j]:
-            cols[owner[j] - 1] = j - 1
-    return cols
+    return sum(rows[owner[j] - 1][j - 1] for j in range(1, m + 1) if owner[j])
 
 
 def _components(cells: Collection[tuple[int, int]]) -> list[list[tuple[int, int]]]:
@@ -247,7 +228,7 @@ def _add_alignment_totals(
     Each component's phi4 are scaled to integer weights by the lcm of
     their denominators.  A component with one row or one column can align
     only one of its pairs and adds its largest weight; any other adds the
-    total that linear_sum_assignment chooses.  Either total goes to
+    total that linear_sum_assignment returns.  Either total goes to
     totals[lcm].
     """
     for component in _components(cells):
@@ -259,9 +240,8 @@ def _add_alignment_totals(
         if len(rows) == 1 or len(cols) == 1:
             totals[scale] += max(weight.values())
             continue
-        weights = Matrix(tuple(tuple(weight.get((i, j), 0) for j in cols) for i in rows))
-        chosen = zip(*linear_sum_assignment(weights))
-        totals[scale] += sum(weights.rows[r][c] for r, c in chosen)
+        totals[scale] += linear_sum_assignment(
+            Matrix(tuple(tuple(weight.get((i, j), 0) for j in cols) for i in rows)))
 
 
 def ceaf_counts(tables: Sequence[Contingency]) -> RatioCounts:

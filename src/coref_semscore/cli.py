@@ -15,7 +15,6 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from operator import attrgetter
 from pathlib import Path
 
 from . import model
@@ -41,7 +40,7 @@ from .labeling import (
     label_documents,
     load_pronoun_lexicon,
 )
-from .model import SIDES
+from .model import SIDES, LabelSource
 from .reporting import (
     ReportModeError,
     classic_report_dict,
@@ -58,6 +57,8 @@ from .typed_metrics import typed_link_scores, typed_mention_scores
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_MODE = 3
+
+_DIRECT, _PROPAGATED = LabelSource.DIRECT, LabelSource.PROPAGATED
 
 
 class CliError(Exception):
@@ -167,17 +168,41 @@ def _ensure_labeled(docs, cfg: LabelingConfig, sides=SIDES):
     The decision is per side, so a corpus whose gold side was labeled
     earlier still gets its raw predictions labeled.  A side that needs
     labels when the corpus has no semantic spans is a mode-requirement
-    error.  A reused side is an input error when a direct label's
-    overlap fails cfg's tau test, since labeling the side under cfg would
-    not give that label; the message names the lowest such overlap of
-    the first document that has one.
+    error.  A reused side is an input error when labeling it under cfg
+    would not give its labels: a cluster that has a propagated label
+    other than its own, or direct labels none of which is its own, or a
+    direct label whose overlap fails cfg's tau test.  The message names
+    the first document with such a fault, and in it the first such
+    cluster or else the lowest failing overlap.  A cluster with no direct
+    label is accepted whatever its label, as hand-labeled clusters are.
     """
     unlabeled = _unlabeled_sides(docs, sides)
     for side in (side for side in sides if side not in unlabeled):
         for doc in docs:
-            direct = [m for cluster in doc.clusters(side) for m in cluster.mentions
-                      if m.assignment_overlap is not None]
-            worst = min(direct, key=attrgetter("assignment_overlap"), default=None)
+            worst = None
+            for index, cluster in enumerate(doc.clusters(side)):
+                label = cluster.cluster_label
+                stray = carried = None
+                for m in cluster.mentions:
+                    if m.label_source is _DIRECT:
+                        carried = carried or m.assigned_label == label
+                        if worst is None or m.assignment_overlap < worst.assignment_overlap:
+                            worst = m
+                    elif m.label_source is _PROPAGATED and m.assigned_label != label:
+                        stray = m
+                        break
+                if stray is not None:
+                    fault = (f"a propagated label {stray.assigned_label!r} at span "
+                             f"[{stray.span.start}, {stray.span.end})")
+                elif carried is False:
+                    fault = "direct labels " + repr(sorted(
+                        {m.assigned_label for m in cluster.mentions if m.label_source is _DIRECT}))
+                else:
+                    continue
+                raise CliError(EXIT_INPUT, (
+                    f"cannot reuse the {side} labels of doc {doc.doc_id!r}: cluster {index} has "
+                    f"label {label!r} and {fault}, which labeling never gives; label the "
+                    "unlabeled corpus"))
             if worst is not None and not cfg.passes(worst.assignment_overlap):
                 raise CliError(EXIT_INPUT, (
                     f"cannot reuse the {side} labels of doc {doc.doc_id!r}: span "

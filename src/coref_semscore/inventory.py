@@ -81,12 +81,6 @@ class CategoryInventory(_Value):
         object.__setattr__(self, "_canonical", canonical)
         object.__setattr__(self, "_alias_map", alias_map)
 
-    def __len__(self) -> int:
-        return len(self.categories)
-
-    def __contains__(self, label: str) -> bool:
-        return label in self._canonical
-
     @property
     def labels(self) -> tuple[str, ...]:
         return tuple(c.label for c in self.categories)

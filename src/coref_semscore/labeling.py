@@ -102,13 +102,10 @@ def load_pronoun_lexicon(source: Union[str, Path, IO[str]]) -> frozenset[str]:
 
 
 _NONE, _DIRECT, _PROPAGATED = LabelSource.NONE, LabelSource.DIRECT, LabelSource.PROPAGATED
-# A mention's direct assignment: its label, its overlap and the direct
-# Mention that carries them.
-_Direct = tuple[str, float, Mention]
 
 
 class _Alignments(dict):
-    """Span -> the direct assignment of a mention at that span in one
+    """Span -> the direct Mention of a mention at that span in one
     document, or None when its best overlap does not pass tau.
 
     The assignment depends only on the span, the document's semantic
@@ -125,9 +122,9 @@ class _Alignments(dict):
         self._longest = max([end - start for start, end in spans], default=0)
         self._cfg = cfg
 
-    def __missing__(self, span: Span) -> _Direct | None:
-        """The label and Jaccard score of the best-overlapping semantic
-        span, with the direct Mention that carries them.
+    def __missing__(self, span: Span) -> Mention | None:
+        """The direct Mention carrying the label and Jaccard score of the
+        best-overlapping semantic span.
 
         Only the spans that start in (mention.start - longest, mention.end)
         are scored: every span that overlaps the mention starts there,
@@ -151,30 +148,29 @@ class _Alignments(dict):
                     best_score, best_key = score, key
         aligned = None
         if best_key is not None and self._cfg.passes(best_score):
-            label = best_key[2]
-            aligned = label, best_score, Mention(span, label, _DIRECT, best_score)
+            aligned = Mention(span, best_key[2], _DIRECT, best_score)
         self[span] = aligned
         return aligned
 
 
 def _relabel(
-    cluster: Cluster, direct: Sequence[_Direct | None], label: str | None, force: bool
+    cluster: Cluster, direct: Sequence[Mention | None], label: str | None, force: bool
 ) -> Cluster:
     """The cluster rebuilt with `label` and its mentions' labels: the one
     place a labeled Cluster is built.
 
-    `direct` holds each mention's direct assignment, or None.  A direct
+    `direct` holds each mention's direct Mention, or None.  A direct
     mention keeps its own label and Mention, or takes `label` when `force`
     is set (which needs a `label`); any other mention takes `label` as
     propagated, or is left unlabeled when `label` is None.  The spans are
     those of `cluster`, already checked when it was built.
     """
     return _trusted_cluster(tuple([
-        (Mention(m.span, label, _DIRECT, entry[1]) if force else entry[2]) if entry is not None
+        (Mention(m.span, label, _DIRECT, d.assignment_overlap) if force else d) if d is not None
         else Mention(m.span, label, _PROPAGATED) if label is not None
         else m if m.label_source is _NONE
         else Mention(m.span)
-        for m, entry in zip(cluster.mentions, direct)
+        for m, d in zip(cluster.mentions, direct)
     ]), label)
 
 
@@ -191,25 +187,34 @@ def assign_mentions(doc: Document, cfg: LabelingConfig, side: str) -> Document:
     ])
 
 
-def _vote(direct: Iterable[_Direct | None]) -> str | None:
-    """Majority label over the direct assignments, one per directly
-    labeled mention; None entries, for the other mentions, are skipped,
-    and with no assignment at all there is no label.
+def _vote(direct: Iterable[Mention | None]) -> str | None:
+    """Majority label over the direct Mentions; None entries, for the
+    other mentions, are skipped, and with no direct Mention at all there
+    is no label.
 
     Frequency ties fall back to the highest mean assignment overlap among
     each tied label's supporting mentions, then to the lexicographically
     smallest label name.
     """
     overlaps_by_label: dict[str, list[float]] = defaultdict(list)
-    for entry in direct:
-        if entry is not None:
-            overlaps_by_label[entry[0]].append(entry[1])
+    for d in direct:
+        if d is not None:
+            overlaps_by_label[d.assigned_label].append(d.assignment_overlap)
     ranked = min(
         ((-len(scores), -(fsum(scores) / len(scores)), label)
          for label, scores in overlaps_by_label.items()),
         default=None,
     )
     return None if ranked is None else ranked[2]
+
+
+def _label_cluster(cluster: Cluster, direct: Sequence[Mention | None], force: bool) -> Cluster:
+    """The cluster labeled from `direct`, each mention's direct Mention or
+    None: voted on only when the direct labels disagree, and rebuilt by
+    _relabel."""
+    labels = {d.assigned_label for d in direct if d is not None}
+    label = _vote(direct) if len(labels) > 1 else labels.pop() if labels else None
+    return _relabel(cluster, direct, label, force)
 
 
 def propagate(doc: Document, cfg: LabelingConfig, side: str) -> Document:
@@ -221,34 +226,11 @@ def propagate(doc: Document, cfg: LabelingConfig, side: str) -> Document:
     label and every propagated mention label are cleared.  Applying this
     twice changes nothing.
     """
-    new_clusters = []
-    for cluster in doc.clusters(side):
-        direct = [
-            (m.assigned_label, m.assignment_overlap, m) if m.label_source is _DIRECT else None
-            for m in cluster.mentions
-        ]
-        new_clusters.append(_relabel(cluster, direct, _vote(direct), cfg.force_cluster_label))
-    return doc.with_clusters(side, new_clusters)
-
-
-def _label_document(doc: Document, cfg: LabelingConfig, sides: Sequence[str]) -> Document:
-    """Assignment then propagation on each of `sides` that has clusters,
-    equal to propagate(assign_mentions(doc, cfg, side), cfg, side) side by
-    side: one loop per side, in which each mention span of the document is
-    aligned once and a cluster is voted on only when its direct labels
-    disagree."""
-    aligned = _Alignments(doc.semantic_spans, cfg)
-    labeled = {}
-    for side in sides:
-        clusters = []
-        for cluster in doc.clusters(side):
-            direct = [aligned[m.span] for m in cluster.mentions]
-            labels = {entry[0] for entry in direct if entry is not None}
-            label = _vote(direct) if len(labels) > 1 else labels.pop() if labels else None
-            clusters.append(_relabel(cluster, direct, label, cfg.force_cluster_label))
-        if clusters:
-            labeled[f"{side}_clusters"] = clusters
-    return doc._replace(**labeled) if labeled else doc
+    return doc.with_clusters(side, [
+        _label_cluster(c, [m if m.label_source is _DIRECT else None for m in c.mentions],
+                       cfg.force_cluster_label)
+        for c in doc.clusters(side)
+    ])
 
 
 def label_documents(
@@ -256,9 +238,26 @@ def label_documents(
     cfg: LabelingConfig | None = None,
     sides: Sequence[str] = SIDES,
 ) -> list[Document]:
-    """Run assignment and propagation over a corpus, on both sides by default."""
+    """Run assignment and propagation over a corpus, on both sides by default.
+
+    Each document equals propagate(assign_mentions(doc, cfg, side), cfg,
+    side) side by side, on each of `sides` that has clusters, but is
+    labeled in one loop per side, in which each mention span of the
+    document is aligned once.
+    """
     cfg = cfg or LabelingConfig()
-    return [_label_document(doc, cfg, sides) for doc in docs]
+    labeled = []
+    for doc in docs:
+        aligned = _Alignments(doc.semantic_spans, cfg)
+        clusters = {
+            f"{side}_clusters": [
+                _label_cluster(c, [aligned[m.span] for m in c.mentions], cfg.force_cluster_label)
+                for c in doc.clusters(side)
+            ]
+            for side in sides if doc.clusters(side)
+        }
+        labeled.append(doc._replace(**clusters) if clusters else doc)
+    return labeled
 
 
 class CoverageCounts(NamedTuple):

@@ -2,7 +2,10 @@
 
 perfbench/child.py wraps package functions by name (its SPANS table and
 install_counters) before it runs the CLI, so a renamed or no longer
-called function breaks every traced or counted benchmark command.
+called function breaks every traced or counted benchmark command, and
+one that its caller no longer looks up at the wrapped attribute leaves
+its span or count silently at zero.  The mini corpus makes at least one
+call of each function checked here.
 """
 
 import json
@@ -30,4 +33,10 @@ def test_child_runs_eval_with_hooks_installed(tmp_path, mode, key):
     assert result[key]
     if mode == "trace":
         names = {span[2] for span in result["spans"]}
-        assert {"typed.mention_s", "typed.link_s"} <= names
+        assert {"typed.mention_s", "typed.link_s", "classic.hungarian_s",
+                "labeling.label_s"} <= names
+    else:
+        counts = result["counts"]
+        assert counts["classic.hungarian_calls"] >= 1
+        assert counts["classic.hungarian_cells"] >= 4
+        assert counts["labeling.overlap_calls"] > 0

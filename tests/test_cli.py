@@ -354,6 +354,14 @@ class TestEvalCommand:
             refusals += refused
         assert 0 < refusals < len(configs)
 
+    @pytest.mark.parametrize("force", [False, True])
+    def test_labels_of_a_run_are_reused_under_its_config(self, force):
+        raw = read_jsonl_corpus(MINI_CORPUS, CategoryInventory.default())
+        for tau in (0.0, 0.1, 0.5, 0.9):
+            cfg = LabelingConfig(tau, force_cluster_label=force)
+            labeled = label_documents(raw, cfg)
+            assert cli._ensure_labeled(labeled, cfg) is labeled
+
     def test_reuse_at_the_labeling_tau_scores_as_a_fresh_run(self, tmp_path):
         out_label = tmp_path / "labeled"
         assert main(["label", "--gold", str(MINI_CORPUS), "--tau", "0.1",

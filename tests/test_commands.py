@@ -466,6 +466,10 @@ REFUSALS = {
         ("label", "--gold", "gold.jsonl"), "gold.jsonl: line 1: cner[0]: unknown category label "
         "'PER'", {"inv.json": [{"label": "FOO"}], "gold.jsonl": {**GOLD, "cner": [[0, 1, "PER"]]}},
         env=INVENTORY),
+    "inventory-empty": _refusal(
+        ("label", "--gold", "gold.jsonl"), "gold.jsonl: line 1: cner[0]: unknown category label "
+        "'PER'", {"inv.json": [], "gold.jsonl": {**GOLD, "cner": [[0, 1, "PER"]]}},
+        env=INVENTORY),
     **{f"reference-{name}": _refusal(
         ("validate-labels", "--gold", "{corpus}", "--reference", "ref.json"),
         f"ref.json: {message}", {"ref.json": content})
@@ -501,6 +505,19 @@ REFUSALS = {
         "cannot reuse the gold labels of doc 'mini0000_0': span [71, 72) has a direct label at "
         f"overlap 0.5, not {test} tau 0.9; label the unlabeled corpus at this tau")
        for flag, test in [((), ">"), (("--tau-inclusive",), ">=")]},
+    **{f"eval-reuse-{name}": _refusal(
+        ("eval", "--gold", "gold.jsonl", "--typed-mention", "--typed-link"),
+        f"cannot reuse the gold labels of doc 'd0': cluster 0 has label 'LOC' and {fault}, "
+        "which labeling never gives; label the unlabeled corpus",
+        {"gold.jsonl": {**PAIR, "cluster_labels": {"gold": ["LOC"]},
+                        "mention_labels": {"gold": [labels]},
+                        "mention_label_sources": {"gold": [sources]},
+                        "mention_overlaps": {"gold": [overlaps]}}})
+       for name, labels, sources, overlaps, fault in [
+           ("propagated-label-not-the-clusters", ["PER", "PER"], ["direct", "propagated"],
+            [1.0, None], "a propagated label 'PER' at span [1, 2)"),
+           ("direct-labels-without-the-clusters", ["PER", "ORG"], ["direct", "direct"],
+            [1.0, 0.75], "direct labels ['ORG', 'PER']")]},
     "compare-report-counts": _refusal(
         ("compare", "-a", "{report}", "-a", "{classic_report}", "-b", "{report}"),
         "cannot compare {report}, {classic_report} with {report}: system A has 2 reports and "

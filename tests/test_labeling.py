@@ -276,6 +276,17 @@ class TestPropagate:
             twice = propagate(once, CFG, "gold")
             assert twice == once
 
+    @settings(deadline=None)
+    @given(assignment_cases(), st.sampled_from([0.0, 0.3, 0.5, 1.0]), st.booleans())
+    def test_idempotent_on_drawn_documents(self, case, tau, inclusive):
+        n, gold, predicted, cner = case
+        doc = doc_of(gold, predicted, cner, tokens=n, doc_id="h0")
+        for force in (False, True):
+            cfg = LabelingConfig(tau, inclusive, force)
+            for side in ("gold", "predicted"):
+                labeled = label_documents([doc], cfg, (side,))[0]
+                assert propagate(labeled, cfg, side) == labeled
+
     def test_cluster_without_direct_mention_clears_propagated_labels(self):
         stale = Cluster((
             Mention(Span(0, 1), "PER", LabelSource.PROPAGATED),

@@ -171,9 +171,9 @@ class TestLabels:
 
     def test_default_inventory_shape(self):
         inv = CategoryInventory.default()
-        assert len(inv) == 29
+        assert len(inv.labels) == 29
         for label in ("PER", "LOC", "ORG", "EVENT", "SUPER"):
-            assert label in inv
+            assert label in inv.labels
 
     def test_alias_resolution(self):
         inv = CategoryInventory.default()
