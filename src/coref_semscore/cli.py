@@ -139,7 +139,10 @@ def _read_corpus(path: str, fmt: str, inventory: CategoryInventory, as_predictio
     return docs
 
 
-def _load_corpus(args, inventory: CategoryInventory):
+def _load_corpus(args, inventory: CategoryInventory) -> tuple[list, dict[str, str]]:
+    """The corpus of --gold, --pred and --cner, and the --cner path keyed
+    by the doc_id of each document to which --cner gives another set of
+    semantic spans than it carries."""
     docs = _read_corpus(args.gold, args.format, inventory, as_predictions=False)
     pred_path = getattr(args, "pred", None)
     if pred_path:
@@ -147,10 +150,13 @@ def _load_corpus(args, inventory: CategoryInventory):
         if not any(d.predicted_clusters for d in pred_docs):
             raise CliError(EXIT_INPUT, f"{pred_path}: no predicted_clusters in prediction file")
         docs = merge_predictions(docs, pred_docs)
-    if args.cner:
-        with _reading(args.cner):
-            docs = attach_semantic_spans(docs, read_cner_jsonl(args.cner, inventory))
-    return docs
+    if not args.cner:
+        return docs, {}
+    with _reading(args.cner):
+        spans_by_id = read_cner_jsonl(args.cner, inventory)
+        respanned = {doc.doc_id: args.cner for doc in docs if doc.doc_id in spans_by_id
+                     and set(doc.semantic_spans) != set(spans_by_id[doc.doc_id])}
+        return attach_semantic_spans(docs, spans_by_id), respanned
 
 
 def _unlabeled_sides(docs, sides) -> list[str]:
@@ -162,7 +168,7 @@ def _unlabeled_sides(docs, sides) -> list[str]:
     ]
 
 
-def _ensure_labeled(docs, cfg: LabelingConfig, sides=SIDES):
+def _ensure_labeled(docs, cfg: LabelingConfig, sides=SIDES, respanned=None):
     """Label each of `sides` that has clusters but no cluster label.
 
     The decision is per side, so a corpus whose gold side was labeled
@@ -170,9 +176,11 @@ def _ensure_labeled(docs, cfg: LabelingConfig, sides=SIDES):
     labels when the corpus has no semantic spans is a mode-requirement
     error.  A reused side is an input error when labeling it under cfg
     would not give its labels: a cluster that has a propagated label
-    other than its own, or direct labels none of which is its own, or a
-    direct label whose overlap fails cfg's tau test.  The message names
-    the first document with such a fault, and in it the first such
+    other than its own, or direct labels none of which is its own, a
+    document with a direct label whose semantic spans were replaced by
+    another set (`respanned` maps its doc_id to the file that gave them),
+    or a direct label whose overlap fails cfg's tau test.  The message
+    names the first document with such a fault, and in it the first such
     cluster or else the lowest failing overlap.  A cluster with no direct
     label is accepted whatever its label, as hand-labeled clusters are.
     """
@@ -203,6 +211,11 @@ def _ensure_labeled(docs, cfg: LabelingConfig, sides=SIDES):
                     f"cannot reuse the {side} labels of doc {doc.doc_id!r}: cluster {index} has "
                     f"label {label!r} and {fault}, which labeling never gives; label the "
                     "unlabeled corpus"))
+            if worst is not None and respanned and doc.doc_id in respanned:
+                raise CliError(EXIT_INPUT, (
+                    f"{respanned[doc.doc_id]}: cannot reuse the {side} labels of doc "
+                    f"{doc.doc_id!r}: its direct labels come from other semantic spans than "
+                    "this file gives it; label the unlabeled corpus with these spans"))
             if worst is not None and not cfg.passes(worst.assignment_overlap):
                 raise CliError(EXIT_INPUT, (
                     f"cannot reuse the {side} labels of doc {doc.doc_id!r}: span "
@@ -253,7 +266,7 @@ def cmd_label(args) -> int:
     inventory = _inventory()
     cfg = _labeling_config(args, args.force_cluster_label)
     pronouns = _pronouns(args)
-    docs = _load_corpus(args, inventory)
+    docs, _ = _load_corpus(args, inventory)
     if not any(doc.semantic_spans for doc in docs) and docs:
         raise CliError(EXIT_MODE, "labeling requires semantic spans (--cner or a cner field)")
     labeled = label_documents(docs, cfg)
@@ -268,13 +281,13 @@ def cmd_eval(args) -> int:
                                    "--typed-link, --classic")
     inventory = _inventory()
     cfg = _labeling_config(args, args.force_cluster_label)
-    docs = _load_corpus(args, inventory)
+    docs, respanned = _load_corpus(args, inventory)
     if docs and not any(doc.predicted_clusters for doc in docs):
         raise CliError(EXIT_MODE, "evaluation requires predicted clusters "
                                   "(--pred or a predicted_clusters field)")
     need_typed = args.typed_mention or args.typed_link
     if need_typed:
-        docs = _ensure_labeled(docs, cfg)
+        docs = _ensure_labeled(docs, cfg, respanned=respanned)
 
     report: dict = {
         "config": {
@@ -318,7 +331,8 @@ def cmd_coverage(args) -> int:
     inventory = _inventory()
     cfg = _labeling_config(args)
     pronouns = _pronouns(args)
-    docs = _ensure_labeled(_load_corpus(args, inventory), cfg)
+    docs, respanned = _load_corpus(args, inventory)
+    docs = _ensure_labeled(docs, cfg, respanned=respanned)
     _publish_coverage(args, docs, pronouns)
     return EXIT_OK
 
@@ -328,7 +342,8 @@ def cmd_distribution(args) -> int:
 
     inventory = _inventory()
     cfg = _labeling_config(args, args.force_cluster_label)
-    docs = _ensure_labeled(_load_corpus(args, inventory), cfg, ("gold",))
+    docs, respanned = _load_corpus(args, inventory)
+    docs = _ensure_labeled(docs, cfg, ("gold",), respanned)
     report = distribution(docs, inventory)
     _publish(args, "distribution", distribution_report_dict(report),
              render_distribution_table(report))
@@ -382,7 +397,8 @@ def cmd_validate_labels(args) -> int:
 
     inventory = _inventory()
     cfg = _labeling_config(args)
-    docs = _ensure_labeled(_load_corpus(args, inventory), cfg, ("gold",))
+    docs, respanned = _load_corpus(args, inventory)
+    docs = _ensure_labeled(docs, cfg, ("gold",), respanned)
     raw = _json_file(args.reference)
     try:
         reference = label_reports.read_reference(args.reference, raw, inventory)
@@ -408,72 +424,77 @@ def _weight(text: str) -> float:
     raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of `command` alone.  A
+    subcommand's prog, usage and help do not depend on which others are
+    registered, so its parser is the same either way."""
     parser = argparse.ArgumentParser(
         prog="coref-semscore",
         description="Semantically typed coreference evaluation toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("label", help="label a corpus and report coverage")
-    _add_io_args(p, out_required=True)
-    _add_labeling_args(p)
-    p.add_argument("--pronouns", help="pronoun lexicon for the coverage report, one per line")
-    p.set_defaults(func=cmd_label)
+    def add(name: str, summary: str, func):
+        if command not in (None, name):
+            return None
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func, command_parser=p)
+        return p
 
-    p = sub.add_parser("eval", help="typed and classic evaluation")
-    _add_io_args(p)
-    _add_labeling_args(p)
-    p.add_argument("--typed-mention", action="store_true", help="per-class mention scores")
-    p.add_argument("--typed-link", action="store_true", help="per-class link scores")
-    p.add_argument("--classic", action="store_true", help="MUC, B-cubed, CEAF, CoNLL mean")
-    p.add_argument(
-        "--link-mention-source", choices=("predicted", "gold"), default="predicted",
-        help="provenance of predicted mentions for link scoring"
-    )
-    p.add_argument("--drop-singletons", action="store_true",
-                   help="drop size-1 clusters before classic scoring")
-    p.set_defaults(func=cmd_eval)
+    if p := add("label", "label a corpus and report coverage", cmd_label):
+        _add_io_args(p, out_required=True)
+        _add_labeling_args(p)
+        p.add_argument("--pronouns", help="pronoun lexicon for the coverage report, one per line")
 
-    p = sub.add_parser("coverage", help="labeling coverage report")
-    _add_io_args(p)
-    _add_labeling_args(p, force=False)
-    p.add_argument("--pronouns", help="pronoun lexicon for the coverage report, one per line")
-    p.set_defaults(func=cmd_coverage)
+    if p := add("eval", "typed and classic evaluation", cmd_eval):
+        _add_io_args(p)
+        _add_labeling_args(p)
+        p.add_argument("--typed-mention", action="store_true", help="per-class mention scores")
+        p.add_argument("--typed-link", action="store_true", help="per-class link scores")
+        p.add_argument("--classic", action="store_true", help="MUC, B-cubed, CEAF, CoNLL mean")
+        p.add_argument(
+            "--link-mention-source", choices=("predicted", "gold"), default="predicted",
+            help="provenance of predicted mentions for link scoring"
+        )
+        p.add_argument("--drop-singletons", action="store_true",
+                       help="drop size-1 clusters before classic scoring")
 
-    p = sub.add_parser("distribution", help="label distribution over gold mentions")
-    _add_io_args(p, pred=False)
-    _add_labeling_args(p)
-    p.set_defaults(func=cmd_distribution)
+    if p := add("coverage", "labeling coverage report", cmd_coverage):
+        _add_io_args(p)
+        _add_labeling_args(p, force=False)
+        p.add_argument("--pronouns", help="pronoun lexicon for the coverage report, one per line")
 
-    p = sub.add_parser("compare", help="per-class deltas between two eval reports")
-    p.add_argument("-a", "--report-a", action="append", required=True,
-                   help="eval report JSON for system A (repeatable)")
-    p.add_argument("-b", "--report-b", action="append", required=True,
-                   help="eval report JSON for system B (repeatable)")
-    p.add_argument("--pool-counts", action="store_true",
-                   help="pool tp/fp/fn across corpora instead of averaging F1s")
-    p.add_argument("--out", help="output directory")
-    p.set_defaults(func=cmd_compare)
+    if p := add("distribution", "label distribution over gold mentions", cmd_distribution):
+        _add_io_args(p, pred=False)
+        _add_labeling_args(p)
 
-    p = sub.add_parser("diagnose", help="rank classes by deficiency")
-    p.add_argument("--eval-report", required=True, help="eval report JSON")
-    p.add_argument("--w-mention", type=_weight, default=0.5, help="mention term weight")
-    p.add_argument("--w-link", type=_weight, default=0.5, help="link term weight")
-    p.add_argument("--rarity-cap", type=_weight, default=0.2, help="cap on the rarity term")
-    p.add_argument("--out", help="output directory")
-    p.set_defaults(func=cmd_diagnose)
+    if p := add("compare", "per-class deltas between two eval reports", cmd_compare):
+        p.add_argument("-a", "--report-a", action="append", required=True,
+                       help="eval report JSON for system A (repeatable)")
+        p.add_argument("-b", "--report-b", action="append", required=True,
+                       help="eval report JSON for system B (repeatable)")
+        p.add_argument("--pool-counts", action="store_true",
+                       help="pool tp/fp/fn across corpora instead of averaging F1s")
+        p.add_argument("--out", help="output directory")
 
-    p = sub.add_parser("validate-labels", help="score cluster labels against a reference")
-    _add_io_args(p, pred=False)
-    _add_labeling_args(p, force=False)
-    p.add_argument("--reference", required=True,
-                   help="JSON file {doc_id: {cluster_index: label}}")
-    p.set_defaults(func=cmd_validate_labels)
+    if p := add("diagnose", "rank classes by deficiency", cmd_diagnose):
+        p.add_argument("--eval-report", required=True, help="eval report JSON")
+        p.add_argument("--w-mention", type=_weight, default=0.5, help="mention term weight")
+        p.add_argument("--w-link", type=_weight, default=0.5, help="link term weight")
+        p.add_argument("--rarity-cap", type=_weight, default=0.2, help="cap on the rarity term")
+        p.add_argument("--out", help="output directory")
 
-    for command in sub.choices.values():
-        command.set_defaults(command_parser=command)
+    if p := add("validate-labels", "score cluster labels against a reference",
+                cmd_validate_labels):
+        _add_io_args(p, pred=False)
+        _add_labeling_args(p, force=False)
+        p.add_argument("--reference", required=True,
+                       help="JSON file {doc_id: {cluster_index: label}}")
     return parser
+
+
+_COMMANDS = ("label", "eval", "coverage", "distribution", "compare", "diagnose",
+             "validate-labels")
 
 
 def _parse_args(argv) -> argparse.Namespace:
@@ -481,12 +502,18 @@ def _parse_args(argv) -> argparse.Namespace:
     reported by the subcommand's parser, with its usage.  The subcommand
     takes every argument after its name, so an unknown option is the
     top-level parser's to report only when something comes before that
-    name."""
-    parser = build_parser()
+    name.
+
+    When argv starts with a subcommand's name, only that subcommand's
+    parser is built, which prints and parses as the full one does; any
+    other argv (top-level -h, an option before the name, an unknown name)
+    gets the parser of every subcommand.
+    """
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     args, extras = parser.parse_known_args(argv)
     if extras:
-        first = (sys.argv[1:] if argv is None else argv)[0]
-        reporter = args.command_parser if first == args.command else parser
+        reporter = args.command_parser if argv[0] == args.command else parser
         reporter.error(f"unrecognized arguments: {' '.join(extras)}")
     return args
 

@@ -28,7 +28,9 @@ Unknown fields are preserved on round-trip.  Documents are read only as
 whole corpora: read_jsonl_corpus here and, for gold clusters only,
 read_conll2012 in conll2012 build each document through _documents, which
 words every error with its line number.  There is no CoNLL writer.  One
-read builds each distinct label and unlabeled Mention once (_Shared).
+read resolves each distinct label, checks each distinct (label, source)
+pair of a labeled mention and builds each distinct unlabeled Mention once
+(_Shared); every labeled mention is its own object.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from .model import (
     SemanticSpan,
     Span,
     _trusted_cluster,
+    _trusted_mention,
     validate_document,
 )
 
@@ -60,6 +63,7 @@ class CorpusFormatError(Exception):
 
 
 _SOURCES = {source.value: source for source in LabelSource}
+_DIRECT = LabelSource.DIRECT
 _MENTION_BLOCKS = ("mention_labels", "mention_label_sources", "mention_overlaps")
 _LABEL_BLOCKS = ("cluster_labels", *_MENTION_BLOCKS)
 _MODEL_FIELDS = ("doc_id", "tokens", "sentence_boundaries", "gold_clusters",
@@ -71,19 +75,23 @@ _new_span = tuple.__new__
 
 class _Shared(dict):
     """The labels and unlabeled mentions of one read, each built once, on
-    first sight.
+    first sight, and the (label, source) pairs of its labeled mentions,
+    each checked once.
 
     A raw label string keys its canonical label, which inventory.resolve
     gives on the first lookup; a label it rejects is not stored, so it
     raises again wherever it recurs.  A (start, end) keys its unlabeled
     Mention, which the reader stores for a pair only once it has passed
-    its document's checks.
+    its document's checks.  In `pairs`, a raw (label, source) pair keys
+    the (label, LabelSource) of the first mention that the checked
+    Mention constructor accepted with it.
     """
 
-    __slots__ = ("_resolve",)
+    __slots__ = ("_resolve", "pairs")
 
     def __init__(self, inventory: CategoryInventory) -> None:
         self._resolve = inventory.resolve
+        self.pairs: dict = {}
 
     def __missing__(self, raw: str) -> str:
         label = self[raw] = self._resolve(raw)
@@ -170,6 +178,7 @@ def _clusters_from_record(
         cluster_labels, *per_mention = blocks
         has_labels = any(block is not None for block in per_mention)
     where = key + "[{}][{}]"
+    pairs = shared.pairs
     clusters = []
     side_spans: set[Span] = set()
     mention_count = 0
@@ -207,14 +216,27 @@ def _clusters_from_record(
                 violated = True
             spans.append(span)
             if has_labels:
-                source, overlap = source_row[mi], overlap_row[mi]
+                raw_label, source, overlap = label_row[mi], source_row[mi], overlap_row[mi]
                 try:
-                    mentions.append(Mention(
+                    label, label_source = pairs[raw_label, source]
+                except (KeyError, TypeError):  # a pair not checked yet, or unhashable
+                    label_source = None
+                # A checked pair needs only its own overlap checked: a float
+                # in [0, 1], kept as read, for a direct label, else none.
+                if label_source is _DIRECT:
+                    if type(overlap) is float and 0.0 <= overlap <= 1.0:
+                        mentions.append(_trusted_mention(span, label, _DIRECT, overlap))
+                        continue
+                elif label_source is not None and overlap is None:
+                    mentions.append(_trusted_mention(span, label, label_source, None))
+                    continue
+                try:
+                    mention = Mention(
                         span,
-                        _label(label_row[mi], shared),
+                        _label(raw_label, shared),
                         (type(source) is str and _SOURCES.get(source)) or LabelSource(source),
                         None if overlap is None else float(overlap),
-                    ))
+                    )
                     # After float() and Mention have worded what they reject.
                     if overlap is not None and (
                         type(overlap) not in (int, float) or not 0.0 <= overlap <= 1.0
@@ -224,6 +246,10 @@ def _clusters_from_record(
                         )
                 except (TypeError, ValueError) as exc:
                     raise CorpusFormatError(f"{where.format(ci, mi)}: {exc}") from exc
+                # Accepted, so the label is a string or null and the source a
+                # string: the pair hashes.
+                pairs[raw_label, source] = mention.assigned_label, mention.label_source
+                mentions.append(mention)
             else:
                 mentions.append(Mention(span))
         mentions = tuple(mentions)

@@ -137,7 +137,12 @@ class Mention(_Value):
     """A token span, optionally carrying a semantic label.
 
     `assignment_overlap` is only present for directly assigned labels and
-    records the winning Jaccard score at assignment time.
+    records the winning Jaccard score at assignment time.  The constructor
+    checks that rule, and that a label is present exactly when the source
+    is not none.  One caller builds through the unchecked
+    _trusted_mention instead: ingest._clusters_from_record, for a labeled
+    mention whose (label, source) pair the constructor accepted earlier
+    in the read, once the reader has checked the mention's overlap inline.
     """
 
     __slots__ = _fields = ("span", "assigned_label", "label_source", "assignment_overlap")
@@ -197,6 +202,20 @@ def _trusted_cluster(mentions: tuple[Mention, ...], cluster_label: str | None) -
     _set_mentions(cluster, mentions)
     _set_cluster_label(cluster, cluster_label)
     return cluster
+
+
+def _trusted_mention(
+    span: Span, assigned_label: str | None, label_source: LabelSource,
+    assignment_overlap: float | None,
+) -> Mention:
+    """A Mention built without the constructor's checks, for fields known
+    to pass them."""
+    mention = object.__new__(Mention)
+    _set_span(mention, span)
+    _set_assigned_label(mention, assigned_label)
+    _set_label_source(mention, label_source)
+    _set_assignment_overlap(mention, assignment_overlap)
+    return mention
 
 
 class SemanticSpan(_Value):

@@ -61,6 +61,9 @@ _LABELING = {"--tau", "--tau-inclusive", "--force-cluster-label"}
 class TestOptionSets:
     """Every subcommand takes exactly the options it reads."""
 
+    def test_command_names_are_those_of_the_subcommands(self):
+        assert cli._COMMANDS == tuple(_subparsers())
+
     def test_each_subcommand_has_exactly_its_options(self):
         expected = {
             "label": _IO | _LABELING | {"--pronouns"},
@@ -375,6 +378,51 @@ class TestEvalCommand:
         reused, fresh = reports
         for mode in ("typed_mention", "typed_link"):
             assert reused[mode] == fresh[mode]
+
+    def test_cner_refused_only_where_it_changes_the_spans_of_reused_direct_labels(
+            self, tmp_path, capsys):
+        # d0 labeled on both sides from two LOC spans.  A --cner file with
+        # the same spans in another order changes no label; one with other
+        # spans is refused wherever a reused side carries a direct label,
+        # and nowhere else: not for classic scoring, label, a hand-labeled
+        # side (cluster labels only) or an unlabeled one.
+        record = {"doc_id": "d0", "tokens": ["Rome", "is", "Rome"],
+                  "gold_clusters": [[[0, 1], [2, 3]]], "predicted_clusters": [[[0, 1], [2, 3]]],
+                  "cner": [[0, 1, "LOC"], [2, 3, "LOC"]]}
+        raw = write_jsonl(tmp_path / "raw.jsonl", [record])
+        assert main(["label", "--gold", raw, "--out", str(tmp_path / "lab")]) == 0
+        labeled = json.loads((tmp_path / "lab" / "labeled.jsonl").read_text())
+        hand = {**labeled, **{key: {**labeled[key], "gold": None} for key in (
+            "mention_labels", "mention_label_sources", "mention_overlaps")}}
+        labeled = write_jsonl(tmp_path / "labeled.jsonl", [labeled])
+        hand = write_jsonl(tmp_path / "hand.jsonl", [hand])
+        same, other = (
+            write_jsonl(tmp_path / f"{name}.cner.jsonl", [{"doc_id": "d0", "cner": spans}])
+            for name, spans in [("same", [[2, 3, "LOC"], [0, 1, "LOC"]]),
+                                ("other", [[0, 1, "PER"]])]
+        )
+        refusal = ("error: {}: cannot reuse the {} labels of doc 'd0': its direct labels come "
+                   "from other semantic spans than this file gives it; label the unlabeled corpus "
+                   "with these spans\n")
+        runs = [
+            (("eval", "--gold", labeled, "--cner", same, "--typed-mention"), None),
+            (("eval", "--gold", labeled, "--cner", other, "--typed-mention"), "gold"),
+            (("coverage", "--gold", labeled, "--cner", other), "gold"),
+            (("distribution", "--gold", labeled, "--cner", other), "gold"),
+            (("eval", "--gold", labeled, "--cner", other, "--classic"), None),
+            (("label", "--gold", labeled, "--cner", other), None),
+            (("eval", "--gold", hand, "--cner", other, "--typed-mention"), "predicted"),
+            (("distribution", "--gold", hand, "--cner", other), None),
+            (("eval", "--gold", raw, "--cner", other, "--typed-mention"), None),
+        ]
+        for argv, side in runs:
+            capsys.readouterr()
+            code = main([*argv, "--out", str(tmp_path / "out")])
+            err = capsys.readouterr().err
+            expected = (0, "") if side is None else (2, refusal.format(other, side))
+            assert (code, err) == expected, argv
+        report = json.loads((tmp_path / "out" / "eval_report.json").read_text())
+        assert set(report["typed_mention"]["per_class"]) == {"PER"}
 
 
 class TestEvalSharesTables:

@@ -22,6 +22,7 @@ from typing import NamedTuple
 
 import pytest
 
+from coref_semscore import cli
 from coref_semscore.cli import main
 from coref_semscore.reporting import typed_report_dict
 from coref_semscore.typed_metrics import ClassScore, TypedScoreReport
@@ -518,6 +519,12 @@ REFUSALS = {
             [1.0, None], "a propagated label 'PER' at span [1, 2)"),
            ("direct-labels-without-the-clusters", ["PER", "ORG"], ["direct", "direct"],
             [1.0, 0.75], "direct labels ['ORG', 'PER']")]},
+    **{f"{argv[0]}-reuse-with-other-cner": _refusal(
+        (*argv, "--gold", "{labeled}", "--tau", "0.1", "--cner", "c.jsonl"),
+        "c.jsonl: cannot reuse the gold labels of doc 'mini0000_0': its direct labels come "
+        "from other semantic spans than this file gives it; label the unlabeled corpus with "
+        "these spans", {"c.jsonl": {"doc_id": "mini0000_0", "cner": [[0, 1, "ANIMAL"]]}})
+       for argv in [("eval", "--typed-mention"), ("coverage",)]},
     "compare-report-counts": _refusal(
         ("compare", "-a", "{report}", "-a", "{classic_report}", "-b", "{report}"),
         "cannot compare {report}, {classic_report} with {report}: system A has 2 reports and "
@@ -681,3 +688,33 @@ def test_refusal_prints_its_message_only(tmp_path, corpora, capsys, monkeypatch,
     assert (code, err, printed.out, out.exists()) == (
         refusal.code, _fill(refusal.stderr, inputs, out), "", False)
     assert not [name for name in garbage if name.startswith("coref_semscore.")]
+
+
+def _usage_exit(argv: list[str], capsys) -> tuple:
+    """The exit code, stdout and stderr of main(argv), which exits through
+    its parser."""
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    printed = capsys.readouterr()
+    return exc.value.code, printed.out, printed.err
+
+
+HELP = {"help": ("--help",), **{f"{name}-help": (name, "--help") for name in cli._COMMANDS}}
+USAGE = {name: refusal.argv for name, refusal in REFUSALS.items() if refusal.usage}
+
+
+@pytest.mark.parametrize("argv", [*HELP.values(), *USAGE.values()], ids=[*HELP, *USAGE])
+def test_parser_prints_as_the_parser_of_every_command(capsys, monkeypatch, argv):
+    # main builds only the parser of the subcommand that argv starts with.
+    # Its help, and the whole stderr of a usage refusal, equal what the
+    # parser of every subcommand prints in this interpreter.  Both exit
+    # before any file named in argv is read.
+    full, built = cli.build_parser, []
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command)
+                        or full(command))
+    printed = _usage_exit(argv, capsys)
+    assert built == [argv[0] if argv[0] in cli._COMMANDS else None]
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    assert printed == _usage_exit(argv, capsys)
+    assert printed[0] == (0 if argv[-1] == "--help" else 2)

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import random
 import re
 
@@ -126,11 +127,12 @@ class TestJsonlReader:
             "mention_overlaps": {"gold": [[score]]},
         })
 
-    @pytest.mark.parametrize("score", [0, 1, 0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("score", [0, 1, 0.0, 0.5, 1.0, -0.0])
     def test_overlap_in_unit_interval_read_as_float(self, score):
         (doc,) = _read([self._one_direct_mention(score)])
         overlap = doc.gold_clusters[0].mentions[0].assignment_overlap
         assert type(overlap) is float and overlap == score
+        assert math.copysign(1.0, overlap) == math.copysign(1.0, score)
 
     @pytest.mark.parametrize("score", [True, False, 2.5, -1.0, 1.0000001, "0.5", float("nan"),
                                        float("inf")])
@@ -139,6 +141,65 @@ class TestJsonlReader:
             _read([self._one_direct_mention(score)])
         assert str(exc.value) == ("line 1: gold_clusters[0][0]: assignment overlap must be a "
                                   f"number in [0, 1], got {score!r}")
+
+    @staticmethod
+    def _labeled_record(doc_id: str, *mentions) -> str:
+        """A record of one gold cluster labeled PER whose mentions carry
+        the (label, source, overlap) triples `mentions`."""
+        labels, sources, scores = zip(*mentions)
+        return json.dumps({
+            "doc_id": doc_id, "tokens": ["a"] * len(mentions),
+            "gold_clusters": [[[i, i + 1] for i in range(len(mentions))]],
+            "cluster_labels": {"gold": ["PER"]}, "mention_labels": {"gold": [labels]},
+            "mention_label_sources": {"gold": [sources]}, "mention_overlaps": {"gold": [scores]},
+        })
+
+    @staticmethod
+    def _last_mention(lines, where: str):
+        """The label, source and overlap of the last gold mention read
+        from lines, with the overlap's type and sign, or the error read
+        with its location `where` cut."""
+        try:
+            docs = _read(lines)
+        except CorpusFormatError as exc:
+            assert str(exc).startswith(where)
+            return str(exc)[len(where):]
+        mention = docs[-1].gold_clusters[0].mentions[-1]
+        overlap = mention.assignment_overlap
+        return (mention.assigned_label, mention.label_source, overlap, type(overlap),
+                None if overlap is None else math.copysign(1.0, overlap))
+
+    @pytest.mark.parametrize("first", [0.0, 1.0])
+    @pytest.mark.parametrize("mention", [
+        *(("PER", "direct", score) for score in (
+            0, 1, 0.0, 0.5, 1.0, -0.0, True, False, 2.5, -1.0, 1.0000001, "0.5", float("nan"),
+            float("inf"), None, [0.5])),
+        ("person", "direct", 0.5), ("PER", "propagated", None), ("PER", "propagated", 0.5),
+        ("PER", "none", None), (None, "none", None), (None, "none", 0.5), (None, "direct", 0.5),
+        (["PER"], "direct", 0.5), ({"PER": 1}, "direct", 0.5), (7, "direct", 0.5),
+        ("P3R", "direct", 0.5), ("PER", ["direct"], 0.5), ("PER", "DIRECT", 0.5),
+        ("PER", 1, 0.5), ("PER", None, None),
+    ], ids=repr)
+    def test_mention_after_a_checked_pair_reads_as_alone(self, first, mention):
+        # The reader checks a (label, source) pair through the constructor
+        # once per read.  A mention after one that has its label and source,
+        # if the reader accepts that pair, or else a direct PER label, at
+        # overlap `first` where direct, in its record or in the record
+        # before, reads as it does alone: the same fields, overlap sign
+        # included, or the same error.
+        alone = self._last_mention([self._labeled_record("d0", mention)],
+                                   "line 1: gold_clusters[0][0]: ")
+        label, source, _ = mention
+        if [label, source] in [["PER", "direct"], ["person", "direct"], ["PER", "propagated"],
+                               [None, "none"]]:
+            checked = (label, source, first if source == "direct" else None)
+        else:
+            checked = ("PER", "direct", first)
+        assert self._last_mention([self._labeled_record("d0", checked, mention)],
+                                  "line 1: gold_clusters[0][1]: ") == alone
+        assert self._last_mention([self._labeled_record("d0", checked),
+                                   self._labeled_record("d1", mention)],
+                                  "line 2: gold_clusters[0][0]: ") == alone
 
     def test_malformed_json_reports_line(self):
         with pytest.raises(CorpusFormatError) as exc:
@@ -308,6 +369,33 @@ class TestSinglePassReader:
         monkeypatch.undo()
         inventory = CategoryInventory.default()
         assert docs == [_reference_document(r, inventory) for r in records]
+
+    def test_labeled_mentions_are_checked_once_per_label_and_source(self, monkeypatch):
+        # Few, large clusters, labeled: many mentions share few (label,
+        # source) pairs, and the constructor checks each pair once per read.
+        records = random_corpus(random.Random(31), 6, n_tokens=(600, 700), max_clusters=4,
+                                max_total_mentions=120, ensure_links=True)
+        labeled = label_documents(to_documents(records), LabelingConfig())
+        buffer = io.StringIO()
+        write_labeled_jsonl(labeled, buffer)
+        lines = buffer.getvalue().splitlines()
+        mentions = [m for doc in labeled for side in ("gold", "predicted")
+                    for cluster in doc.clusters(side) for m in cluster.mentions]
+        pairs = {(m.assigned_label, m.label_source) for m in mentions}
+        assert len(pairs) * 20 < len(mentions)
+        built = [0]
+        init = Mention.__init__
+
+        def counting(self, *args):
+            built[0] += 1
+            init(self, *args)
+
+        monkeypatch.setattr(Mention, "__init__", counting)
+        docs = _read(lines)
+        assert built[0] == len(pairs)
+        monkeypatch.undo()
+        inventory = CategoryInventory.default()
+        assert docs == [_reference_document(json.loads(line), inventory) for line in lines]
 
     def test_byte_order_mark_is_worded_as_before(self):
         with pytest.raises(CorpusFormatError, match=r"^line 1: invalid JSON: Unexpected UTF-8 BOM"):
