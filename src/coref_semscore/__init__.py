@@ -18,7 +18,7 @@ _EXPORTS = {
         "conll2012": "read_conll2012",
         "ingest": "CorpusFormatError merge_predictions read_jsonl_corpus write_labeled_jsonl",
         "inventory": "Category CategoryInventory UnknownLabelError",
-        "label_reports": "AgreementReport DistributionReport distribution label_agreement",
+        "label_reports": "DistributionReport distribution label_agreement",
         "labeling": "CoverageReport LabelingConfig assign_mentions coverage label_documents "
                     "overlap propagate",
         "model": "Cluster Contingency Document DocumentPairingError LabelSource Mention "

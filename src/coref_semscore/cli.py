@@ -36,6 +36,7 @@ from .inventory import (
 from .labeling import (
     DEFAULT_PRONOUNS,
     LabelingConfig,
+    _cluster_label,
     coverage,
     label_documents,
     load_pronoun_lexicon,
@@ -168,6 +169,39 @@ def _unlabeled_sides(docs, sides) -> list[str]:
     ]
 
 
+_NEVER = "which labeling never gives; label the unlabeled corpus"
+
+
+def _at(mention) -> str:
+    return f"at span [{mention.span.start}, {mention.span.end})"
+
+
+def _direct_fault(cluster, counts: dict, bare, force: bool) -> str | None:
+    """Why labeling would not give `cluster`, whose direct labels are
+    counted in `counts` and whose first unlabeled mention is `bare`, or
+    None when it would or the cluster has no direct label.  The vote runs
+    only where the cluster label's count ties the highest count, or to
+    name the label it gives."""
+    label = cluster.cluster_label
+    if not counts:
+        return None
+    if label not in counts:
+        return f"direct labels {sorted(counts)!r}, {_NEVER}"
+    top = max(counts.values())
+    if counts[label] < top or list(counts.values()).count(top) > 1:
+        vote = _cluster_label([m for m in cluster.mentions if m.label_source is _DIRECT])
+        if vote != label:
+            return f"direct labels {sorted(counts)!r} that vote {vote!r}, {_NEVER}"
+    if force and len(counts) > 1:
+        other = next(m for m in cluster.mentions
+                     if m.label_source is _DIRECT and m.assigned_label != label)
+        return (f"a direct label {other.assigned_label!r} {_at(other)}, which labeling with "
+                "--force-cluster-label never gives; label the unlabeled corpus with it")
+    if bare is not None:
+        return f"an unlabeled mention {_at(bare)}, {_NEVER}"
+    return None
+
+
 def _ensure_labeled(docs, cfg: LabelingConfig, sides=SIDES, respanned=None):
     """Label each of `sides` that has clusters but no cluster label.
 
@@ -176,13 +210,17 @@ def _ensure_labeled(docs, cfg: LabelingConfig, sides=SIDES, respanned=None):
     labels when the corpus has no semantic spans is a mode-requirement
     error.  A reused side is an input error when labeling it under cfg
     would not give its labels: a cluster that has a propagated label
-    other than its own, or direct labels none of which is its own, a
-    document with a direct label whose semantic spans were replaced by
-    another set (`respanned` maps its doc_id to the file that gave them),
-    or a direct label whose overlap fails cfg's tau test.  The message
-    names the first document with such a fault, and in it the first such
-    cluster or else the lowest failing overlap.  A cluster with no direct
-    label is accepted whatever its label, as hand-labeled clusters are.
+    other than its own; a cluster with a direct label whose own label is
+    not the one labeling chooses from its direct labels, that has an
+    unlabeled mention, or, under cfg.force_cluster_label, that has a
+    direct label other than its own; a document with a direct label whose
+    semantic spans were replaced by another set (`respanned` maps its
+    doc_id to the file that gave them); or a direct label whose overlap
+    fails cfg's tau test.  The message names the first document with such
+    a fault, and in it the first such cluster or else the lowest failing
+    overlap.  A cluster with no direct label is accepted whatever its
+    label, as hand-labeled clusters are.  Each cluster's direct labels are
+    counted as it is walked; see _direct_fault.
     """
     unlabeled = _unlabeled_sides(docs, sides)
     for side in (side for side in sides if side not in unlabeled):
@@ -190,27 +228,27 @@ def _ensure_labeled(docs, cfg: LabelingConfig, sides=SIDES, respanned=None):
             worst = None
             for index, cluster in enumerate(doc.clusters(side)):
                 label = cluster.cluster_label
-                stray = carried = None
+                counts = {}
+                stray = bare = None
                 for m in cluster.mentions:
-                    if m.label_source is _DIRECT:
-                        carried = carried or m.assigned_label == label
+                    source = m.label_source
+                    if source is _DIRECT:
+                        counts[m.assigned_label] = counts.get(m.assigned_label, 0) + 1
                         if worst is None or m.assignment_overlap < worst.assignment_overlap:
                             worst = m
-                    elif m.label_source is _PROPAGATED and m.assigned_label != label:
-                        stray = m
-                        break
+                    elif source is _PROPAGATED:
+                        if m.assigned_label != label:
+                            stray = m
+                            break
+                    elif bare is None:
+                        bare = m
                 if stray is not None:
-                    fault = (f"a propagated label {stray.assigned_label!r} at span "
-                             f"[{stray.span.start}, {stray.span.end})")
-                elif carried is False:
-                    fault = "direct labels " + repr(sorted(
-                        {m.assigned_label for m in cluster.mentions if m.label_source is _DIRECT}))
-                else:
+                    fault = f"a propagated label {stray.assigned_label!r} {_at(stray)}, {_NEVER}"
+                elif not (fault := _direct_fault(cluster, counts, bare, cfg.force_cluster_label)):
                     continue
                 raise CliError(EXIT_INPUT, (
                     f"cannot reuse the {side} labels of doc {doc.doc_id!r}: cluster {index} has "
-                    f"label {label!r} and {fault}, which labeling never gives; label the "
-                    "unlabeled corpus"))
+                    f"label {label!r} and {fault}"))
             if worst is not None and respanned and doc.doc_id in respanned:
                 raise CliError(EXIT_INPUT, (
                     f"{respanned[doc.doc_id]}: cannot reuse the {side} labels of doc "

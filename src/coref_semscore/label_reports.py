@@ -1,6 +1,10 @@
 """Label reports: the distribution of gold mention labels, and how far
 cluster labels agree with a reference labeling.
 
+Agreement is one typed_metrics.ClassScore, so its precision, recall and
+F1 are those of every count-based score: F1 is 2tp / (system-labeled +
+reference entries), in one correctly rounded division.
+
 Only the distribution and validate-labels commands load this module.
 """
 
@@ -12,6 +16,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 from .inventory import CategoryInventory
 from .model import Document
 from .reporting import _grid
+from .typed_metrics import ClassScore
 
 
 class DistributionReport(NamedTuple):
@@ -104,33 +109,15 @@ def read_reference(path: str, raw, inventory: CategoryInventory) -> dict[tuple[s
     return reference
 
 
-class AgreementReport(NamedTuple):
-    true_positives: int
-    system_labeled: int
-    reference_total: int
-
-    @property
-    def precision(self) -> float:
-        return self.true_positives / self.system_labeled if self.system_labeled else 0.0
-
-    @property
-    def recall(self) -> float:
-        return self.true_positives / self.reference_total if self.reference_total else 0.0
-
-    @property
-    def f1(self) -> float:
-        p, r = self.precision, self.recall
-        return 2 * p * r / (p + r) if p + r else 0.0
-
-
 def label_agreement(
     reference: Mapping[tuple[str, int], str], docs: Sequence[Document]
-) -> AgreementReport:
+) -> ClassScore:
     """Score system cluster labels against reference labels.
 
-    Reference keys are (doc_id, gold cluster index).  Precision is over
-    system-labeled clusters that have a reference entry; recall over all
-    reference entries.
+    Reference keys are (doc_id, gold cluster index).  A true positive is
+    a referenced cluster whose system label is the reference label; the
+    other system-labeled referenced clusters are false positives and the
+    other reference entries false negatives.
     """
     by_id = {doc.doc_id: doc for doc in docs}
     tp = 0
@@ -148,19 +135,15 @@ def label_agreement(
         if system_label is not None:
             system_labeled += 1
             tp += system_label == ref_label
-    return AgreementReport(
-        true_positives=tp,
-        system_labeled=system_labeled,
-        reference_total=len(reference),
-    )
+    return ClassScore("agreement", tp, system_labeled - tp, len(reference) - tp)
 
 
-def agreement_report_dict(report: AgreementReport) -> dict:
+def agreement_report_dict(score: ClassScore) -> dict:
     return {
-        "precision": report.precision,
-        "recall": report.recall,
-        "f1": report.f1,
-        "true_positives": report.true_positives,
-        "system_labeled": report.system_labeled,
-        "reference_entries": report.reference_total,
+        "precision": score.precision,
+        "recall": score.recall,
+        "f1": score.f1,
+        "true_positives": score.tp,
+        "system_labeled": score.tp + score.fp,
+        "reference_entries": score.support,
     }

@@ -208,13 +208,18 @@ def _vote(direct: Iterable[Mention | None]) -> str | None:
     return None if ranked is None else ranked[2]
 
 
+def _cluster_label(direct: Sequence[Mention | None]) -> str | None:
+    """The label of a cluster whose mentions have the direct Mentions in
+    `direct` (None entries are skipped): voted on only when the direct
+    labels disagree, and None with no direct Mention."""
+    labels = {d.assigned_label for d in direct if d is not None}
+    return _vote(direct) if len(labels) > 1 else labels.pop() if labels else None
+
+
 def _label_cluster(cluster: Cluster, direct: Sequence[Mention | None], force: bool) -> Cluster:
     """The cluster labeled from `direct`, each mention's direct Mention or
-    None: voted on only when the direct labels disagree, and rebuilt by
-    _relabel."""
-    labels = {d.assigned_label for d in direct if d is not None}
-    label = _vote(direct) if len(labels) > 1 else labels.pop() if labels else None
-    return _relabel(cluster, direct, label, force)
+    None, and rebuilt by _relabel."""
+    return _relabel(cluster, direct, _cluster_label(direct), force)
 
 
 def propagate(doc: Document, cfg: LabelingConfig, side: str) -> Document:

@@ -24,10 +24,12 @@ from coref_semscore import (
 )
 from coref_semscore.cli import main
 from coref_semscore.inventory import CategoryInventory
+from coref_semscore.labeling import propagate
+from coref_semscore.model import SIDES, Cluster, LabelSource, Mention
 from coref_semscore.reporting import json_text, typed_report_dict
 from coref_semscore.saved_reports import typed_report_from_dict
 from conftest import COMPOSITE_RECORD, NEWS_RECORD
-from corpusgen import random_corpus
+from corpusgen import LABELS, random_corpus, to_documents
 from test_commands import command_inputs, typed_block, write_jsonl
 
 
@@ -365,6 +367,72 @@ class TestEvalCommand:
             labeled = label_documents(raw, cfg)
             assert cli._ensure_labeled(labeled, cfg) is labeled
 
+    @settings(deadline=None)
+    @given(st.integers(0, 2**16), st.sampled_from([0.0, 0.1, 0.5, 0.9]), st.booleans(),
+           st.booleans(), st.booleans(), st.data())
+    def test_refuses_an_edited_cluster_exactly_when_labeling_would_differ(
+            self, seed, tau, inclusive, labeled_forced, reused_forced, data):
+        # A corpus labeled under one forcing, with one field of one cluster
+        # edited, reused under the same tau and either forcing.  propagate
+        # is the oracle: labeling again keeps the direct labels, so it
+        # changes a cluster with a direct label exactly when that cluster
+        # is not what labeling gives; a cluster with none may carry any
+        # label, but its propagated labels must be its own.
+        records = random_corpus(random.Random(seed), 3, ensure_links=True, ensure_direct=True)
+        labeled = label_documents(to_documents(records), LabelingConfig(tau, inclusive,
+                                                                       labeled_forced))
+        reused = [side for side in SIDES
+                  if any(c.cluster_label for doc in labeled for c in doc.clusters(side))]
+        d, side, c = data.draw(st.sampled_from([
+            (d, side, c) for d, doc in enumerate(labeled) for side in reused
+            for c in range(len(doc.clusters(side)))]))
+        clusters = list(labeled[d].clusters(side))
+        cluster = clusters[c]
+        edit = data.draw(st.sampled_from(["cluster label", "mention label", "mention source"]))
+        if edit == "cluster label":
+            clusters[c] = Cluster(cluster.mentions, data.draw(
+                st.sampled_from(LABELS).filter(lambda new: new != cluster.cluster_label)))
+        else:
+            mentions = list(cluster.mentions)
+            i = data.draw(st.integers(0, len(mentions) - 1))
+            m = mentions[i]
+            label, source, overlap = m.assigned_label, m.label_source, m.assignment_overlap
+            if edit == "mention label" and source is not LabelSource.NONE:
+                label = data.draw(st.sampled_from(LABELS).filter(lambda new: new != label))
+            elif edit == "mention source":
+                source = data.draw(st.sampled_from([s for s in LabelSource if s is not source]))
+                if label is None:
+                    label = data.draw(st.sampled_from(LABELS))
+                if source is LabelSource.NONE:
+                    label = overlap = None
+                elif source is LabelSource.PROPAGATED:
+                    overlap = None
+                elif overlap is None:
+                    overlap = data.draw(st.sampled_from([0.95, 1.0]))
+            mentions[i] = Mention(m.span, label, source, overlap)
+            clusters[c] = Cluster(mentions, cluster.cluster_label)
+        edited = list(labeled)
+        edited[d] = edited[d].with_clusters(side, clusters)
+        cfg = LabelingConfig(tau, inclusive, reused_forced)
+
+        def differs(doc, side):
+            return any(
+                any(m.label_source is LabelSource.DIRECT for m in cluster.mentions)
+                and cluster != labeled_again
+                or any(m.label_source is LabelSource.PROPAGATED
+                       and m.assigned_label != cluster.cluster_label for m in cluster.mentions)
+                for cluster, labeled_again in zip(doc.clusters(side),
+                                                  propagate(doc, cfg, side).clusters(side)))
+
+        expected = any(differs(doc, side) for doc in edited for side in reused)
+        try:
+            cli._ensure_labeled(edited, cfg)
+            refused = False
+        except cli.CliError as exc:
+            assert exc.code == 2
+            refused = True
+        assert refused == expected
+
     def test_reuse_at_the_labeling_tau_scores_as_a_fresh_run(self, tmp_path):
         out_label = tmp_path / "labeled"
         assert main(["label", "--gold", str(MINI_CORPUS), "--tau", "0.1",
@@ -631,6 +699,20 @@ class TestValidateLabelsCommand:
         assert data["precision"] == data["recall"] == data["f1"] == 1.0
         assert data["reference_entries"] == 2
 
+    def test_f1_is_written_correctly_rounded(self, tmp_path):
+        # One right label among 1 system-labeled cluster and 5 reference
+        # entries: F1 is exactly 2/6, where 2pr / (p + r) would write
+        # 0.33333333333333337.
+        reference = {"mini0000": {"0": "MEDIA"}, "mini0003": {"1": "PER"},
+                     "mini0008": {"2": "PER"}, "mini0021": {"3": "PER"},
+                     "mini0022": {"1": "PER"}}
+        ref_path = tmp_path / "ref.json"
+        ref_path.write_text(json.dumps(reference), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["validate-labels", "--gold", str(MINI_CORPUS), "--reference",
+                     str(ref_path), "--out", str(out)]) == 0
+        assert '"f1": 0.3333333333333333,' in (out / "agreement.json").read_text()
+
     def test_partial_agreement(self, tmp_path, news_path):
         reference = {"news0": {"0": "PER", "1": "ORG"}}
         ref_path = tmp_path / "ref.json"
@@ -823,7 +905,7 @@ class TestDependencies:
                                 capture_output=True, text=True, check=True)
         assert result.stdout.splitlines() == [
             "module 'coref_semscore' has no attribute 'no_such_name'",
-            "coref_semscore.cli coref_semscore.classic_metrics 43",
+            "coref_semscore.cli coref_semscore.classic_metrics 42",
         ]
 
     def test_conll_is_the_conll_f1_function_after_reading_conll(self, tmp_path, capsys):

@@ -408,6 +408,18 @@ DIFFERENT_REPORTS = {
     "other_corpus_report": "typed_mention support of ANIMAL differs (53 vs 49)",
 }
 
+# One cluster on both sides, labeled by hand: three direct labels, PER,
+# PER and LOC, that vote PER, and the cluster label LOC.
+OUTVOTED = {
+    "doc_id": "d0", "tokens": ["Ann", "Bob", "Cy", "she", "x"],
+    **{f"{side}_clusters": [[[0, 1], [1, 2], [2, 3], [3, 4]]] for side in ("gold", "predicted")},
+    "cner": [[0, 1, "PER"], [1, 2, "PER"], [2, 3, "LOC"]],
+    **{field: {side: [row] for side in ("gold", "predicted")} for field, row in [
+        ("mention_labels", ["PER", "PER", "LOC", "LOC"]),
+        ("mention_label_sources", ["direct", "direct", "direct", "propagated"]),
+        ("mention_overlaps", [1.0, 1.0, 1.0, None])]},
+    "cluster_labels": {"gold": ["LOC"], "predicted": ["LOC"]},
+}
 NO_SPANS = "typed scoring requires semantic spans (--cner or a cner field) or an already-labeled "
 PAIRED = ("eval", "--gold", "gold.jsonl", "--pred", "pred.jsonl")
 INVENTORY = {"COREF_SEMSCORE_INVENTORY": "inv.json"}
@@ -518,7 +530,21 @@ REFUSALS = {
            ("propagated-label-not-the-clusters", ["PER", "PER"], ["direct", "propagated"],
             [1.0, None], "a propagated label 'PER' at span [1, 2)"),
            ("direct-labels-without-the-clusters", ["PER", "ORG"], ["direct", "direct"],
-            [1.0, 0.75], "direct labels ['ORG', 'PER']")]},
+            [1.0, 0.75], "direct labels ['ORG', 'PER']"),
+           ("cluster-label-not-the-tie-vote", ["PER", "LOC"], ["direct", "direct"], [1.0, 0.5],
+            "direct labels ['LOC', 'PER'] that vote 'PER'"),
+           ("unlabeled-mention-beside-a-direct-label", ["LOC", None], ["direct", "none"],
+            [1.0, None], "an unlabeled mention at span [1, 2)")]},
+    "eval-reuse-cluster-label-outvoted": _refusal(
+        ("eval", "--gold", "gold.jsonl", "--typed-link"),
+        "cannot reuse the gold labels of doc 'd0': cluster 0 has label 'LOC' and direct labels "
+        "['LOC', 'PER'] that vote 'PER', which labeling never gives; label the unlabeled corpus",
+        {"gold.jsonl": OUTVOTED}),
+    "eval-reuse-unforced-under-force": _refusal(
+        ("eval", "--gold", "{labeled}", "--tau", "0.1", "--force-cluster-label",
+         "--typed-mention"), "cannot reuse the gold labels of doc 'mini0002_0': cluster 0 has label "
+        "'GROUP' and a direct label 'DATETIME' at span [54, 57), which labeling with "
+        "--force-cluster-label never gives; label the unlabeled corpus with it"),
     **{f"{argv[0]}-reuse-with-other-cner": _refusal(
         (*argv, "--gold", "{labeled}", "--tau", "0.1", "--cner", "c.jsonl"),
         "c.jsonl: cannot reuse the gold labels of doc 'mini0000_0': its direct labels come "

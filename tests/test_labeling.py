@@ -1,12 +1,13 @@
 import pickle
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import doc_of
+from conftest import cluster_of, doc_of
 from coref_semscore import labeling
 from coref_semscore.label_reports import distribution, label_agreement
 from coref_semscore.labeling import (
@@ -553,16 +554,30 @@ class TestLabelAgreement:
         report = label_agreement(reference, docs)
         assert report.precision == 0.9
         assert report.recall == 0.9
-        assert report.f1 == pytest.approx(0.9)
+        assert report.f1 == 0.9
 
     def test_unlabeled_clusters_do_not_count_toward_precision(self):
         doc = doc_of([[(0, 1)], [(2, 3)]], cner=[(2, 3, "PER")], tokens=["he", "x", "Ada"])
         docs = [_labeled_gold(doc)]
         reference = {("d0", 0): "PER", ("d0", 1): "PER"}
         report = label_agreement(reference, docs)
-        assert report.system_labeled == 1
+        assert report.tp + report.fp == 1
         assert report.precision == 1.0
         assert report.recall == 0.5
+
+    def test_f1_is_one_correctly_rounded_division(self):
+        # tp right among s system-labeled clusters of r reference entries,
+        # for every tp <= s <= r <= 12 but the empty reference: F1 is
+        # 2tp / (s + r), which 2pr / (p + r) misrounds for 120 of them.
+        docs = [doc_of([cluster_of([(i, i + 1)], "PER" if i < s else None) for i in range(12)],
+                       doc_id=f"s{s}") for s in range(13)]
+        triples = [(tp, s, r) for r in range(1, 13) for s in range(r + 1) for tp in range(s + 1)]
+        for tp, s, r in triples:
+            reference = {(f"s{s}", i): "PER" if i < tp else "LOC" for i in range(r)}
+            score = label_agreement(reference, docs)
+            assert (score.tp, score.tp + score.fp, score.support) == (tp, s, r)
+            assert score.f1 == float(Fraction(2 * tp, s + r)), (tp, s, r)
+        assert len(triples) == 454
 
     def test_unknown_reference_key(self):
         docs = self._labeled_docs()

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import cluster_of, doc_of
 from coref_semscore.classic_metrics import ClassicReport, MetricTriple
 from coref_semscore.inventory import Category, CategoryInventory, UnknownLabelError
-from coref_semscore.label_reports import AgreementReport, DistributionReport
+from coref_semscore.label_reports import DistributionReport
 from coref_semscore.labeling import CoverageCounts, CoverageReport, LabelingConfig, label_documents
 from coref_semscore.model import (
     Cluster,
@@ -244,7 +244,6 @@ VALUES = [
      ("overall", "pronoun")),
     (lambda: DistributionReport({"PER": 3}, 3, 1, ("LOC",)),
      ("counts", "total_labeled", "unlabeled", "absent_labels")),
-    (lambda: AgreementReport(2, 3, 4), ("true_positives", "system_labeled", "reference_total")),
     (lambda: LabelingConfig(0.4, True, True), ("tau", "tau_inclusive", "force_cluster_label")),
     (lambda: Category("LOC", "places", ("LOCATION",)), ("label", "description", "aliases")),
     (CategoryInventory.default, ("categories", "_canonical", "_alias_map")),
