@@ -420,6 +420,26 @@ OUTVOTED = {
         ("mention_overlaps", [1.0, 1.0, 1.0, None])]},
     "cluster_labels": {"gold": ["LOC"], "predicted": ["LOC"]},
 }
+
+
+def _reused(doc_id="d0", side="gold", labels=("PER", "PER"), sources=("direct", "propagated"),
+            overlaps=(1.0, None)) -> dict:
+    """PAIR as doc `doc_id`, whose one `side` cluster has label LOC and
+    mentions labeled `labels` from `sources` at `overlaps`."""
+    return {**PAIR, "doc_id": doc_id, "cluster_labels": {side: ["LOC"]},
+            "mention_labels": {side: [list(labels)]},
+            "mention_label_sources": {side: [list(sources)]},
+            "mention_overlaps": {side: [list(overlaps)]}}
+
+
+# The faults of reused labels that _reused() and _reused("d1") hold, and
+# that of a --cner file that gives mini0000_0 other spans.
+STRAY = ("cluster 0 has label 'LOC' and a propagated label 'PER' at span [1, 2), which labeling "
+         "never gives; label the unlabeled corpus")
+OTHER_SPANS = ("c.jsonl: cannot reuse the gold labels of doc 'mini0000_0': its direct labels "
+               "come from other semantic spans than this file gives it; label the unlabeled "
+               "corpus with these spans")
+RESPAN = {"c.jsonl": {"doc_id": "mini0000_0", "cner": [[0, 1, "ANIMAL"]]}}
 NO_SPANS = "typed scoring requires semantic spans (--cner or a cner field) or an already-labeled "
 PAIRED = ("eval", "--gold", "gold.jsonl", "--pred", "pred.jsonl")
 INVENTORY = {"COREF_SEMSCORE_INVENTORY": "inv.json"}
@@ -522,10 +542,7 @@ REFUSALS = {
         ("eval", "--gold", "gold.jsonl", "--typed-mention", "--typed-link"),
         f"cannot reuse the gold labels of doc 'd0': cluster 0 has label 'LOC' and {fault}, "
         "which labeling never gives; label the unlabeled corpus",
-        {"gold.jsonl": {**PAIR, "cluster_labels": {"gold": ["LOC"]},
-                        "mention_labels": {"gold": [labels]},
-                        "mention_label_sources": {"gold": [sources]},
-                        "mention_overlaps": {"gold": [overlaps]}}})
+        {"gold.jsonl": _reused(labels=labels, sources=sources, overlaps=overlaps)})
        for name, labels, sources, overlaps, fault in [
            ("propagated-label-not-the-clusters", ["PER", "PER"], ["direct", "propagated"],
             [1.0, None], "a propagated label 'PER' at span [1, 2)"),
@@ -546,11 +563,28 @@ REFUSALS = {
         "'GROUP' and a direct label 'DATETIME' at span [54, 57), which labeling with "
         "--force-cluster-label never gives; label the unlabeled corpus with it"),
     **{f"{argv[0]}-reuse-with-other-cner": _refusal(
-        (*argv, "--gold", "{labeled}", "--tau", "0.1", "--cner", "c.jsonl"),
-        "c.jsonl: cannot reuse the gold labels of doc 'mini0000_0': its direct labels come "
-        "from other semantic spans than this file gives it; label the unlabeled corpus with "
-        "these spans", {"c.jsonl": {"doc_id": "mini0000_0", "cner": [[0, 1, "ANIMAL"]]}})
+        (*argv, "--gold", "{labeled}", "--tau", "0.1", "--cner", "c.jsonl"), OTHER_SPANS, RESPAN)
        for argv in [("eval", "--typed-mention"), ("coverage",)]},
+    # Two faults of reused labels, of which the first refused is: within a
+    # document and side, a cluster's, then the --cner file's, then tau's;
+    # the documents in file order, and the gold side before the predicted.
+    "eval-reuse-cluster-fault-before-cner": _refusal(
+        ("eval", "--gold", "gold.jsonl", "--cner", "c.jsonl", "--typed-mention"),
+        f"cannot reuse the gold labels of doc 'd0': {STRAY}",
+        {"gold.jsonl": _reused(), "c.jsonl": {"doc_id": "d0", "cner": [[0, 1, "ANIMAL"]]}}),
+    "eval-reuse-cner-before-tau": _refusal(
+        ("eval", "--gold", "{labeled}", "--tau", "0.9", "--cner", "c.jsonl", "--typed-mention"),
+        OTHER_SPANS, RESPAN),
+    "eval-reuse-tau-in-one-doc-before-cluster-fault-in-the-next": _refusal(
+        ("eval", "--gold", "gold.jsonl", "--typed-mention"),
+        "cannot reuse the gold labels of doc 'd0': span [0, 1) has a direct label at overlap "
+        "0.5, not > tau 0.5; label the unlabeled corpus at this tau",
+        {"gold.jsonl": "\n".join(map(json.dumps, [_reused(labels=("LOC", "LOC"),
+                                                          overlaps=(0.5, None)), _reused("d1")]))}),
+    "eval-reuse-gold-in-a-later-doc-before-predicted": _refusal(
+        ("eval", "--gold", "gold.jsonl", "--typed-mention"),
+        f"cannot reuse the gold labels of doc 'd1': {STRAY}",
+        {"gold.jsonl": "\n".join(map(json.dumps, [_reused(side="predicted"), _reused("d1")]))}),
     "compare-report-counts": _refusal(
         ("compare", "-a", "{report}", "-a", "{classic_report}", "-b", "{report}"),
         "cannot compare {report}, {classic_report} with {report}: system A has 2 reports and "
