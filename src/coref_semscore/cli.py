@@ -36,12 +36,13 @@ from .inventory import (
 from .labeling import (
     DEFAULT_PRONOUNS,
     LabelingConfig,
-    _cluster_label,
     coverage,
     label_documents,
     load_pronoun_lexicon,
+    reuse_fault,
+    unlabeled_sides,
 )
-from .model import SIDES, LabelSource
+from .model import SIDES
 from .reporting import (
     ReportModeError,
     classic_report_dict,
@@ -58,9 +59,6 @@ from .typed_metrics import typed_link_scores, typed_mention_scores
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_MODE = 3
-
-_DIRECT, _PROPAGATED = LabelSource.DIRECT, LabelSource.PROPAGATED
-
 
 class CliError(Exception):
     def __init__(self, code: int, message: str):
@@ -140,10 +138,10 @@ def _read_corpus(path: str, fmt: str, inventory: CategoryInventory, as_predictio
     return docs
 
 
-def _load_corpus(args, inventory: CategoryInventory) -> tuple[list, dict[str, str]]:
-    """The corpus of --gold, --pred and --cner, and the --cner path keyed
-    by the doc_id of each document to which --cner gives another set of
-    semantic spans than it carries."""
+def _load_corpus(args, inventory: CategoryInventory) -> tuple[list, set[str]]:
+    """The corpus of --gold, --pred and --cner, and the doc_id of each
+    document to which --cner gives another set of semantic spans than it
+    carries."""
     docs = _read_corpus(args.gold, args.format, inventory, as_predictions=False)
     pred_path = getattr(args, "pred", None)
     if pred_path:
@@ -152,114 +150,35 @@ def _load_corpus(args, inventory: CategoryInventory) -> tuple[list, dict[str, st
             raise CliError(EXIT_INPUT, f"{pred_path}: no predicted_clusters in prediction file")
         docs = merge_predictions(docs, pred_docs)
     if not args.cner:
-        return docs, {}
+        return docs, set()
     with _reading(args.cner):
         spans_by_id = read_cner_jsonl(args.cner, inventory)
-        respanned = {doc.doc_id: args.cner for doc in docs if doc.doc_id in spans_by_id
+        respanned = {doc.doc_id for doc in docs if doc.doc_id in spans_by_id
                      and set(doc.semantic_spans) != set(spans_by_id[doc.doc_id])}
         return attach_semantic_spans(docs, spans_by_id), respanned
 
 
-def _unlabeled_sides(docs, sides) -> list[str]:
-    """Those of `sides` that have clusters but not one cluster label."""
-    return [
-        side for side in sides
-        if any(doc.clusters(side) for doc in docs)
-        and all(c.cluster_label is None for doc in docs for c in doc.clusters(side))
-    ]
+_RESPANNED = ("its direct labels come from other semantic spans than this file gives it; "
+              "label the unlabeled corpus with these spans")
 
 
-_NEVER = "which labeling never gives; label the unlabeled corpus"
-
-
-def _at(mention) -> str:
-    return f"at span [{mention.span.start}, {mention.span.end})"
-
-
-def _direct_fault(cluster, counts: dict, bare, force: bool) -> str | None:
-    """Why labeling would not give `cluster`, whose direct labels are
-    counted in `counts` and whose first unlabeled mention is `bare`, or
-    None when it would or the cluster has no direct label.  The vote runs
-    only where the cluster label's count ties the highest count, or to
-    name the label it gives."""
-    label = cluster.cluster_label
-    if not counts:
-        return None
-    if label not in counts:
-        return f"direct labels {sorted(counts)!r}, {_NEVER}"
-    top = max(counts.values())
-    if counts[label] < top or list(counts.values()).count(top) > 1:
-        vote = _cluster_label([m for m in cluster.mentions if m.label_source is _DIRECT])
-        if vote != label:
-            return f"direct labels {sorted(counts)!r} that vote {vote!r}, {_NEVER}"
-    if force and len(counts) > 1:
-        other = next(m for m in cluster.mentions
-                     if m.label_source is _DIRECT and m.assigned_label != label)
-        return (f"a direct label {other.assigned_label!r} {_at(other)}, which labeling with "
-                "--force-cluster-label never gives; label the unlabeled corpus with it")
-    if bare is not None:
-        return f"an unlabeled mention {_at(bare)}, {_NEVER}"
-    return None
-
-
-def _ensure_labeled(docs, cfg: LabelingConfig, sides=SIDES, respanned=None):
-    """Label each of `sides` that has clusters but no cluster label.
-
-    The decision is per side, so a corpus whose gold side was labeled
-    earlier still gets its raw predictions labeled.  A side that needs
-    labels when the corpus has no semantic spans is a mode-requirement
-    error.  A reused side is an input error when labeling it under cfg
-    would not give its labels: a cluster that has a propagated label
-    other than its own; a cluster with a direct label whose own label is
-    not the one labeling chooses from its direct labels, that has an
-    unlabeled mention, or, under cfg.force_cluster_label, that has a
-    direct label other than its own; a document with a direct label whose
-    semantic spans were replaced by another set (`respanned` maps its
-    doc_id to the file that gave them); or a direct label whose overlap
-    fails cfg's tau test.  The message names the first document with such
-    a fault, and in it the first such cluster or else the lowest failing
-    overlap.  A cluster with no direct label is accepted whatever its
-    label, as hand-labeled clusters are.  Each cluster's direct labels are
-    counted as it is walked; see _direct_fault.
+def _ensure_labeled(docs, cfg: LabelingConfig, sides=SIDES, respanned=frozenset(), cner=None):
+    """The corpus with each of `sides` that has clusters but no cluster
+    label labeled, per side, so labeled gold still gets raw predictions
+    labeled.  Each other side is reused; its first fault (by side, then by
+    document; see labeling.reuse_fault) is an input error, and in a
+    document of `respanned`, to which the --cner file `cner` gave other
+    semantic spans, a direct label is one that names that file.  A side to
+    label in a corpus with no semantic spans is a mode-requirement error.
     """
-    unlabeled = _unlabeled_sides(docs, sides)
+    unlabeled = unlabeled_sides(docs, sides)
     for side in (side for side in sides if side not in unlabeled):
         for doc in docs:
-            worst = None
-            for index, cluster in enumerate(doc.clusters(side)):
-                label = cluster.cluster_label
-                counts = {}
-                stray = bare = None
-                for m in cluster.mentions:
-                    source = m.label_source
-                    if source is _DIRECT:
-                        counts[m.assigned_label] = counts.get(m.assigned_label, 0) + 1
-                        if worst is None or m.assignment_overlap < worst.assignment_overlap:
-                            worst = m
-                    elif source is _PROPAGATED:
-                        if m.assigned_label != label:
-                            stray = m
-                            break
-                    elif bare is None:
-                        bare = m
-                if stray is not None:
-                    fault = f"a propagated label {stray.assigned_label!r} {_at(stray)}, {_NEVER}"
-                elif not (fault := _direct_fault(cluster, counts, bare, cfg.force_cluster_label)):
-                    continue
-                raise CliError(EXIT_INPUT, (
-                    f"cannot reuse the {side} labels of doc {doc.doc_id!r}: cluster {index} has "
-                    f"label {label!r} and {fault}"))
-            if worst is not None and respanned and doc.doc_id in respanned:
-                raise CliError(EXIT_INPUT, (
-                    f"{respanned[doc.doc_id]}: cannot reuse the {side} labels of doc "
-                    f"{doc.doc_id!r}: its direct labels come from other semantic spans than "
-                    "this file gives it; label the unlabeled corpus with these spans"))
-            if worst is not None and not cfg.passes(worst.assignment_overlap):
-                raise CliError(EXIT_INPUT, (
-                    f"cannot reuse the {side} labels of doc {doc.doc_id!r}: span "
-                    f"[{worst.span.start}, {worst.span.end}) has a direct label at overlap "
-                    f"{worst.assignment_overlap!r}, not {'>=' if cfg.tau_inclusive else '>'} "
-                    f"tau {cfg.tau!r}; label the unlabeled corpus at this tau"))
+            fault = reuse_fault(doc, cfg, side, _RESPANNED if doc.doc_id in respanned else None)
+            if fault is not None:
+                where = f"{cner}: " if fault is _RESPANNED else ""
+                raise CliError(EXIT_INPUT, f"{where}cannot reuse the {side} labels of doc "
+                                           f"{doc.doc_id!r}: {fault}")
     if not unlabeled:
         return docs
     if not any(doc.semantic_spans for doc in docs):
@@ -325,7 +244,7 @@ def cmd_eval(args) -> int:
                                   "(--pred or a predicted_clusters field)")
     need_typed = args.typed_mention or args.typed_link
     if need_typed:
-        docs = _ensure_labeled(docs, cfg, respanned=respanned)
+        docs = _ensure_labeled(docs, cfg, respanned=respanned, cner=args.cner)
 
     report: dict = {
         "config": {
@@ -370,7 +289,7 @@ def cmd_coverage(args) -> int:
     cfg = _labeling_config(args)
     pronouns = _pronouns(args)
     docs, respanned = _load_corpus(args, inventory)
-    docs = _ensure_labeled(docs, cfg, respanned=respanned)
+    docs = _ensure_labeled(docs, cfg, respanned=respanned, cner=args.cner)
     _publish_coverage(args, docs, pronouns)
     return EXIT_OK
 
@@ -381,7 +300,7 @@ def cmd_distribution(args) -> int:
     inventory = _inventory()
     cfg = _labeling_config(args, args.force_cluster_label)
     docs, respanned = _load_corpus(args, inventory)
-    docs = _ensure_labeled(docs, cfg, ("gold",), respanned)
+    docs = _ensure_labeled(docs, cfg, ("gold",), respanned, args.cner)
     report = distribution(docs, inventory)
     _publish(args, "distribution", distribution_report_dict(report),
              render_distribution_table(report))
@@ -436,7 +355,7 @@ def cmd_validate_labels(args) -> int:
     inventory = _inventory()
     cfg = _labeling_config(args)
     docs, respanned = _load_corpus(args, inventory)
-    docs = _ensure_labeled(docs, cfg, ("gold",), respanned)
+    docs = _ensure_labeled(docs, cfg, ("gold",), respanned, args.cner)
     raw = _json_file(args.reference)
     try:
         reference = label_reports.read_reference(args.reference, raw, inventory)

@@ -8,6 +8,7 @@ every member, pronouns included; clusters with no directly labeled
 mention stay unlabeled.  A label_documents pass aligns each mention span
 once per document and builds the direct Mention of that alignment once,
 so the gold and predicted mentions at one span of one document share it.
+reuse_fault is the inverse check: whether labels read back are these.
 
 The coverage report lives here too; the label-distribution and
 reference-agreement reports are in label_reports.
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
-from math import fsum
+from math import fsum, inf
 from operator import attrgetter
 from pathlib import Path
 from typing import IO, Iterable, NamedTuple, Sequence, Union
@@ -220,6 +221,85 @@ def _label_cluster(cluster: Cluster, direct: Sequence[Mention | None], force: bo
     """The cluster labeled from `direct`, each mention's direct Mention or
     None, and rebuilt by _relabel."""
     return _relabel(cluster, direct, _cluster_label(direct), force)
+
+
+def unlabeled_sides(docs: Sequence[Document], sides: Sequence[str]) -> list[str]:
+    """Those of `sides` that have clusters but not one cluster label."""
+    return [
+        side for side in sides
+        if any(doc.clusters(side) for doc in docs)
+        and all(c.cluster_label is None for doc in docs for c in doc.clusters(side))
+    ]
+
+
+_NEVER = "which labeling never gives; label the unlabeled corpus"
+
+
+def _at(mention: Mention) -> str:
+    return f"at span [{mention.span.start}, {mention.span.end})"
+
+
+def reuse_fault(doc: Document, cfg: LabelingConfig, side: str,
+                respanned: str | None = None) -> str | None:
+    """Why labeling `side` of `doc` under cfg would not give the labels it
+    carries, or None when it would.
+
+    A cluster with a direct label must carry _cluster_label's choice from
+    its direct labels, and every other mention that label as propagated;
+    under cfg.force_cluster_label every direct label must be it too.  A
+    cluster with no direct label may carry any label, as hand-labeled
+    clusters do, but its propagated labels must be its own.  The fault is
+    that of the first cluster that breaks this; else `respanned` where it
+    is given and the side has a direct label (the document's semantic
+    spans are not those its labels came from); else the lowest direct
+    overlap, when it fails cfg's tau test.
+
+    Each cluster's direct labels are listed as it is walked, and the vote
+    runs only where another label's count reaches the cluster label's,
+    which needs the cluster label to hold at most half of them.
+    """
+    worst, low = None, inf
+    for index, cluster in enumerate(doc.clusters(side)):
+        label = cluster.cluster_label
+        direct = []
+        bare = None
+        for m in cluster.mentions:
+            source = m.label_source
+            if source is _DIRECT:
+                direct.append(m.assigned_label)
+                if m.assignment_overlap < low:
+                    worst, low = m, m.assignment_overlap
+            elif source is _PROPAGATED:
+                if m.assigned_label != label:
+                    return (f"cluster {index} has label {label!r} and a propagated label "
+                            f"{m.assigned_label!r} {_at(m)}, {_NEVER}")
+            elif bare is None:
+                bare = m
+        if not direct:
+            continue
+        elif label not in direct:
+            fault = f"direct labels {sorted(set(direct))!r}, {_NEVER}"
+        elif ((own := direct.count(label)) * 2 <= len(direct)
+              and max(map(direct.count, set(direct) - {label})) >= own
+              and (vote := _vote(m for m in cluster.mentions if m.label_source is _DIRECT)) != label):
+            fault = f"direct labels {sorted(set(direct))!r} that vote {vote!r}, {_NEVER}"
+        elif cfg.force_cluster_label and own < len(direct):
+            other = next(m for m in cluster.mentions
+                         if m.label_source is _DIRECT and m.assigned_label != label)
+            fault = (f"a direct label {other.assigned_label!r} {_at(other)}, which labeling "
+                     "with --force-cluster-label never gives; label the unlabeled corpus with it")
+        elif bare is not None:
+            fault = f"an unlabeled mention {_at(bare)}, {_NEVER}"
+        else:
+            continue
+        return f"cluster {index} has label {label!r} and {fault}"
+    if worst is not None and respanned is not None:
+        return respanned
+    if worst is not None and not cfg.passes(low):
+        return (f"span [{worst.span.start}, {worst.span.end}) has a direct label at overlap "
+                f"{low!r}, not {'>=' if cfg.tau_inclusive else '>'} tau {cfg.tau!r}; label the "
+                "unlabeled corpus at this tau")
+    return None
 
 
 def propagate(doc: Document, cfg: LabelingConfig, side: str) -> Document:

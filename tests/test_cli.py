@@ -19,13 +19,13 @@ from coref_semscore import (
     cli,
     label_documents,
     model,
-    read_jsonl_corpus,
     saved_reports,
 )
 from coref_semscore.cli import main
+from coref_semscore.ingest import write_labeled_jsonl
 from coref_semscore.inventory import CategoryInventory
-from coref_semscore.labeling import propagate
-from coref_semscore.model import SIDES, Cluster, LabelSource, Mention
+from coref_semscore.labeling import reuse_fault
+from coref_semscore.model import Cluster, LabelSource
 from coref_semscore.reporting import json_text, typed_report_dict
 from coref_semscore.saved_reports import typed_report_from_dict
 from conftest import COMPOSITE_RECORD, NEWS_RECORD
@@ -337,101 +337,28 @@ class TestEvalCommand:
         assert main(["eval", "--gold", str(out_label / "labeled.jsonl"), "--typed-mention",
                      "--typed-link", "--out", str(tmp_path / "out")]) == 0
 
-    def test_refuses_exactly_when_labeling_again_would_differ(self):
-        # A corpus labeled at tau 0.1, reused at tau 0.1 and at every
-        # stricter test: the direct overlaps are the taus where tests part.
-        raw = read_jsonl_corpus(MINI_CORPUS, CategoryInventory.default())
-        labeled = label_documents(raw, LabelingConfig(0.1))
-        overlaps = {m.assignment_overlap for doc in labeled for side in ("gold", "predicted")
-                    for c in doc.clusters(side) for m in c.mentions} - {None}
-        configs = [LabelingConfig(0.1), *(
-            LabelingConfig(tau, inclusive) for tau in sorted(overlaps) for inclusive in (False, True)
-        )]
-        refusals = 0
-        for cfg in configs:
-            try:
-                cli._ensure_labeled(labeled, cfg)
-                refused = False
-            except cli.CliError as exc:
-                assert exc.code == 2
-                refused = True
-            assert refused == (label_documents(raw, cfg) != labeled), cfg
-            refusals += refused
-        assert 0 < refusals < len(configs)
-
-    @pytest.mark.parametrize("force", [False, True])
-    def test_labels_of_a_run_are_reused_under_its_config(self, force):
-        raw = read_jsonl_corpus(MINI_CORPUS, CategoryInventory.default())
-        for tau in (0.0, 0.1, 0.5, 0.9):
-            cfg = LabelingConfig(tau, force_cluster_label=force)
-            labeled = label_documents(raw, cfg)
-            assert cli._ensure_labeled(labeled, cfg) is labeled
-
-    @settings(deadline=None)
-    @given(st.integers(0, 2**16), st.sampled_from([0.0, 0.1, 0.5, 0.9]), st.booleans(),
-           st.booleans(), st.booleans(), st.data())
-    def test_refuses_an_edited_cluster_exactly_when_labeling_would_differ(
-            self, seed, tau, inclusive, labeled_forced, reused_forced, data):
-        # A corpus labeled under one forcing, with one field of one cluster
-        # edited, reused under the same tau and either forcing.  propagate
-        # is the oracle: labeling again keeps the direct labels, so it
-        # changes a cluster with a direct label exactly when that cluster
-        # is not what labeling gives; a cluster with none may carry any
-        # label, but its propagated labels must be its own.
-        records = random_corpus(random.Random(seed), 3, ensure_links=True, ensure_direct=True)
-        labeled = label_documents(to_documents(records), LabelingConfig(tau, inclusive,
-                                                                       labeled_forced))
-        reused = [side for side in SIDES
-                  if any(c.cluster_label for doc in labeled for c in doc.clusters(side))]
-        d, side, c = data.draw(st.sampled_from([
-            (d, side, c) for d, doc in enumerate(labeled) for side in reused
-            for c in range(len(doc.clusters(side)))]))
-        clusters = list(labeled[d].clusters(side))
-        cluster = clusters[c]
-        edit = data.draw(st.sampled_from(["cluster label", "mention label", "mention source"]))
-        if edit == "cluster label":
-            clusters[c] = Cluster(cluster.mentions, data.draw(
-                st.sampled_from(LABELS).filter(lambda new: new != cluster.cluster_label)))
-        else:
-            mentions = list(cluster.mentions)
-            i = data.draw(st.integers(0, len(mentions) - 1))
-            m = mentions[i]
-            label, source, overlap = m.assigned_label, m.label_source, m.assignment_overlap
-            if edit == "mention label" and source is not LabelSource.NONE:
-                label = data.draw(st.sampled_from(LABELS).filter(lambda new: new != label))
-            elif edit == "mention source":
-                source = data.draw(st.sampled_from([s for s in LabelSource if s is not source]))
-                if label is None:
-                    label = data.draw(st.sampled_from(LABELS))
-                if source is LabelSource.NONE:
-                    label = overlap = None
-                elif source is LabelSource.PROPAGATED:
-                    overlap = None
-                elif overlap is None:
-                    overlap = data.draw(st.sampled_from([0.95, 1.0]))
-            mentions[i] = Mention(m.span, label, source, overlap)
-            clusters[c] = Cluster(mentions, cluster.cluster_label)
+    def test_edited_cluster_label_is_refused_with_the_fault_reuse_fault_gives(
+            self, tmp_path, capsys):
+        # A drawn corpus labeled, with the label of its first gold cluster
+        # that has a direct label replaced by one that is not a direct label.
+        labeled = label_documents(to_documents(random_corpus(
+            random.Random(7), 3, ensure_links=True, ensure_direct=True)))
+        d, c = next((d, c) for d, doc in enumerate(labeled)
+                    for c, cluster in enumerate(doc.gold_clusters)
+                    if any(m.label_source is LabelSource.DIRECT for m in cluster.mentions))
+        clusters = list(labeled[d].gold_clusters)
+        direct = {m.assigned_label for m in clusters[c].mentions}
+        clusters[c] = Cluster(clusters[c].mentions, min(set(LABELS) - direct))
         edited = list(labeled)
-        edited[d] = edited[d].with_clusters(side, clusters)
-        cfg = LabelingConfig(tau, inclusive, reused_forced)
-
-        def differs(doc, side):
-            return any(
-                any(m.label_source is LabelSource.DIRECT for m in cluster.mentions)
-                and cluster != labeled_again
-                or any(m.label_source is LabelSource.PROPAGATED
-                       and m.assigned_label != cluster.cluster_label for m in cluster.mentions)
-                for cluster, labeled_again in zip(doc.clusters(side),
-                                                  propagate(doc, cfg, side).clusters(side)))
-
-        expected = any(differs(doc, side) for doc in edited for side in reused)
-        try:
-            cli._ensure_labeled(edited, cfg)
-            refused = False
-        except cli.CliError as exc:
-            assert exc.code == 2
-            refused = True
-        assert refused == expected
+        edited[d] = edited[d].with_clusters("gold", clusters)
+        write_labeled_jsonl(edited, tmp_path / "edited.jsonl")
+        fault = reuse_fault(edited[d], LabelingConfig(), "gold")
+        capsys.readouterr()
+        assert main(["eval", "--gold", str(tmp_path / "edited.jsonl"), "--typed-mention",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot reuse the gold labels of doc {edited[d].doc_id!r}: {fault}\n")
+        assert fault.startswith(f"cluster {c} has label ")
 
     def test_reuse_at_the_labeling_tau_scores_as_a_fresh_run(self, tmp_path):
         out_label = tmp_path / "labeled"

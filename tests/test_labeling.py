@@ -1,6 +1,7 @@
 import pickle
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 import oracles
 from conftest import cluster_of, doc_of
 from coref_semscore import labeling
+from coref_semscore.ingest import read_jsonl_corpus
+from coref_semscore.inventory import CategoryInventory
 from coref_semscore.label_reports import distribution, label_agreement
 from coref_semscore.labeling import (
     DEFAULT_PRONOUNS,
@@ -19,11 +22,13 @@ from coref_semscore.labeling import (
     load_pronoun_lexicon,
     overlap,
     propagate,
+    reuse_fault,
 )
-from coref_semscore.model import Cluster, LabelSource, Mention, Span
-from corpusgen import random_corpus, random_record, to_documents
+from coref_semscore.model import SIDES, Cluster, LabelSource, Mention, Span
+from corpusgen import LABELS, random_corpus, random_record, to_documents
 
 CFG = LabelingConfig()
+MINI_CORPUS = Path(__file__).resolve().parent / "data" / "mini_corpus.jsonl"
 
 spans = st.tuples(st.integers(0, 40), st.integers(1, 44)).filter(lambda t: t[0] < t[1])
 
@@ -397,6 +402,99 @@ class TestLabelDocument:
         assert gold_calls > 0
         assert calls[0] == gold_calls
         assert labeled.predicted_clusters == labeled.gold_clusters
+
+
+class TestReuseFault:
+    """reuse_fault is the inverse of labeling: it finds a fault in a side
+    exactly where labeling that side again would give other labels."""
+
+    @staticmethod
+    def _reusable(docs, cfg, sides=SIDES) -> bool:
+        return all(reuse_fault(doc, cfg, side) is None for side in sides for doc in docs)
+
+    def test_refuses_exactly_when_labeling_again_would_differ(self):
+        # A corpus labeled at tau 0.1, reused at tau 0.1 and at every
+        # stricter test: the direct overlaps are the taus where tests part.
+        raw = read_jsonl_corpus(MINI_CORPUS, CategoryInventory.default())
+        labeled = label_documents(raw, LabelingConfig(0.1))
+        overlaps = {m.assignment_overlap for doc in labeled for side in ("gold", "predicted")
+                    for c in doc.clusters(side) for m in c.mentions} - {None}
+        configs = [LabelingConfig(0.1), *(
+            LabelingConfig(tau, inclusive) for tau in sorted(overlaps) for inclusive in (False, True)
+        )]
+        refusals = 0
+        for cfg in configs:
+            refused = not self._reusable(labeled, cfg)
+            assert refused == (label_documents(raw, cfg) != labeled), cfg
+            refusals += refused
+        assert 0 < refusals < len(configs)
+
+    @pytest.mark.parametrize("force", [False, True])
+    def test_labels_of_a_run_are_reused_under_its_config(self, force):
+        raw = read_jsonl_corpus(MINI_CORPUS, CategoryInventory.default())
+        for tau in (0.0, 0.1, 0.5, 0.9):
+            cfg = LabelingConfig(tau, force_cluster_label=force)
+            assert self._reusable(label_documents(raw, cfg), cfg)
+
+    @settings(deadline=None)
+    @given(st.integers(0, 2**16), st.sampled_from([0.0, 0.1, 0.5, 0.9]), st.booleans(),
+           st.booleans(), st.booleans(), st.data())
+    def test_refuses_an_edited_cluster_exactly_when_labeling_would_differ(
+            self, seed, tau, inclusive, labeled_forced, reused_forced, data):
+        # A corpus labeled under one forcing, with one field of one cluster
+        # edited, reused under the same tau and either forcing.  propagate
+        # is the oracle: labeling again keeps the direct labels, so it
+        # changes a cluster with a direct label exactly when that cluster
+        # is not what labeling gives; a cluster with none may carry any
+        # label, but its propagated labels must be its own.
+        records = random_corpus(random.Random(seed), 3, ensure_links=True, ensure_direct=True)
+        labeled = label_documents(to_documents(records), LabelingConfig(tau, inclusive,
+                                                                       labeled_forced))
+        reused = [side for side in SIDES
+                  if any(c.cluster_label for doc in labeled for c in doc.clusters(side))]
+        d, side, c = data.draw(st.sampled_from([
+            (d, side, c) for d, doc in enumerate(labeled) for side in reused
+            for c in range(len(doc.clusters(side)))]))
+        clusters = list(labeled[d].clusters(side))
+        cluster = clusters[c]
+        edit = data.draw(st.sampled_from(["cluster label", "mention label", "mention source"]))
+        if edit == "cluster label":
+            clusters[c] = Cluster(cluster.mentions, data.draw(
+                st.sampled_from(LABELS).filter(lambda new: new != cluster.cluster_label)))
+        else:
+            mentions = list(cluster.mentions)
+            i = data.draw(st.integers(0, len(mentions) - 1))
+            m = mentions[i]
+            label, source, score = m.assigned_label, m.label_source, m.assignment_overlap
+            if edit == "mention label" and source is not LabelSource.NONE:
+                label = data.draw(st.sampled_from(LABELS).filter(lambda new: new != label))
+            elif edit == "mention source":
+                source = data.draw(st.sampled_from([s for s in LabelSource if s is not source]))
+                if label is None:
+                    label = data.draw(st.sampled_from(LABELS))
+                if source is LabelSource.NONE:
+                    label = score = None
+                elif source is LabelSource.PROPAGATED:
+                    score = None
+                elif score is None:
+                    score = data.draw(st.sampled_from([0.95, 1.0]))
+            mentions[i] = Mention(m.span, label, source, score)
+            clusters[c] = Cluster(mentions, cluster.cluster_label)
+        edited = list(labeled)
+        edited[d] = edited[d].with_clusters(side, clusters)
+        cfg = LabelingConfig(tau, inclusive, reused_forced)
+
+        def differs(doc, side):
+            return any(
+                any(m.label_source is LabelSource.DIRECT for m in cluster.mentions)
+                and cluster != labeled_again
+                or any(m.label_source is LabelSource.PROPAGATED
+                       and m.assigned_label != cluster.cluster_label for m in cluster.mentions)
+                for cluster, labeled_again in zip(doc.clusters(side),
+                                                  propagate(doc, cfg, side).clusters(side)))
+
+        expected = any(differs(doc, side) for doc in edited for side in reused)
+        assert self._reusable(edited, cfg, reused) != expected
 
 
 class TestSharedValues:

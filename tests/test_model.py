@@ -248,12 +248,15 @@ VALUES = [
     (lambda: Category("LOC", "places", ("LOCATION",)), ("label", "description", "aliases")),
     (CategoryInventory.default, ("categories", "_canonical", "_alias_map")),
 ]
+# Each row's test id is the name of its type, which does not change when
+# another row is added or deleted.
+VALUE_TYPES = [type(make()).__name__ for make, _ in VALUES]
 
 
 class TestValueSemantics:
     """The model is made of immutable values that survive copying."""
 
-    @pytest.mark.parametrize("make, fields", VALUES)
+    @pytest.mark.parametrize("make, fields", VALUES, ids=VALUE_TYPES)
     def test_fields_cannot_be_assigned(self, make, fields):
         value = make()
         for name in fields:
@@ -262,7 +265,7 @@ class TestValueSemantics:
             with pytest.raises(AttributeError):
                 delattr(value, name)
 
-    @pytest.mark.parametrize("make, fields", VALUES)
+    @pytest.mark.parametrize("make, fields", VALUES, ids=VALUE_TYPES)
     def test_pickle_and_deepcopy_give_an_equal_value(self, make, fields):
         value = make()
         for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):

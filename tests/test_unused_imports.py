@@ -45,3 +45,13 @@ def test_checker_sees_an_unused_import_and_honours_noqa():
     source = ("import os\nimport sys  # noqa: F401\nfrom typing import (\n"
               "    IO,\n    Union,  # noqa: F401\n)\nfrom a.b import c as d\nx: IO = d\n")
     assert unused_imports(source) == ["1: os"]
+
+
+def test_cli_imports_no_private_name_of_the_package():
+    # The command line uses each module through its public names only.
+    tree = ast.parse((ROOT / "src" / "coref_semscore" / "cli.py").read_text(encoding="utf-8"))
+    private = [f"{node.lineno}: {alias.name}" for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and (node.level > 0 or node.module.partition(".")[0] == "coref_semscore")
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
