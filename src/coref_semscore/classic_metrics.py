@@ -75,7 +75,7 @@ def _triple(p_num, p_den, r_num, r_den) -> MetricTriple:
 
 
 def _sizes(clusters: Sequence[Cluster]) -> list[int]:
-    return [len(c.mentions) for c in clusters]
+    return [len(c.spans) for c in clusters]
 
 
 def muc_counts(tables: Sequence[Contingency]) -> RatioCounts:
@@ -276,8 +276,8 @@ def drop_singleton_clusters(docs: Sequence[Document]) -> list[Document]:
     scoring inputs."""
     return [
         doc._replace(
-            gold_clusters=[c for c in doc.gold_clusters if len(c.mentions) > 1],
-            predicted_clusters=[c for c in doc.predicted_clusters if len(c.mentions) > 1],
+            gold_clusters=[c for c in doc.gold_clusters if len(c.spans) > 1],
+            predicted_clusters=[c for c in doc.predicted_clusters if len(c.spans) > 1],
         )
         for doc in docs
     ]

@@ -24,13 +24,14 @@ back transparently):
     mention_overlaps        per-mention assignment score in [0, 1], null
                             unless direct
 
-Unknown fields are preserved on round-trip.  Documents are read only as
+Unknown fields are preserved on round-trip.  A file gives
+predicted_clusters in every record (an explicit [] is an empty prediction)
+or in none, so a misspelt key is refused.  Documents are read only as
 whole corpora: read_jsonl_corpus here and, for gold clusters only,
 read_conll2012 in conll2012 build each document through _documents, which
-words every error with its line number.  There is no CoNLL writer.  One
-read resolves each distinct label, checks each distinct (label, source)
-pair of a labeled mention and builds each distinct unlabeled Mention once
-(_Shared); every labeled mention is its own object.
+words every error with its line number.  There is no CoNLL writer.  A read
+builds each cluster's columns, and no Mention: _labeled_columns resolves
+a labeled cluster column by column, and _Shared each distinct label once.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from .model import (
     SemanticSpan,
     Span,
     _trusted_cluster,
-    _trusted_mention,
     validate_document,
 )
 
@@ -63,7 +63,7 @@ class CorpusFormatError(Exception):
 
 
 _SOURCES = {source.value: source for source in LabelSource}
-_DIRECT = LabelSource.DIRECT
+_NONE, _DIRECT = LabelSource.NONE, LabelSource.DIRECT
 _MENTION_BLOCKS = ("mention_labels", "mention_label_sources", "mention_overlaps")
 _LABEL_BLOCKS = ("cluster_labels", *_MENTION_BLOCKS)
 _MODEL_FIELDS = ("doc_id", "tokens", "sentence_boundaries", "gold_clusters",
@@ -73,27 +73,34 @@ _MODEL_FIELDS = ("doc_id", "tokens", "sentence_boundaries", "gold_clusters",
 _new_span = tuple.__new__
 
 
+class _Unlabeled(dict):
+    """k -> the label columns of k unlabeled mentions, shared within a read."""
+
+    __slots__ = ()
+
+    def __missing__(self, k: int) -> tuple:
+        return self.setdefault(k, ((None,) * k, (_NONE,) * k, (None,) * k))
+
+
 class _Shared(dict):
-    """The labels and unlabeled mentions of one read, each built once, on
-    first sight, and the (label, source) pairs of its labeled mentions,
-    each checked once.
+    """The labels of one read, each resolved once, and its _Unlabeled.
 
     A raw label string keys its canonical label, which inventory.resolve
     gives on the first lookup; a label it rejects is not stored, so it
-    raises again wherever it recurs.  A (start, end) keys its unlabeled
-    Mention, which the reader stores for a pair only once it has passed
-    its document's checks.  In `pairs`, a raw (label, source) pair keys
-    the (label, LabelSource) of the first mention that the checked
-    Mention constructor accepted with it.
+    raises again wherever it recurs.  None keys None; any other key raises
+    KeyError.
     """
 
-    __slots__ = ("_resolve", "pairs")
+    __slots__ = ("_resolve", "unlabeled")
 
     def __init__(self, inventory: CategoryInventory) -> None:
+        super().__init__({None: None})
         self._resolve = inventory.resolve
-        self.pairs: dict = {}
+        self.unlabeled = _Unlabeled()
 
-    def __missing__(self, raw: str) -> str:
+    def __missing__(self, raw) -> str:
+        if type(raw) is not str:
+            raise KeyError(raw)
         label = self[raw] = self._resolve(raw)
         return label
 
@@ -140,9 +147,7 @@ def _doc_id(record, field: str) -> str:
 
 
 def _label(raw, shared: _Shared) -> str | None:
-    if raw is None:
-        return None
-    if not isinstance(raw, str):
+    if raw is not None and not isinstance(raw, str):
         raise TypeError(f"label must be a string or null, got {raw!r}")
     return shared[raw]
 
@@ -154,6 +159,46 @@ def _nested(record: dict, key: str, side: str):
     if not isinstance(block, dict):
         raise CorpusFormatError(f"{key}: expected an object keyed by cluster side")
     return block.get(side)
+
+
+def _labeled_columns(label_row: list, source_row: list, overlap_row: list, shared: _Shared):
+    """The label, source and overlap columns of one labeled cluster's rows,
+    or None unless every label resolves, every source names a LabelSource,
+    each mention has a label iff its source is not none and an overlap iff
+    it is direct, and each such overlap is a float in [0, 1], kept as read."""
+    try:
+        labels = tuple(map(shared.__getitem__, label_row))
+        sources = tuple(map(_SOURCES.__getitem__, source_row))
+    except (KeyError, TypeError, ValueError):
+        return None
+    for label, source, overlap in zip(labels, sources, overlap_row):
+        if source is _DIRECT:
+            if label is None or type(overlap) is not float or not 0.0 <= overlap <= 1.0:
+                return None
+        elif overlap is not None or (label is None) != (source is _NONE):
+            return None
+    return labels, sources, tuple(overlap_row)
+
+
+def _checked_labels(rows: list, stop: int, where: str, ci: int, shared: _Shared):
+    """The label, source and overlap columns of a labeled cluster's first
+    `stop` mentions, checked one by one, each error worded at its mention;
+    an overlap may also be an integer, kept as a float."""
+    columns = []
+    for mi, raw_label, source, overlap in zip(range(stop), *rows):
+        try:
+            label = _label(raw_label, shared)
+            source = LabelSource(source)
+            score = None if overlap is None else float(overlap)
+            if (label is None) != (source is _NONE) or (score is not None) != (source is _DIRECT):
+                Mention(Span(0, 1), label, source, score)  # which words the fault and raises
+            # After float() and Mention have worded what they reject.
+            if score is not None and (type(overlap) not in (int, float) or not 0.0 <= score <= 1.0):
+                raise ValueError(f"assignment overlap must be a number in [0, 1], got {overlap!r}")
+        except (TypeError, ValueError) as exc:
+            raise CorpusFormatError(f"{where.format(ci, mi)}: {exc}") from exc
+        columns.append((label, source, score))
+    return tuple(zip(*columns))
 
 
 def _clusters_from_record(
@@ -178,7 +223,6 @@ def _clusters_from_record(
         cluster_labels, *per_mention = blocks
         has_labels = any(block is not None for block in per_mention)
     where = key + "[{}][{}]"
-    pairs = shared.pairs
     clusters = []
     side_spans: set[Span] = set()
     mention_count = 0
@@ -187,6 +231,7 @@ def _clusters_from_record(
         if not isinstance(raw_cluster, list):
             raise CorpusFormatError(f"{key}[{ci}]: expected a list of [start, end] pairs, "
                                     f"got {type(raw_cluster).__name__}")
+        rows = None
         if has_labels:
             rows = []
             for name, block, default in zip(_MENTION_BLOCKS, per_mention, (None, "none", None)):
@@ -196,63 +241,22 @@ def _clusters_from_record(
                         f"{name}[{side}][{ci}]: expected a list as long as {key}[{ci}]"
                     )
                 rows.append(row)
-            label_row, source_row, overlap_row = rows
-        spans, mentions = [], []
+        spans = []
         for mi, pair in enumerate(raw_cluster):
             start, end = pair if type(pair) is list and len(pair) == 2 else (None, None)
             if type(start) is int and type(end) is int and 0 <= start < end <= n:
-                if not has_labels:
-                    mention = shared.get((start, end))
-                    if mention is None:
-                        mention = shared[start, end] = Mention(_new_span(Span, (start, end)))
-                    mentions.append(mention)
-                    spans.append(mention.span)
-                    continue
-                span = _new_span(Span, (start, end))
-            else:
-                # _span words a rejected pair; one it accepts ends past the
-                # last token, which validate_document words.
-                span = _span(pair, where, ci, mi)
-                violated = True
-            spans.append(span)
-            if has_labels:
-                raw_label, source, overlap = label_row[mi], source_row[mi], overlap_row[mi]
-                try:
-                    label, label_source = pairs[raw_label, source]
-                except (KeyError, TypeError):  # a pair not checked yet, or unhashable
-                    label_source = None
-                # A checked pair needs only its own overlap checked: a float
-                # in [0, 1], kept as read, for a direct label, else none.
-                if label_source is _DIRECT:
-                    if type(overlap) is float and 0.0 <= overlap <= 1.0:
-                        mentions.append(_trusted_mention(span, label, _DIRECT, overlap))
-                        continue
-                elif label_source is not None and overlap is None:
-                    mentions.append(_trusted_mention(span, label, label_source, None))
-                    continue
-                try:
-                    mention = Mention(
-                        span,
-                        _label(raw_label, shared),
-                        (type(source) is str and _SOURCES.get(source)) or LabelSource(source),
-                        None if overlap is None else float(overlap),
-                    )
-                    # After float() and Mention have worded what they reject.
-                    if overlap is not None and (
-                        type(overlap) not in (int, float) or not 0.0 <= overlap <= 1.0
-                    ):
-                        raise ValueError(
-                            f"assignment overlap must be a number in [0, 1], got {overlap!r}"
-                        )
-                except (TypeError, ValueError) as exc:
-                    raise CorpusFormatError(f"{where.format(ci, mi)}: {exc}") from exc
-                # Accepted, so the label is a string or null and the source a
-                # string: the pair hashes.
-                pairs[raw_label, source] = mention.assigned_label, mention.label_source
-                mentions.append(mention)
-            else:
-                mentions.append(Mention(span))
-        mentions = tuple(mentions)
+                spans.append(_new_span(Span, (start, end)))
+                continue
+            if rows is not None:  # a label fault before this pair is the one to report
+                _checked_labels(rows, mi, where, ci, shared)
+            # _span words a rejected pair; one it accepts ends past the
+            # last token, which validate_document words.
+            spans.append(_span(pair, where, ci, mi))
+            violated = True
+        spans = tuple(spans)
+        columns = (shared.unlabeled[len(spans)] if rows is None
+                   else _labeled_columns(*rows, shared)
+                   or _checked_labels(rows, len(spans), where, ci, shared))
         side_spans.update(spans)
         mention_count += len(spans)
         try:
@@ -261,10 +265,10 @@ def _clusters_from_record(
             # or across clusters.  Only an empty cluster or a repeat within
             # this one is the constructor's to reject, and word.
             if not spans or (len(side_spans) != mention_count and len(set(spans)) != len(spans)):
-                Cluster(mentions, label)
+                Cluster(map(Mention, spans), label)
         except (TypeError, ValueError) as exc:
             raise CorpusFormatError(f"{key}[{ci}]: {exc}") from exc
-        clusters.append(_trusted_cluster(mentions, label))
+        clusters.append(_trusted_cluster(spans, *columns, label))
     return tuple(clusters), violated or len(side_spans) != mention_count
 
 
@@ -376,8 +380,8 @@ def _jsonl_records(source: Source) -> Iterator[tuple[int, object]]:
 
 
 def _by_doc_id(numbered: Iterable[tuple[int, object]], build) -> dict:
-    """{doc_id: value}, in file order, where build(record) gives the
-    (doc_id, value) of each (line number, record) pair.
+    """{doc_id: value}, in file order, where build(line number, record)
+    gives the (doc_id, value) of each (line number, record) pair.
 
     A CorpusFormatError from build, and a doc_id seen before, are reported
     with the record's line number.
@@ -385,7 +389,7 @@ def _by_doc_id(numbered: Iterable[tuple[int, object]], build) -> dict:
     by_id: dict = {}
     for lineno, record in numbered:
         try:
-            doc_id, value = build(record)
+            doc_id, value = build(lineno, record)
         except CorpusFormatError as exc:
             raise CorpusFormatError(f"line {lineno}: {exc}") from exc
         if doc_id in by_id:
@@ -397,13 +401,25 @@ def _by_doc_id(numbered: Iterable[tuple[int, object]], build) -> dict:
 def _documents(
     numbered: Iterable[tuple[int, object]], inventory: CategoryInventory | None
 ) -> list[Document]:
+    """The documents of (line number, record) pairs, in file order; once
+    all are read, a file that gives predicted_clusters in some records only
+    is refused at the first record without it."""
     shared = _Shared(inventory or CategoryInventory.default())
+    first: dict[bool, tuple[int, Document]] = {}  # has predicted_clusters -> (line, doc)
 
-    def build(record):
+    def build(lineno, record):
         doc = _document(record, shared)
+        first.setdefault("predicted_clusters" in record, (lineno, doc))
         return doc.doc_id, doc
 
-    return list(_by_doc_id(numbered, build).values())
+    docs = list(_by_doc_id(numbered, build).values())
+    if len(first) == 2:
+        (line, doc), (other, _) = first[False], first[True]
+        raise CorpusFormatError(
+            f"line {line}: doc {doc.doc_id!r} has no predicted_clusters, which line {other} has; "
+            f"give the key in every record or in none (unknown keys here: {sorted(doc.extras)!r})"
+        )
+    return docs
 
 
 def read_jsonl_corpus(
@@ -428,7 +444,7 @@ def read_cner_jsonl(
     """
     shared = _Shared(inventory or CategoryInventory.default())
 
-    def build(record):
+    def build(lineno, record):
         return _doc_id(record, "cner"), _semantic_spans(record["cner"], shared, sys.maxsize)[0]
 
     return _by_doc_id(_jsonl_records(source), build)
@@ -436,9 +452,9 @@ def read_cner_jsonl(
 
 def _labels_block(clusters: Sequence[Cluster]):
     cluster_labels = [c.cluster_label for c in clusters]
-    mention_labels = [[m.assigned_label for m in c.mentions] for c in clusters]
-    sources = [[m.label_source.value for m in c.mentions] for c in clusters]
-    overlaps = [[m.assignment_overlap for m in c.mentions] for c in clusters]
+    mention_labels = [list(c.labels) for c in clusters]
+    sources = [[source.value for source in c.sources] for c in clusters]
+    overlaps = [list(c.overlaps) for c in clusters]
     return cluster_labels, mention_labels, sources, overlaps
 
 
@@ -447,12 +463,8 @@ def document_to_record(doc: Document) -> dict:
     record: dict = {"doc_id": doc.doc_id, "tokens": list(doc.tokens)}
     if doc.sentence_boundaries is not None:
         record["sentence_boundaries"] = list(doc.sentence_boundaries)
-    record["gold_clusters"] = [
-        [[m.span.start, m.span.end] for m in c.mentions] for c in doc.gold_clusters
-    ]
-    record["predicted_clusters"] = [
-        [[m.span.start, m.span.end] for m in c.mentions] for c in doc.predicted_clusters
-    ]
+    for side in model.SIDES:
+        record[f"{side}_clusters"] = [[[s, e] for s, e in c.spans] for c in doc.clusters(side)]
     record["cner"] = [[s.span.start, s.span.end, s.label] for s in doc.semantic_spans]
     blocks = {side: _labels_block(doc.clusters(side)) for side in model.SIDES}
     for i, name in enumerate(_LABEL_BLOCKS):

@@ -11,6 +11,7 @@ Only the distribution and validate-labels commands load this module.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import chain
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .inventory import CategoryInventory
@@ -40,15 +41,8 @@ def distribution(
     """Label distribution over labeled gold mentions, plus absent inventory
     labels."""
     inventory = inventory or CategoryInventory.default()
-    counter: Counter[str] = Counter()
-    unlabeled = 0
-    for doc in docs:
-        for cluster in doc.gold_clusters:
-            for mention in cluster.mentions:
-                if mention.assigned_label is None:
-                    unlabeled += 1
-                else:
-                    counter[mention.assigned_label] += 1
+    counter = Counter(chain.from_iterable([c.labels for doc in docs for c in doc.gold_clusters]))
+    unlabeled = counter.pop(None, 0)
     ordered = dict(sorted(counter.items(), key=lambda item: (-item[1], item[0])))
     absent = tuple(sorted(label for label in inventory.labels if label not in counter))
     return DistributionReport(

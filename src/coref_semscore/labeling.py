@@ -6,9 +6,10 @@ label when the score beats the threshold.  Step two (propagation) votes a
 label per cluster over its directly labeled mentions and writes it onto
 every member, pronouns included; clusters with no directly labeled
 mention stay unlabeled.  A label_documents pass aligns each mention span
-once per document and builds the direct Mention of that alignment once,
-so the gold and predicted mentions at one span of one document share it.
-reuse_fault is the inverse check: whether labels read back are these.
+once per document, into the (label, overlap) of its direct label or None,
+which the gold and predicted mentions at that span share, and writes the
+clusters' label columns from those.  reuse_fault is the inverse check:
+whether labels read back are these.
 
 The coverage report lives here too; the label-distribution and
 reference-agreement reports are in label_reports.
@@ -29,7 +30,6 @@ from .model import (
     Cluster,
     Document,
     LabelSource,
-    Mention,
     SemanticSpan,
     Span,
     _checked_replace,
@@ -103,11 +103,13 @@ def load_pronoun_lexicon(source: Union[str, Path, IO[str]]) -> frozenset[str]:
 
 
 _NONE, _DIRECT, _PROPAGATED = LabelSource.NONE, LabelSource.DIRECT, LabelSource.PROPAGATED
+# A mention's direct label and its overlap, or None for a mention without one.
+_Direct = tuple[str, float] | None
 
 
 class _Alignments(dict):
-    """Span -> the direct Mention of a mention at that span in one
-    document, or None when its best overlap does not pass tau.
+    """Span -> the (label, overlap) of a direct label for a mention at that
+    span in one document, or None when its best overlap does not pass tau.
 
     The assignment depends only on the span, the document's semantic
     spans and cfg, so a span is aligned on its first lookup and kept: one
@@ -123,9 +125,8 @@ class _Alignments(dict):
         self._longest = max([end - start for start, end in spans], default=0)
         self._cfg = cfg
 
-    def __missing__(self, span: Span) -> Mention | None:
-        """The direct Mention carrying the label and Jaccard score of the
-        best-overlapping semantic span.
+    def __missing__(self, span: Span) -> _Direct:
+        """The label and Jaccard score of the best-overlapping semantic span.
 
         Only the spans that start in (mention.start - longest, mention.end)
         are scored: every span that overlaps the mention starts there,
@@ -149,30 +150,25 @@ class _Alignments(dict):
                     best_score, best_key = score, key
         aligned = None
         if best_key is not None and self._cfg.passes(best_score):
-            aligned = Mention(span, best_key[2], _DIRECT, best_score)
+            aligned = best_key[2], best_score
         self[span] = aligned
         return aligned
 
 
-def _relabel(
-    cluster: Cluster, direct: Sequence[Mention | None], label: str | None, force: bool
-) -> Cluster:
+def _relabel(cluster: Cluster, direct: Sequence[_Direct], label: str | None,
+             force: bool) -> Cluster:
     """The cluster rebuilt with `label` and its mentions' labels: the one
     place a labeled Cluster is built.
 
-    `direct` holds each mention's direct Mention, or None.  A direct
-    mention keeps its own label and Mention, or takes `label` when `force`
-    is set (which needs a `label`); any other mention takes `label` as
+    `direct` holds each mention's direct (label, overlap), or None.  A
+    direct mention keeps its own label, or takes `label` when `force` is
+    set (which needs a `label`); any other mention takes `label` as
     propagated, or is left unlabeled when `label` is None.  The spans are
     those of `cluster`, already checked when it was built.
     """
-    return _trusted_cluster(tuple([
-        (Mention(m.span, label, _DIRECT, d.assignment_overlap) if force else d) if d is not None
-        else Mention(m.span, label, _PROPAGATED) if label is not None
-        else m if m.label_source is _NONE
-        else Mention(m.span)
-        for m, d in zip(cluster.mentions, direct)
-    ]), label)
+    other = (None, _NONE, None) if label is None else (label, _PROPAGATED, None)
+    rows = [other if d is None else (label if force else d[0], _DIRECT, d[1]) for d in direct]
+    return _trusted_cluster(cluster.spans, *zip(*rows), label)
 
 
 def assign_mentions(doc: Document, cfg: LabelingConfig, side: str) -> Document:
@@ -183,15 +179,15 @@ def assign_mentions(doc: Document, cfg: LabelingConfig, side: str) -> Document:
     """
     aligned = _Alignments(doc.semantic_spans, cfg)
     return doc.with_clusters(side, [
-        _relabel(c, [aligned[m.span] for m in c.mentions], None, False)
+        _relabel(c, [aligned[span] for span in c.spans], None, False)
         for c in doc.clusters(side)
     ])
 
 
-def _vote(direct: Iterable[Mention | None]) -> str | None:
-    """Majority label over the direct Mentions; None entries, for the
-    other mentions, are skipped, and with no direct Mention at all there
-    is no label.
+def _vote(direct: Iterable[_Direct]) -> str | None:
+    """Majority label over the direct (label, overlap) pairs; None
+    entries, for the other mentions, are skipped, and with no direct label
+    at all there is no label.
 
     Frequency ties fall back to the highest mean assignment overlap among
     each tied label's supporting mentions, then to the lexicographically
@@ -200,7 +196,7 @@ def _vote(direct: Iterable[Mention | None]) -> str | None:
     overlaps_by_label: dict[str, list[float]] = defaultdict(list)
     for d in direct:
         if d is not None:
-            overlaps_by_label[d.assigned_label].append(d.assignment_overlap)
+            overlaps_by_label[d[0]].append(d[1])
     ranked = min(
         ((-len(scores), -(fsum(scores) / len(scores)), label)
          for label, scores in overlaps_by_label.items()),
@@ -209,17 +205,16 @@ def _vote(direct: Iterable[Mention | None]) -> str | None:
     return None if ranked is None else ranked[2]
 
 
-def _cluster_label(direct: Sequence[Mention | None]) -> str | None:
-    """The label of a cluster whose mentions have the direct Mentions in
-    `direct` (None entries are skipped): voted on only when the direct
-    labels disagree, and None with no direct Mention."""
-    labels = {d.assigned_label for d in direct if d is not None}
+def _cluster_label(direct: Sequence[_Direct]) -> str | None:
+    """The label of a cluster whose mentions have the direct (label,
+    overlap) pairs in `direct` (None entries are skipped): voted on only
+    when the direct labels disagree, and None with no direct label."""
+    labels = {d[0] for d in direct if d is not None}
     return _vote(direct) if len(labels) > 1 else labels.pop() if labels else None
 
 
-def _label_cluster(cluster: Cluster, direct: Sequence[Mention | None], force: bool) -> Cluster:
-    """The cluster labeled from `direct`, each mention's direct Mention or
-    None, and rebuilt by _relabel."""
+def _label_cluster(cluster: Cluster, direct: Sequence[_Direct], force: bool) -> Cluster:
+    """The cluster labeled from `direct` and rebuilt by _relabel."""
     return _relabel(cluster, direct, _cluster_label(direct), force)
 
 
@@ -235,8 +230,8 @@ def unlabeled_sides(docs: Sequence[Document], sides: Sequence[str]) -> list[str]
 _NEVER = "which labeling never gives; label the unlabeled corpus"
 
 
-def _at(mention: Mention) -> str:
-    return f"at span [{mention.span.start}, {mention.span.end})"
+def _at(span: Span) -> str:
+    return f"at span [{span.start}, {span.end})"
 
 
 def reuse_fault(doc: Document, cfg: LabelingConfig, side: str,
@@ -263,30 +258,30 @@ def reuse_fault(doc: Document, cfg: LabelingConfig, side: str,
         label = cluster.cluster_label
         direct = []
         bare = None
-        for m in cluster.mentions:
-            source = m.label_source
+        columns = zip(cluster.spans, cluster.labels, cluster.sources, cluster.overlaps)
+        for span, assigned, source, score in columns:
             if source is _DIRECT:
-                direct.append(m.assigned_label)
-                if m.assignment_overlap < low:
-                    worst, low = m, m.assignment_overlap
+                direct.append(assigned)
+                if score < low:
+                    worst, low = span, score
             elif source is _PROPAGATED:
-                if m.assigned_label != label:
+                if assigned != label:
                     return (f"cluster {index} has label {label!r} and a propagated label "
-                            f"{m.assigned_label!r} {_at(m)}, {_NEVER}")
+                            f"{assigned!r} {_at(span)}, {_NEVER}")
             elif bare is None:
-                bare = m
+                bare = span
         if not direct:
             continue
         elif label not in direct:
             fault = f"direct labels {sorted(set(direct))!r}, {_NEVER}"
         elif ((own := direct.count(label)) * 2 <= len(direct)
               and max(map(direct.count, set(direct) - {label})) >= own
-              and (vote := _vote(m for m in cluster.mentions if m.label_source is _DIRECT)) != label):
+              and (vote := _vote(_direct_labels(cluster))) != label):
             fault = f"direct labels {sorted(set(direct))!r} that vote {vote!r}, {_NEVER}"
         elif cfg.force_cluster_label and own < len(direct):
-            other = next(m for m in cluster.mentions
-                         if m.label_source is _DIRECT and m.assigned_label != label)
-            fault = (f"a direct label {other.assigned_label!r} {_at(other)}, which labeling "
+            span, other = next((s, d[0]) for s, d in zip(cluster.spans, _direct_labels(cluster))
+                               if d is not None and d[0] != label)
+            fault = (f"a direct label {other!r} {_at(span)}, which labeling "
                      "with --force-cluster-label never gives; label the unlabeled corpus with it")
         elif bare is not None:
             fault = f"an unlabeled mention {_at(bare)}, {_NEVER}"
@@ -296,7 +291,7 @@ def reuse_fault(doc: Document, cfg: LabelingConfig, side: str,
     if worst is not None and respanned is not None:
         return respanned
     if worst is not None and not cfg.passes(low):
-        return (f"span [{worst.span.start}, {worst.span.end}) has a direct label at overlap "
+        return (f"span [{worst.start}, {worst.end}) has a direct label at overlap "
                 f"{low!r}, not {'>=' if cfg.tau_inclusive else '>'} tau {cfg.tau!r}; label the "
                 "unlabeled corpus at this tau")
     return None
@@ -312,10 +307,14 @@ def propagate(doc: Document, cfg: LabelingConfig, side: str) -> Document:
     twice changes nothing.
     """
     return doc.with_clusters(side, [
-        _label_cluster(c, [m if m.label_source is _DIRECT else None for m in c.mentions],
-                       cfg.force_cluster_label)
-        for c in doc.clusters(side)
+        _label_cluster(c, _direct_labels(c), cfg.force_cluster_label) for c in doc.clusters(side)
     ])
+
+
+def _direct_labels(cluster: Cluster) -> list[_Direct]:
+    """Each mention's direct (label, overlap), or None where it has none."""
+    return [(label, score) if source is _DIRECT else None
+            for label, source, score in zip(cluster.labels, cluster.sources, cluster.overlaps)]
 
 
 def label_documents(
@@ -336,7 +335,7 @@ def label_documents(
         aligned = _Alignments(doc.semantic_spans, cfg)
         clusters = {
             f"{side}_clusters": [
-                _label_cluster(c, [aligned[m.span] for m in c.mentions], cfg.force_cluster_label)
+                _label_cluster(c, [aligned[span] for span in c.spans], cfg.force_cluster_label)
                 for c in doc.clusters(side)
             ]
             for side in sides if doc.clusters(side)
@@ -382,22 +381,12 @@ def coverage(
     The pronoun block restricts to single-token mentions whose lowercased
     text is in `pronouns`.
     """
-    total = direct = propagated = 0
-    p_total = p_direct = p_propagated = 0
+    overall: list[LabelSource] = []
+    pronoun: list[LabelSource] = []
     for doc in docs:
         for cluster in doc.clusters(side):
-            for mention in cluster.mentions:
-                is_direct = mention.label_source is LabelSource.DIRECT
-                is_prop = mention.label_source is LabelSource.PROPAGATED
-                total += 1
-                direct += is_direct
-                propagated += is_prop
-                start, end = mention.span
-                if end - start == 1 and doc.tokens[start].lower() in pronouns:
-                    p_total += 1
-                    p_direct += is_direct
-                    p_propagated += is_prop
-    return CoverageReport(
-        overall=CoverageCounts(total, direct, propagated),
-        pronoun=CoverageCounts(p_total, p_direct, p_propagated),
-    )
+            overall += cluster.sources
+            pronoun += [source for (start, end), source in zip(cluster.spans, cluster.sources)
+                        if end - start == 1 and doc.tokens[start].lower() in pronouns]
+    return CoverageReport(*(CoverageCounts(len(s), s.count(_DIRECT), s.count(_PROPAGATED))
+                            for s in (overall, pronoun)))

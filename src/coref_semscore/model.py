@@ -12,6 +12,8 @@ Span and Contingency are NamedTuples.  Mention, Cluster, SemanticSpan
 and Document are slotted classes on one small base, _Value, which makes
 them immutable values (equal by class and fields, hashable, picklable)
 whose _replace builds the changed copy through the checked constructor.
+A Cluster holds its mentions as columns, which every stage reads and
+writes; it builds Mention values only when its `mentions` are asked for.
 """
 
 from __future__ import annotations
@@ -139,10 +141,7 @@ class Mention(_Value):
     `assignment_overlap` is only present for directly assigned labels and
     records the winning Jaccard score at assignment time.  The constructor
     checks that rule, and that a label is present exactly when the source
-    is not none.  One caller builds through the unchecked
-    _trusted_mention instead: ingest._clusters_from_record, for a labeled
-    mention whose (label, source) pair the constructor accepted earlier
-    in the read, once the reader has checked the mention's overlap inline.
+    is not none.
     """
 
     __slots__ = _fields = ("span", "assigned_label", "label_source", "assignment_overlap")
@@ -173,49 +172,52 @@ _set_span, _set_assigned_label, _set_label_source, _set_assignment_overlap = (
 class Cluster(_Value):
     """A non-empty set of coreferential mentions, optionally labeled.
 
+    The mentions are stored as four parallel tuples, `spans`, `labels`,
+    `sources` and `overlaps`; an unlabeled cluster's hold None and
+    LabelSource.NONE.  The field `mentions` builds equal Mention values
+    from them on each access, so equality, hashing, repr, pickling and
+    _replace are those of the mentions.
+
     The constructor, and so _replace, checks that there is at least one
-    mention and that no span repeats.  Two callers build through the
-    unchecked _trusted_cluster instead: ingest._clusters_from_record,
-    which has already counted each cluster's spans against the rule, and
-    labeling._relabel, which copies the spans of a checked cluster.
+    mention and that no span repeats; ingest and labeling._relabel, whose
+    columns are checked already, build through _trusted_cluster instead.
     """
 
-    __slots__ = _fields = ("mentions", "cluster_label")
+    __slots__ = ("spans", "labels", "sources", "overlaps", "cluster_label")
+    _fields = ("mentions", "cluster_label")
 
     def __init__(self, mentions: Iterable[Mention], cluster_label: str | None = None) -> None:
         mentions = tuple(mentions)
-        if not mentions:
+        spans = tuple([m.span for m in mentions])
+        if not spans:
             raise ValueError("cluster must contain at least one mention")
-        if len({m.span for m in mentions}) != len(mentions):
+        if len(set(spans)) != len(spans):
             raise ValueError("duplicate mention span within cluster")
-        _set_mentions(self, mentions)
+        _set_spans(self, spans)
+        _set_labels(self, tuple([m.assigned_label for m in mentions]))
+        _set_sources(self, tuple([m.label_source for m in mentions]))
+        _set_overlaps(self, tuple([m.assignment_overlap for m in mentions]))
         _set_cluster_label(self, cluster_label)
 
+    @property
+    def mentions(self) -> tuple[Mention, ...]:
+        return tuple(map(Mention, self.spans, self.labels, self.sources, self.overlaps))
 
-_set_mentions, _set_cluster_label = _slot_setters(Cluster)
+
+_set_spans, _set_labels, _set_sources, _set_overlaps, _set_cluster_label = _slot_setters(Cluster)
 
 
-def _trusted_cluster(mentions: tuple[Mention, ...], cluster_label: str | None) -> Cluster:
-    """A Cluster built without the constructor's checks, for mentions that
-    are known to be a non-empty tuple with distinct spans."""
+def _trusted_cluster(spans: tuple, labels: tuple, sources: tuple, overlaps: tuple,
+                     cluster_label: str | None) -> Cluster:
+    """A Cluster built from its columns without the constructor's checks,
+    for equally long columns whose spans and mentions would pass them."""
     cluster = object.__new__(Cluster)
-    _set_mentions(cluster, mentions)
+    _set_spans(cluster, spans)
+    _set_labels(cluster, labels)
+    _set_sources(cluster, sources)
+    _set_overlaps(cluster, overlaps)
     _set_cluster_label(cluster, cluster_label)
     return cluster
-
-
-def _trusted_mention(
-    span: Span, assigned_label: str | None, label_source: LabelSource,
-    assignment_overlap: float | None,
-) -> Mention:
-    """A Mention built without the constructor's checks, for fields known
-    to pass them."""
-    mention = object.__new__(Mention)
-    _set_span(mention, span)
-    _set_assigned_label(mention, assigned_label)
-    _set_label_source(mention, label_source)
-    _set_assignment_overlap(mention, assignment_overlap)
-    return mention
 
 
 class SemanticSpan(_Value):
@@ -297,19 +299,19 @@ def validate_document(doc: Document) -> list[str]:
     for side in SIDES:
         seen: dict[Span, int] = {}
         for ci, cluster in enumerate(doc.clusters(side)):
-            for mi, mention in enumerate(cluster.mentions):
-                if mention.span.end > n:
+            for mi, span in enumerate(cluster.spans):
+                if span.end > n:
                     violations.append(
                         f"{side}_clusters[{ci}].mentions[{mi}]: span "
-                        f"{_span_str(mention.span)} out of range ({n} tokens)"
+                        f"{_span_str(span)} out of range ({n} tokens)"
                     )
-                if mention.span in seen and seen[mention.span] != ci:
+                if span in seen and seen[span] != ci:
                     violations.append(
-                        f"{side}_clusters: span {_span_str(mention.span)} appears "
-                        f"in clusters {seen[mention.span]} and {ci}"
+                        f"{side}_clusters: span {_span_str(span)} appears "
+                        f"in clusters {seen[span]} and {ci}"
                     )
                 else:
-                    seen.setdefault(mention.span, ci)
+                    seen.setdefault(span, ci)
     for si, sem in enumerate(doc.semantic_spans):
         if sem.span.end > n:
             violations.append(
@@ -346,11 +348,11 @@ def pair_by_doc_id(
 
 def _cluster_index(clusters: Sequence[Cluster]) -> dict[Span, tuple[int, str | None]]:
     """Map each mention span of one side to its cluster's index and the
-    mention's label.  This is the only place a metric indexes mention spans."""
+    mention's label; contingency joins the predicted mentions to gold's."""
     return {
-        m.span: (i, m.assigned_label)
+        span: (i, label)
         for i, cluster in enumerate(clusters)
-        for m in cluster.mentions
+        for span, label in zip(cluster.spans, cluster.labels)
     }
 
 
@@ -383,13 +385,17 @@ def contingency(doc: Document) -> Contingency:
     which the metrics cannot score.
     """
     gold, pred = doc.gold_clusters, doc.predicted_clusters
-    gold_index, pred_index = _cluster_index(gold), _cluster_index(pred)
-    if len(gold_index) + len(pred_index) != sum(len(c.mentions) for c in gold + pred):
+    gold_index = _cluster_index(gold)
+    pred_spans = set().union(*[c.spans for c in pred])
+    if len(gold_index) + len(pred_spans) != sum([len(c.spans) for c in gold + pred]):
         raise ValueError(f"doc {doc.doc_id!r}: {validate_document(doc)[0]}")
-    shared = [(gold_index[span], p) for span, p in pred_index.items() if span in gold_index]
+    # (gold index and label, predicted index, predicted label) of each shared span
+    shared = [(g, j, label) for j, cluster in enumerate(pred)
+              for span, label in zip(cluster.spans, cluster.labels)
+              if (g := gold_index.get(span)) is not None]
     return Contingency(
         gold,
         pred,
-        Counter((i, j) for (i, _), (j, _) in shared),
-        Counter(g for (_, g), (_, p) in shared if g == p),
+        Counter([(g[0], j) for g, j, _ in shared]),
+        Counter([label for g, _, label in shared if g[1] == label]),
     )

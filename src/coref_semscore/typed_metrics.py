@@ -20,7 +20,7 @@ built.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations
+from itertools import chain, combinations
 from math import fsum
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -114,7 +114,7 @@ def links_of(cluster: Cluster) -> list[tuple[SpanPair, str | None]]:
     label (None when unlabeled), and number k(k-1)/2 for k mentions.
     Link scoring counts pairs from cluster sizes and never builds them.
     """
-    spans = sorted((m.span.start, m.span.end) for m in cluster.mentions)
+    spans = sorted((start, end) for start, end in cluster.spans)
     return [((a, b), cluster.cluster_label) for a, b in combinations(spans, 2)]
 
 
@@ -156,19 +156,17 @@ def typed_mention_scores(tables: Sequence[Contingency]) -> TypedScoreReport:
     those spans per label.
     """
     tp: Counter[str | None] = Counter()
-    gold_mentions: Counter[str | None] = Counter()
-    pred_mentions: Counter[str | None] = Counter()
     for table in tables:
         tp.update(table.agreed)
-        gold_mentions.update(m.assigned_label for c in table.gold for m in c.mentions)
-        pred_mentions.update(m.assigned_label for c in table.pred for m in c.mentions)
+    gold_mentions = Counter(chain.from_iterable([c.labels for t in tables for c in t.gold]))
+    pred_mentions = Counter(chain.from_iterable([c.labels for t in tables for c in t.pred]))
     return _report(MODE_MENTION, tp, gold_mentions, pred_mentions)
 
 
 def _tally_links(clusters: Sequence[Cluster], links: Counter) -> None:
     """Add each cluster's k(k-1)/2 links to links[cluster_label]."""
     for cluster in clusters:
-        k = len(cluster.mentions)
+        k = len(cluster.spans)
         if k > 1:
             links[cluster.cluster_label] += k * (k - 1) // 2
 
@@ -203,7 +201,7 @@ def typed_link_scores(
         _tally_links(gold, gold_links)
         _tally_links(pred, pred_links)
         if link_mention_source == "gold":
-            violations += sum(len(c.mentions) for c in pred) - sum(cells.values())
+            violations += sum(len(c.spans) for c in pred) - sum(cells.values())
     return _report(
         MODE_LINK,
         tp,

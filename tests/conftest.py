@@ -105,6 +105,20 @@ def doc_of(gold=(), predicted=(), cner=(), tokens=12, doc_id="d0"):
     return Document(doc_id, tokens, clusters(gold), clusters(predicted), semantic_spans)
 
 
+def count_mentions(monkeypatch):
+    """Count calls of Mention.__init__ from here on, until
+    monkeypatch.undo(); returns the one-item counter."""
+    built = [0]
+    init = Mention.__init__
+
+    def counting(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Mention, "__init__", counting)
+    return built
+
+
 def tables_of(docs):
     """One overlap table per document, the scorers' input."""
     return [contingency(doc) for doc in docs]

@@ -28,7 +28,7 @@ from coref_semscore.labeling import reuse_fault
 from coref_semscore.model import Cluster, LabelSource
 from coref_semscore.reporting import json_text, typed_report_dict
 from coref_semscore.saved_reports import typed_report_from_dict
-from conftest import COMPOSITE_RECORD, NEWS_RECORD
+from conftest import COMPOSITE_RECORD, NEWS_RECORD, count_mentions
 from corpusgen import LABELS, random_corpus, to_documents
 from test_commands import command_inputs, typed_block, write_jsonl
 
@@ -440,6 +440,19 @@ class TestEvalSharesTables:
                      "--out", str(tmp_path)]) == 0
         doc_ids = [json.loads(line)["doc_id"] for line in MINI_CORPUS.read_text(encoding="utf-8").splitlines()]
         assert built == {doc_id: per_doc for doc_id in doc_ids}
+
+    def test_eval_builds_no_mention(self, tmp_path, monkeypatch):
+        # On the mini corpus, labeled in the run and then reused from
+        # `label`'s output; the first report is the golden one.
+        assert main(["label", "--gold", str(MINI_CORPUS), "--out", str(tmp_path / "label")]) == 0
+        built = count_mentions(monkeypatch)
+        labeled = tmp_path / "label" / "labeled.jsonl"
+        for name, corpus in [("fresh", MINI_CORPUS), ("reused", labeled)]:
+            assert main(["eval", "--gold", str(corpus), *self.MODES.values(),
+                         "--out", str(tmp_path / name)]) == 0
+        assert built == [0]
+        golden = Path(__file__).resolve().parent / "data" / "golden_eval_report.json"
+        assert (tmp_path / "fresh" / "eval_report.json").read_bytes() == golden.read_bytes()
 
     def test_each_block_equals_its_mode_alone(self, tmp_path):
         """Any set of modes, with or without --drop-singletons, gives each

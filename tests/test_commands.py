@@ -231,6 +231,14 @@ PRED = {"doc_id": "d0", "tokens": ["a"], "predicted_clusters": [[[0, 1]]]}
 PAIR = {"doc_id": "d0", "tokens": ["a", "b"], "gold_clusters": [[[0, 1], [1, 2]]],
         "predicted_clusters": [[[0, 1], [1, 2]]]}
 
+MISSPELT = {k if k != "predicted_clusters" else "predicted_cluster": v for k, v in PAIR.items()}
+
+
+def _lines(*records) -> str:
+    """A JSONL file of `records`."""
+    return "".join(json.dumps(record) + "\n" for record in records)
+
+
 # Corpora that `eval --classic` reads as bad.jsonl: (content, message after the name).
 BAD_CORPORA = {
     "undecodable": UNDECODABLE,
@@ -519,6 +527,22 @@ REFUSALS = {
     "pred-without-clusters": _refusal((*PAIRED, "--classic"), "pred.jsonl: no predicted_clusters "
                                       "in prediction file",
                                       {"gold.jsonl": GOLD, "pred.jsonl": GOLD}),
+    # A file that gives predicted_clusters in some records only, and a bad
+    # line after both, whose error is the one reported.
+    "corpus-predicted-clusters-misspelt": _refusal(
+        ("eval", "--gold", "bad.jsonl", "--classic"), "bad.jsonl: line 1: doc 'd0' has no "
+        "predicted_clusters, which line 2 has; give the key in every record or in none (unknown "
+        "keys here: ['predicted_cluster'])",
+        {"bad.jsonl": _lines(MISSPELT, {**PAIR, "doc_id": "d1"})}),
+    "corpus-predicted-clusters-misspelt-then-bad-line": _refusal(
+        ("eval", "--gold", "bad.jsonl", "--classic"),
+        f"bad.jsonl: line 3: invalid JSON: {NOT_JSON[1]}",
+        {"bad.jsonl": _lines(MISSPELT, {**PAIR, "doc_id": "d1"}) + NOT_JSON[0]}),
+    "pred-predicted-clusters-in-some-records": _refusal(
+        (*PAIRED, "--classic"), "pred.jsonl: line 2: doc 'd1' has no predicted_clusters, which "
+        "line 1 has; give the key in every record or in none (unknown keys here: [])",
+        {"gold.jsonl": _lines(GOLD, {**GOLD, "doc_id": "d1"}),
+         "pred.jsonl": _lines(PRED, {**GOLD, "doc_id": "d1", "gold_clusters": []})}),
     "pred-tokens-differ": _refusal((*PAIRED, "--classic"), "doc 'd0': token sequences differ "
                                    "between files",
                                    {"gold.jsonl": GOLD, "pred.jsonl": {**PRED, "tokens": ["b"]}}),

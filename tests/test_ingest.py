@@ -28,6 +28,7 @@ from coref_semscore.model import (
     Span,
     validate_document,
 )
+from conftest import count_mentions
 from corpusgen import random_corpus, random_record, to_documents
 
 
@@ -266,22 +267,72 @@ def _reference_document(record: dict, inventory: CategoryInventory) -> Document:
     )
 
 
+# Faults in the labeled fields of one mention: (field, value, the source the
+# mention must have, or None for any).  Some are accepted by the reader.
+LABEL_FAULTS = [
+    *(("mention_labels", label, None) for label in ("WIDGET", " person ", 7)),
+    *(("mention_label_sources", source, None) for source in ("DIRECT", 1)),
+    *(("mention_overlaps", score, "direct")
+      for score in (1, -0.0, True, float("nan"), "0.5", 1.5, None)),
+    ("mention_overlaps", 0.5, "propagated"),
+    ("mention_labels", None, "direct"),
+]
+
+
+def _mention_fault(raw_label, source, overlap, inventory: CategoryInventory) -> str | None:
+    """How the checked Mention path words the fault of one mention's raw
+    label, source and overlap, or None when it accepts them."""
+    try:
+        if raw_label is not None and not isinstance(raw_label, str):
+            raise TypeError(f"label must be a string or null, got {raw_label!r}")
+        Mention(Span(0, 1), None if raw_label is None else inventory.resolve(raw_label),
+                LabelSource(source), None if overlap is None else float(overlap))
+        if overlap is not None and (type(overlap) not in (int, float)
+                                    or not 0.0 <= overlap <= 1.0):
+            raise ValueError(f"assignment overlap must be a number in [0, 1], got {overlap!r}")
+    except (TypeError, ValueError) as exc:
+        return str(exc)
+    return None
+
+
+def _first_mention_fault(record: dict, inventory: CategoryInventory) -> str | None:
+    """The first mention fault of a record, side by side, with its location."""
+    faults = (
+        f"{side}_clusters[{ci}][{mi}]: {fault}"
+        for side in ("gold", "predicted")
+        if "mention_labels" in record
+        for ci in range(len(record[f"{side}_clusters"]))
+        for mi, fields in enumerate(zip(*(record[key][side][ci] for key in (
+            "mention_labels", "mention_label_sources", "mention_overlaps"))))
+        if (fault := _mention_fault(*fields, inventory)) is not None
+    )
+    return next(faults, None)
+
+
 @st.composite
 def corpus_records(draw):
     """A corpusgen record, raw or labeled and written, with at most one of:
-    a span repeated in another cluster of its side, or a span that ends past
-    the last token."""
+    a span repeated in another cluster of its side, a span that ends past
+    the last token, or, in a labeled record, one of LABEL_FAULTS."""
     record = random_record(random.Random(draw(st.integers(0, 2**32 - 1))), "h0",
                            n_tokens=(4, 40), max_clusters=4, max_total_mentions=10)
-    if draw(st.booleans()):
+    fault = draw(st.sampled_from(["none", "repeat", "out_of_range", "label"]))
+    if fault == "label" or draw(st.booleans()):
         docs = label_documents(to_documents([record]), LabelingConfig())
         buffer = io.StringIO()
         write_labeled_jsonl(docs, buffer)
         record = json.loads(buffer.getvalue())
     side = draw(st.sampled_from(["gold", "predicted"]))
     clusters = record[f"{side}_clusters"]
-    fault = draw(st.sampled_from(["none", "repeat", "out_of_range"]))
     if fault == "none" or not clusters:
+        return record
+    if fault == "label":
+        field, value, needs = draw(st.sampled_from(LABEL_FAULTS))
+        mentions = [(ci, mi) for ci, sources in enumerate(record["mention_label_sources"][side])
+                    for mi, source in enumerate(sources) if needs in (None, source)]
+        if mentions:
+            ci, mi = draw(st.sampled_from(mentions))
+            record[field][side][ci][mi] = value
         return record
     ci = draw(st.integers(0, len(clusters) - 1))
     mi = draw(st.integers(0, len(clusters[ci]) - 1))
@@ -303,9 +354,15 @@ class TestSinglePassReader:
     @given(corpus_records())
     def test_reads_the_document_built_field_by_field(self, record):
         inventory = CategoryInventory.default()
+        line = json.dumps(record)
+        fault = _first_mention_fault(record, inventory)
+        if fault is not None:
+            with pytest.raises(CorpusFormatError) as exc:
+                _read([line])
+            assert str(exc.value) == f"line 1: {fault}"
+            return
         expected = _reference_document(record, inventory)
         violations = validate_document(expected)
-        line = json.dumps(record)
         if violations:
             with pytest.raises(CorpusFormatError) as exc:
                 _read([line])
@@ -350,52 +407,44 @@ class TestSinglePassReader:
         assert sorted(calls) == ["PER", "person"]
         assert {s.label for d in docs for s in d.semantic_spans} == {"PER"}
 
-    def test_equal_unlabeled_mentions_are_built_once_per_read(self, monkeypatch):
-        # Short documents, so spans repeat across documents and sides.
+    def test_a_valid_read_builds_no_mention(self, monkeypatch):
+        # Unlabeled records, whose clusters share the unlabeled columns.
         records = random_corpus(random.Random(29), 40, n_tokens=(10, 14), ensure_links=True)
-        spans = [tuple(pair) for r in records for side in ("gold", "predicted")
-                 for cluster in r[f"{side}_clusters"] for pair in cluster]
-        assert len(set(spans)) * 4 < len(spans)
-        built = [0]
-        init = Mention.__init__
-
-        def counting(self, *args):
-            built[0] += 1
-            init(self, *args)
-
-        monkeypatch.setattr(Mention, "__init__", counting)
+        built = count_mentions(monkeypatch)
         docs = _read([json.dumps(r) for r in records])
-        assert built[0] == len(set(spans))
+        assert built == [0]
         monkeypatch.undo()
         inventory = CategoryInventory.default()
         assert docs == [_reference_document(r, inventory) for r in records]
 
-    def test_labeled_mentions_are_checked_once_per_label_and_source(self, monkeypatch):
-        # Few, large clusters, labeled: many mentions share few (label,
-        # source) pairs, and the constructor checks each pair once per read.
+    def test_a_valid_labeled_read_builds_no_mention(self, monkeypatch):
+        # Few, large clusters, labeled, each column read by the fast path;
+        # and a mention whose integer overlap only the checked path takes.
         records = random_corpus(random.Random(31), 6, n_tokens=(600, 700), max_clusters=4,
                                 max_total_mentions=120, ensure_links=True)
         labeled = label_documents(to_documents(records), LabelingConfig())
         buffer = io.StringIO()
         write_labeled_jsonl(labeled, buffer)
         lines = buffer.getvalue().splitlines()
-        mentions = [m for doc in labeled for side in ("gold", "predicted")
-                    for cluster in doc.clusters(side) for m in cluster.mentions]
-        pairs = {(m.assigned_label, m.label_source) for m in mentions}
-        assert len(pairs) * 20 < len(mentions)
-        built = [0]
-        init = Mention.__init__
-
-        def counting(self, *args):
-            built[0] += 1
-            init(self, *args)
-
-        monkeypatch.setattr(Mention, "__init__", counting)
+        lines.append(self._integer_overlap_record())
+        built = count_mentions(monkeypatch)
         docs = _read(lines)
-        assert built[0] == len(pairs)
+        assert built == [0]
         monkeypatch.undo()
         inventory = CategoryInventory.default()
         assert docs == [_reference_document(json.loads(line), inventory) for line in lines]
+        assert docs[:-1] == labeled
+        assert docs[-1].gold_clusters[0].overlaps == (1.0, 0.5)
+
+    @staticmethod
+    def _integer_overlap_record() -> str:
+        return json.dumps({
+            "doc_id": "int", "tokens": ["a", "b"], "gold_clusters": [[[0, 1], [1, 2]]],
+            "predicted_clusters": [], "cner": [], "cluster_labels": {"gold": ["PER"]},
+            "mention_labels": {"gold": [["PER", "PER"]]},
+            "mention_label_sources": {"gold": [["direct", "direct"]]},
+            "mention_overlaps": {"gold": [[1, 0.5]]},
+        })
 
     def test_byte_order_mark_is_worded_as_before(self):
         with pytest.raises(CorpusFormatError, match=r"^line 1: invalid JSON: Unexpected UTF-8 BOM"):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import cluster_of, doc_of
+from conftest import cluster_of, count_mentions, doc_of
 from coref_semscore import labeling
 from coref_semscore.ingest import read_jsonl_corpus
 from coref_semscore.inventory import CategoryInventory
@@ -498,10 +498,8 @@ class TestReuseFault:
 
 
 class TestSharedValues:
-    """One labeling pass aligns each span once per document, and the gold
-    and predicted mentions at one span of one document share the direct
-    Mention of that alignment, with the result of labeling every document
-    on its own."""
+    """One labeling pass aligns each span once per document and builds no
+    Mention, with the result of labeling every document on its own."""
 
     @staticmethod
     def _corpus():
@@ -510,15 +508,18 @@ class TestSharedValues:
                                 ensure_links=True, ensure_direct=True)
         return records, to_documents(records)
 
-    def test_direct_mention_is_shared_within_a_document(self):
-        _, docs = self._corpus()
-        shared = 0
-        for doc in label_documents(docs, CFG):
-            direct = [m for side in ("gold", "predicted") for c in doc.clusters(side)
-                      for m in c.mentions if m.label_source is LabelSource.DIRECT]
-            assert len({id(m) for m in direct}) == len({m.span for m in direct})
-            shared += len(direct) - len({m.span for m in direct})
-        assert shared > 0
+    @pytest.mark.parametrize("cfg", [CFG, LabelingConfig(0.3, True, True)])
+    def test_labeling_builds_no_mention(self, monkeypatch, cfg):
+        records, docs = self._corpus()
+        built = count_mentions(monkeypatch)
+        labeled = label_documents(docs, cfg)
+        again = label_documents(labeled, cfg)
+        assert built == [0]
+        monkeypatch.undo()
+        assert labeled == again == [_assign_then_propagate(doc, cfg)
+                                    for doc in to_documents(records)]
+        assert any(m.label_source is LabelSource.DIRECT for doc in labeled
+                   for c in doc.gold_clusters for m in c.mentions)
 
     def test_each_span_is_aligned_once_per_document(self, monkeypatch):
         _, docs = self._corpus()

@@ -114,13 +114,20 @@ class TestCluster:
         with pytest.raises(ValueError, match="duplicate mention span"):
             cluster_of([(0, 2), (3, 4)])._replace(mentions=(Mention(Span(0, 2)), labeled))
 
-    def test_trusted_builder_builds_the_checked_value(self):
-        mentions = (Mention(Span(0, 2)), Mention(Span(3, 4), "PER", LabelSource.PROPAGATED))
+    def test_trusted_builder_builds_the_checked_value_from_columns(self):
+        mentions = (Mention(Span(0, 2)), Mention(Span(3, 4), "PER", LabelSource.PROPAGATED),
+                    Mention(Span(5, 7), "LOC", LabelSource.DIRECT, 0.75))
         checked = Cluster(iter(mentions), "PER")
-        trusted = _trusted_cluster(mentions, "PER")
-        assert checked.mentions == mentions
+        trusted = _trusted_cluster(
+            (Span(0, 2), Span(3, 4), Span(5, 7)), (None, "PER", "LOC"),
+            (LabelSource.NONE, LabelSource.PROPAGATED, LabelSource.DIRECT), (None, None, 0.75),
+            "PER")
+        assert checked.mentions == trusted.mentions == mentions
+        for name in ("spans", "labels", "sources", "overlaps", "cluster_label"):
+            assert getattr(trusted, name) == getattr(checked, name)
         assert trusted == checked and hash(trusted) == hash(checked)
         assert repr(trusted) == repr(checked)
+        assert checked._values() == (mentions, "PER")
 
 
 class TestValidateDocument:
@@ -229,7 +236,8 @@ VALUES = [
     (lambda: Span(0, 1), ("start", "end")),
     (lambda: Mention(span=Span(0, 1)), ("span", "assigned_label", "label_source",
                                         "assignment_overlap")),
-    (lambda: cluster_of([(0, 1)]), ("mentions", "cluster_label")),
+    (lambda: cluster_of([(0, 1)]), ("mentions", "cluster_label", "spans", "labels", "sources",
+                                    "overlaps")),
     (lambda: SemanticSpan(Span(0, 1), "PER"), ("span", "label")),
     (_labeled_document, ("doc_id", "tokens", "gold_clusters", "predicted_clusters",
                          "semantic_spans", "sentence_boundaries", "extras")),
