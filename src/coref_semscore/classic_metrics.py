@@ -275,9 +275,9 @@ def drop_singleton_clusters(docs: Sequence[Document]) -> list[Document]:
     """Remove size-1 clusters from both sides, reproducing OntoNotes-style
     scoring inputs."""
     return [
-        doc._replace(
-            gold_clusters=[c for c in doc.gold_clusters if len(c.spans) > 1],
-            predicted_clusters=[c for c in doc.predicted_clusters if len(c.spans) > 1],
+        doc._copy(
+            gold_clusters=tuple([c for c in doc.gold_clusters if len(c.spans) > 1]),
+            predicted_clusters=tuple([c for c in doc.predicted_clusters if len(c.spans) > 1]),
         )
         for doc in docs
     ]

@@ -154,7 +154,7 @@ def _load_corpus(args, inventory: CategoryInventory) -> tuple[list, set[str]]:
     with _reading(args.cner):
         spans_by_id = read_cner_jsonl(args.cner, inventory)
         respanned = {doc.doc_id for doc in docs if doc.doc_id in spans_by_id
-                     and set(doc.semantic_spans) != set(spans_by_id[doc.doc_id])}
+                     and set(doc.cner) != set(spans_by_id[doc.doc_id])}
         return attach_semantic_spans(docs, spans_by_id), respanned
 
 
@@ -181,7 +181,7 @@ def _ensure_labeled(docs, cfg: LabelingConfig, sides=SIDES, respanned=frozenset(
                                            f"{doc.doc_id!r}: {fault}")
     if not unlabeled:
         return docs
-    if not any(doc.semantic_spans for doc in docs):
+    if not any(doc.cner for doc in docs):
         raise CliError(
             EXIT_MODE,
             "typed scoring requires semantic spans (--cner or a cner field) "
@@ -224,7 +224,7 @@ def cmd_label(args) -> int:
     cfg = _labeling_config(args, args.force_cluster_label)
     pronouns = _pronouns(args)
     docs, _ = _load_corpus(args, inventory)
-    if not any(doc.semantic_spans for doc in docs) and docs:
+    if not any(doc.cner for doc in docs) and docs:
         raise CliError(EXIT_MODE, "labeling requires semantic spans (--cner or a cner field)")
     labeled = label_documents(docs, cfg)
     write_labeled_jsonl(labeled, _out_dir(args) / "labeled.jsonl")

@@ -30,8 +30,9 @@ or in none, so a misspelt key is refused.  Documents are read only as
 whole corpora: read_jsonl_corpus here and, for gold clusters only,
 read_conll2012 in conll2012 build each document through _documents, which
 words every error with its line number.  There is no CoNLL writer.  A read
-builds each cluster's columns, and no Mention: _labeled_columns resolves
-a labeled cluster column by column, and _Shared each distinct label once.
+builds each cluster's columns and the cner triples, and no Mention or
+SemanticSpan: _labeled_columns resolves a labeled cluster column by
+column, and _Shared each distinct label once.  The writer encodes them.
 """
 
 from __future__ import annotations
@@ -49,9 +50,9 @@ from .model import (
     DocumentPairingError,
     LabelSource,
     Mention,
-    SemanticSpan,
     Span,
     _trusted_cluster,
+    _trusted_document,
     validate_document,
 )
 
@@ -63,6 +64,7 @@ class CorpusFormatError(Exception):
 
 
 _SOURCES = {source.value: source for source in LabelSource}
+_SOURCE_VALUES = {source: source.value for source in LabelSource}
 _NONE, _DIRECT = LabelSource.NONE, LabelSource.DIRECT
 _MENTION_BLOCKS = ("mention_labels", "mention_label_sources", "mention_overlaps")
 _LABEL_BLOCKS = ("cluster_labels", *_MENTION_BLOCKS)
@@ -283,31 +285,27 @@ def _sentence_boundaries(raw) -> tuple[int, ...] | None:
     return tuple(boundaries)
 
 
-def _semantic_spans(
-    raw_cner, shared: _Shared, n: int
-) -> tuple[tuple[SemanticSpan, ...], bool]:
-    """The semantic spans of a cner list, and whether one ends past the n
-    tokens."""
+def _semantic_spans(raw_cner, shared: _Shared, n: int) -> tuple[tuple, bool]:
+    """The (start, end, label) triples of a cner list, labels canonical,
+    and whether one ends past the n tokens."""
     if not isinstance(raw_cner, list):
         raise CorpusFormatError("cner: expected a list of [start, end, label] triples")
-    semantic_spans = []
+    cner = []
     violated = False
     for si, triple in enumerate(raw_cner):
         if not isinstance(triple, list) or len(triple) != 3:
             raise CorpusFormatError(f"cner[{si}]: expected a [start, end, label] triple")
         start, end, label = triple
-        if type(start) is int and type(end) is int and 0 <= start < end <= n:
-            span = _new_span(Span, (start, end))
-        else:
-            span = _span(triple[:2], "cner[{}]", si)
+        if not (type(start) is int and type(end) is int and 0 <= start < end <= n):
+            _span(triple[:2], "cner[{}]", si)  # raises unless the span ends past the n tokens
             violated = True
         if not isinstance(label, str):
             raise CorpusFormatError(f"cner[{si}]: label must be a string, got {label!r}")
         try:
-            semantic_spans.append(SemanticSpan(span, shared[label]))
+            cner.append((start, end, shared[label]))
         except ValueError as exc:
             raise CorpusFormatError(f"cner[{si}]: {exc}") from exc
-    return tuple(semantic_spans), violated
+    return tuple(cner), violated
 
 
 def _check(doc: Document) -> None:
@@ -333,16 +331,10 @@ def _document(record, shared: _Shared) -> Document:
     n = len(tokens)
     gold, gold_violated = _clusters_from_record(record, "gold", n, shared)
     predicted, predicted_violated = _clusters_from_record(record, "predicted", n, shared)
-    semantic_spans, spans_violated = _semantic_spans(record.get("cner", []), shared, n)
-    doc = Document(
-        doc_id=doc_id,
-        tokens=tokens,
-        gold_clusters=gold,
-        predicted_clusters=predicted,
-        semantic_spans=semantic_spans,
-        sentence_boundaries=_sentence_boundaries(record.get("sentence_boundaries")),
-        extras={k: v for k, v in record.items() if k not in _MODEL_FIELDS},
-    )
+    cner, spans_violated = _semantic_spans(record.get("cner", []), shared, n)
+    doc = _trusted_document(doc_id, tokens, gold, predicted, cner,
+                            _sentence_boundaries(record.get("sentence_boundaries")),
+                            {k: v for k, v in record.items() if k not in _MODEL_FIELDS})
     if not doc_id or gold_violated or predicted_violated or spans_violated:
         _check(doc)
     try:
@@ -435,8 +427,9 @@ def read_jsonl_corpus(
 
 def read_cner_jsonl(
     source: Source, inventory: CategoryInventory | None = None
-) -> dict[str, tuple[SemanticSpan, ...]]:
-    """Read a JSONL file of {doc_id, cner} records into spans by doc_id.
+) -> dict[str, tuple[tuple[int, int, str], ...]]:
+    """Read a JSONL file of {doc_id, cner} records into (start, end,
+    label) triples, labels canonical, by doc_id.
 
     Only doc_id and cner are required; other fields are ignored.  Span
     bounds are checked against the target documents by
@@ -452,20 +445,21 @@ def read_cner_jsonl(
 
 def _labels_block(clusters: Sequence[Cluster]):
     cluster_labels = [c.cluster_label for c in clusters]
-    mention_labels = [list(c.labels) for c in clusters]
-    sources = [[source.value for source in c.sources] for c in clusters]
-    overlaps = [list(c.overlaps) for c in clusters]
+    mention_labels = [c.labels for c in clusters]
+    sources = [[*map(_SOURCE_VALUES.__getitem__, c.sources)] for c in clusters]
+    overlaps = [c.overlaps for c in clusters]
     return cluster_labels, mention_labels, sources, overlaps
 
 
 def document_to_record(doc: Document) -> dict:
-    """Serialize a Document to the JSONL record schema (canonical key order)."""
-    record: dict = {"doc_id": doc.doc_id, "tokens": list(doc.tokens)}
+    """Serialize a Document to the JSONL record schema (canonical key
+    order), its tuples passed as they are: json writes them as arrays."""
+    record: dict = {"doc_id": doc.doc_id, "tokens": doc.tokens}
     if doc.sentence_boundaries is not None:
-        record["sentence_boundaries"] = list(doc.sentence_boundaries)
+        record["sentence_boundaries"] = doc.sentence_boundaries
     for side in model.SIDES:
-        record[f"{side}_clusters"] = [[[s, e] for s, e in c.spans] for c in doc.clusters(side)]
-    record["cner"] = [[s.span.start, s.span.end, s.label] for s in doc.semantic_spans]
+        record[f"{side}_clusters"] = [c.spans for c in doc.clusters(side)]
+    record["cner"] = doc.cner
     blocks = {side: _labels_block(doc.clusters(side)) for side in model.SIDES}
     for i, name in enumerate(_LABEL_BLOCKS):
         record[name] = {side: blocks[side][i] for side in model.SIDES}
@@ -475,17 +469,21 @@ def document_to_record(doc: Document) -> dict:
 
 
 def write_labeled_jsonl(docs: Iterable[Document], dest: Source) -> None:
-    """Write one record per document, including labels and label sources."""
+    """Write one record per document, including labels and label sources,
+    through one encoder: a record holds no cycle to check for."""
+    encode = json.JSONEncoder(ensure_ascii=False, check_circular=False).encode
     with opened(dest, "w") as handle:
         for doc in docs:
-            handle.write(json.dumps(document_to_record(doc), ensure_ascii=False))
+            handle.write(encode(document_to_record(doc)))
             handle.write("\n")
 
 
 def merge_predictions(
     gold_docs: Sequence[Document], pred_docs: Sequence[Document]
 ) -> list[Document]:
-    """Attach predicted clusters from a separate corpus, keyed by doc_id."""
+    """Attach predicted clusters from a separate corpus, keyed by doc_id,
+    to gold documents of the same tokens and, unless a prediction has
+    none, the same set of semantic spans."""
     try:
         pairs = model.pair_by_doc_id(gold_docs, pred_docs)
     except DocumentPairingError as exc:
@@ -494,12 +492,14 @@ def merge_predictions(
     for gold, pred in pairs:
         if gold.tokens != pred.tokens:
             raise CorpusFormatError(f"doc {gold.doc_id!r}: token sequences differ between files")
-        merged.append(gold._replace(predicted_clusters=pred.predicted_clusters))
+        if pred.cner and set(pred.cner) != set(gold.cner):
+            raise CorpusFormatError(f"doc {gold.doc_id!r}: semantic spans differ between files")
+        merged.append(gold.with_clusters("predicted", pred.predicted_clusters))
     return merged
 
 
 def attach_semantic_spans(
-    docs: Sequence[Document], spans_by_id: Mapping[str, Sequence[SemanticSpan]]
+    docs: Sequence[Document], spans_by_id: Mapping[str, tuple[tuple[int, int, str], ...]]
 ) -> list[Document]:
     """Replace semantic spans with those read by read_cner_jsonl.
 
@@ -514,7 +514,7 @@ def attach_semantic_spans(
     out = []
     for doc in docs:
         if doc.doc_id in spans_by_id:
-            doc = doc._replace(semantic_spans=spans_by_id[doc.doc_id])
+            doc = doc._copy(cner=spans_by_id[doc.doc_id])
             _check(doc)
         out.append(doc)
     return out

@@ -6,9 +6,10 @@ label when the score beats the threshold.  Step two (propagation) votes a
 label per cluster over its directly labeled mentions and writes it onto
 every member, pronouns included; clusters with no directly labeled
 mention stay unlabeled.  A label_documents pass aligns each mention span
-once per document, into the (label, overlap) of its direct label or None,
-which the gold and predicted mentions at that span share, and writes the
-clusters' label columns from those.  reuse_fault is the inverse check:
+once per document, against the document's (start, end, label) triples,
+into the (label, overlap) of its direct label or None, which the gold and
+predicted mentions at that span share, and writes the clusters' label
+columns from those.  reuse_fault is the inverse check:
 whether labels read back are these.
 
 The coverage report lives here too; the label-distribution and
@@ -20,7 +21,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from math import fsum, inf
-from operator import attrgetter
 from pathlib import Path
 from typing import IO, Iterable, NamedTuple, Sequence, Union
 
@@ -30,7 +30,6 @@ from .model import (
     Cluster,
     Document,
     LabelSource,
-    SemanticSpan,
     Span,
     _checked_replace,
     _trusted_cluster,
@@ -112,17 +111,17 @@ class _Alignments(dict):
     span in one document, or None when its best overlap does not pass tau.
 
     The assignment depends only on the span, the document's semantic
-    spans and cfg, so a span is aligned on its first lookup and kept: one
-    table serves every mention of one document, on both sides.
+    spans (its cner triples) and cfg, so a span is aligned on its first
+    lookup and kept: one table serves every mention of one document, on
+    both sides.
     """
 
     __slots__ = ("_ordered", "_starts", "_longest", "_cfg")
 
-    def __init__(self, semantic_spans: Iterable[SemanticSpan], cfg: LabelingConfig) -> None:
-        self._ordered = sorted(semantic_spans, key=attrgetter("span"))
-        spans = [sem.span for sem in self._ordered]
-        self._starts = [start for start, _ in spans]
-        self._longest = max([end - start for start, end in spans], default=0)
+    def __init__(self, cner: Iterable[tuple[int, int, str]], cfg: LabelingConfig) -> None:
+        self._ordered = sorted(cner)
+        self._starts = [start for start, _, _ in self._ordered]
+        self._longest = max([end - start for start, end, _ in self._ordered], default=0)
         self._cfg = cfg
 
     def __missing__(self, span: Span) -> _Direct:
@@ -132,25 +131,23 @@ class _Alignments(dict):
         are scored: every span that overlaps the mention starts there,
         since no span is longer than the longest.  Ties on the score
         prefer the span with the smaller start, then the smaller end, then
-        the lexicographically smaller label.  That order is total, so the
-        result does not depend on the order spans are visited in, and
-        assignment is deterministic.
+        the lexicographically smaller label.  The spans are visited in that
+        order, which is total, so the first best score wins, the result
+        does not depend on the spans' file order, and assignment is
+        deterministic.
         """
         start, end = span
         lo = bisect_right(self._starts, start - self._longest)
         hi = bisect_left(self._starts, end, lo)
         best_score = 0.0
-        best_key: tuple[int, int, str] | None = None
-        for sem in self._ordered[lo:hi]:
-            score = overlap(span, sem.span)
-            if score > 0.0 and score >= best_score:
-                sem_start, sem_end = sem.span
-                key = (sem_start, sem_end, sem.label)
-                if score > best_score or key < best_key:
-                    best_score, best_key = score, key
+        best_label = None
+        for sem_start, sem_end, label in self._ordered[lo:hi]:
+            score = overlap(span, (sem_start, sem_end))
+            if score > best_score:
+                best_score, best_label = score, label
         aligned = None
-        if best_key is not None and self._cfg.passes(best_score):
-            aligned = best_key[2], best_score
+        if best_label is not None and self._cfg.passes(best_score):
+            aligned = best_label, best_score
         self[span] = aligned
         return aligned
 
@@ -177,7 +174,7 @@ def assign_mentions(doc: Document, cfg: LabelingConfig, side: str) -> Document:
     Replaces any previous labels on the chosen side; mentions without a
     sufficiently overlapping semantic span are left unlabeled.
     """
-    aligned = _Alignments(doc.semantic_spans, cfg)
+    aligned = _Alignments(doc.cner, cfg)
     return doc.with_clusters(side, [
         _relabel(c, [aligned[span] for span in c.spans], None, False)
         for c in doc.clusters(side)
@@ -332,15 +329,15 @@ def label_documents(
     cfg = cfg or LabelingConfig()
     labeled = []
     for doc in docs:
-        aligned = _Alignments(doc.semantic_spans, cfg)
+        aligned = _Alignments(doc.cner, cfg)
         clusters = {
-            f"{side}_clusters": [
+            f"{side}_clusters": tuple([
                 _label_cluster(c, [aligned[span] for span in c.spans], cfg.force_cluster_label)
                 for c in doc.clusters(side)
-            ]
+            ])
             for side in sides if doc.clusters(side)
         }
-        labeled.append(doc._replace(**clusters) if clusters else doc)
+        labeled.append(doc._copy(**clusters) if clusters else doc)
     return labeled
 
 

@@ -12,8 +12,9 @@ Span and Contingency are NamedTuples.  Mention, Cluster, SemanticSpan
 and Document are slotted classes on one small base, _Value, which makes
 them immutable values (equal by class and fields, hashable, picklable)
 whose _replace builds the changed copy through the checked constructor.
-A Cluster holds its mentions as columns, which every stage reads and
-writes; it builds Mention values only when its `mentions` are asked for.
+A Cluster holds its mentions as columns and a Document its semantic
+spans as triples, which every stage reads and writes; they build Mention
+and SemanticSpan values only when `mentions` or `semantic_spans` is read.
 """
 
 from __future__ import annotations
@@ -60,8 +61,9 @@ class _Value:
     assignment and deletion raise AttributeError, its __init__ stores its
     slots with object.__setattr__ or, faster, through their descriptors'
     __set__ (_slot_setters).  Instances equal those of the same class
-    with equal fields, hash and print by their fields, and pickle, copy
-    and _replace through __init__, so its checks run on every copy.
+    with equal slots, which a subclass stores exactly for equal fields,
+    and hash by them; they print by their fields, and pickle, copy and
+    _replace through __init__, so its checks run on every copy.
     """
 
     __slots__ = ()
@@ -69,6 +71,9 @@ class _Value:
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
+
+    def _stored(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -78,11 +83,11 @@ class _Value:
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
-            return self._values() == other._values()
+            return self._stored() == other._stored()
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return hash(self._stored())
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
@@ -175,8 +180,8 @@ class Cluster(_Value):
     The mentions are stored as four parallel tuples, `spans`, `labels`,
     `sources` and `overlaps`; an unlabeled cluster's hold None and
     LabelSource.NONE.  The field `mentions` builds equal Mention values
-    from them on each access, so equality, hashing, repr, pickling and
-    _replace are those of the mentions.
+    from them on each access, so repr, pickling and _replace are those of
+    the mentions; equality and hashing read the columns.
 
     The constructor, and so _replace, checks that there is at least one
     mention and that no span repeats; ingest and labeling._relabel, whose
@@ -236,12 +241,18 @@ _set_semantic_span, _set_semantic_label = _slot_setters(SemanticSpan)
 class Document(_Value):
     """One document: its tokens, both sides' clusters and its semantic
     spans.  The sequences are stored as tuples, and a document built
-    without `extras` gets its own empty dict."""
+    without `extras` gets its own empty dict.
 
-    __slots__ = _fields = (
-        "doc_id", "tokens", "gold_clusters", "predicted_clusters", "semantic_spans",
-        "sentence_boundaries", "extras",
-    )
+    The semantic spans are stored as `cner`, (start, end, label) triples
+    in file order; the field `semantic_spans` builds equal SemanticSpan
+    values from them on each access, for repr, pickling and _replace.
+    Internal stages build and copy a document by its slots instead.
+    """
+
+    __slots__ = ("doc_id", "tokens", "gold_clusters", "predicted_clusters", "cner",
+                 "sentence_boundaries", "extras")
+    _fields = ("doc_id", "tokens", "gold_clusters", "predicted_clusters", "semantic_spans",
+               "sentence_boundaries", "extras")
 
     def __init__(
         self,
@@ -253,15 +264,15 @@ class Document(_Value):
         sentence_boundaries: Iterable[int] | None = None,
         extras: Mapping[str, Any] | None = None,
     ) -> None:
-        if sentence_boundaries is not None:
-            sentence_boundaries = tuple(sentence_boundaries)
-        _set_doc_id(self, doc_id)
-        _set_tokens(self, tuple(tokens))
-        _set_gold_clusters(self, tuple(gold_clusters))
-        _set_predicted_clusters(self, tuple(predicted_clusters))
-        _set_semantic_spans(self, tuple(semantic_spans))
-        _set_sentence_boundaries(self, sentence_boundaries)
-        _set_extras(self, {} if extras is None else extras)
+        _store_document(self, doc_id, tuple(tokens), tuple(gold_clusters),
+                        tuple(predicted_clusters),
+                        tuple([(*sem.span, sem.label) for sem in semantic_spans]),
+                        None if sentence_boundaries is None else tuple(sentence_boundaries),
+                        {} if extras is None else extras)
+
+    @property
+    def semantic_spans(self) -> tuple[SemanticSpan, ...]:
+        return tuple([SemanticSpan(Span(start, end), label) for start, end, label in self.cner])
 
     def clusters(self, side: str) -> tuple[Cluster, ...]:
         if side == "gold":
@@ -271,15 +282,30 @@ class Document(_Value):
         raise ValueError(f"unknown side {side!r}, expected one of {SIDES}")
 
     def with_clusters(self, side: str, clusters: Sequence[Cluster]) -> "Document":
-        if side == "gold":
-            return self._replace(gold_clusters=clusters)
-        if side == "predicted":
-            return self._replace(predicted_clusters=clusters)
-        raise ValueError(f"unknown side {side!r}, expected one of {SIDES}")
+        if side not in SIDES:
+            raise ValueError(f"unknown side {side!r}, expected one of {SIDES}")
+        return self._copy(**{f"{side}_clusters": tuple(clusters)})
+
+    def _copy(self, **slots: Any) -> "Document":
+        """This document with the named slots replaced, stored as given."""
+        values = {name: getattr(self, name) for name in self.__slots__} | slots
+        return _trusted_document(*values.values())  # an unknown name is one value too many
 
 
-(_set_doc_id, _set_tokens, _set_gold_clusters, _set_predicted_clusters, _set_semantic_spans,
- _set_sentence_boundaries, _set_extras) = _slot_setters(Document)
+_document_setters = _slot_setters(Document)
+
+
+def _store_document(doc: Document, *slots: Any) -> Document:
+    for store, value in zip(_document_setters, slots, strict=True):
+        store(doc, value)
+    return doc
+
+
+def _trusted_document(*slots: Any) -> Document:
+    """A Document of its slots, in __slots__ order, stored without the
+    constructor's conversions: tuples, or None for sentence_boundaries, an
+    extras dict, and cner's triples with 0 <= start < end, labels canonical."""
+    return _store_document(object.__new__(Document), *slots)
 
 
 def _span_str(span: Span) -> str:
@@ -312,11 +338,10 @@ def validate_document(doc: Document) -> list[str]:
                     )
                 else:
                     seen.setdefault(span, ci)
-    for si, sem in enumerate(doc.semantic_spans):
-        if sem.span.end > n:
-            violations.append(
-                f"semantic_spans[{si}]: span {_span_str(sem.span)} out of range ({n} tokens)"
-            )
+    for si, (start, end, _) in enumerate(doc.cner):
+        if end > n:
+            violations.append(f"semantic_spans[{si}]: span [{start}, {end}) out of range "
+                              f"({n} tokens)")
     return violations
 
 

@@ -105,18 +105,28 @@ def doc_of(gold=(), predicted=(), cner=(), tokens=12, doc_id="d0"):
     return Document(doc_id, tokens, clusters(gold), clusters(predicted), semantic_spans)
 
 
-def count_mentions(monkeypatch):
-    """Count calls of Mention.__init__ from here on, until
-    monkeypatch.undo(); returns the one-item counter."""
+def _count_builds(monkeypatch, cls):
+    """Count calls of cls.__init__ from here on, until monkeypatch.undo();
+    returns the one-item counter."""
     built = [0]
-    init = Mention.__init__
+    init = cls.__init__
 
     def counting(self, *args, **kwargs):
         built[0] += 1
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(Mention, "__init__", counting)
+    monkeypatch.setattr(cls, "__init__", counting)
     return built
+
+
+def count_mentions(monkeypatch):
+    """Count the Mentions built from here on, until monkeypatch.undo()."""
+    return _count_builds(monkeypatch, Mention)
+
+
+def count_semantic_spans(monkeypatch):
+    """Count the SemanticSpans built from here on, until monkeypatch.undo()."""
+    return _count_builds(monkeypatch, SemanticSpan)
 
 
 def tables_of(docs):

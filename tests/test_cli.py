@@ -28,7 +28,7 @@ from coref_semscore.labeling import reuse_fault
 from coref_semscore.model import Cluster, LabelSource
 from coref_semscore.reporting import json_text, typed_report_dict
 from coref_semscore.saved_reports import typed_report_from_dict
-from conftest import COMPOSITE_RECORD, NEWS_RECORD, count_mentions
+from conftest import COMPOSITE_RECORD, NEWS_RECORD, count_mentions, count_semantic_spans
 from corpusgen import LABELS, random_corpus, to_documents
 from test_commands import command_inputs, typed_block, write_jsonl
 
@@ -453,6 +453,26 @@ class TestEvalSharesTables:
         assert built == [0]
         golden = Path(__file__).resolve().parent / "data" / "golden_eval_report.json"
         assert (tmp_path / "fresh" / "eval_report.json").read_bytes() == golden.read_bytes()
+
+    def test_label_and_eval_build_no_semantic_span(self, tmp_path, monkeypatch):
+        # label, then eval fresh, reused, with the predictions in a file of
+        # their own, which repeats the spans, and with a --cner file.
+        records = [json.loads(line) for line in MINI_CORPUS.read_text(encoding="utf-8").splitlines()]
+        gold = write_jsonl(tmp_path / "gold.jsonl", [
+            {k: v for k, v in r.items() if k != "predicted_clusters"} for r in records])
+        pred = write_jsonl(tmp_path / "pred.jsonl", [
+            {k: r[k] for k in ("doc_id", "tokens", "predicted_clusters", "cner")} for r in records])
+        cner = write_jsonl(tmp_path / "cner.jsonl", [
+            {"doc_id": r["doc_id"], "cner": r["cner"][::-1]} for r in records])
+        built = count_semantic_spans(monkeypatch)
+        assert main(["label", "--gold", str(MINI_CORPUS), "--out", str(tmp_path / "label")]) == 0
+        labeled = str(tmp_path / "label" / "labeled.jsonl")
+        for name, inputs in [("fresh", [str(MINI_CORPUS)]), ("reused", [labeled]),
+                             ("paired", [gold, "--pred", pred]),
+                             ("cner", [gold, "--pred", pred, "--cner", cner])]:
+            assert main(["eval", "--gold", *inputs, *self.MODES.values(),
+                         "--out", str(tmp_path / name)]) == 0
+        assert built == [0]
 
     def test_each_block_equals_its_mode_alone(self, tmp_path):
         """Any set of modes, with or without --drop-singletons, gives each

@@ -448,6 +448,7 @@ OTHER_SPANS = ("c.jsonl: cannot reuse the gold labels of doc 'mini0000_0': its d
                "come from other semantic spans than this file gives it; label the unlabeled "
                "corpus with these spans")
 RESPAN = {"c.jsonl": {"doc_id": "mini0000_0", "cner": [[0, 1, "ANIMAL"]]}}
+OTHER_SPANS_PRED = {**PRED, "cner": [[0, 1, "LOC"]]}
 NO_SPANS = "typed scoring requires semantic spans (--cner or a cner field) or an already-labeled "
 PAIRED = ("eval", "--gold", "gold.jsonl", "--pred", "pred.jsonl")
 INVENTORY = {"COREF_SEMSCORE_INVENTORY": "inv.json"}
@@ -546,6 +547,16 @@ REFUSALS = {
     "pred-tokens-differ": _refusal((*PAIRED, "--classic"), "doc 'd0': token sequences differ "
                                    "between files",
                                    {"gold.jsonl": GOLD, "pred.jsonl": {**PRED, "tokens": ["b"]}}),
+    # A prediction file whose semantic spans are not gold's: its labels,
+    # read or made from them, would be scored under gold's spans.
+    **{f"pred-semantic-spans-differ{name}": _refusal(
+        (*PAIRED, "--typed-mention"), "doc 'd0': semantic spans differ between files",
+        {"gold.jsonl": {**GOLD, "cner": [[0, 1, "PER"]]}, "pred.jsonl": pred})
+       for name, pred in [("", OTHER_SPANS_PRED), ("-labeled", {
+           **OTHER_SPANS_PRED, "cluster_labels": {"predicted": ["LOC"]},
+           **{field: {"predicted": [row]} for field, row in [
+               ("mention_labels", ["LOC"]), ("mention_label_sources", ["direct"]),
+               ("mention_overlaps", [1.0])]}})]},
     "pred-doc-ids-differ": _refusal((*PAIRED, "--classic"), "missing from predicted corpus: d0; "
                                     "missing from gold corpus: d1",
                                     {"gold.jsonl": GOLD, "pred.jsonl": {**PRED, "doc_id": "d1"}}),

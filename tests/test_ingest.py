@@ -28,7 +28,7 @@ from coref_semscore.model import (
     Span,
     validate_document,
 )
-from conftest import count_mentions
+from conftest import count_mentions, count_semantic_spans
 from corpusgen import random_corpus, random_record, to_documents
 
 
@@ -408,14 +408,16 @@ class TestSinglePassReader:
         assert {s.label for d in docs for s in d.semantic_spans} == {"PER"}
 
     def test_a_valid_read_builds_no_mention(self, monkeypatch):
-        # Unlabeled records, whose clusters share the unlabeled columns.
+        # Unlabeled records, whose clusters share the unlabeled columns;
+        # their semantic spans are read as triples, with no SemanticSpan.
         records = random_corpus(random.Random(29), 40, n_tokens=(10, 14), ensure_links=True)
-        built = count_mentions(monkeypatch)
+        built = count_mentions(monkeypatch), count_semantic_spans(monkeypatch)
         docs = _read([json.dumps(r) for r in records])
-        assert built == [0]
+        assert built == ([0], [0])
         monkeypatch.undo()
         inventory = CategoryInventory.default()
         assert docs == [_reference_document(r, inventory) for r in records]
+        assert [doc.cner for doc in docs] == [tuple(map(tuple, r["cner"])) for r in records]
 
     def test_a_valid_labeled_read_builds_no_mention(self, monkeypatch):
         # Few, large clusters, labeled, each column read by the fast path;
@@ -652,6 +654,40 @@ class TestMergePredictions:
         assert merged[0].gold_clusters == gold[0].gold_clusters
         assert [(m.span.start, m.span.end) for m in merged[0].predicted_clusters[0].mentions] \
             == [(0, 2)]
+
+    def test_merges_without_a_semantic_span(self, monkeypatch):
+        # Prediction files with no spans, or with gold's in another order.
+        records = random_corpus(random.Random(37), 20, n_tokens=(10, 14), ensure_links=True)
+        gold = _read([json.dumps({k: v for k, v in r.items() if k != "predicted_clusters"})
+                      for r in records])
+
+        def predictions(cner):
+            return _read([json.dumps({k: r[k] for k in ("doc_id", "tokens", "predicted_clusters")}
+                                     | cner(r)) for r in records])
+
+        preds = [predictions(cner) for cner in (lambda r: {}, lambda r: {"cner": []},
+                                                 lambda r: {"cner": r["cner"][::-1]})]
+        built = count_semantic_spans(monkeypatch)
+        merged = [merge_predictions(gold, pred) for pred in preds]
+        assert built == [0]
+        monkeypatch.undo()
+        whole = _read([json.dumps(r) for r in records])
+        assert merged == [whole] * len(preds)
+
+    @pytest.mark.parametrize("cner, differ", [([[0, 1, "person"]], False),
+                                              ([[0, 1, "LOC"]], True),
+                                              ([[0, 1, "PER"], [1, 2, "PER"]], True)])
+    def test_prediction_semantic_spans_must_be_gold_s(self, cner, differ):
+        gold = _read([json.dumps({"doc_id": "d0", "tokens": ["a", "b"],
+                                  "gold_clusters": [[[0, 1]]], "cner": [[0, 1, "PER"]]})])
+        pred = _read([json.dumps({"doc_id": "d0", "tokens": ["a", "b"],
+                                  "predicted_clusters": [[[0, 2]]], "cner": cner})])
+        if not differ:
+            assert merge_predictions(gold, pred)[0].cner == gold[0].cner
+            return
+        with pytest.raises(CorpusFormatError) as exc:
+            merge_predictions(gold, pred)
+        assert str(exc.value) == "doc 'd0': semantic spans differ between files"
 
     def test_key_mismatch_lists_ids(self):
         gold = _read([json.dumps({"doc_id": "d0", "tokens": ["a"]}),

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import cluster_of, count_mentions, doc_of
+from conftest import cluster_of, count_mentions, count_semantic_spans, doc_of
 from coref_semscore import labeling
 from coref_semscore.ingest import read_jsonl_corpus
 from coref_semscore.inventory import CategoryInventory
@@ -511,10 +511,10 @@ class TestSharedValues:
     @pytest.mark.parametrize("cfg", [CFG, LabelingConfig(0.3, True, True)])
     def test_labeling_builds_no_mention(self, monkeypatch, cfg):
         records, docs = self._corpus()
-        built = count_mentions(monkeypatch)
+        built = count_mentions(monkeypatch), count_semantic_spans(monkeypatch)
         labeled = label_documents(docs, cfg)
         again = label_documents(labeled, cfg)
-        assert built == [0]
+        assert built == ([0], [0])
         monkeypatch.undo()
         assert labeled == again == [_assign_then_propagate(doc, cfg)
                                     for doc in to_documents(records)]

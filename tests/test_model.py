@@ -3,7 +3,7 @@ import pickle
 import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import cluster_of, doc_of
@@ -19,6 +19,7 @@ from coref_semscore.model import (
     SemanticSpan,
     Span,
     _trusted_cluster,
+    _Value,
     normalize_label,
     validate_document,
 )
@@ -240,7 +241,7 @@ VALUES = [
                                     "overlaps")),
     (lambda: SemanticSpan(Span(0, 1), "PER"), ("span", "label")),
     (_labeled_document, ("doc_id", "tokens", "gold_clusters", "predicted_clusters",
-                         "semantic_spans", "sentence_boundaries", "extras")),
+                         "semantic_spans", "sentence_boundaries", "extras", "cner")),
     (_triple, ("precision", "recall", "f1")),
     (lambda: ClassicReport(_triple(), _triple(), _triple()), ("muc", "b_cubed", "ceaf_phi4")),
     (lambda: ClassScore("PER", 3, 1, 2), ("label", "tp", "fp", "fn")),
@@ -259,6 +260,49 @@ VALUES = [
 # Each row's test id is the name of its type, which does not change when
 # another row is added or deleted.
 VALUE_TYPES = [type(make()).__name__ for make, _ in VALUES]
+
+
+def _mention(spec) -> Mention:
+    bounds, source, label, score = spec
+    return Mention(Span(*bounds), None if source is LabelSource.NONE else label, source,
+                   score if source is LabelSource.DIRECT else None)
+
+
+def _cluster(spec) -> Cluster:
+    mentions, label = spec
+    return Cluster([_mention(m) for m in mentions], label)
+
+
+def _document(spec) -> Document:
+    doc_id, tokens, gold, predicted, cner, boundaries, extras = spec
+    return Document(doc_id, tokens, map(_cluster, gold), map(_cluster, predicted),
+                    [SemanticSpan(Span(*bounds), label) for bounds, label in cner],
+                    boundaries, extras)
+
+
+# Specs drawn from small pools, so that two draws are often equal.
+_BOUNDS = st.sampled_from([(0, 1), (1, 2), (0, 2)])
+_LABELS = st.sampled_from(["PER", "LOC"])
+_CLUSTER_SPECS = st.tuples(
+    st.lists(st.tuples(_BOUNDS, st.sampled_from(list(LabelSource)), _LABELS,
+                       st.sampled_from([0.5, 1.0])),
+             min_size=1, max_size=3, unique_by=lambda mention: mention[0]),
+    st.sampled_from([None, "PER"]))
+_DOCUMENT_SPECS = st.tuples(
+    st.sampled_from(["d0", "d1"]), st.sampled_from([("a", "b"), ("a", "b", "c")]),
+    st.lists(_CLUSTER_SPECS, max_size=2), st.lists(_CLUSTER_SPECS, max_size=1),
+    st.lists(st.tuples(_BOUNDS, _LABELS), max_size=2), st.sampled_from([None, (0,)]),
+    st.sampled_from([{}, {"genre": "news"}]))
+
+
+def _by_fields(value):
+    """`value` with each model value in it replaced by its class and its
+    fields, recursively: what equality compared before it read the slots."""
+    if isinstance(value, _Value):
+        return type(value), _by_fields(value._values())
+    if isinstance(value, tuple):
+        return tuple(map(_by_fields, value))
+    return value
 
 
 class TestValueSemantics:
@@ -294,6 +338,23 @@ class TestValueSemantics:
         assert mention != (Span(0, 1), None, LabelSource.NONE, None)
         assert SemanticSpan(Span(0, 1), "PER") != SemanticSpan(Span(0, 1), "LOC")
         assert len({cluster_of([(0, 1)]), cluster_of([(0, 1)]), cluster_of([(0, 2)])}) == 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_equality_of_the_stored_slots_is_that_of_the_fields(self, data):
+        # Each pair's second spec is often the first, built again apart.
+        def pair(specs, build):
+            first = data.draw(specs)
+            return build(first), build(data.draw(st.one_of(st.just(first), specs)))
+
+        clusters, docs = pair(_CLUSTER_SPECS, _cluster), pair(_DOCUMENT_SPECS, _document)
+        for a, b in (clusters, docs):
+            assert (a == b) == (_by_fields(a) == _by_fields(b))
+            assert (a != b) == (_by_fields(a) != _by_fields(b))
+        if clusters[0] == clusters[1]:
+            assert hash(clusters[0]) == hash(clusters[1])
+        with pytest.raises(TypeError):
+            hash(docs[0])
 
     def test_records_are_named_tuples(self):
         assert LabelingConfig() == (0.5, False, False)

@@ -70,3 +70,11 @@ def test_no_module_but_the_model_reads_mentions():
              for path in (ROOT / "src" / "coref_semscore").glob("*.py") if path.name != "model.py"}
     assert {name: lines for name, lines in reads.items() if lines} == {}
     assert attribute_reads("x = c.mentions\nc.spans\nmentions = 1\n", "mentions") == [1]
+
+
+def test_no_module_but_the_model_reads_semantic_spans():
+    # Every stage reads a document's cner triples; Document.semantic_spans
+    # builds SemanticSpan values for the public API and the tests only.
+    reads = {path.name: attribute_reads(path.read_text(encoding="utf-8"), "semantic_spans")
+             for path in (ROOT / "src" / "coref_semscore").glob("*.py") if path.name != "model.py"}
+    assert {name: lines for name, lines in reads.items() if lines} == {}
