@@ -21,8 +21,8 @@ _EXPORTS = {
         "label_reports": "DistributionReport distribution label_agreement",
         "labeling": "CoverageReport LabelingConfig assign_mentions coverage label_documents "
                     "overlap propagate",
-        "model": "Cluster Contingency Document DocumentPairingError LabelSource Mention "
-                 "SemanticSpan Span contingency validate_document",
+        "model": "Cluster Contingency Document DocumentPairingError LabelSource Span "
+                 "contingency validate_document",
         "typed_metrics": "ClassScore TypedScoreReport links_of macro_f1 micro_score "
                          "typed_link_scores typed_mention_scores",
     }.items()

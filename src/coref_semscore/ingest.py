@@ -30,9 +30,9 @@ or in none, so a misspelt key is refused.  Documents are read only as
 whole corpora: read_jsonl_corpus here and, for gold clusters only,
 read_conll2012 in conll2012 build each document through _documents, which
 words every error with its line number.  There is no CoNLL writer.  A read
-builds each cluster's columns and the cner triples, and no Mention or
-SemanticSpan: _labeled_columns resolves a labeled cluster column by
-column, and _Shared each distinct label once.  The writer encodes them.
+builds each cluster's columns and the cner triples: _labeled_columns
+resolves a labeled cluster column by column, and _Shared each distinct
+label once.  The writer encodes them.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from .model import (
     Document,
     DocumentPairingError,
     LabelSource,
-    Mention,
     Span,
     _trusted_cluster,
     _trusted_document,
@@ -193,8 +192,8 @@ def _checked_labels(rows: list, stop: int, where: str, ci: int, shared: _Shared)
             source = LabelSource(source)
             score = None if overlap is None else float(overlap)
             if (label is None) != (source is _NONE) or (score is not None) != (source is _DIRECT):
-                Mention(Span(0, 1), label, source, score)  # which words the fault and raises
-            # After float() and Mention have worded what they reject.
+                Cluster((Span(0, 1),), (label,), (source,), (score,))  # words the fault, raises
+            # After float() and Cluster have worded what they reject.
             if score is not None and (type(overlap) not in (int, float) or not 0.0 <= score <= 1.0):
                 raise ValueError(f"assignment overlap must be a number in [0, 1], got {overlap!r}")
         except (TypeError, ValueError) as exc:
@@ -267,7 +266,7 @@ def _clusters_from_record(
             # or across clusters.  Only an empty cluster or a repeat within
             # this one is the constructor's to reject, and word.
             if not spans or (len(side_spans) != mention_count and len(set(spans)) != len(spans)):
-                Cluster(map(Mention, spans), label)
+                Cluster(spans, *shared.unlabeled[len(spans)], label)
         except (TypeError, ValueError) as exc:
             raise CorpusFormatError(f"{key}[{ci}]: {exc}") from exc
         clusters.append(_trusted_cluster(spans, *columns, label))

@@ -62,7 +62,6 @@ class CategoryInventory(_Value):
 
     __slots__ = ("categories", "_canonical", "_alias_map")
     _fields = ("categories",)
-    _stored = _Value._values  # the other slots are built from the categories
 
     def __init__(self, categories: Iterable[Category]) -> None:
         categories = tuple(categories)

@@ -5,7 +5,9 @@ semantic span by token-level Jaccard similarity and keeps that span's
 label when the score beats the threshold.  Step two (propagation) votes a
 label per cluster over its directly labeled mentions and writes it onto
 every member, pronouns included; clusters with no directly labeled
-mention stay unlabeled.  A label_documents pass aligns each mention span
+mention stay unlabeled.  A cluster's mentions are its columns: labeling
+reads their spans and writes their labels, sources and overlaps, through
+one builder.  A label_documents pass aligns each mention span
 once per document, against the document's (start, end, label) triples,
 into the (label, overlap) of its direct label or None, which the gold and
 predicted mentions at that span share, and writes the clusters' label

@@ -1,4 +1,5 @@
-"""Core data model: documents, mentions, clusters, and semantic spans.
+"""Core data model: documents, clusters and their mentions, and semantic
+spans.
 
 Token indexing is 0-based and spans are half-open [start, end) over the
 document's flat token sequence.  Sentence boundaries are optional metadata
@@ -8,13 +9,12 @@ labels are plain uppercase strings validated against a CategoryInventory
 
 Everything here is frozen after construction, so documents can be shared
 across workers without locking; pipeline stages return new objects.
-Span and Contingency are NamedTuples.  Mention, Cluster, SemanticSpan
-and Document are slotted classes on one small base, _Value, which makes
-them immutable values (equal by class and fields, hashable, picklable)
-whose _replace builds the changed copy through the checked constructor.
-A Cluster holds its mentions as columns and a Document its semantic
-spans as triples, which every stage reads and writes; they build Mention
-and SemanticSpan values only when `mentions` or `semantic_spans` is read.
+Span and Contingency are NamedTuples.  Cluster and Document are slotted
+classes on one small base, _Value, which makes them immutable values
+(equal by class and fields, hashable, picklable) whose _replace builds
+the changed copy through the checked constructor.  A Cluster holds its
+mentions as four parallel columns and a Document its semantic spans as
+(start, end, label) triples; every stage reads and writes those.
 """
 
 from __future__ import annotations
@@ -57,13 +57,14 @@ def _checked_replace(self, **changes):
 class _Value:
     """An immutable value over __slots__, as a frozen dataclass would be.
 
-    A subclass names its fields in _fields, in constructor order.  Since
+    A subclass names its fields in _fields, in constructor order; they
+    are its slots, unless it derives more slots from them.  Since
     assignment and deletion raise AttributeError, its __init__ stores its
     slots with object.__setattr__ or, faster, through their descriptors'
-    __set__ (_slot_setters).  Instances equal those of the same class
-    with equal slots, which a subclass stores exactly for equal fields,
-    and hash by them; they print by their fields, and pickle, copy and
-    _replace through __init__, so its checks run on every copy.
+    __set__ (_slot_setters).  Instances equal those of the same class with
+    equal fields and hash by them; they print by their fields, and
+    pickle, copy and _replace through __init__, so its checks run on every
+    copy.
     """
 
     __slots__ = ()
@@ -71,9 +72,6 @@ class _Value:
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
-
-    def _stored(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -83,11 +81,11 @@ class _Value:
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
-            return self._stored() == other._stored()
+            return self._values() == other._values()
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._stored())
+        return hash(self._values())
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
@@ -140,73 +138,50 @@ class Span(_SpanFields):
     _replace = __replace__ = _checked_replace
 
 
-class Mention(_Value):
-    """A token span, optionally carrying a semantic label.
-
-    `assignment_overlap` is only present for directly assigned labels and
-    records the winning Jaccard score at assignment time.  The constructor
-    checks that rule, and that a label is present exactly when the source
-    is not none.
-    """
-
-    __slots__ = _fields = ("span", "assigned_label", "label_source", "assignment_overlap")
-
-    def __init__(
-        self,
-        span: Span,
-        assigned_label: str | None = None,
-        label_source: LabelSource = LabelSource.NONE,
-        assignment_overlap: float | None = None,
-    ) -> None:
-        if (assigned_label is None) != (label_source is _NONE):
-            raise ValueError("assigned_label must be present iff label_source != none")
-        if (assignment_overlap is not None) != (label_source is _DIRECT):
-            raise ValueError("assignment_overlap must be present iff label_source = direct")
-        _set_span(self, span)
-        _set_assigned_label(self, assigned_label)
-        _set_label_source(self, label_source)
-        _set_assignment_overlap(self, assignment_overlap)
-
-
 _NONE, _DIRECT = LabelSource.NONE, LabelSource.DIRECT
-_set_span, _set_assigned_label, _set_label_source, _set_assignment_overlap = (
-    _slot_setters(Mention)
-)
 
 
 class Cluster(_Value):
     """A non-empty set of coreferential mentions, optionally labeled.
 
-    The mentions are stored as four parallel tuples, `spans`, `labels`,
-    `sources` and `overlaps`; an unlabeled cluster's hold None and
-    LabelSource.NONE.  The field `mentions` builds equal Mention values
-    from them on each access, so repr, pickling and _replace are those of
-    the mentions; equality and hashing read the columns.
+    The mentions are four parallel columns: their spans, their labels,
+    the LabelSource of each label, and the winning Jaccard score of each
+    directly assigned label; an unlabeled mention has None, NONE and None.
 
-    The constructor, and so _replace, checks that there is at least one
-    mention and that no span repeats; ingest and labeling._relabel, whose
-    columns are checked already, build through _trusted_cluster instead.
+    The constructor, and so _replace, checks that the columns are equally
+    long, that there is at least one mention, that no span repeats, and
+    that each mention has a label exactly when its source is not none and
+    an overlap exactly when it is direct.  ingest and labeling._relabel,
+    whose columns are checked already, build through _trusted_cluster.
     """
 
-    __slots__ = ("spans", "labels", "sources", "overlaps", "cluster_label")
-    _fields = ("mentions", "cluster_label")
+    __slots__ = _fields = ("spans", "labels", "sources", "overlaps", "cluster_label")
 
-    def __init__(self, mentions: Iterable[Mention], cluster_label: str | None = None) -> None:
-        mentions = tuple(mentions)
-        spans = tuple([m.span for m in mentions])
+    def __init__(
+        self,
+        spans: Iterable[Span],
+        labels: Iterable[str | None],
+        sources: Iterable[LabelSource],
+        overlaps: Iterable[float | None],
+        cluster_label: str | None = None,
+    ) -> None:
+        spans, labels, sources, overlaps = map(tuple, (spans, labels, sources, overlaps))
+        if not len(spans) == len(labels) == len(sources) == len(overlaps):
+            raise ValueError("spans, labels, sources and overlaps must be equally long")
         if not spans:
             raise ValueError("cluster must contain at least one mention")
         if len(set(spans)) != len(spans):
             raise ValueError("duplicate mention span within cluster")
+        for label, source, overlap in zip(labels, sources, overlaps):
+            if (label is None) != (source is _NONE):
+                raise ValueError("assigned_label must be present iff label_source != none")
+            if (overlap is not None) != (source is _DIRECT):
+                raise ValueError("assignment_overlap must be present iff label_source = direct")
         _set_spans(self, spans)
-        _set_labels(self, tuple([m.assigned_label for m in mentions]))
-        _set_sources(self, tuple([m.label_source for m in mentions]))
-        _set_overlaps(self, tuple([m.assignment_overlap for m in mentions]))
+        _set_labels(self, labels)
+        _set_sources(self, sources)
+        _set_overlaps(self, overlaps)
         _set_cluster_label(self, cluster_label)
-
-    @property
-    def mentions(self) -> tuple[Mention, ...]:
-        return tuple(map(Mention, self.spans, self.labels, self.sources, self.overlaps))
 
 
 _set_spans, _set_labels, _set_sources, _set_overlaps, _set_cluster_label = _slot_setters(Cluster)
@@ -225,34 +200,16 @@ def _trusted_cluster(spans: tuple, labels: tuple, sources: tuple, overlaps: tupl
     return cluster
 
 
-class SemanticSpan(_Value):
-    """A tagger-produced span with a category label."""
-
-    __slots__ = _fields = ("span", "label")
-
-    def __init__(self, span: Span, label: str) -> None:
-        _set_semantic_span(self, span)
-        _set_semantic_label(self, label)
-
-
-_set_semantic_span, _set_semantic_label = _slot_setters(SemanticSpan)
-
-
 class Document(_Value):
     """One document: its tokens, both sides' clusters and its semantic
-    spans.  The sequences are stored as tuples, and a document built
-    without `extras` gets its own empty dict.
-
-    The semantic spans are stored as `cner`, (start, end, label) triples
-    in file order; the field `semantic_spans` builds equal SemanticSpan
-    values from them on each access, for repr, pickling and _replace.
-    Internal stages build and copy a document by its slots instead.
+    spans, `cner`, as (start, end, label) triples in file order.  The
+    sequences are stored as tuples, each triple's bounds checked as a
+    Span's, and a document built without `extras` gets its own empty dict.
+    Internal stages build and copy one through _trusted_document instead.
     """
 
-    __slots__ = ("doc_id", "tokens", "gold_clusters", "predicted_clusters", "cner",
-                 "sentence_boundaries", "extras")
-    _fields = ("doc_id", "tokens", "gold_clusters", "predicted_clusters", "semantic_spans",
-               "sentence_boundaries", "extras")
+    __slots__ = _fields = ("doc_id", "tokens", "gold_clusters", "predicted_clusters", "cner",
+                           "sentence_boundaries", "extras")
 
     def __init__(
         self,
@@ -260,19 +217,15 @@ class Document(_Value):
         tokens: Iterable[str],
         gold_clusters: Iterable[Cluster] = (),
         predicted_clusters: Iterable[Cluster] = (),
-        semantic_spans: Iterable[SemanticSpan] = (),
+        cner: Iterable[tuple[int, int, str]] = (),
         sentence_boundaries: Iterable[int] | None = None,
         extras: Mapping[str, Any] | None = None,
     ) -> None:
         _store_document(self, doc_id, tuple(tokens), tuple(gold_clusters),
                         tuple(predicted_clusters),
-                        tuple([(*sem.span, sem.label) for sem in semantic_spans]),
+                        tuple([(*Span(start, end), label) for start, end, label in cner]),
                         None if sentence_boundaries is None else tuple(sentence_boundaries),
                         {} if extras is None else extras)
-
-    @property
-    def semantic_spans(self) -> tuple[SemanticSpan, ...]:
-        return tuple([SemanticSpan(Span(start, end), label) for start, end, label in self.cner])
 
     def clusters(self, side: str) -> tuple[Cluster, ...]:
         if side == "gold":
@@ -328,7 +281,7 @@ def validate_document(doc: Document) -> list[str]:
             for mi, span in enumerate(cluster.spans):
                 if span.end > n:
                     violations.append(
-                        f"{side}_clusters[{ci}].mentions[{mi}]: span "
+                        f"{side}_clusters[{ci}][{mi}]: span "
                         f"{_span_str(span)} out of range ({n} tokens)"
                     )
                 if span in seen and seen[span] != ci:
@@ -340,8 +293,7 @@ def validate_document(doc: Document) -> list[str]:
                     seen.setdefault(span, ci)
     for si, (start, end, _) in enumerate(doc.cner):
         if end > n:
-            violations.append(f"semantic_spans[{si}]: span [{start}, {end}) out of range "
-                              f"({n} tokens)")
+            violations.append(f"cner[{si}]: span [{start}, {end}) out of range ({n} tokens)")
     return violations
 
 

@@ -9,8 +9,6 @@ from coref_semscore.model import (
     Cluster,
     Document,
     LabelSource,
-    Mention,
-    SemanticSpan,
     Span,
     contingency,
 )
@@ -84,8 +82,10 @@ COMPOSITE_RECORD = {
 def cluster_of(spans, label=None):
     """A Cluster of (start, end) spans.  With a label, the cluster and each
     of its mentions carry it, the mentions as propagated labels."""
+    spans = tuple(Span(*span) for span in spans)
     source = LabelSource.NONE if label is None else LabelSource.PROPAGATED
-    return Cluster(tuple(Mention(Span(*span), label, source) for span in spans), label)
+    k = len(spans)
+    return Cluster(spans, (label,) * k, (source,) * k, (None,) * k, label)
 
 
 def doc_of(gold=(), predicted=(), cner=(), tokens=12, doc_id="d0"):
@@ -101,32 +101,7 @@ def doc_of(gold=(), predicted=(), cner=(), tokens=12, doc_id="d0"):
     def clusters(spec):
         return tuple(c if isinstance(c, Cluster) else cluster_of(c) for c in spec)
 
-    semantic_spans = tuple(SemanticSpan(Span(s, e), label) for s, e, label in cner)
-    return Document(doc_id, tokens, clusters(gold), clusters(predicted), semantic_spans)
-
-
-def _count_builds(monkeypatch, cls):
-    """Count calls of cls.__init__ from here on, until monkeypatch.undo();
-    returns the one-item counter."""
-    built = [0]
-    init = cls.__init__
-
-    def counting(self, *args, **kwargs):
-        built[0] += 1
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(cls, "__init__", counting)
-    return built
-
-
-def count_mentions(monkeypatch):
-    """Count the Mentions built from here on, until monkeypatch.undo()."""
-    return _count_builds(monkeypatch, Mention)
-
-
-def count_semantic_spans(monkeypatch):
-    """Count the SemanticSpans built from here on, until monkeypatch.undo()."""
-    return _count_builds(monkeypatch, SemanticSpan)
+    return Document(doc_id, tokens, clusters(gold), clusters(predicted), cner)
 
 
 def tables_of(docs):

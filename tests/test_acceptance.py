@@ -30,7 +30,7 @@ from coref_semscore.labeling import (
     overlap,
     propagate,
 )
-from coref_semscore.model import Cluster, LabelSource, Span
+from coref_semscore.model import LabelSource, Span
 from coref_semscore.typed_metrics import typed_link_scores, typed_mention_scores
 from corpusgen import random_corpus, to_documents
 from test_commands import conll_text, write_jsonl
@@ -62,14 +62,14 @@ def test_a2_news_fixture_propagation(news_doc):
     person, place = labeled.gold_clusters
     assert person.cluster_label == "PER"
     assert place.cluster_label == "LOC"
-    assert [(m.assigned_label, m.label_source.value) for m in person.mentions] == [
+    assert [(label, source.value) for label, source in zip(person.labels, person.sources)] == [
         ("PER", "direct"),       # honorific + surname, exactly covered
         ("PER", "direct"),       # title + surname
         ("PER", "propagated"),   # pronoun
         ("PER", "propagated"),   # pronoun
         ("PER", "direct"),       # honorific + surname again
     ]
-    assert [(m.assigned_label, m.label_source.value) for m in place.mentions] == [
+    assert [(label, source.value) for label, source in zip(place.labels, place.sources)] == [
         ("LOC", "direct"),
         ("LOC", "direct"),
     ]
@@ -81,10 +81,8 @@ def test_a3_composite_fixture_propagation(composite_doc):
     assert first.cluster_label == "PER"
     assert second.cluster_label == "PER"
     assert composite.cluster_label == "PER"
-    whole, plural = composite.mentions
-    assert whole.label_source is LabelSource.DIRECT
-    assert plural.assigned_label == "PER"
-    assert plural.label_source is LabelSource.PROPAGATED
+    assert composite.sources == (LabelSource.DIRECT, LabelSource.PROPAGATED)
+    assert composite.labels[1] == "PER"
 
 
 def test_a4_typed_link_oracle():
@@ -141,8 +139,8 @@ def test_a5_classic_metric_oracles():
     for _ in range(200):
         record = random_corpus(rng, 1, max_clusters=6, max_total_mentions=14)[0]
         doc = to_documents([record])[0]
-        gold_sets = [{m.span for m in c.mentions} for c in doc.gold_clusters]
-        pred_sets = [{m.span for m in c.mentions} for c in doc.predicted_clusters]
+        gold_sets = [set(c.spans) for c in doc.gold_clusters]
+        pred_sets = [set(c.spans) for c in doc.predicted_clusters]
         solver_total = best_alignment_total(gold_sets, pred_sets)
         oracle_total = oracles.ceaf_exhaustive_total(
             [frozenset((s.start, s.end) for s in spans) for spans in gold_sets],
@@ -221,11 +219,11 @@ def test_a8_tau_monotonicity():
     for step in range(1, 10):
         cfg = LabelingConfig(tau=step / 10)
         directly_labeled = {
-            (doc.doc_id, m.span.start, m.span.end)
+            (doc.doc_id, span.start, span.end)
             for doc in docs
             for cluster in assign_mentions(doc, cfg, "gold").gold_clusters
-            for m in cluster.mentions
-            if m.label_source is LabelSource.DIRECT
+            for span, source in zip(cluster.spans, cluster.sources)
+            if source is LabelSource.DIRECT
         }
         if previous is not None:
             assert directly_labeled <= previous
@@ -324,12 +322,12 @@ def test_a11_label_renaming_invariance():
             for label in [cluster.cluster_label]
             if label
         } | {
-            m.assigned_label
+            label
             for doc in docs
             for side in ("gold", "predicted")
             for cluster in doc.clusters(side)
-            for m in cluster.mentions
-            if m.assigned_label
+            for label in cluster.labels
+            if label
         })
         if not present:
             continue
@@ -340,13 +338,8 @@ def test_a11_label_renaming_invariance():
             for side in ("gold", "predicted"):
                 new = []
                 for cluster in doc.clusters(side):
-                    mentions = tuple(
-                        m._replace(assigned_label=mapping[m.assigned_label])
-                        if m.assigned_label else m
-                        for m in cluster.mentions
-                    )
-                    new.append(Cluster(
-                        mentions,
+                    new.append(cluster._replace(
+                        labels=[label and mapping[label] for label in cluster.labels],
                         cluster_label=mapping.get(cluster.cluster_label),
                     ))
                 doc = doc.with_clusters(side, new)

@@ -109,10 +109,8 @@ class TestCeaf:
         for _ in range(60):
             records = random_corpus(rng, 1, max_clusters=6, max_total_mentions=14)
             doc = to_documents(records)[0]
-            gold_sets = [frozenset((m.span.start, m.span.end) for m in c.mentions)
-                         for c in doc.gold_clusters]
-            pred_sets = [frozenset((m.span.start, m.span.end) for m in c.mentions)
-                         for c in doc.predicted_clusters]
+            gold_sets = [frozenset(map(tuple, c.spans)) for c in doc.gold_clusters]
+            pred_sets = [frozenset(map(tuple, c.spans)) for c in doc.predicted_clusters]
             solver = best_alignment_total(
                 [set(map(lambda t: Span(*t), s)) for s in gold_sets],
                 [set(map(lambda t: Span(*t), s)) for s in pred_sets],

@@ -244,7 +244,9 @@ BAD_CORPORA = {
     "undecodable": UNDECODABLE,
     "not-json": (json.dumps(GOLD) + "\n" + NOT_JSON[0], f"line 2: invalid JSON: {NOT_JSON[1]}"),
     "span-out-of-range": ({**GOLD, "gold_clusters": [[[0, 9]]]}, "line 1: doc 'd0': "
-                          "gold_clusters[0].mentions[0]: span [0, 9) out of range (1 tokens)"),
+                          "gold_clusters[0][0]: span [0, 9) out of range (1 tokens)"),
+    "cner-out-of-range": ({**GOLD, "cner": [[0, 1, "PER"], [0, 5, "PER"]]}, "line 1: doc 'd0': "
+                          "cner[1]: span [0, 5) out of range (1 tokens)"),
     **{f"{field}={json.dumps(value)}": ({**PAIR, field: value}, f"line 1: {message}")
        for field, value, message in [
            ("tokens", 1.5, "tokens: expected a list of token strings, got float"),
@@ -296,8 +298,7 @@ BAD_INPUTS = {
     "cner-float-bound": ("--cner", {"doc_id": "mini0000_0", "cner": [[7, 9.5, "PER"]]},
                          "line 1: cner[0]: span bounds must be integers, got [7, 9.5]"),
     "cner-out-of-range": ("--cner", {"doc_id": "mini0000_0", "cner": [[7, 99, "PER"]]},
-                          "doc 'mini0000_0': semantic_spans[0]: span [7, 99) out of range "
-                          "(73 tokens)"),
+                          "doc 'mini0000_0': cner[0]: span [7, 99) out of range (73 tokens)"),
     "cner-repeated-key": ("--cner", '{"doc_id": "d0", "cner": [[7, 9, "PER"]], "cner": []}',
                           "line 1: repeated JSON key 'cner'"),
     "reference-not-json": ("--reference", *NOT_JSON),
@@ -401,7 +402,7 @@ BAD_CONLL = {
 # --cner files for a corpus of one document doc1 of two tokens.
 BAD_CNER = {
     "out-of-range": ({"doc_id": "doc1", "cner": [[0, 9, "PER"]]},
-                     "doc 'doc1': semantic_spans[0]: span [0, 9) out of range (2 tokens)"),
+                     "doc 'doc1': cner[0]: span [0, 9) out of range (2 tokens)"),
     "without-cner": ({"doc_id": "doc1"}, "line 1: missing required field 'cner'"),
     "unknown-doc": ({"doc_id": "nope", "cner": []}, "cner corpus has unknown doc_ids: nope"),
 }

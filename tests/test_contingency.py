@@ -94,7 +94,7 @@ class TestLargeClusterOracles:
     def test_typed_link_counts_match_pair_enumeration(self, seed):
         records = random_corpus(random.Random(seed), 8, **BIG_CLUSTERS)
         docs = label_documents(to_documents(records), CFG)
-        assert max(len(c.mentions) for d in docs for c in d.gold_clusters) >= 30
+        assert max(len(c.spans) for d in docs for c in d.gold_clusters) >= 30
         labeled = {r["doc_id"]: oracles.label_record(r) for r in records}
         expected, ug, up = oracles.corpus_typed_counts(records, labeled, "link")
         want = {label: (c["tp"], c["fp"], c["fn"]) for label, c in expected.items()}

@@ -23,12 +23,9 @@ from coref_semscore.model import (
     Cluster,
     Document,
     LabelSource,
-    Mention,
-    SemanticSpan,
     Span,
     validate_document,
 )
-from conftest import count_mentions, count_semantic_spans
 from corpusgen import random_corpus, random_record, to_documents
 
 
@@ -47,8 +44,7 @@ class TestJsonlReader:
         assert len(docs) == 1
         doc = docs[0]
         assert len(doc.gold_clusters) == 1
-        assert doc.semantic_spans[0].label == "LOC"
-        assert doc.semantic_spans[0].span.start == 0
+        assert doc.cner == ((0, 1, "LOC"),)
 
     def test_alias_applied_to_cner(self):
         docs = _read([json.dumps({
@@ -57,7 +53,7 @@ class TestJsonlReader:
             "gold_clusters": [],
             "cner": [[0, 1, "PERSON"]],
         })])
-        assert docs[0].semantic_spans[0].label == "PER"
+        assert docs[0].cner == ((0, 1, "PER"),)
 
     @pytest.mark.parametrize("read", [read_jsonl_corpus, read_cner_jsonl])
     def test_repeated_key_names_line_and_key(self, read):
@@ -131,7 +127,7 @@ class TestJsonlReader:
     @pytest.mark.parametrize("score", [0, 1, 0.0, 0.5, 1.0, -0.0])
     def test_overlap_in_unit_interval_read_as_float(self, score):
         (doc,) = _read([self._one_direct_mention(score)])
-        overlap = doc.gold_clusters[0].mentions[0].assignment_overlap
+        overlap = doc.gold_clusters[0].overlaps[0]
         assert type(overlap) is float and overlap == score
         assert math.copysign(1.0, overlap) == math.copysign(1.0, score)
 
@@ -165,9 +161,9 @@ class TestJsonlReader:
         except CorpusFormatError as exc:
             assert str(exc).startswith(where)
             return str(exc)[len(where):]
-        mention = docs[-1].gold_clusters[0].mentions[-1]
-        overlap = mention.assignment_overlap
-        return (mention.assigned_label, mention.label_source, overlap, type(overlap),
+        cluster = docs[-1].gold_clusters[0]
+        overlap = cluster.overlaps[-1]
+        return (cluster.labels[-1], cluster.sources[-1], overlap, type(overlap),
                 None if overlap is None else math.copysign(1.0, overlap))
 
     @pytest.mark.parametrize("first", [0.0, 1.0])
@@ -239,15 +235,10 @@ def _reference_document(record: dict, inventory: CategoryInventory) -> Document:
         cluster_labels = (record.get("cluster_labels") or {}).get(side) or [None] * len(raw)
         return tuple(
             Cluster(
-                tuple(
-                    Mention(
-                        Span(*pair),
-                        None if label is None else inventory.resolve(label),
-                        LabelSource(source),
-                        None if score is None else float(score),
-                    )
-                    for pair, label, source, score in zip(cluster, labels, sources, scores)
-                ),
+                [Span(*pair) for pair in cluster],
+                [None if label is None else inventory.resolve(label) for label in labels],
+                map(LabelSource, sources),
+                [None if score is None else float(score) for score in scores],
                 None if cluster_label is None else inventory.resolve(cluster_label),
             )
             for cluster, cluster_label, labels, sources, scores in zip(
@@ -261,9 +252,7 @@ def _reference_document(record: dict, inventory: CategoryInventory) -> Document:
         tokens=tuple(str(t) for t in record["tokens"]),
         gold_clusters=clusters("gold"),
         predicted_clusters=clusters("predicted"),
-        semantic_spans=tuple(
-            SemanticSpan(Span(s, e), inventory.resolve(label)) for s, e, label in record["cner"]
-        ),
+        cner=[(s, e, inventory.resolve(label)) for s, e, label in record["cner"]],
     )
 
 
@@ -280,13 +269,13 @@ LABEL_FAULTS = [
 
 
 def _mention_fault(raw_label, source, overlap, inventory: CategoryInventory) -> str | None:
-    """How the checked Mention path words the fault of one mention's raw
-    label, source and overlap, or None when it accepts them."""
+    """How the checked Cluster constructor words the fault of one mention's
+    raw label, source and overlap, or None when it accepts them."""
     try:
         if raw_label is not None and not isinstance(raw_label, str):
             raise TypeError(f"label must be a string or null, got {raw_label!r}")
-        Mention(Span(0, 1), None if raw_label is None else inventory.resolve(raw_label),
-                LabelSource(source), None if overlap is None else float(overlap))
+        Cluster((Span(0, 1),), (None if raw_label is None else inventory.resolve(raw_label),),
+                (LabelSource(source),), (None if overlap is None else float(overlap),))
         if overlap is not None and (type(overlap) not in (int, float)
                                     or not 0.0 <= overlap <= 1.0):
             raise ValueError(f"assignment overlap must be a number in [0, 1], got {overlap!r}")
@@ -405,21 +394,18 @@ class TestSinglePassReader:
                     "cner": [[0, 1, "PER"], [1, 2, "person"], [0, 2, "PER"]]} for i in range(3)]
         docs = _read([json.dumps(r) for r in records], inventory)
         assert sorted(calls) == ["PER", "person"]
-        assert {s.label for d in docs for s in d.semantic_spans} == {"PER"}
+        assert {label for d in docs for _, _, label in d.cner} == {"PER"}
 
-    def test_a_valid_read_builds_no_mention(self, monkeypatch):
+    def test_a_valid_read_equals_the_reference(self):
         # Unlabeled records, whose clusters share the unlabeled columns;
-        # their semantic spans are read as triples, with no SemanticSpan.
+        # their semantic spans are read as triples.
         records = random_corpus(random.Random(29), 40, n_tokens=(10, 14), ensure_links=True)
-        built = count_mentions(monkeypatch), count_semantic_spans(monkeypatch)
         docs = _read([json.dumps(r) for r in records])
-        assert built == ([0], [0])
-        monkeypatch.undo()
         inventory = CategoryInventory.default()
         assert docs == [_reference_document(r, inventory) for r in records]
         assert [doc.cner for doc in docs] == [tuple(map(tuple, r["cner"])) for r in records]
 
-    def test_a_valid_labeled_read_builds_no_mention(self, monkeypatch):
+    def test_a_valid_labeled_read_equals_the_reference(self):
         # Few, large clusters, labeled, each column read by the fast path;
         # and a mention whose integer overlap only the checked path takes.
         records = random_corpus(random.Random(31), 6, n_tokens=(600, 700), max_clusters=4,
@@ -429,10 +415,7 @@ class TestSinglePassReader:
         write_labeled_jsonl(labeled, buffer)
         lines = buffer.getvalue().splitlines()
         lines.append(self._integer_overlap_record())
-        built = count_mentions(monkeypatch)
         docs = _read(lines)
-        assert built == [0]
-        monkeypatch.undo()
         inventory = CategoryInventory.default()
         assert docs == [_reference_document(json.loads(line), inventory) for line in lines]
         assert docs[:-1] == labeled
@@ -520,15 +503,15 @@ class TestConllReader:
         assert doc.doc_id == "wsj/test_part_000"
         assert doc.tokens == ("The", "council", "met", "It", "adjourned")
         assert doc.sentence_boundaries == (0, 3)
-        spans = [(m.span.start, m.span.end) for c in doc.gold_clusters for m in c.mentions]
+        spans = [span for c in doc.gold_clusters for span in c.spans]
         assert spans == [(0, 2), (3, 4)]
         assert doc.predicted_clusters == ()
-        assert doc.semantic_spans == ()
+        assert doc.cner == ()
 
     def test_single_token_mention_at_document_offset(self):
         docs = read_conll2012(io.StringIO(CONLL_SINGLE_TOKEN))
         (cluster,) = docs[0].gold_clusters
-        assert [(m.span.start, m.span.end) for m in cluster.mentions] == [(7, 8)]
+        assert cluster.spans == ((7, 8),)
 
     def test_comment_line_inside_a_document_is_skipped(self):
         text = CONLL_TWO_SENTENCES.replace("wsj/test 0 2 met", "# a comment of five columns\n"
@@ -594,7 +577,7 @@ class TestConllReader:
                 docs = read_conll2012(io.StringIO("\n".join(text_lines) + "\n"))
             except CorpusFormatError:
                 continue  # duplicate spans within a cluster are rejected
-            mentions = sum(len(c.mentions) for c in docs[0].gold_clusters)
+            mentions = sum(len(c.spans) for c in docs[0].gold_clusters)
             assert mentions == pairs
             checked += 1
         assert checked >= 10
@@ -652,10 +635,9 @@ class TestMergePredictions:
                                   "predicted_clusters": [[[0, 2]]]})])
         merged = merge_predictions(gold, pred)
         assert merged[0].gold_clusters == gold[0].gold_clusters
-        assert [(m.span.start, m.span.end) for m in merged[0].predicted_clusters[0].mentions] \
-            == [(0, 2)]
+        assert merged[0].predicted_clusters[0].spans == ((0, 2),)
 
-    def test_merges_without_a_semantic_span(self, monkeypatch):
+    def test_merges_predictions_without_spans_or_with_gold_s_reordered(self):
         # Prediction files with no spans, or with gold's in another order.
         records = random_corpus(random.Random(37), 20, n_tokens=(10, 14), ensure_links=True)
         gold = _read([json.dumps({k: v for k, v in r.items() if k != "predicted_clusters"})
@@ -667,10 +649,7 @@ class TestMergePredictions:
 
         preds = [predictions(cner) for cner in (lambda r: {}, lambda r: {"cner": []},
                                                  lambda r: {"cner": r["cner"][::-1]})]
-        built = count_semantic_spans(monkeypatch)
         merged = [merge_predictions(gold, pred) for pred in preds]
-        assert built == [0]
-        monkeypatch.undo()
         whole = _read([json.dumps(r) for r in records])
         assert merged == [whole] * len(preds)
 

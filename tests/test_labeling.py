@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import cluster_of, count_mentions, count_semantic_spans, doc_of
+from conftest import cluster_of, doc_of
 from coref_semscore import labeling
 from coref_semscore.ingest import read_jsonl_corpus
 from coref_semscore.inventory import CategoryInventory
@@ -24,7 +24,7 @@ from coref_semscore.labeling import (
     propagate,
     reuse_fault,
 )
-from coref_semscore.model import SIDES, Cluster, LabelSource, Mention, Span
+from coref_semscore.model import SIDES, Cluster, LabelSource, Span
 from corpusgen import LABELS, random_corpus, random_record, to_documents
 
 CFG = LabelingConfig()
@@ -102,51 +102,51 @@ class TestAssignMentions:
     def test_exact_cover_direct(self):
         doc = doc_of([[(0, 2)]], cner=[(0, 2, "PER")], tokens=["Mr.", "Clinton", "smiled"])
         labeled = assign_mentions(doc, CFG, "gold")
-        mention = labeled.gold_clusters[0].mentions[0]
-        assert mention.assigned_label == "PER"
-        assert mention.label_source is LabelSource.DIRECT
-        assert mention.assignment_overlap == 1.0
+        cluster = labeled.gold_clusters[0]
+        assert cluster.labels == ("PER",)
+        assert cluster.sources == (LabelSource.DIRECT,)
+        assert cluster.overlaps == (1.0,)
 
     def test_pronoun_without_span_stays_unlabeled(self):
         doc = doc_of([[(0, 1)]], cner=[(1, 2, "EVENT")], tokens=["he", "spoke"])
         labeled = assign_mentions(doc, CFG, "gold")
-        mention = labeled.gold_clusters[0].mentions[0]
-        assert mention.assigned_label is None
-        assert mention.label_source is LabelSource.NONE
+        cluster = labeled.gold_clusters[0]
+        assert cluster.labels == (None,)
+        assert cluster.sources == (LabelSource.NONE,)
 
     def test_argmax_over_candidates(self):
         doc = doc_of([[(0, 4)]], cner=[(0, 2, "LOC"), (0, 3, "ORG")], tokens=["a", "b", "c", "d"])
-        mention = assign_mentions(doc, CFG, "gold").gold_clusters[0].mentions[0]
-        assert mention.assigned_label == "ORG"
-        assert mention.assignment_overlap == 0.75
+        cluster = assign_mentions(doc, CFG, "gold").gold_clusters[0]
+        assert cluster.labels == ("ORG",)
+        assert cluster.overlaps == (0.75,)
 
     def test_strict_threshold_excludes_exact_tau(self):
         doc = doc_of([[(0, 2)]], cner=[(0, 1, "PER")], tokens=["a", "b"])
-        mention = assign_mentions(doc, CFG, "gold").gold_clusters[0].mentions[0]
-        assert mention.assigned_label is None
+        cluster = assign_mentions(doc, CFG, "gold").gold_clusters[0]
+        assert cluster.labels == (None,)
 
     def test_inclusive_threshold_accepts_exact_tau(self):
         cfg = LabelingConfig(tau_inclusive=True)
         doc = doc_of([[(0, 2)]], cner=[(0, 1, "PER")], tokens=["a", "b"])
-        mention = assign_mentions(doc, cfg, "gold").gold_clusters[0].mentions[0]
-        assert mention.assigned_label == "PER"
-        assert mention.assignment_overlap == 0.5
+        cluster = assign_mentions(doc, cfg, "gold").gold_clusters[0]
+        assert cluster.labels == ("PER",)
+        assert cluster.overlaps == (0.5,)
 
     def test_span_tie_prefers_earlier_span(self):
         # both candidates overlap [1,3) at 1/3
         doc = doc_of([[(1, 3)]], cner=[(0, 2, "ORG"), (2, 4, "LOC")], tokens=["a", "b", "c", "d"])
         cfg = LabelingConfig(tau=0.2)
-        mention = assign_mentions(doc, cfg, "gold").gold_clusters[0].mentions[0]
-        assert mention.assigned_label == "ORG"
+        cluster = assign_mentions(doc, cfg, "gold").gold_clusters[0]
+        assert cluster.labels == ("ORG",)
 
     def test_long_span_starting_well_before_a_short_mention(self):
         # [0, 20) overlaps [12, 18) at 6/20; the nearby [17, 19) at 1/7.
         doc = doc_of([[(12, 18)]], cner=[(0, 20, "EVENT"), (17, 19, "PER")],
                      tokens=list("abcdefghijklmnopqrst"))
         cfg = LabelingConfig(tau=0.1)
-        mention = assign_mentions(doc, cfg, "gold").gold_clusters[0].mentions[0]
-        assert mention.assigned_label == "EVENT"
-        assert mention.assignment_overlap == 0.3
+        cluster = assign_mentions(doc, cfg, "gold").gold_clusters[0]
+        assert cluster.labels == ("EVENT",)
+        assert cluster.overlaps == (0.3,)
 
     @settings(deadline=None)
     @given(assignment_cases())
@@ -158,7 +158,7 @@ class TestAssignMentions:
                 cfg = LabelingConfig(tau=tau, tau_inclusive=inclusive)
                 for side, clusters in (("gold", gold), ("predicted", predicted)):
                     got = [
-                        [(m.assigned_label, m.assignment_overlap) for m in c.mentions]
+                        list(zip(c.labels, c.overlaps))
                         for c in assign_mentions(doc, cfg, side).clusters(side)
                     ]
                     assert got == oracles.assign_side(clusters, cner, tau, inclusive)
@@ -183,11 +183,11 @@ class TestAssignMentions:
         for tau in (0.1, 0.3, 0.5, 0.7, 0.9):
             cfg = LabelingConfig(tau=tau)
             labeled = {
-                (doc.doc_id, m.span.start, m.span.end)
+                (doc.doc_id, span.start, span.end)
                 for doc in docs
                 for cluster in assign_mentions(doc, cfg, "gold").gold_clusters
-                for m in cluster.mentions
-                if m.label_source is LabelSource.DIRECT
+                for span, source in zip(cluster.spans, cluster.sources)
+                if source is LabelSource.DIRECT
             }
             if previous is not None:
                 assert labeled <= previous
@@ -199,20 +199,19 @@ class TestPropagate:
         labeled = _labeled_gold(news_doc)
         person, place = labeled.gold_clusters
         assert person.cluster_label == "PER"
-        assert [m.label_source.value for m in person.mentions] == [
+        assert [source.value for source in person.sources] == [
             "direct", "direct", "propagated", "propagated", "direct",
         ]
-        assert all(m.assigned_label == "PER" for m in person.mentions)
+        assert all(label == "PER" for label in person.labels)
         assert place.cluster_label == "LOC"
-        assert [m.label_source.value for m in place.mentions] == ["direct", "direct"]
+        assert [source.value for source in place.sources] == ["direct", "direct"]
 
     def test_composite_fixture(self, composite_doc):
         labeled = _labeled_gold(composite_doc)
         composite = labeled.gold_clusters[2]
         assert composite.cluster_label == "PER"
-        plural = composite.mentions[1]
-        assert plural.assigned_label == "PER"
-        assert plural.label_source is LabelSource.PROPAGATED
+        assert composite.labels[1] == "PER"
+        assert composite.sources[1] is LabelSource.PROPAGATED
 
     def test_strict_majority(self):
         doc = doc_of(
@@ -231,9 +230,7 @@ class TestPropagate:
             tokens=list("abcdefghijklmnopqrst"),
         )
         labeled = _labeled_gold(doc)
-        mentions = labeled.gold_clusters[0].mentions
-        assert mentions[0].assignment_overlap == 0.6
-        assert mentions[1].assignment_overlap == 0.9
+        assert labeled.gold_clusters[0].overlaps == (0.6, 0.9)
         assert labeled.gold_clusters[0].cluster_label == "LOC"
 
     def test_full_tie_broken_lexicographically(self):
@@ -249,7 +246,7 @@ class TestPropagate:
         doc = doc_of([[(0, 1), (2, 3)]], tokens=["he", "saw", "him"])
         labeled = _labeled_gold(doc)
         assert labeled.gold_clusters[0].cluster_label is None
-        assert all(m.assigned_label is None for m in labeled.gold_clusters[0].mentions)
+        assert all(label is None for label in labeled.gold_clusters[0].labels)
 
     def test_disagreeing_direct_label_kept_by_default(self):
         doc = doc_of(
@@ -258,9 +255,9 @@ class TestPropagate:
             tokens=list("abcdef"),
         )
         labeled = _labeled_gold(doc)
-        outlier = labeled.gold_clusters[0].mentions[2]
-        assert outlier.assigned_label == "LOC"
-        assert outlier.label_source is LabelSource.DIRECT
+        cluster = labeled.gold_clusters[0]  # its third mention is the outlier
+        assert cluster.labels[2] == "LOC"
+        assert cluster.sources[2] is LabelSource.DIRECT
 
     def test_force_cluster_label_overwrites_disagreement(self):
         cfg = LabelingConfig(force_cluster_label=True)
@@ -270,9 +267,9 @@ class TestPropagate:
             tokens=list("abcdef"),
         )
         labeled = propagate(assign_mentions(doc, cfg, "gold"), cfg, "gold")
-        outlier = labeled.gold_clusters[0].mentions[2]
-        assert outlier.assigned_label == "PER"
-        assert outlier.label_source is LabelSource.DIRECT
+        cluster = labeled.gold_clusters[0]  # its third mention is the outlier
+        assert cluster.labels[2] == "PER"
+        assert cluster.sources[2] is LabelSource.DIRECT
 
     def test_idempotent(self):
         rng = random.Random(11)
@@ -294,14 +291,13 @@ class TestPropagate:
                 assert propagate(labeled, cfg, side) == labeled
 
     def test_cluster_without_direct_mention_clears_propagated_labels(self):
-        stale = Cluster((
-            Mention(Span(0, 1), "PER", LabelSource.PROPAGATED),
-            Mention(Span(2, 3)),
-        ), cluster_label="PER")
+        stale = Cluster((Span(0, 1), Span(2, 3)), ("PER", None),
+                        (LabelSource.PROPAGATED, LabelSource.NONE), (None, None),
+                        cluster_label="PER")
         doc = doc_of([stale], tokens=["he", "saw", "him"])
         cluster = propagate(doc, CFG, "gold").gold_clusters[0]
         assert cluster.cluster_label is None
-        assert [(m.assigned_label, m.label_source) for m in cluster.mentions] == [
+        assert list(zip(cluster.labels, cluster.sources)) == [
             (None, LabelSource.NONE), (None, LabelSource.NONE)]
 
     def test_cluster_label_comes_from_a_direct_member(self):
@@ -313,10 +309,10 @@ class TestPropagate:
             for before, after in zip(assigned.gold_clusters, labeled.gold_clusters):
                 if after.cluster_label is None:
                     continue
-                direct = {m.assigned_label for m in before.mentions
-                          if m.label_source is LabelSource.DIRECT}
+                direct = {label for label, source in zip(before.labels, before.sources)
+                          if source is LabelSource.DIRECT}
                 assert after.cluster_label in direct
-                assert all(m.assigned_label is not None for m in after.mentions)
+                assert all(label is not None for label in after.labels)
 
     def test_matches_brute_force_pipeline(self):
         rng = random.Random(31)
@@ -328,7 +324,7 @@ class TestPropagate:
                 cluster_labels, mention_rows = expected[side]
                 assert [c.cluster_label for c in labeled.clusters(side)] == cluster_labels
                 got_rows = [
-                    [(m.assigned_label, m.label_source.value) for m in c.mentions]
+                    [(label, source.value) for label, source in zip(c.labels, c.sources)]
                     for c in labeled.clusters(side)
                 ]
                 assert got_rows == mention_rows
@@ -350,7 +346,7 @@ class TestPropagate:
         for side in ("gold", "predicted"):
             cluster_labels, mention_rows = expected[side]
             assert [c.cluster_label for c in labeled.clusters(side)] == cluster_labels
-            assert [[(m.assigned_label, m.label_source.value) for m in c.mentions]
+            assert [[(label, source.value) for label, source in zip(c.labels, c.sources)]
                     for c in labeled.clusters(side)] == mention_rows
 
 
@@ -417,8 +413,8 @@ class TestReuseFault:
         # stricter test: the direct overlaps are the taus where tests part.
         raw = read_jsonl_corpus(MINI_CORPUS, CategoryInventory.default())
         labeled = label_documents(raw, LabelingConfig(0.1))
-        overlaps = {m.assignment_overlap for doc in labeled for side in ("gold", "predicted")
-                    for c in doc.clusters(side) for m in c.mentions} - {None}
+        overlaps = {score for doc in labeled for side in ("gold", "predicted")
+                    for c in doc.clusters(side) for score in c.overlaps} - {None}
         configs = [LabelingConfig(0.1), *(
             LabelingConfig(tau, inclusive) for tau in sorted(overlaps) for inclusive in (False, True)
         )]
@@ -459,13 +455,13 @@ class TestReuseFault:
         cluster = clusters[c]
         edit = data.draw(st.sampled_from(["cluster label", "mention label", "mention source"]))
         if edit == "cluster label":
-            clusters[c] = Cluster(cluster.mentions, data.draw(
+            clusters[c] = cluster._replace(cluster_label=data.draw(
                 st.sampled_from(LABELS).filter(lambda new: new != cluster.cluster_label)))
         else:
-            mentions = list(cluster.mentions)
-            i = data.draw(st.integers(0, len(mentions) - 1))
-            m = mentions[i]
-            label, source, score = m.assigned_label, m.label_source, m.assignment_overlap
+            labels, sources, overlaps = map(list, (cluster.labels, cluster.sources,
+                                                   cluster.overlaps))
+            i = data.draw(st.integers(0, len(labels) - 1))
+            label, source, score = labels[i], sources[i], overlaps[i]
             if edit == "mention label" and source is not LabelSource.NONE:
                 label = data.draw(st.sampled_from(LABELS).filter(lambda new: new != label))
             elif edit == "mention source":
@@ -478,18 +474,18 @@ class TestReuseFault:
                     score = None
                 elif score is None:
                     score = data.draw(st.sampled_from([0.95, 1.0]))
-            mentions[i] = Mention(m.span, label, source, score)
-            clusters[c] = Cluster(mentions, cluster.cluster_label)
+            labels[i], sources[i], overlaps[i] = label, source, score
+            clusters[c] = cluster._replace(labels=labels, sources=sources, overlaps=overlaps)
         edited = list(labeled)
         edited[d] = edited[d].with_clusters(side, clusters)
         cfg = LabelingConfig(tau, inclusive, reused_forced)
 
         def differs(doc, side):
             return any(
-                any(m.label_source is LabelSource.DIRECT for m in cluster.mentions)
+                LabelSource.DIRECT in cluster.sources
                 and cluster != labeled_again
-                or any(m.label_source is LabelSource.PROPAGATED
-                       and m.assigned_label != cluster.cluster_label for m in cluster.mentions)
+                or any(source is LabelSource.PROPAGATED and label != cluster.cluster_label
+                       for label, source in zip(cluster.labels, cluster.sources))
                 for cluster, labeled_again in zip(doc.clusters(side),
                                                   propagate(doc, cfg, side).clusters(side)))
 
@@ -498,8 +494,8 @@ class TestReuseFault:
 
 
 class TestSharedValues:
-    """One labeling pass aligns each span once per document and builds no
-    Mention, with the result of labeling every document on its own."""
+    """One labeling pass aligns each span once per document, with the
+    result of labeling every document on its own."""
 
     @staticmethod
     def _corpus():
@@ -509,17 +505,13 @@ class TestSharedValues:
         return records, to_documents(records)
 
     @pytest.mark.parametrize("cfg", [CFG, LabelingConfig(0.3, True, True)])
-    def test_labeling_builds_no_mention(self, monkeypatch, cfg):
+    def test_labeling_a_labeled_corpus_again_changes_nothing(self, cfg):
         records, docs = self._corpus()
-        built = count_mentions(monkeypatch), count_semantic_spans(monkeypatch)
         labeled = label_documents(docs, cfg)
         again = label_documents(labeled, cfg)
-        assert built == ([0], [0])
-        monkeypatch.undo()
         assert labeled == again == [_assign_then_propagate(doc, cfg)
                                     for doc in to_documents(records)]
-        assert any(m.label_source is LabelSource.DIRECT for doc in labeled
-                   for c in doc.gold_clusters for m in c.mentions)
+        assert any(LabelSource.DIRECT in c.sources for doc in labeled for c in doc.gold_clusters)
 
     def test_each_span_is_aligned_once_per_document(self, monkeypatch):
         _, docs = self._corpus()
@@ -532,8 +524,8 @@ class TestSharedValues:
 
         monkeypatch.setattr(labeling._Alignments, "__missing__", counting)
         label_documents(docs, CFG)
-        per_doc = [{m.span for side in ("gold", "predicted") for c in doc.clusters(side)
-                    for m in c.mentions} for doc in docs]
+        per_doc = [{span for side in ("gold", "predicted") for c in doc.clusters(side)
+                    for span in c.spans} for doc in docs]
         assert aligned[0] == sum(map(len, per_doc))
 
     @pytest.mark.parametrize("cfg", [CFG, LabelingConfig(0.3, True, True)])

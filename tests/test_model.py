@@ -15,8 +15,6 @@ from coref_semscore.model import (
     Cluster,
     Document,
     LabelSource,
-    Mention,
-    SemanticSpan,
     Span,
     _trusted_cluster,
     _Value,
@@ -68,67 +66,83 @@ class TestSpan:
             reversed(span)
 
 
-class TestMention:
-    def test_replace_runs_checks(self):
-        mention = Mention(span=Span(0, 1), assigned_label="PER",
-                          label_source=LabelSource.DIRECT, assignment_overlap=0.9)
-        with pytest.raises(ValueError):
-            mention._replace(label_source=LabelSource.PROPAGATED)
-        with pytest.raises(ValueError):
-            mention._replace(assigned_label=None)
-        with pytest.raises(ValueError):
-            mention._replace(span=Span(2, 2))
-        relabeled = mention._replace(assigned_label="LOC")
-        assert relabeled.assigned_label == "LOC" and relabeled.span == mention.span
-
-    def test_label_requires_source(self):
-        with pytest.raises(ValueError):
-            Mention(span=Span(0, 1), assigned_label="PER")
-
-    def test_source_requires_label(self):
-        with pytest.raises(ValueError):
-            Mention(span=Span(0, 1), label_source=LabelSource.PROPAGATED)
-
-    def test_overlap_only_for_direct(self):
-        with pytest.raises(ValueError):
-            Mention(span=Span(0, 1), assigned_label="PER",
-                    label_source=LabelSource.PROPAGATED, assignment_overlap=0.9)
-        with pytest.raises(ValueError):
-            Mention(span=Span(0, 1), assigned_label="PER", label_source=LabelSource.DIRECT)
-        Mention(span=Span(0, 1), assigned_label="PER",
-                label_source=LabelSource.DIRECT, assignment_overlap=0.9)
+_NONE, _DIRECT, _PROPAGATED = LabelSource.NONE, LabelSource.DIRECT, LabelSource.PROPAGATED
+_COLUMNS = ("spans", "labels", "sources", "overlaps")
 
 
 class TestCluster:
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="at least one mention"):
-            Cluster(())
+            Cluster((), (), (), ())
         with pytest.raises(ValueError, match="at least one mention"):
-            cluster_of([(0, 2)])._replace(mentions=())
+            cluster_of([(0, 2)])._replace(spans=(), labels=(), sources=(), overlaps=())
 
     def test_rejects_duplicate_spans(self):
         with pytest.raises(ValueError, match="duplicate mention span"):
             cluster_of([(0, 2), (0, 2)])
-        labeled = Mention(Span(0, 2), "PER", LabelSource.PROPAGATED)
+        labeled = ((Span(0, 2), Span(0, 2)), (None, "PER"), (_NONE, _PROPAGATED), (None, None))
         with pytest.raises(ValueError, match="duplicate mention span"):
-            Cluster([Mention(Span(0, 2)), labeled])
+            Cluster(*labeled)
         with pytest.raises(ValueError, match="duplicate mention span"):
-            cluster_of([(0, 2), (3, 4)])._replace(mentions=(Mention(Span(0, 2)), labeled))
+            cluster_of([(0, 2), (3, 4)])._replace(**dict(zip(_COLUMNS, labeled)))
+
+    # One mention's (label, source, overlap), and the rule it breaks.
+    @pytest.mark.parametrize("label, source, overlap, rule", [
+        ("PER", _NONE, None, "assigned_label must be present iff label_source != none"),
+        (None, _PROPAGATED, None, "assigned_label must be present iff label_source != none"),
+        (None, _DIRECT, 0.9, "assigned_label must be present iff label_source != none"),
+        ("PER", _PROPAGATED, 0.9, "assignment_overlap must be present iff label_source = direct"),
+        ("PER", _DIRECT, None, "assignment_overlap must be present iff label_source = direct"),
+        (None, _NONE, 0.9, "assignment_overlap must be present iff label_source = direct"),
+    ], ids=["label-without-source", "propagated-without-label", "direct-without-label",
+            "overlap-not-direct", "direct-without-overlap", "overlap-without-label"])
+    def test_rejects_a_mention_that_breaks_the_label_rules(self, label, source, overlap, rule):
+        columns = (Span(0, 1), Span(2, 3)), (None, label), (_NONE, source), (None, overlap)
+        with pytest.raises(ValueError) as exc:
+            Cluster(*columns)
+        assert str(exc.value) == rule
+        with pytest.raises(ValueError) as exc:
+            cluster_of([(0, 1), (2, 3)])._replace(**dict(zip(_COLUMNS, columns)))
+        assert str(exc.value) == rule
+
+    @pytest.mark.parametrize("short", _COLUMNS)
+    def test_rejects_columns_of_unequal_length(self, short):
+        columns = {name: column[:1] if name == short else column for name, column in zip(
+            _COLUMNS, ((Span(0, 1), Span(2, 3)), ("PER", None), (_DIRECT, _NONE), (0.9, None)))}
+        with pytest.raises(ValueError, match="must be equally long"):
+            Cluster(**columns)
+
+    def test_replace_keeps_what_passes_the_rules(self):
+        direct = Cluster((Span(0, 1),), ("PER",), (_DIRECT,), (0.9,), "PER")
+        relabeled = direct._replace(labels=("LOC",))
+        assert relabeled.labels == ("LOC",) and relabeled.spans == direct.spans
+        assert relabeled.cluster_label == "PER" and relabeled != direct
 
     def test_trusted_builder_builds_the_checked_value_from_columns(self):
-        mentions = (Mention(Span(0, 2)), Mention(Span(3, 4), "PER", LabelSource.PROPAGATED),
-                    Mention(Span(5, 7), "LOC", LabelSource.DIRECT, 0.75))
-        checked = Cluster(iter(mentions), "PER")
-        trusted = _trusted_cluster(
-            (Span(0, 2), Span(3, 4), Span(5, 7)), (None, "PER", "LOC"),
-            (LabelSource.NONE, LabelSource.PROPAGATED, LabelSource.DIRECT), (None, None, 0.75),
-            "PER")
-        assert checked.mentions == trusted.mentions == mentions
+        columns = ((Span(0, 2), Span(3, 4), Span(5, 7)), (None, "PER", "LOC"),
+                   (_NONE, _PROPAGATED, _DIRECT), (None, None, 0.75))
+        checked = Cluster(*map(iter, columns), "PER")
+        trusted = _trusted_cluster(*columns, "PER")
         for name in ("spans", "labels", "sources", "overlaps", "cluster_label"):
             assert getattr(trusted, name) == getattr(checked, name)
         assert trusted == checked and hash(trusted) == hash(checked)
         assert repr(trusted) == repr(checked)
-        assert checked._values() == (mentions, "PER")
+        assert checked._values() == (*columns, "PER")
+
+
+class TestDocument:
+    @pytest.mark.parametrize("start, end", [(3, 1), (2, 2), (-1, 2), (0, 1.5)])
+    def test_cner_bounds_are_checked_as_spans(self, start, end):
+        with pytest.raises(ValueError) as exc:
+            Document("d0", ["a", "b", "c", "d"], cner=[(start, end, "PER")])
+        with pytest.raises(ValueError) as span_exc:
+            Span(start, end)
+        assert str(exc.value) == str(span_exc.value)
+
+    def test_cner_is_stored_as_plain_triples(self):
+        doc = Document("d0", ["a", "b"], cner=iter([[0, 1, "PER"], (0, 2, "LOC")]))
+        assert doc.cner == ((0, 1, "PER"), (0, 2, "LOC"))
+        assert {type(triple) for triple in doc.cner} == {tuple}
 
 
 class TestValidateDocument:
@@ -138,10 +152,11 @@ class TestValidateDocument:
 
     def test_out_of_range_span(self):
         doc = doc_of([[(0, 3)]], tokens=["a", "b"])
-        violations = validate_document(doc)
-        assert len(violations) == 1
-        assert "[0, 3)" in violations[0]
-        assert "gold_clusters[0]" in violations[0]
+        assert validate_document(doc) == ["gold_clusters[0][0]: span [0, 3) out of range (2 tokens)"]
+
+    def test_out_of_range_semantic_span_is_named_by_its_field(self):
+        doc = doc_of([[(0, 1)]], cner=[(0, 1, "LOC"), (0, 5, "PER")], tokens=["a", "b"])
+        assert validate_document(doc) == ["cner[1]: span [0, 5) out of range (2 tokens)"]
 
     def test_span_in_two_clusters(self):
         doc = doc_of([[(0, 2)], [(3, 4), (0, 2)]], tokens=list("abcdef"))
@@ -217,7 +232,7 @@ def _labeled_document():
         tokens=("Mr.", "Smith", "said", "he", "left", "Rome"),
         gold_clusters=(cluster_of([(0, 2), (3, 4)]), cluster_of([(5, 6)])),
         predicted_clusters=(cluster_of([(1, 2), (3, 4)]),),
-        semantic_spans=(SemanticSpan(Span(0, 2), "PER"), SemanticSpan(Span(5, 6), "LOC")),
+        cner=((0, 2, "PER"), (5, 6, "LOC")),
         sentence_boundaries=(0,),
         extras={"source": "demo"},
     )
@@ -235,13 +250,9 @@ def _coverage_counts():
 # Every value type of the package with the names of its fields.
 VALUES = [
     (lambda: Span(0, 1), ("start", "end")),
-    (lambda: Mention(span=Span(0, 1)), ("span", "assigned_label", "label_source",
-                                        "assignment_overlap")),
-    (lambda: cluster_of([(0, 1)]), ("mentions", "cluster_label", "spans", "labels", "sources",
-                                    "overlaps")),
-    (lambda: SemanticSpan(Span(0, 1), "PER"), ("span", "label")),
-    (_labeled_document, ("doc_id", "tokens", "gold_clusters", "predicted_clusters",
-                         "semantic_spans", "sentence_boundaries", "extras", "cner")),
+    (lambda: cluster_of([(0, 1)]), ("spans", "labels", "sources", "overlaps", "cluster_label")),
+    (_labeled_document, ("doc_id", "tokens", "gold_clusters", "predicted_clusters", "cner",
+                         "sentence_boundaries", "extras")),
     (_triple, ("precision", "recall", "f1")),
     (lambda: ClassicReport(_triple(), _triple(), _triple()), ("muc", "b_cubed", "ceaf_phi4")),
     (lambda: ClassScore("PER", 3, 1, 2), ("label", "tp", "fp", "fn")),
@@ -262,22 +273,22 @@ VALUES = [
 VALUE_TYPES = [type(make()).__name__ for make, _ in VALUES]
 
 
-def _mention(spec) -> Mention:
+def _mention(spec) -> tuple:
+    """The span, label, source and overlap of a mention spec."""
     bounds, source, label, score = spec
-    return Mention(Span(*bounds), None if source is LabelSource.NONE else label, source,
-                   score if source is LabelSource.DIRECT else None)
+    return (Span(*bounds), None if source is LabelSource.NONE else label, source,
+            score if source is LabelSource.DIRECT else None)
 
 
 def _cluster(spec) -> Cluster:
     mentions, label = spec
-    return Cluster([_mention(m) for m in mentions], label)
+    return Cluster(*zip(*map(_mention, mentions)), label)
 
 
 def _document(spec) -> Document:
     doc_id, tokens, gold, predicted, cner, boundaries, extras = spec
     return Document(doc_id, tokens, map(_cluster, gold), map(_cluster, predicted),
-                    [SemanticSpan(Span(*bounds), label) for bounds, label in cner],
-                    boundaries, extras)
+                    [(*bounds, label) for bounds, label in cner], boundaries, extras)
 
 
 # Specs drawn from small pools, so that two draws are often equal.
@@ -297,7 +308,7 @@ _DOCUMENT_SPECS = st.tuples(
 
 def _by_fields(value):
     """`value` with each model value in it replaced by its class and its
-    fields, recursively: what equality compared before it read the slots."""
+    fields, recursively: what equality compares."""
     if isinstance(value, _Value):
         return type(value), _by_fields(value._values())
     if isinstance(value, tuple):
@@ -327,16 +338,15 @@ class TestValueSemantics:
                 assert getattr(copied, name) == getattr(value, name)
 
     def test_model_values_are_not_tuples(self):
-        for make in (lambda: Mention(Span(0, 1)), lambda: cluster_of([(0, 1)]),
-                     lambda: SemanticSpan(Span(0, 1), "PER"), _labeled_document):
+        for make in (lambda: cluster_of([(0, 1)]), _labeled_document):
             assert not isinstance(make(), tuple)
 
     def test_model_values_equal_by_class_and_fields(self):
-        mention = Mention(Span(0, 1))
-        assert mention == Mention(Span(0, 1)) and hash(mention) == hash(Mention(Span(0, 1)))
-        assert mention != Mention(Span(0, 2))
-        assert mention != (Span(0, 1), None, LabelSource.NONE, None)
-        assert SemanticSpan(Span(0, 1), "PER") != SemanticSpan(Span(0, 1), "LOC")
+        cluster = cluster_of([(0, 1)])
+        assert cluster == cluster_of([(0, 1)]) and hash(cluster) == hash(cluster_of([(0, 1)]))
+        assert cluster != cluster_of([(0, 2)]) and cluster != cluster_of([(0, 1)], "PER")
+        assert cluster != ((Span(0, 1),), (None,), (LabelSource.NONE,), (None,), None)
+        assert doc_of(cner=[(0, 1, "PER")]) != doc_of(cner=[(0, 1, "LOC")])
         assert len({cluster_of([(0, 1)]), cluster_of([(0, 1)]), cluster_of([(0, 2)])}) == 2
 
     @settings(max_examples=300, deadline=None)
@@ -356,6 +366,12 @@ class TestValueSemantics:
         with pytest.raises(TypeError):
             hash(docs[0])
 
+    def test_fields_are_the_slots_of_every_value_but_the_inventory(self):
+        # The inventory derives its lookup slots from its categories.
+        assert {cls.__name__ for cls in _Value.__subclasses__()
+                if cls._fields != cls.__slots__} == {"CategoryInventory"}
+        assert {Cluster, Document} <= set(_Value.__subclasses__())
+
     def test_records_are_named_tuples(self):
         assert LabelingConfig() == (0.5, False, False)
         assert tuple(_triple()) == (0.5, 0.25, 1 / 3)
@@ -373,13 +389,13 @@ class TestValueSemantics:
         )
 
     def test_repr_names_every_field(self):
-        assert repr(Mention(Span(0, 1))) == (
-            "Mention(span=Span(start=0, end=1), assigned_label=None, "
-            "label_source=<LabelSource.NONE: 'none'>, assignment_overlap=None)"
+        assert repr(cluster_of([(0, 1)])) == (
+            "Cluster(spans=(Span(start=0, end=1),), labels=(None,), "
+            "sources=(<LabelSource.NONE: 'none'>,), overlaps=(None,), cluster_label=None)"
         )
-        assert repr(Document("d", ["a"])) == (
+        assert repr(Document("d", ["a"], cner=[(0, 1, "PER")])) == (
             "Document(doc_id='d', tokens=('a',), gold_clusters=(), predicted_clusters=(), "
-            "semantic_spans=(), sentence_boundaries=None, extras={})"
+            "cner=((0, 1, 'PER'),), sentence_boundaries=None, extras={})"
         )
         assert repr(LabelingConfig()) == (
             "LabelingConfig(tau=0.5, tau_inclusive=False, force_cluster_label=False)"
@@ -395,14 +411,14 @@ class TestValueSemantics:
         with pytest.raises(ValueError, match="duplicate labels"):
             CategoryInventory.default()._replace(categories=(Category("PER"), Category("PER")))
         with pytest.raises(TypeError):
-            Mention(Span(0, 1))._replace(label="PER")
+            cluster_of([(0, 1)])._replace(mentions=())
 
     def test_document_replace_stores_tuples(self):
         doc = _labeled_document()
         cluster = cluster_of([(0, 1)])
-        changed = doc._replace(gold_clusters=[cluster], semantic_spans=iter([]))
+        changed = doc._replace(gold_clusters=[cluster], cner=iter([]))
         assert changed.gold_clusters == (cluster,)
-        assert changed.semantic_spans == ()
+        assert changed.cner == ()
         assert changed.predicted_clusters is doc.predicted_clusters
         assert changed.extras is doc.extras
         assert doc.gold_clusters != changed.gold_clusters
@@ -428,7 +444,7 @@ class TestValueSemantics:
         with pytest.raises(ValueError):
             copy.replace(LabelingConfig(), tau=2.0)
         with pytest.raises(ValueError):
-            copy.replace(Mention(Span(0, 1)), label_source=LabelSource.DIRECT)
+            copy.replace(cluster_of([(0, 1)]), sources=(LabelSource.DIRECT,))
         with pytest.raises(ValueError):
             copy.replace(Span(0, 1), end=0)
         assert copy.replace(LabelingConfig(), tau=-0.0) == LabelingConfig(0.0)
@@ -436,8 +452,8 @@ class TestValueSemantics:
     def test_labeled_document_survives_pickle_and_deepcopy(self):
         doc = _labeled_document()
         assert doc.gold_clusters[0].cluster_label == "PER"
-        assert doc.gold_clusters[0].mentions[1].label_source is LabelSource.PROPAGATED
+        assert doc.gold_clusters[0].sources[1] is LabelSource.PROPAGATED
         for copied in (pickle.loads(pickle.dumps(doc)), copy.deepcopy(doc)):
             assert copied == doc
-            assert type(copied.gold_clusters[0].mentions[0].span) is Span
-            assert copied.gold_clusters[0].mentions[1].label_source is LabelSource.PROPAGATED
+            assert type(copied.gold_clusters[0].spans[0]) is Span
+            assert copied.gold_clusters[0].sources[1] is LabelSource.PROPAGATED

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import oracles
 from conftest import cluster_of, doc_of, tables_of
 from coref_semscore.labeling import LabelingConfig, label_documents
-from coref_semscore.model import Cluster, DocumentPairingError, Span, pair_by_doc_id
+from coref_semscore.model import DocumentPairingError, Span, pair_by_doc_id
 from coref_semscore.typed_metrics import (
     ClassScore,
     links_of,
@@ -177,7 +177,7 @@ class TestTypedLinkScores:
         spiked = []
         for doc in docs:
             extra = cluster_of([(0, 1), (1, 2)])
-            existing = {m.span for c in doc.predicted_clusters for m in c.mentions}
+            existing = {span for c in doc.predicted_clusters for span in c.spans}
             if Span(0, 1) in existing or Span(1, 2) in existing:
                 spiked.append(doc)
                 continue
@@ -247,12 +247,12 @@ class TestRenamingInvariance:
     def test_bijection_permutes_rows_and_preserves_aggregates(self):
         _, docs = _labeled_random_docs(29, 15)
         labels = sorted({
-            m.assigned_label
+            label
             for doc in docs
             for side in ("gold", "predicted")
             for cluster in doc.clusters(side)
-            for m in cluster.mentions
-            if m.assigned_label
+            for label in cluster.labels
+            if label
         })
         mapping = dict(zip(labels, ["Z" + l for l in labels]))
 
@@ -260,12 +260,9 @@ class TestRenamingInvariance:
             for side in ("gold", "predicted"):
                 new = []
                 for cluster in doc.clusters(side):
-                    mentions = tuple(
-                        m._replace(assigned_label=mapping.get(m.assigned_label))
-                        if m.assigned_label else m
-                        for m in cluster.mentions
-                    )
-                    new.append(Cluster(mentions, cluster_label=mapping.get(cluster.cluster_label)))
+                    new.append(cluster._replace(
+                        labels=[mapping.get(label) for label in cluster.labels],
+                        cluster_label=mapping.get(cluster.cluster_label)))
                 doc = doc.with_clusters(side, new)
             return doc
 

@@ -1,5 +1,6 @@
-"""Every import in a package module, a test module or a script is used by
-that module; and checks on what the package's modules may read.
+"""Every import in a package module, a test module, a script or a
+benchmark module is used by that module; and the command line imports no
+private name of the package.
 
 An import whose line says `# noqa: F401` is kept on purpose and skipped.
 The package's __init__.py re-exports what it imports, so it is not checked.
@@ -16,6 +17,7 @@ MODULES = sorted([
       if path.name != "__init__.py"),
     *(ROOT / "tests").glob("*.py"),
     *(ROOT / "scripts").glob("*.py"),
+    *(ROOT / "perfbench").glob("*.py"),
 ])
 
 
@@ -55,26 +57,3 @@ def test_cli_imports_no_private_name_of_the_package():
                and (node.level > 0 or node.module.partition(".")[0] == "coref_semscore")
                for alias in node.names if alias.name.startswith("_")]
     assert private == []
-
-
-def attribute_reads(source: str, name: str) -> list[int]:
-    """The line of each read of an attribute `name` in a module."""
-    return [node.lineno for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.Attribute) and node.attr == name]
-
-
-def test_no_module_but_the_model_reads_mentions():
-    # Every stage reads and writes a cluster's columns; Cluster.mentions
-    # builds Mention values for the public API and the tests only.
-    reads = {path.name: attribute_reads(path.read_text(encoding="utf-8"), "mentions")
-             for path in (ROOT / "src" / "coref_semscore").glob("*.py") if path.name != "model.py"}
-    assert {name: lines for name, lines in reads.items() if lines} == {}
-    assert attribute_reads("x = c.mentions\nc.spans\nmentions = 1\n", "mentions") == [1]
-
-
-def test_no_module_but_the_model_reads_semantic_spans():
-    # Every stage reads a document's cner triples; Document.semantic_spans
-    # builds SemanticSpan values for the public API and the tests only.
-    reads = {path.name: attribute_reads(path.read_text(encoding="utf-8"), "semantic_spans")
-             for path in (ROOT / "src" / "coref_semscore").glob("*.py") if path.name != "model.py"}
-    assert {name: lines for name, lines in reads.items() if lines} == {}
